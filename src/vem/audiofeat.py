@@ -71,7 +71,8 @@ class MelSpectrogram:
 def load_wav(path):
     """Parse a RIFF/WAVE file: PCM16 or float32, mono or stereo (averaged).
 
-    PCM16 scaling divides by 32768, so -32768 lands exactly on -1.0.
+    PCM16 scaling divides by 32768, so -32768 lands exactly on -1.0. A
+    trailing partial sample in the data chunk is dropped.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -87,6 +88,8 @@ def load_wav(path):
         if len(body) != size:
             raise DataError(f"truncated chunk {cid!r} at offset {pos}")
         if cid == b"fmt ":
+            if size < 16:
+                raise DataError(f"fmt chunk at offset {pos} has {size} bytes, needs 16")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif cid == b"data":
             data = body
@@ -97,9 +100,10 @@ def load_wav(path):
         raise DataError("missing data chunk")
     codec, channels, rate, _, _, bits = fmt
     if codec == 1 and bits == 16:
-        x = np.frombuffer(data, dtype="<i2").astype(np.float32) / 32768.0
+        pcm = np.frombuffer(data, dtype="<i2", count=len(data) // 2)
+        x = pcm.astype(np.float32) / 32768.0
     elif codec == 3 and bits == 32:
-        x = np.frombuffer(data, dtype="<f4").astype(np.float32)
+        x = np.frombuffer(data, dtype="<f4", count=len(data) // 4).astype(np.float32)
     else:
         raise DataError(f"unsupported codec (format={codec}, bits={bits}) at offset 20")
     if channels < 1:

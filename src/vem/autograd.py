@@ -45,6 +45,17 @@ def as_var(x):
     return x if isinstance(x, Var) else Var(np.asarray(x))
 
 
+def _node(data, parents, backward):
+    """Output of an op: a Var taped to the parents that need a gradient, or a
+    plain constant when none does (or taping is off)."""
+    out = Var(data)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._prev = tuple(p for p in parents if p.requires_grad)
+        out._backward = backward
+    return out
+
+
 class Var:
     """Array node on the autodiff tape."""
 
@@ -67,14 +78,6 @@ class Var:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def _make(self, data, parents, backward):
-        out = Var(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._prev = tuple(p for p in parents if p.requires_grad)
-            out._backward = backward
-        return out
 
     def _accum(self, grad):
         grad = np.asarray(grad, dtype=self.data.dtype)
@@ -110,7 +113,7 @@ class Var:
         def back(g):
             self.requires_grad and self._accum(_unbroadcast(g, self.shape))
             other.requires_grad and other._accum(_unbroadcast(g, other.shape))
-        return self._make(self.data + other.data, (self, other), back)
+        return _node(self.data + other.data, (self, other), back)
 
     __radd__ = __add__
 
@@ -119,7 +122,7 @@ class Var:
         def back(g):
             self.requires_grad and self._accum(_unbroadcast(g * other.data, self.shape))
             other.requires_grad and other._accum(_unbroadcast(g * self.data, other.shape))
-        return self._make(self.data * other.data, (self, other), back)
+        return _node(self.data * other.data, (self, other), back)
 
     __rmul__ = __mul__
 
@@ -141,7 +144,7 @@ class Var:
         assert np.isscalar(p)
         def back(g):
             self._accum(_unbroadcast(g * p * self.data ** (p - 1), self.shape))
-        return self._make(self.data ** p, (self,), back)
+        return _node(self.data ** p, (self,), back)
 
     def matmul(self, other):
         other = as_var(other)
@@ -164,7 +167,7 @@ class Var:
             if other.requires_grad:
                 gb = np.swapaxes(a, -1, -2) @ g
                 other._accum(_unbroadcast(gb, other.shape))
-        return self._make(a @ b, (self, other), back)
+        return _node(a @ b, (self, other), back)
 
     __matmul__ = matmul
 
@@ -176,7 +179,7 @@ class Var:
         old = self.shape
         def back(g):
             self._accum(g.reshape(old))
-        return self._make(self.data.reshape(shape), (self,), back)
+        return _node(self.data.reshape(shape), (self,), back)
 
     def transpose(self, *axes):
         if not axes:
@@ -184,20 +187,20 @@ class Var:
         inv = np.argsort(axes)
         def back(g):
             self._accum(g.transpose(inv))
-        return self._make(self.data.transpose(axes), (self,), back)
+        return _node(self.data.transpose(axes), (self,), back)
 
     def __getitem__(self, idx):
         def back(g):
             full = np.zeros_like(self.data)
             np.add.at(full, idx, g)
             self._accum(full)
-        return self._make(self.data[idx], (self,), back)
+        return _node(self.data[idx], (self,), back)
 
     def repeat2(self):
         """Duplicate every sample along the last axis (nearest upsample x2)."""
         def back(g):
             self._accum(g.reshape(g.shape[:-1] + (-1, 2)).sum(axis=-1))
-        return self._make(np.repeat(self.data, 2, axis=-1), (self,), back)
+        return _node(np.repeat(self.data, 2, axis=-1), (self,), back)
 
     # -- reductions --------------------------------------------------------
 
@@ -208,7 +211,7 @@ class Var:
             else:
                 ge = g if keepdims else np.expand_dims(g, axis)
                 self._accum(np.broadcast_to(ge, self.shape))
-        return self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.shape[axis]
@@ -216,39 +219,17 @@ class Var:
 
     # -- pointwise ---------------------------------------------------------
 
-    def exp(self):
-        out_data = np.exp(self.data)
-        def back(g):
-            self._accum(g * out_data)
-        return self._make(out_data, (self,), back)
-
-    def log(self):
-        def back(g):
-            self._accum(g / self.data)
-        return self._make(np.log(self.data), (self,), back)
-
     def tanh(self):
         out_data = np.tanh(self.data)
         def back(g):
             self._accum(g * (1.0 - out_data ** 2))
-        return self._make(out_data, (self,), back)
-
-    def sigmoid(self):
-        out_data = _sigmoid(self.data)
-        def back(g):
-            self._accum(g * out_data * (1.0 - out_data))
-        return self._make(out_data, (self,), back)
-
-    def relu(self):
-        def back(g):
-            self._accum(g * (self.data > 0))
-        return self._make(np.maximum(self.data, 0.0), (self,), back)
+        return _node(out_data, (self,), back)
 
     def silu(self):
         s = _sigmoid(self.data)
         def back(g):
             self._accum(g * (s + self.data * s * (1.0 - s)))
-        return self._make(self.data * s, (self,), back)
+        return _node(self.data * s, (self,), back)
 
     def softmax(self, axis=-1):
         m = self.data.max(axis=axis, keepdims=True)
@@ -257,7 +238,7 @@ class Var:
         def back(g):
             dot = (g * out_data).sum(axis=axis, keepdims=True)
             self._accum(out_data * (g - dot))
-        return self._make(out_data, (self,), back)
+        return _node(out_data, (self,), back)
 
     def layer_norm(self, eps=1e-5):
         """Zero-mean unit-variance over the last axis (affine part separate)."""
@@ -269,7 +250,7 @@ class Var:
             gm = g.mean(axis=-1, keepdims=True)
             gx = (g * xhat).mean(axis=-1, keepdims=True)
             self._accum(inv * (g - gm - xhat * gx))
-        return self._make(xhat, (self,), back)
+        return _node(xhat, (self,), back)
 
     def __repr__(self):
         return f"Var(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
@@ -295,13 +276,7 @@ def concat(vars_, axis=0):
                 sl[axis] = slice(offset, offset + n)
                 v._accum(g[tuple(sl)])
             offset += n
-    out = np.concatenate([v.data for v in vars_], axis=axis)
-    ref = Var(out)
-    if _grad_enabled and any(v.requires_grad for v in vars_):
-        ref.requires_grad = True
-        ref._prev = tuple(v for v in vars_ if v.requires_grad)
-        ref._backward = back
-    return ref
+    return _node(np.concatenate([v.data for v in vars_], axis=axis), vars_, back)
 
 
 def conv1d(x, w, b=None, stride=1, padding=0):
@@ -337,13 +312,7 @@ def conv1d(x, w, b=None, stride=1, padding=0):
             np.add.at(gxp, (slice(None), slice(None), idx), gcols)
             x._accum(gxp[:, :, padding:padding + length] if padding else gxp)
 
-    parents = (x, w) + ((b,) if b is not None else ())
-    ref = Var(out)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        ref.requires_grad = True
-        ref._prev = tuple(p for p in parents if p.requires_grad)
-        ref._backward = back
-    return ref
+    return _node(out, (x, w) + ((b,) if b is not None else ()), back)
 
 
 def bce_with_logits(logits, targets):
@@ -356,7 +325,7 @@ def bce_with_logits(logits, targets):
     out = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     def back(g):
         logits._accum(g * (_sigmoid(x) - t))
-    return logits._make(out, (logits,), back)
+    return _node(out, (logits,), back)
 
 
 # -- parameter containers --------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 
 from .audiofeat import N_FFT
 from .errors import DataError
+from .timeline import TimestampSet
 
 FRAME_FPS = 16.0  # rasterization rate for event timelines
 
@@ -174,3 +175,9 @@ def detect_beats(m):
     env = spectral_flux(m)
     bpm = estimate_tempo(env)
     return track_beats(env, bpm), bpm
+
+
+def beats_within(m, duration_s):
+    """Beats detected in a spectrogram that fall inside [0, duration_s]."""
+    beats, _ = detect_beats(m)
+    return TimestampSet([b for b in beats if b <= duration_s], duration_s)

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .audiofeat import SAMPLE_RATE, griffin_lim, load_wav, logmel, resample, save_wav
-from .beatdet import detect_beats
+from .beatdet import beats_within, detect_beats
 from .container import load_tensors, save_tensors
 from .curation import CurationRule, SynthConfig, gate, synth_corpus
 from .errors import DataError, StageOrderError
@@ -116,13 +116,18 @@ def _load_wav_16k(path):
     return w if w.sample_rate_hz == SAMPLE_RATE else resample(w, SAMPLE_RATE)
 
 
-def _corpus_pairs(corpus_dir):
-    names = sorted(f for f in os.listdir(corpus_dir) if f.endswith(".json")
+def _manifest_names(directory):
+    """Sorted manifest file names in a directory (beat-event files excluded)."""
+    names = sorted(f for f in os.listdir(directory) if f.endswith(".json")
                    and not f.endswith(".beats.json"))
     if not names:
-        raise DataError(f"no manifests found in {corpus_dir}")
+        raise DataError(f"no manifests found in {directory}")
+    return names
+
+
+def _corpus_pairs(corpus_dir):
     pairs = []
-    for name in names:
+    for name in _manifest_names(corpus_dir):
         stem = name[:-5]
         wav_path = os.path.join(corpus_dir, stem + ".wav")
         if not os.path.exists(wav_path):
@@ -284,8 +289,6 @@ def _cmd_eval(args):
     bad = [m for m in metrics if m not in known]
     if bad:
         raise DataError(f"unknown metrics {bad}; choose from {sorted(known)}")
-    names = sorted(f for f in os.listdir(args.dir) if f.endswith(".json")
-                   and not f.endswith(".beats.json"))
     per_file = [m for m in metrics if m in ("b_iou", "tb_iou", "tw")]
     rows = []
 
@@ -296,8 +299,8 @@ def _cmd_eval(args):
         gen_path = os.path.join(args.dir, stem + ".gen.wav")
         if not os.path.exists(ref_path):
             raise DataError(f"{stem}.json has no reference {stem}.wav")
-        ref_beats = _beats_of(_load_wav_16k(ref_path))
-        gen_beats = _beats_of(_load_wav_16k(gen_path)) if os.path.exists(gen_path) else ref_beats
+        ref_beats = _beats_of(ref_path)
+        gen_beats = _beats_of(gen_path) if os.path.exists(gen_path) else ref_beats
         out = []
         for m in per_file:
             if m == "b_iou":
@@ -310,9 +313,7 @@ def _cmd_eval(args):
         return out
 
     if per_file:
-        if not names:
-            raise DataError(f"no manifests found in {args.dir}")
-        for chunk in _pool_map(one, names, args.threads):
+        for chunk in _pool_map(one, _manifest_names(args.dir), args.threads):
             rows.extend(chunk)
 
     corpus_metrics = [m for m in metrics if m in ("fad", "is", "kld")]
@@ -343,9 +344,9 @@ def _entry(tensors, key, path):
     return tensors[key]
 
 
-def _beats_of(wav):
-    beats, _ = detect_beats(logmel(wav))
-    return TimestampSet([b for b in beats if b <= wav.duration_s], wav.duration_s)
+def _beats_of(path):
+    wav = _load_wav_16k(path)
+    return beats_within(logmel(wav), wav.duration_s)
 
 
 def _cmd_sweep(args):

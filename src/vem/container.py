@@ -14,9 +14,12 @@ Layout (all integers little-endian):
 Version 1 files have no metadata block; readers return {} for them.
 Writers emit v1 when `meta` is falsy so old readers stay compatible.
 Tensors are stored float32; save() casts, load() returns float32 arrays.
+Every length read from a file is checked against the bytes left in it before
+anything is read or allocated.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -28,31 +31,43 @@ _MAGIC = b"VEMT"
 
 def save_tensors(path, tensors, meta=None):
     """Write a {name: array} dict; entries land sorted by name so equal
-    contents give byte-identical files regardless of insertion order."""
+    contents give byte-identical files regardless of insertion order.
+
+    The bytes go to a temporary file beside `path` that then replaces it, so
+    a save that fails part-way leaves an existing file as it was.
+    """
     version = 2 if meta else 1
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<B", version))
-        if version == 2:
-            blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-        for name in sorted(tensors):
-            arr = tensors[name]
-            arr = np.asarray(arr, dtype=np.float32)  # tobytes() emits C order
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<B", version))
+            if version == 2:
+                blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+                fh.write(struct.pack("<I", len(blob)))
+                fh.write(blob)
+            for name in sorted(tensors):
+                arr = tensors[name]
+                arr = np.asarray(arr, dtype=np.float32)  # tobytes() emits C order
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<I", arr.ndim))
+                for d in arr.shape:
+                    fh.write(struct.pack("<I", d))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_exact(fh, n, what):
-    buf = fh.read(n)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    buf = fh.read(n) if n <= left else b""
     if len(buf) != n:
-        raise DataError(f"truncated container: expected {n} bytes for {what}, got {len(buf)}")
+        raise DataError(f"truncated container: expected {n} bytes for {what}, {left} left")
     return buf
 
 
@@ -72,6 +87,8 @@ def load_tensors(path):
                 meta = json.loads(_read_exact(fh, jlen, "metadata").decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise DataError(f"corrupt metadata block: {exc}") from exc
+            if not isinstance(meta, dict):
+                raise DataError("metadata block is not a JSON object")
         tensors = {}
         while True:
             head = fh.read(4)
@@ -80,12 +97,18 @@ def load_tensors(path):
             if len(head) != 4:
                 raise DataError("truncated container: partial entry header")
             (nlen,) = struct.unpack("<I", head)
-            name = _read_exact(fh, nlen, "entry name").decode("utf-8")
+            try:
+                name = _read_exact(fh, nlen, "entry name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"entry name is not UTF-8: {exc}") from exc
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"rank of {name!r}"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"dims of {name!r}"))
             count = 1
             for d in dims:
                 count *= d
             payload = _read_exact(fh, 4 * count, f"payload of {name!r}")
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            try:
+                tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            except ValueError as exc:  # a zero dim beside dims too large to index
+                raise DataError(f"unusable dims {dims} of {name!r}: {exc}") from exc
         return tensors, meta

@@ -12,8 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .audiofeat import SAMPLE_RATE, Waveform, estimate_snr, logmel
-from .beatdet import detect_beats
+from .audiofeat import SAMPLE_RATE, Waveform, estimate_snr
 from .errors import DataError
 from .parsing import Storyboard, VideoAnnotation, toy_text_embed, toy_visual_embed
 from .rng import Rng
@@ -253,22 +252,3 @@ def synth_corpus(n, seed, cfg=None):
     cfg = cfg or SynthConfig()
     master = Rng(seed)
     return [synth_item(master.fork(i + 1), cfg) for i in range(n)]
-
-
-def corpus_report(corpus, rules=None):
-    """Gate every pair; returns rows (video_id, passed, reasons) plus the
-    detected-beat agreement for convenience."""
-    rules = rules or CurationRule()
-    rows = []
-    for ann, wav in corpus:
-        passed, reasons = gate((ann, wav), rules)
-        rows.append({"video_id": ann.video_id, "passed": passed, "reasons": reasons})
-    return rows
-
-
-def detected_beats(wav, duration_s=None):
-    """Beat timestamps of a waveform as a TimestampSet."""
-    mel = logmel(wav)
-    beats, _ = detect_beats(mel)
-    dur = duration_s if duration_s is not None else wav.duration_s
-    return TimestampSet([b for b in beats if b <= dur], dur)

@@ -71,8 +71,7 @@ def q_sample(z0, t, eps, sched):
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
-def training_loss(model, z0, cond, base_mask, rng, sched, aligner_feats=None,
-                  attn_mode="additive"):
+def training_loss(model, z0, cond, base_mask, rng, sched, aligner_feats=None):
     """Noise-regression objective at a uniformly drawn step.
 
     Returns the scalar loss Var (mean squared error over elements between
@@ -83,7 +82,7 @@ def training_loss(model, z0, cond, base_mask, rng, sched, aligner_feats=None,
     t = int(rng.integers(1, sched.T + 1, 1)[0])
     eps = rng.gaussian(z0.shape).astype(z0.dtype)
     zt = q_sample(z0, t, eps, sched).astype(z0.dtype)
-    pred = model(zt, t, cond, base_mask, aligner_feats=aligner_feats, attn_mode=attn_mode)
+    pred = model(zt, t, cond, base_mask, aligner_feats=aligner_feats)
     diff = pred - ag.Var(eps)
     return (diff * diff).mean()
 
@@ -98,8 +97,7 @@ def strided_timesteps(T, steps):
     return list(ts[::-1])
 
 
-def sample(model, cond, base_mask, shape, steps, rng, sched, aligner_feats=None,
-           attn_mode="additive"):
+def sample(model, cond, base_mask, shape, steps, rng, sched, aligner_feats=None):
     """Ancestral sampling from pure noise; deterministic given the rng.
 
     Returns a (C, L) array in standardized latent units.
@@ -113,8 +111,7 @@ def sample(model, cond, base_mask, shape, steps, rng, sched, aligner_feats=None,
             ab_prev = sched.abar(t_prev)
             alpha_eff = ab_t / ab_prev
             beta_eff = 1.0 - alpha_eff
-            eps_hat = model(z, t, cond, base_mask, aligner_feats=aligner_feats,
-                            attn_mode=attn_mode).data
+            eps_hat = model(z, t, cond, base_mask, aligner_feats=aligner_feats).data
             mu = (z - beta_eff / np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(alpha_eff)
             if t_prev > 0:
                 var = beta_eff * (1.0 - ab_prev) / (1.0 - ab_t)

@@ -8,22 +8,6 @@ preserve the caller's dtype.
 import numpy as np
 
 
-def softmax(x, axis=-1):
-    """Numerically stable softmax along `axis` (max subtracted before exp)."""
-    x = np.asarray(x)
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def layer_norm(x, eps=1e-5):
-    """Normalize the last axis to zero mean, unit variance (no affine part)."""
-    x = np.asarray(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
-
-
 def sqrtm_psd(a, clip_tol=1e-6):
     """Symmetric PSD matrix square root via eigendecomposition.
 

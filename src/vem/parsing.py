@@ -22,6 +22,7 @@ at 16 fps).
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -128,18 +129,27 @@ class TimeEmbedder(ag.Module):
         return h @ self.w2 + self.b2
 
 
-def embed_time(t_seconds, emb):
-    """Single-time convenience over TimeEmbedder.embed; returns a numpy vector."""
-    return emb.embed([t_seconds]).data[0]
-
-
 # -- manifest I/O ----------------------------------------------------------
 
 
 def _require(doc, field, path):
+    if not isinstance(doc, dict):
+        raise ManifestError(path.rstrip(".") or "(document)", "must be a JSON object")
     if field not in doc:
         raise ManifestError(f"{path}{field}", "missing")
     return doc[field]
+
+
+def _finite(x):
+    """A JSON number that converts to a finite float (NaN, inf and huge ints fail)."""
+    return isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+
+
+def _number(doc, field, path):
+    val = _require(doc, field, path)
+    if not _finite(val):
+        raise ManifestError(f"{path}{field}", f"must be a finite number, got {val!r}")
+    return val
 
 
 def load_manifest(path, feature_dim=FEATURE_DIM):
@@ -149,13 +159,13 @@ def load_manifest(path, feature_dim=FEATURE_DIM):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ManifestError("(document)", f"invalid JSON: {exc}") from exc
 
     video_id = str(_require(doc, "video_id", ""))
-    duration = _require(doc, "duration_s", "")
-    if not isinstance(duration, (int, float)) or duration <= 0:
-        raise ManifestError("duration_s", f"must be a positive number, got {duration!r}")
+    duration = _number(doc, "duration_s", "")
+    if duration <= 0:
+        raise ManifestError("duration_s", f"must be positive, got {duration!r}")
     glob = _require(doc, "global", "")
     caption = str(_require(glob, "caption", "global."))
     tags = _require(glob, "tags", "global.")
@@ -165,6 +175,8 @@ def load_manifest(path, feature_dim=FEATURE_DIM):
     sidecar = {}
     if doc.get("features"):
         fpath = doc["features"]
+        if not isinstance(fpath, str):
+            raise ManifestError("features", f"must be a sidecar path, got {fpath!r}")
         if not os.path.isabs(fpath):
             fpath = os.path.join(os.path.dirname(os.path.abspath(path)), fpath)
         if not os.path.exists(fpath):
@@ -186,8 +198,8 @@ def load_manifest(path, feature_dim=FEATURE_DIM):
     prev_end = -np.inf
     for i, sb in enumerate(raw_sbs):
         where = f"storyboards[{i}]."
-        start = _require(sb, "start_s", where)
-        dur = _require(sb, "duration_s", where)
+        start = _number(sb, "start_s", where)
+        dur = _number(sb, "duration_s", where)
         text = str(_require(sb, "text", where))
         if dur <= 0:
             raise ManifestError(f"{where}duration_s", f"must be positive, got {dur}")
@@ -211,8 +223,8 @@ def load_manifest(path, feature_dim=FEATURE_DIM):
         raise ManifestError("features", f"inconsistent feature dims {sorted(dims)}")
 
     raw_tr = _require(doc, "transitions_s", "")
-    if not isinstance(raw_tr, list):
-        raise ManifestError("transitions_s", "must be a list")
+    if not isinstance(raw_tr, list) or not all(_finite(t) for t in raw_tr):
+        raise ManifestError("transitions_s", "must be a list of finite numbers")
     tr = sorted(float(t) for t in raw_tr)
     if tr and (tr[0] < 0 or tr[-1] > duration):
         raise ManifestError("transitions_s", f"values outside [0, {duration}]")

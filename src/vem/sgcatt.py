@@ -8,11 +8,9 @@ own storyboard's span.
 
 The mask grid has one row per latent time position and one column per
 token: row x may attend token y iff x's time falls inside token y's
-storyboard interval [s, s+d). Two attention modes exist because a {0,1}
-mask multiplied into logits does NOT disable entries (a zeroed logit still
-gets weight exp(0) after softmax): the default mode adds -1e9 to masked
-logits instead, and `mode="literal"` keeps the multiplicative form for
-fidelity experiments.
+storyboard interval [s, s+d). The mask is applied additively, -1e9 on
+masked logits, because a {0,1} mask multiplied into the logits does NOT
+disable entries: a zeroed logit still gets weight exp(0) after softmax.
 """
 
 import dataclasses
@@ -129,14 +127,11 @@ def downsample_mask(m, factor):
     return StoryboardMask(grid, m.latent_fps / factor)
 
 
-def sg_cross_attention(q, k, v, mask, mode="additive"):
+def sg_cross_attention(q, k, v, mask):
     """Masked single-head attention, (X, d_key) x (Y, d_key) x (Y, d_val).
 
-    additive (default): masked logits get -1e9 before softmax; rows whose
-    every token is masked return exact zero vectors.
-    literal: softmax(mask * scaled logits) with no -inf, reproducing the
-    multiplicative form verbatim; an all-masked row degenerates to uniform
-    attention over every token, which is documented, not a bug.
+    Masked logits get -1e9 before softmax; rows whose every token is masked
+    return exact zero vectors.
     """
     q, k, v = ag.as_var(q), ag.as_var(k), ag.as_var(v)
     xq, dk = q.shape
@@ -148,22 +143,8 @@ def sg_cross_attention(q, k, v, mask, mode="additive"):
         raise DataError(f"mask shape {mask.grid.shape} != (query {xq}, token {yk})")
     scale = float(1.0 / np.sqrt(dk))
     logits = (q @ k.transpose()) * scale
-    if mode == "additive":
-        bias = (mask.grid.astype(np.float32) - 1.0) * 1e9
-        attn = (logits + ag.Var(bias)).softmax(axis=-1)
-        live = mask.grid.any(axis=1).astype(np.float32)[:, None]
-        attn = attn * ag.Var(live)
-    elif mode == "literal":
-        attn = (logits * ag.Var(mask.grid.astype(np.float32))).softmax(axis=-1)
-    else:
-        raise DataError(f"unknown attention mode {mode!r}")
-    return attn @ v
+    bias = (mask.grid.astype(np.float32) - 1.0) * 1e9
+    attn = (logits + ag.Var(bias)).softmax(axis=-1)
+    live = mask.grid.any(axis=1).astype(np.float32)[:, None]
+    return (attn * ag.Var(live)) @ v
 
-
-def write_mask_pbm(path, m):
-    """Plain PBM (P1) dump of the grid for eyeballing masks."""
-    x, y = m.grid.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"P1\n{y} {x}\n")
-        for row in m.grid:
-            fh.write(" ".join(str(int(c)) for c in row) + "\n")

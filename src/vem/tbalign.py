@@ -19,23 +19,6 @@ import numpy as np
 from . import autograd as ag
 from .errors import DataError
 from .numcore import linear_interp
-from .timeline import intersect
-
-
-def make_labels(video_tl, music_tl):
-    """Per-frame intersection labels: transition AND beat on the 16 fps grid."""
-    return intersect(video_tl, music_tl)
-
-
-def bce_loss(pred, label_frames):
-    """Mean binary cross-entropy of per-frame probabilities against binary
-    labels; probabilities clamped to [1e-7, 1 - 1e-7] first.
-    """
-    p = np.clip(np.asarray(pred, dtype=np.float64), 1e-7, 1.0 - 1e-7)
-    f = np.asarray(label_frames, dtype=np.float64)
-    if p.shape != f.shape:
-        raise DataError(f"prediction length {p.shape} != label length {f.shape}")
-    return float(-(f * np.log(p) + (1.0 - f) * np.log(1.0 - p)).mean())
 
 
 class AlignerNet(ag.Module):

@@ -62,12 +62,6 @@ def from_timestamps(ts, fps=DEFAULT_FPS):
     return EventTimeline(fps, frames, ts.duration_s)
 
 
-def timestamps_of(tl):
-    """Set frames back to continuous time at frame starts (index / fps)."""
-    times = [i / tl.fps for i in np.flatnonzero(tl.frames)]
-    return TimestampSet(times, tl.duration_s)
-
-
 def intersect(video, music):
     """Elementwise AND of two timelines on the same grid."""
     if video.fps != music.fps or len(video.frames) != len(music.frames):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autograd as ag
 from .audiofeat import logmel
-from .beatdet import detect_beats
+from .beatdet import beats_within
 from .container import load_tensors, save_tensors
 from .diffusion import (LATENT_FPS, Latent, latent_decode, latent_encode,
                         latent_len_for_duration, make_schedule, sample, training_loss)
@@ -28,8 +28,7 @@ from .parsing import TimeEmbedder, build_frame_features
 from .rng import Rng
 from .sgcatt import StoryboardMask, assemble_conditions, build_mask, zero_conditions
 from .tbalign import aligner_features, train_aligner
-from .timeline import (DEFAULT_FPS, TimestampSet, from_timestamps, intersect,
-                       transitions_beats_iou)
+from .timeline import DEFAULT_FPS, from_timestamps, intersect, transitions_beats_iou
 from .tunet import TUNet
 
 
@@ -52,8 +51,6 @@ class TrainConfig:
     adapter_steps: int = 400
     adapter_lr: float = 5e-4
     adapter_draws: int = 1
-    lr_decay: str = "constant"  # or "cosine"
-    attn_mode: str = "additive"
 
     def schedule(self):
         return make_schedule(self.T, self.beta_start, self.beta_end)
@@ -66,12 +63,8 @@ def frame_features_of(ann):
 
 def intersection_labels(ann, wav):
     """Frames where an annotated transition meets a detected music beat."""
-    mel = logmel(wav)
-    beats, _ = detect_beats(mel)
-    dur = ann.duration_s
-    beats_in = [b for b in beats if b < dur]
     video_tl = from_timestamps(ann.transitions, DEFAULT_FPS)
-    music_tl = from_timestamps(TimestampSet(beats_in, dur), DEFAULT_FPS)
+    music_tl = from_timestamps(beats_within(logmel(wav), ann.duration_s), DEFAULT_FPS)
     return intersect(video_tl, music_tl).frames
 
 
@@ -123,7 +116,6 @@ def _diffusion_meta(cfg, unet, mean, std, stage):
         "in_channels": unet.in_channels, "cond_dim": unet.cond_dim,
         "latent_mean": mean, "latent_std": std,
         "feature_dim": cfg.feature_dim, "time_hidden": cfg.time_hidden,
-        "attn_mode": cfg.attn_mode,
         "aligner_hidden": cfg.aligner_hidden if stage == "adapter" else None,
     }
 
@@ -133,22 +125,17 @@ def _run_diffusion_loop(items, unet, temb, cfg, steps, lr, rng, feats_key=None,
     """One optimizer step averages `draws` independent noise/timestep draws,
     cycling the corpus between draws; gradient noise drops accordingly.
     """
-    if cfg.lr_decay not in ("constant", "cosine"):
-        raise ValueError(f"unknown lr_decay {cfg.lr_decay!r}")
     sched = cfg.schedule()
     opt = ag.Adam(unet.params() + temb.params(), lr=lr)
     losses = []
     for step in range(steps):
-        if cfg.lr_decay == "cosine":
-            opt.lr = lr * 0.5 * (1.0 + float(np.cos(np.pi * step / steps)))
         opt.zero_grad()
         total = None
         for d in range(draws):
             it = items[(step * draws + d) % len(items)]
             cond = assemble_conditions(it["ann"], temb)
             loss = training_loss(unet, it["z0"], cond, it["mask"], rng, sched,
-                                 aligner_feats=it.get(feats_key) if feats_key else None,
-                                 attn_mode=cfg.attn_mode)
+                                 aligner_feats=it.get(feats_key) if feats_key else None)
             total = loss if total is None else total + loss
         if draws > 1:
             total = total * (1.0 / draws)
@@ -275,7 +262,7 @@ def sample_mel(unet, temb, meta, ann, steps, seed, aligner=None, conditioned=Tru
     if conditioned and aligner is not None and unet.adapters is not None:
         afeats = aligner_features(aligner, frame_features_of(ann), length)
     z = sample(unet, cond, mask, (unet.in_channels, length), steps, Rng(seed), sched,
-               aligner_feats=afeats, attn_mode=meta.get("attn_mode", "additive"))
+               aligner_feats=afeats)
     z = z * float(meta["latent_std"]) + float(meta["latent_mean"])
     return latent_decode(Latent(z.astype(np.float32), LATENT_FPS, n_windows=None))
 
@@ -285,9 +272,7 @@ def generation_tb_iou(mel, ann, tol_s=0.5):
     generated spectrogram; detector failures count as 0 (no beats found).
     """
     try:
-        beats, _ = detect_beats(mel)
+        bm = beats_within(mel, mel.values.shape[0] / mel.frames_per_second)
     except DataError:
         return 0.0
-    dur = mel.values.shape[0] / mel.frames_per_second
-    bm = TimestampSet([b for b in beats if b <= dur], dur)
     return transitions_beats_iou(ann.transitions, bm, tol_s)

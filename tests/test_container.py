@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,36 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(DataError):
         load_tensors(path)
+
+
+def _entry(name_bytes, dims, payload):
+    return (struct.pack("<I", len(name_bytes)) + name_bytes + struct.pack("<I", len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+
+def test_oversized_dims_rejected_before_reading(tmp_path):
+    # 100000 x 100000 float32 claims 40 GB; the file holds 16 bytes of payload
+    path = tmp_path / "huge.vemt"
+    path.write_bytes(b"VEMT\x01" + _entry(b"x", (100000, 100000), b"\x00" * 16))
+    with pytest.raises(DataError):
+        load_tensors(path)
+
+
+def test_non_utf8_entry_name_rejected(tmp_path):
+    path = tmp_path / "name.vemt"
+    path.write_bytes(b"VEMT\x01" + _entry(b"\xff\xfe", (1,), b"\x00" * 4))
+    with pytest.raises(DataError):
+        load_tensors(path)
+
+
+def test_failed_save_leaves_existing_file_untouched(tmp_path):
+    path = tmp_path / "ckpt.vemt"
+    save_tensors(path, {"w": np.ones(3, dtype=np.float32)}, meta={"stage": "diffusion"})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_tensors(path, {"a": np.zeros(2), "b": "not a number"}, meta={"stage": "adapter"})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ckpt.vemt"]
 
 
 def test_deterministic_bytes(tmp_path):

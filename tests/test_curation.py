@@ -3,7 +3,8 @@ import pytest
 from helpers import make_annotation
 
 from vem import curation as cu
-from vem.audiofeat import SAMPLE_RATE, Waveform
+from vem.audiofeat import SAMPLE_RATE, Waveform, logmel
+from vem.beatdet import beats_within
 from vem.errors import DataError
 from vem.parsing import load_manifest, save_manifest
 from vem.rng import Rng
@@ -262,17 +263,5 @@ def test_synth_manifests_survive_strict_loading(tmp_path):
 def test_synth_pairs_have_high_transition_beat_agreement():
     corpus = cu.synth_corpus(4, seed=11)
     for ann, wav in corpus:
-        beats = cu.detected_beats(wav, ann.duration_s)
+        beats = beats_within(logmel(wav), ann.duration_s)
         assert transitions_beats_iou(ann.transitions, beats) >= 0.8
-
-
-def test_corpus_report_shapes():
-    corpus = cu.synth_corpus(6, seed=3)
-    rows = cu.corpus_report(corpus)
-    assert len(rows) == 6
-    for row, (ann, _) in zip(rows, corpus):
-        assert set(row) == {"video_id", "passed", "reasons"}
-        assert row["video_id"] == ann.video_id
-        assert row["passed"] == (row["reasons"] == [])
-    # the generator aims for clean audio; most items clear the default gate
-    assert sum(r["passed"] for r in rows) >= 4

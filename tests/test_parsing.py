@@ -70,8 +70,8 @@ def test_visual_embed_differs_from_text():
 def test_time_embedder_zero_init_gives_bias():
     emb = ps.TimeEmbedder(dim=16, hidden=8)
     emb.b2.data = np.arange(16, dtype=np.float32)
-    np.testing.assert_allclose(ps.embed_time(0.0, emb), np.arange(16), atol=1e-7)
-    np.testing.assert_allclose(ps.embed_time(7.5, emb), np.arange(16), atol=1e-7)
+    np.testing.assert_allclose(emb.embed([0.0]).data[0], np.arange(16), atol=1e-7)
+    np.testing.assert_allclose(emb.embed([7.5]).data[0], np.arange(16), atol=1e-7)
 
 
 def test_time_embedder_rejects_negative():
@@ -116,7 +116,7 @@ def test_time_embedder_distinguishes_times_after_training():
         out = emb.embed([3.0, 30.0])
         ((out - np.stack([want3, want30])) ** 2.0).mean().backward()
         opt.step()
-    d = np.abs(ps.embed_time(3.0, emb) - ps.embed_time(30.0, emb)).max()
+    d = np.abs(emb.embed([3.0]).data[0] - emb.embed([30.0]).data[0]).max()
     assert d > 0.5
 
 
@@ -155,6 +155,20 @@ def test_overlap_rejected(tmp_path):
     with pytest.raises(ManifestError) as err:
         ps.load_manifest(write_doc(tmp_path, doc))
     assert "storyboards[1]" in str(err.value)
+
+
+def test_storyboard_not_an_object_rejected(tmp_path):
+    doc = manifest_doc(storyboards=[3])
+    with pytest.raises(ManifestError) as err:
+        ps.load_manifest(write_doc(tmp_path, doc))
+    assert "storyboards[0]" in str(err.value)
+
+
+def test_string_start_rejected(tmp_path):
+    doc = manifest_doc(storyboards=[{"start_s": "0", "duration_s": 10.0, "text": "a"}])
+    with pytest.raises(ManifestError) as err:
+        ps.load_manifest(write_doc(tmp_path, doc))
+    assert "storyboards[0].start_s" in str(err.value)
 
 
 def test_span_outside_duration_rejected(tmp_path):

@@ -1,13 +1,23 @@
 """Property tests for invariants that hold over whole input families."""
 
+import functools
+import json
+import os
+import tempfile
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import max_bipartite_matching, splitmix64_reference
 
+from vem import audiofeat as af
 from vem import diffusion as df
 from vem import evalsuite as ev
 from vem import timeline as tl
+from vem.container import load_tensors, save_tensors
+from vem.errors import DataError
+from vem.parsing import load_manifest
 from vem.rng import Rng
 from vem.sgcatt import StoryboardMask, downsample_mask
 
@@ -83,3 +93,61 @@ def test_rng_matches_reference_stream(seed):
     key = splitmix64_reference(seed, 1)[0]
     want = splitmix64_reference((key - golden) & (2 ** 64 - 1), 5)
     assert [int(x) for x in Rng(seed)._raw(5)] == want
+
+
+# -- corrupt files: every parser fails with DataError and nothing else ------
+
+_LOADERS = {"wav": af.load_wav, "vemt": load_tensors, "json": load_manifest}
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_file(kind):
+    """Bytes of a small valid file of each kind, written by the package."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f." + kind)
+        if kind == "wav":
+            af.save_wav(path, af.Waveform(Rng(1).normal(16) * 0.1, af.SAMPLE_RATE))
+        elif kind == "vemt":
+            save_tensors(path, {"w": Rng(2).gaussian((3, 2)), "b": np.zeros(3)},
+                         meta={"stage": "diffusion", "T": 10})
+        else:
+            doc = {"video_id": "v", "duration_s": 10.0,
+                   "global": {"caption": "a b", "tags": ["calm"]},
+                   "storyboards": [{"start_s": 0.0, "duration_s": 4.0, "text": "x"},
+                                   {"start_s": 4.0, "duration_s": 6.0, "text": "y"}],
+                   "transitions_s": [4.0]}
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+# Pinned flips, each a leak the random search finds only rarely: the WAV
+# fmt chunk size cut to 8 (offset 16) and the data chunk size cut to an odd
+# 1 (offset 40); an invalid UTF-8 first byte of the JSON (offset 0); the
+# container's first entry name made invalid UTF-8 (offset 44) and its first
+# dim made to claim 17 GB (offset 52).
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1 << 12), st.integers(1, 255)), max_size=4),
+       st.one_of(st.none(), st.integers(0, 1 << 12)))
+@example(flips=[], keep=None)
+@example(flips=[(16, 0x18)], keep=None)
+@example(flips=[(40, 0x21)], keep=None)
+@example(flips=[(0, 0x80)], keep=None)
+@example(flips=[(44, 0x80)], keep=None)
+@example(flips=[(52, 0xFF)], keep=None)
+def test_corrupt_files_raise_only_data_error(kind, flips, keep):
+    # flips xor bytes at wrapped positions; keep truncates (None keeps all)
+    blob = bytearray(_valid_file(kind))
+    for pos, mask in flips:
+        blob[pos % len(blob)] ^= mask
+    blob = bytes(blob[:keep])
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f." + kind)
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            _LOADERS[kind](path)
+        except DataError:
+            assert blob != _valid_file(kind), "the unmodified file must parse"

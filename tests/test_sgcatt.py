@@ -183,31 +183,12 @@ def test_fully_masked_row_zero_in_additive():
     assert np.abs(out[0]).max() > 0
 
 
-def test_literal_mode_fully_masked_row_uniform():
-    q, k, v = rand_qkv()
-    grid = np.zeros((5, 7), dtype=np.uint8)
-    out = sg.sg_cross_attention(q, k, v, sg.StoryboardMask(grid, 1.0), mode="literal").data
-    np.testing.assert_allclose(out, np.broadcast_to(v.mean(axis=0), (5, 3)), rtol=1e-5)
-
-
-def test_literal_mode_matches_printed_formula():
-    q, k, v = rand_qkv(seed=3)
-    grid = (Rng(4).uniform(35).reshape(5, 7) > 0.5).astype(np.uint8)
-    out = sg.sg_cross_attention(q, k, v, sg.StoryboardMask(grid, 1.0), mode="literal").data
-    logits = grid * ((q @ k.T) / np.sqrt(4))
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    ref = (e / e.sum(axis=1, keepdims=True)) @ v
-    np.testing.assert_allclose(out, ref, rtol=1e-5)
-
-
 def test_attention_shape_errors():
     q, k, v = rand_qkv()
     with pytest.raises(DataError):
         sg.sg_cross_attention(q, k[:, :2], v, sg.StoryboardMask(np.ones((5, 7)), 1.0))
     with pytest.raises(DataError):
         sg.sg_cross_attention(q, k, v, sg.StoryboardMask(np.ones((4, 7)), 1.0))
-    with pytest.raises(DataError):
-        sg.sg_cross_attention(q, k, v, sg.StoryboardMask(np.ones((5, 7)), 1.0), mode="bogus")
 
 
 def test_locality_perturbation():
@@ -249,13 +230,3 @@ def test_attention_gradients_flow():
     mask = sg.StoryboardMask(np.ones((5, 7)), 1.0)
     sg.sg_cross_attention(qv, k, v, mask).sum().backward()
     assert qv.grad is not None and np.abs(qv.grad).max() > 0
-
-
-def test_pbm_dump(tmp_path):
-    m = sg.StoryboardMask(np.array([[1, 0], [0, 1]]), 1.0)
-    p = tmp_path / "mask.pbm"
-    sg.write_mask_pbm(p, m)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "P1"
-    assert lines[1] == "2 2"
-    assert lines[2] == "1 0" and lines[3] == "0 1"

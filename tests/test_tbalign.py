@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from vem import tbalign as tb
 from vem.errors import DataError
 from vem.numcore import linear_interp
 from vem.rng import Rng
-from vem.timeline import EventTimeline, TimestampSet, from_timestamps
 
 
 def toy_dataset(n_items=2, frames=48, feat_dim=6, seed=0):
@@ -20,42 +17,6 @@ def toy_dataset(n_items=2, frames=48, feat_dim=6, seed=0):
         feats[0] = labels * 3.0 - 1.0
         out.append((feats, labels))
     return out
-
-
-# -- labels ----------------------------------------------------------------
-
-
-def test_make_labels_is_intersection():
-    v = from_timestamps(TimestampSet([0.5, 1.5], 2.0), 16.0)
-    m = from_timestamps(TimestampSet([0.5, 1.0], 2.0), 16.0)
-    lab = tb.make_labels(v, m)
-    assert lab.frames.sum() == 1
-    assert lab.frames[8] == 1  # 0.5 s on both grids
-
-
-def test_make_labels_rejects_grid_mismatch():
-    v = EventTimeline(16.0, np.zeros(32), 2.0)
-    m = EventTimeline(8.0, np.zeros(16), 2.0)
-    with pytest.raises(DataError):
-        tb.make_labels(v, m)
-
-
-# -- bce -------------------------------------------------------------------
-
-
-def test_bce_perfect_prediction_near_zero():
-    labels = np.array([1.0, 0.0, 1.0])
-    assert tb.bce_loss(np.array([1.0, 0.0, 1.0]), labels) < 1e-6
-
-
-def test_bce_half_probability_is_ln2():
-    assert tb.bce_loss(np.array([0.5]), np.array([1.0])) == pytest.approx(math.log(2))
-    assert tb.bce_loss(np.full(8, 0.5), np.zeros(8)) == pytest.approx(math.log(2))
-
-
-def test_bce_rejects_length_mismatch():
-    with pytest.raises(DataError):
-        tb.bce_loss(np.zeros(3), np.zeros(4))
 
 
 # -- aligner net -----------------------------------------------------------

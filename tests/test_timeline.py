@@ -56,12 +56,6 @@ def test_from_timestamps_rejects_past_end():
         tl.from_timestamps(tl.TimestampSet([1.0], 1.0), fps=16.0)
 
 
-def test_timestamps_round_trip_on_grid():
-    orig = ts([0.0, 0.25, 0.5], 1.0)
-    back = tl.timestamps_of(tl.from_timestamps(orig, fps=16.0))
-    assert back.times_s == orig.times_s
-
-
 # -- intersection ----------------------------------------------------------
 
 

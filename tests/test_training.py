@@ -80,11 +80,6 @@ def test_stage_diffusion_deterministic(corpus):
         np.testing.assert_array_equal(pa.data, pb.data)
 
 
-def test_diffusion_loop_rejects_unknown_decay(corpus):
-    with pytest.raises(ValueError):
-        tr.train_stage_diffusion(corpus, tiny_cfg(diffusion_steps=2, lr_decay="bogus"))
-
-
 # -- stage C ---------------------------------------------------------------
 
 
