@@ -70,6 +70,7 @@ class MelSpectrogram:
 
 def load_wav(path):
     """Parse a RIFF/WAVE file: PCM16 or float32, mono or stereo (averaged).
+    WAVE_FORMAT_EXTENSIBLE files carry the codec in their sub-format GUID.
 
     PCM16 scaling divides by 32768, so -32768 lands exactly on -1.0. A
     trailing partial sample in the data chunk is dropped.
@@ -90,7 +91,7 @@ def load_wav(path):
         if cid == b"fmt ":
             if size < 16:
                 raise DataError(f"fmt chunk at offset {pos} has {size} bytes, needs 16")
-            fmt = struct.unpack("<HHIIHH", body[:16])
+            fmt = body
         elif cid == b"data":
             data = body
         pos += 8 + size + (size & 1)
@@ -98,7 +99,9 @@ def load_wav(path):
         raise DataError("missing fmt chunk")
     if data is None:
         raise DataError("missing data chunk")
-    codec, channels, rate, _, _, bits = fmt
+    codec, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
+    if codec == 0xFFFE and len(fmt) >= 40:
+        (codec,) = struct.unpack("<H", fmt[24:26])  # leading code of the sub-format GUID
     if codec == 1 and bits == 16:
         pcm = np.frombuffer(data, dtype="<i2", count=len(data) // 2)
         x = pcm.astype(np.float32) / 32768.0

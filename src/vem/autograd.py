@@ -6,6 +6,8 @@ in reverse topological order. Gradients accumulate into `.grad` (numpy
 arrays, never `Var`s; no higher-order derivatives).
 
 Shapes broadcast like numpy; `_unbroadcast` folds gradient axes back down.
+Sequence ops are time-major: `conv1d` and `repeat2` run along axis 0 of an
+(L, C) array, and `layer_norm`/`softmax` default to the last axis.
 Everything runs in the array's own dtype: training uses float32, gradient
 checks run the same graphs in float64.
 
@@ -16,6 +18,8 @@ graph never grows.
 import contextlib
 
 import numpy as np
+
+from .errors import DataError
 
 _grad_enabled = True
 
@@ -181,13 +185,11 @@ class Var:
             self._accum(g.reshape(old))
         return _node(self.data.reshape(shape), (self,), back)
 
-    def transpose(self, *axes):
-        if not axes:
-            axes = tuple(range(self.ndim - 2)) + (self.ndim - 1, self.ndim - 2)
-        inv = np.argsort(axes)
+    def transpose(self):
+        """Swap the two axes of a 2-D Var."""
         def back(g):
-            self._accum(g.transpose(inv))
-        return _node(self.data.transpose(axes), (self,), back)
+            self._accum(g.T)
+        return _node(self.data.T, (self,), back)
 
     def __getitem__(self, idx):
         def back(g):
@@ -197,10 +199,10 @@ class Var:
         return _node(self.data[idx], (self,), back)
 
     def repeat2(self):
-        """Duplicate every sample along the last axis (nearest upsample x2)."""
+        """Duplicate every row along axis 0 (nearest upsample x2 in time)."""
         def back(g):
-            self._accum(g.reshape(g.shape[:-1] + (-1, 2)).sum(axis=-1))
-        return _node(np.repeat(self.data, 2, axis=-1), (self,), back)
+            self._accum(g.reshape((-1, 2) + g.shape[1:]).sum(axis=1))
+        return _node(np.repeat(self.data, 2, axis=0), (self,), back)
 
     # -- reductions --------------------------------------------------------
 
@@ -280,37 +282,36 @@ def concat(vars_, axis=0):
 
 
 def conv1d(x, w, b=None, stride=1, padding=0):
-    """1-D convolution (cross-correlation), x (B,Cin,L), w (Cout,Cin,K).
+    """1-D convolution (cross-correlation) over time: x (L, Cin), w (Cout, Cin, K)
+    -> (Lout, Cout).
 
     im2col formulation: both passes are single matmuls plus an index
     scatter, which keeps the tape shallow and the arithmetic vectorized.
     """
     x, w = as_var(x), as_var(w)
-    bsz, cin, length = x.shape
+    length, cin = x.shape
     cout, cin_w, k = w.shape
     assert cin == cin_w, f"channel mismatch {cin} vs {cin_w}"
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    lout = (xp.shape[2] - k) // stride + 1
+    xp = np.pad(x.data, ((padding, padding), (0, 0))) if padding else x.data
+    lout = (xp.shape[0] - k) // stride + 1
     idx = stride * np.arange(lout)[:, None] + np.arange(k)[None, :]  # (lout, k)
-    cols = xp[:, :, idx]                        # (B, Cin, Lout, K)
-    cols = cols.transpose(0, 2, 1, 3).reshape(bsz * lout, cin * k)
+    cols = xp[idx].transpose(0, 2, 1).reshape(lout, cin * k)  # rows ordered like w
     wm = w.data.reshape(cout, cin * k)
-    out = (cols @ wm.T).reshape(bsz, lout, cout).transpose(0, 2, 1)
+    out = cols @ wm.T
     if b is not None:
         b = as_var(b)
-        out = out + b.data[None, :, None]
+        out = out + b.data
 
     def back(g):
-        gflat = g.transpose(0, 2, 1).reshape(bsz * lout, cout)
         if w.requires_grad:
-            w._accum((gflat.T @ cols).reshape(w.shape))
+            w._accum((g.T @ cols).reshape(w.shape))
         if b is not None and b.requires_grad:
-            b._accum(g.sum(axis=(0, 2)))
+            b._accum(g.sum(axis=0))
         if x.requires_grad:
-            gcols = (gflat @ wm).reshape(bsz, lout, cin, k).transpose(0, 2, 1, 3)
+            gcols = (g @ wm).reshape(lout, cin, k).transpose(0, 2, 1)
             gxp = np.zeros_like(xp)
-            np.add.at(gxp, (slice(None), slice(None), idx), gcols)
-            x._accum(gxp[:, :, padding:padding + length] if padding else gxp)
+            np.add.at(gxp, idx, gcols)
+            x._accum(gxp[padding:padding + length] if padding else gxp)
 
     return _node(out, (x, w) + ((b,) if b is not None else ()), back)
 
@@ -368,11 +369,11 @@ class Module:
         missing = sorted(set(mine) - set(state))
         extra = sorted(set(state) - set(mine))
         if missing or extra:
-            raise ValueError(f"state mismatch: missing={missing[:4]} extra={extra[:4]}")
+            raise DataError(f"state mismatch: missing={missing[:4]} extra={extra[:4]}")
         for name, p in mine.items():
             arr = np.asarray(state[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
+                raise DataError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
             p.data = arr.copy()
 
 

@@ -183,10 +183,14 @@ def load_manifest(path, feature_dim=FEATURE_DIM):
             raise ManifestError("features", f"sidecar not found: {fpath}")
         sidecar, _ = load_tensors(fpath)
 
-    def feat(key, fallback):
-        if key in sidecar:
-            return sidecar[key]
-        return fallback()
+    def feat(key, fallback, ndim=1):
+        if key not in sidecar:
+            return fallback()
+        v = sidecar[key]
+        if v.ndim != ndim or v.size == 0 or not np.isfinite(v).all():
+            raise ManifestError(key, f"must be a non-empty finite {ndim}-D array, "
+                                     f"got shape {v.shape}")
+        return v
 
     caption_feat = feat("caption_feat", lambda: toy_text_embed(caption, feature_dim))
     tag_feat = feat("tag_feat", lambda: toy_text_embed(" ".join(map(str, tags)), feature_dim))
@@ -229,7 +233,7 @@ def load_manifest(path, feature_dim=FEATURE_DIM):
     if tr and (tr[0] < 0 or tr[-1] > duration):
         raise ManifestError("transitions_s", f"values outside [0, {duration}]")
 
-    frame_features = sidecar.get("frame_features")
+    frame_features = feat("frame_features", lambda: None, ndim=2)
     return VideoAnnotation(
         video_id=video_id, duration_s=float(duration),
         global_caption=caption, caption_feat=np.asarray(caption_feat, dtype=np.float32),

@@ -127,6 +127,11 @@ def downsample_mask(m, factor):
     return StoryboardMask(grid, m.latent_fps / factor)
 
 
+def attention_logits(q, k):
+    """Scaled dot products q k^T / sqrt(d_key), (X, d_key) x (Y, d_key) -> (X, Y)."""
+    return (q @ k.transpose()) * float(1.0 / np.sqrt(k.shape[1]))
+
+
 def sg_cross_attention(q, k, v, mask):
     """Masked single-head attention, (X, d_key) x (Y, d_key) x (Y, d_val).
 
@@ -141,10 +146,8 @@ def sg_cross_attention(q, k, v, mask):
         raise DataError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     if mask.grid.shape != (xq, yk):
         raise DataError(f"mask shape {mask.grid.shape} != (query {xq}, token {yk})")
-    scale = float(1.0 / np.sqrt(dk))
-    logits = (q @ k.transpose()) * scale
     bias = (mask.grid.astype(np.float32) - 1.0) * 1e9
-    attn = (logits + ag.Var(bias)).softmax(axis=-1)
+    attn = (attention_logits(q, k) + ag.Var(bias)).softmax(axis=-1)
     live = mask.grid.any(axis=1).astype(np.float32)[:, None]
     return (attn * ag.Var(live)) @ v
 

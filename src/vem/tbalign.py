@@ -19,11 +19,12 @@ import numpy as np
 from . import autograd as ag
 from .errors import DataError
 from .numcore import linear_interp
+from .rng import Rng
 
 
 class AlignerNet(ag.Module):
     def __init__(self, feat_dim, hidden=32, rng=None, dtype=np.float32):
-        rng = rng if rng is not None else _zero_rng()
+        rng = rng if rng is not None else Rng(0)
         self.feat_dim = feat_dim
         self.hidden = hidden
         self.conv1 = ag.Conv1d(feat_dim, hidden, 5, rng, padding=2, dtype=dtype)
@@ -35,10 +36,10 @@ class AlignerNet(ag.Module):
         x = np.asarray(frame_features)
         if x.ndim != 2 or x.shape[0] != self.feat_dim:
             raise DataError(f"expected ({self.feat_dim}, frames) features, got {x.shape}")
-        h = self.conv1(ag.Var(x[None, :, :])).silu()
-        h = self.conv2(h).silu()                      # (1, hidden, frames)
-        logits = self.head(h)                         # (1, 1, frames)
-        return h.reshape(self.hidden, x.shape[1]), logits.reshape(x.shape[1])
+        h = self.conv1(ag.Var(x.T)).silu()
+        h = self.conv2(h).silu()                      # (frames, hidden)
+        logits = self.head(h)                         # (frames, 1)
+        return h.transpose(), logits.reshape(x.shape[1])
 
     def predict(self, frame_features):
         """Per-frame match probabilities, graph-free."""
@@ -61,7 +62,6 @@ def train_aligner(dataset, steps=500, lr=1e-3, seed=0, hidden=32):
 
     Returns (net, per-step losses). Deterministic in the seed.
     """
-    from .rng import Rng
     if not dataset:
         raise DataError("empty aligner dataset")
     feat_dim = dataset[0][0].shape[0]
@@ -110,19 +110,14 @@ class AdapterParams(ag.Module):
 def apply_adapter(z, feats, p):
     """Per-frame modulation z + gamma*z + beta.
 
-    z: (channels, L) Var or array; feats: (hidden, L) array. gamma/beta come
-    from p's linear maps applied at each frame.
+    Time-major: z is an (L, channels) Var or array, feats an (L, hidden)
+    array. gamma/beta come from p's linear maps applied at each frame.
     """
     z = ag.as_var(z)
     feats = np.asarray(feats)
-    if feats.shape[1] != z.shape[1]:
-        raise DataError(f"adapter features cover {feats.shape[1]} frames, latent has {z.shape[1]}")
-    ft = ag.Var(feats.T.astype(p.gamma_w.data.dtype))   # (L, hidden)
-    gamma = (ft @ p.gamma_w + p.gamma_b).transpose()    # (channels, L)
-    beta = (ft @ p.beta_w + p.beta_b).transpose()
+    if feats.shape[0] != z.shape[0]:
+        raise DataError(f"adapter features cover {feats.shape[0]} frames, latent has {z.shape[0]}")
+    ft = ag.Var(feats.astype(p.gamma_w.data.dtype))
+    gamma = ft @ p.gamma_w + p.gamma_b                  # (L, channels)
+    beta = ft @ p.beta_w + p.beta_b
     return z + gamma * z + beta
-
-
-def _zero_rng():
-    from .rng import Rng
-    return Rng(0)

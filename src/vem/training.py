@@ -21,7 +21,7 @@ from . import autograd as ag
 from .audiofeat import logmel
 from .beatdet import beats_within
 from .container import load_tensors, save_tensors
-from .diffusion import (LATENT_FPS, Latent, latent_decode, latent_encode,
+from .diffusion import (LATENT_CHANNELS, LATENT_FPS, Latent, latent_decode, latent_encode,
                         latent_len_for_duration, make_schedule, sample, training_loss)
 from .errors import DataError, StageOrderError
 from .parsing import TimeEmbedder, build_frame_features
@@ -201,6 +201,21 @@ def three_stage_train(corpus, cfg):
 # -- checkpoints -----------------------------------------------------------
 
 
+def _positive_int(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v > 0
+
+
+def _check_meta(path, meta, ints, floats=()):
+    """Reject checkpoint metadata that cannot rebuild the model it describes."""
+    for key in ints:
+        if not _positive_int(meta.get(key)):
+            raise DataError(f"{path}: meta {key!r} must be a positive int, got {meta.get(key)!r}")
+    for key in floats:
+        v = meta.get(key)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+            raise DataError(f"{path}: meta {key!r} must be a finite number, got {v!r}")
+
+
 def save_aligner(path, net, cfg):
     meta = {"stage": "aligner", "feat_dim": net.feat_dim, "hidden": net.hidden,
             "seed": cfg.seed}
@@ -212,7 +227,8 @@ def load_aligner(path):
     tensors, meta = load_tensors(path)
     if meta.get("stage") != "aligner":
         raise StageOrderError(f"{path} is not an aligner checkpoint (stage={meta.get('stage')!r})")
-    net = AlignerNet(int(meta["feat_dim"]), hidden=int(meta["hidden"]))
+    _check_meta(path, meta, ("feat_dim", "hidden"))
+    net = AlignerNet(meta["feat_dim"], hidden=meta["hidden"])
     net.load_state_dict(tensors)
     return net, meta
 
@@ -227,13 +243,22 @@ def load_diffusion(path):
     tensors, meta = load_tensors(path)
     if meta.get("stage") not in ("diffusion", "adapter"):
         raise StageOrderError(f"{path} is not a diffusion checkpoint (stage={meta.get('stage')!r})")
-    unet = TUNet(int(meta["in_channels"]), int(meta["cond_dim"]),
-                 widths=tuple(meta["widths"]), temb_dim=int(meta["temb_dim"]))
-    if meta["stage"] == "adapter":
-        unet.attach_adapters(int(meta["aligner_hidden"]))
+    adapter = meta["stage"] == "adapter"
+    _check_meta(path, meta, ("in_channels", "cond_dim", "temb_dim", "feature_dim", "time_hidden",
+                             "T") + (("aligner_hidden",) if adapter else ()),
+                ("beta_start", "beta_end", "latent_mean", "latent_std"))
+    widths = meta.get("widths")
+    if not isinstance(widths, list) or not widths or not all(map(_positive_int, widths)):
+        raise DataError(f"{path}: meta 'widths' must be a non-empty list of positive ints, "
+                        f"got {widths!r}")
+    if meta["in_channels"] != LATENT_CHANNELS:
+        raise DataError(f"{path}: in_channels {meta['in_channels']} != {LATENT_CHANNELS}")
+    unet = TUNet(meta["in_channels"], meta["cond_dim"], widths=widths, temb_dim=meta["temb_dim"])
+    if adapter:
+        unet.attach_adapters(meta["aligner_hidden"])
     unet.load_state_dict({k[len("unet."):]: v for k, v in tensors.items()
                           if k.startswith("unet.")})
-    temb = TimeEmbedder(int(meta["feature_dim"]), hidden=int(meta["time_hidden"]))
+    temb = TimeEmbedder(meta["feature_dim"], hidden=meta["time_hidden"])
     temb.load_state_dict({k[len("time_embedder."):]: v for k, v in tensors.items()
                           if k.startswith("time_embedder.")})
     return unet, temb, meta

@@ -1,5 +1,11 @@
 """Transformer-UNet denoiser over (channels, latent frames) tensors.
 
+`TUNet.__call__` takes and returns channel-major (C, L) arrays, the codec's
+layout. Inside, every activation is a time-major (L, C) Var: the latent is
+transposed once on entry and once on exit, layer norm and the linear maps
+act on the last (channel) axis, convolutions run along axis 0, and skips
+concatenate on axis 1.
+
 Encoder and decoder levels are the same `Level`: residual block (with the
 diffusion-step embedding injected) -> plain self-attention transformer block
 -> storyboard-guided cross-attention block. Encoder levels may first pass
@@ -10,8 +16,8 @@ OR-pooled by 2^level to follow the latent clock.
 The output convolution is zero-initialized, so an untrained net predicts
 zero noise and the initial training loss sits near E||eps||^2 = 1.
 
-Latent length is padded to a multiple of 2^(levels-1) internally (zeros for
-the latent, all-zero mask rows for the padding) and cropped on the way out;
+Latent length is padded to a multiple of 2^(levels-1) internally (zero rows
+for the latent, all-zero mask rows for the padding) and cropped on the way out;
 callers never see the padding.
 """
 
@@ -20,7 +26,8 @@ import numpy as np
 from . import autograd as ag
 from .errors import DataError
 from .numcore import linear_interp
-from .sgcatt import downsample_mask, pad_mask_rows, sg_cross_attention
+from .rng import Rng
+from .sgcatt import attention_logits, downsample_mask, pad_mask_rows, sg_cross_attention
 from .tbalign import AdapterParams, apply_adapter
 
 DEFAULT_WIDTHS = (64, 128, 256)
@@ -42,11 +49,7 @@ class ChannelNorm(ag.Module):
         self.b = ag.param(np.zeros(channels, dtype=dtype))
 
     def __call__(self, x):
-        # x: (1, C, L) -> normalize each time position over C
-        _, c, l = x.shape
-        t = x.reshape(c, l).transpose()          # (L, C)
-        t = t.layer_norm() * self.g + self.b
-        return t.transpose().reshape(1, c, l)
+        return x.layer_norm() * self.g + self.b
 
 
 class ResBlock(ag.Module):
@@ -60,7 +63,7 @@ class ResBlock(ag.Module):
 
     def __call__(self, x, temb):
         h = self.conv1(self.norm1(x).silu())
-        h = h + self.temb_proj(temb.silu()).reshape(1, -1, 1)
+        h = h + self.temb_proj(temb.silu())
         h = self.conv2(self.norm2(h).silu())
         s = x if self.skip is None else self.skip(x)
         return s + h
@@ -73,10 +76,7 @@ class FeedForward(ag.Module):
         self.lin2 = ag.Linear(2 * c, c, rng, dtype=dtype)
 
     def __call__(self, x):
-        _, c, l = x.shape
-        t = self.norm(x).reshape(c, l).transpose()
-        t = self.lin2(self.lin1(t).silu())
-        return x + t.transpose().reshape(1, c, l)
+        return x + self.lin2(self.lin1(self.norm(x)).silu())
 
 
 class SelfAttnBlock(ag.Module):
@@ -91,12 +91,9 @@ class SelfAttnBlock(ag.Module):
         self.ffn = FeedForward(c, rng, dtype)
 
     def __call__(self, x):
-        _, c, l = x.shape
-        t = self.norm(x).reshape(c, l).transpose()   # (L, C)
+        t = self.norm(x)
         q, k, v = self.wq(t), self.wk(t), self.wv(t)
-        attn = ((q @ k.transpose()) * float(1.0 / np.sqrt(c))).softmax(axis=-1) @ v
-        x = x + self.wo(attn).transpose().reshape(1, c, l)
-        return self.ffn(x)
+        return self.ffn(x + self.wo(attention_logits(q, k).softmax(axis=-1) @ v))
 
 
 class SGCAttBlock(ag.Module):
@@ -113,14 +110,8 @@ class SGCAttBlock(ag.Module):
         self.ffn = FeedForward(c, rng, dtype)
 
     def __call__(self, x, tokens, mask):
-        _, c, l = x.shape
-        t = self.norm(x).reshape(c, l).transpose()
-        q = self.wq(t)
-        k = self.wk(tokens)
-        v = self.wv(tokens)
-        out = sg_cross_attention(q, k, v, mask)
-        x = x + self.wo(out).transpose().reshape(1, c, l)
-        return self.ffn(x)
+        out = sg_cross_attention(self.wq(self.norm(x)), self.wk(tokens), self.wv(tokens), mask)
+        return self.ffn(x + self.wo(out))
 
 
 class Level(ag.Module):
@@ -143,7 +134,6 @@ class TUNet(ag.Module):
 
     def __init__(self, in_channels, cond_dim, widths=DEFAULT_WIDTHS, temb_dim=128,
                  rng=None, dtype=np.float32):
-        from .rng import Rng
         rng = rng if rng is not None else Rng(0)
         self.in_channels = in_channels
         self.cond_dim = cond_dim
@@ -195,10 +185,10 @@ class TUNet(ag.Module):
 
         mult = 2 ** (self.levels - 1)
         padded = ((length + mult - 1) // mult) * mult
-        x = z.reshape(1, self.in_channels, length)
+        x = z.transpose()
         if padded != length:
-            pad = ag.Var(np.zeros((1, self.in_channels, padded - length), dtype=z.data.dtype))
-            x = ag.concat([x, pad], axis=2)
+            pad = ag.Var(np.zeros((padded - length, self.in_channels), dtype=z.data.dtype))
+            x = ag.concat([x, pad], axis=0)
         z_in = x
         masks = self.level_masks(base_mask, padded)
 
@@ -209,10 +199,8 @@ class TUNet(ag.Module):
         skips = []
         for lvl in range(self.levels):
             if self.adapters is not None and aligner_feats is not None:
-                feats = linear_interp(np.asarray(aligner_feats, dtype=np.float64),
-                                      x.shape[2]).astype(z.data.dtype)
-                flat = apply_adapter(x.reshape(x.shape[1], x.shape[2]), feats, self.adapters[lvl])
-                x = flat.reshape(1, x.shape[1], x.shape[2])
+                feats = linear_interp(np.asarray(aligner_feats, dtype=np.float64), x.shape[0])
+                x = apply_adapter(x, feats.T, self.adapters[lvl])
             x = self.enc[lvl](x, temb, cond.tokens, masks[lvl])
             if lvl < self.levels - 1:
                 skips.append(x)
@@ -223,9 +211,8 @@ class TUNet(ag.Module):
             x = ag.concat([x, skips[lvl]], axis=1)
             x = self.dec[i](x, temb, cond.tokens, masks[lvl])
 
-        gate = (self.res_gate(temb) + 1.0).reshape(1, self.in_channels, 1)
+        gate = self.res_gate(temb) + 1.0
         x = self.out_conv(self.out_norm(x).silu()) + self.res_proj(z_in) * gate
-        out = x.reshape(self.in_channels, padded)
         if padded != length:
-            out = out[:, :length]
-        return out
+            x = x[:length]
+        return x.transpose()

@@ -108,6 +108,30 @@ def test_load_wav_rejects_short_fmt_chunk(tmp_path):
         af.load_wav(p)
 
 
+def test_load_wav_extensible_matches_plain_pcm(tmp_path):
+    import struct
+    pcm = (np.arange(-40, 40, dtype="<i2") * 409).tobytes()
+    guid_tail = bytes.fromhex("000000001000800000aa00389b71")
+
+    def write(name, fmt_body):
+        p = tmp_path / name
+        p.write_bytes(b"RIFF" + struct.pack("<I", 20 + len(fmt_body) + len(pcm)) + b"WAVEfmt " +
+                      struct.pack("<I", len(fmt_body)) + fmt_body + b"data" +
+                      struct.pack("<I", len(pcm)) + pcm)
+        return p
+
+    base = struct.pack("<IIHH", SR, 2 * SR, 2, 16)
+    plain = af.load_wav(write("plain.wav", struct.pack("<HH", 1, 1) + base))
+    ext = struct.pack("<HH", 0xFFFE, 1) + base + struct.pack("<HHI", 22, 16, 4)
+    loaded = af.load_wav(write("ext.wav", ext + struct.pack("<H", 1) + guid_tail))
+    np.testing.assert_array_equal(loaded.samples, plain.samples)
+    assert loaded.sample_rate_hz == SR
+    for name, body in [("float16.wav", ext + struct.pack("<H", 3) + guid_tail),
+                       ("short.wav", ext[:18])]:
+        with pytest.raises(DataError):
+            af.load_wav(write(name, body))
+
+
 # -- resampling ------------------------------------------------------------
 
 

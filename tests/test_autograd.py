@@ -86,7 +86,28 @@ def test_concat():
 
 def test_conv1d_padding_stride():
     check(lambda x, w, b: (ag.conv1d(x, w, b, stride=2, padding=1) ** 2.0).sum(),
-          (2, 3, 8), (4, 3, 3), (4,), tol=1e-5)
+          (8, 3), (4, 3, 3), (4,), tol=1e-5)
+
+
+@pytest.mark.parametrize("k,stride,padding", [(3, 2, 1), (1, 1, 0)])
+def test_conv1d_matches_direct_loop(k, stride, padding):
+    rng = Rng(4)
+    x = rng.gaussian((9, 3)).astype(np.float64)
+    w = rng.gaussian((4, 3, k)).astype(np.float64)
+    b = rng.gaussian((4,)).astype(np.float64)
+    out = ag.conv1d(ag.Var(x), ag.Var(w), ag.Var(b), stride=stride, padding=padding).data
+    xp = np.pad(x, ((padding, padding), (0, 0)))
+    ref = np.zeros(((len(xp) - k) // stride + 1, 4))
+    for t in range(ref.shape[0]):
+        for o in range(4):
+            ref[t, o] = b[o] + (xp[t * stride:t * stride + k].T * w[o]).sum()
+    assert out.dtype == np.float64
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_repeat2_duplicates_rows_in_order():
+    out = ag.Var(np.arange(6.0).reshape(3, 2)).repeat2().data
+    np.testing.assert_array_equal(out, [[0, 1], [0, 1], [2, 3], [2, 3], [4, 5], [4, 5]])
 
 
 def test_bce_with_logits_matches_formula():

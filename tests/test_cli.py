@@ -185,6 +185,14 @@ def test_sample_adapter_checkpoint_needs_aligner(tmp_path, corpus_dir, trained_d
     assert rc == 0
 
 
+def test_sample_bad_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_dir):
+    tensors, meta = load_tensors(trained_dir / "diffusion.vemt")
+    save_tensors(tmp_path / "bad.vemt", tensors, dict(meta, in_channels=7))
+    rc = run(["sample", str(tmp_path / "bad.vemt"), str(corpus_dir / "item_000.json"),
+              "--steps", "2"], tmp_path)
+    assert rc == 3
+
+
 def test_sample_unconditional(tmp_path, corpus_dir, trained_dir):
     manifest = str(corpus_dir / "item_001.json")
     rc = run(["sample", str(trained_dir / "adapter.vemt"), manifest,

@@ -253,6 +253,20 @@ def test_inconsistent_sidecar_dims_rejected(tmp_path):
     assert "dims" in str(err.value)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("caption_feat", np.float32(1.0)),
+    ("frame_features", np.zeros(16, dtype=np.float32)),
+    ("frame_features", np.full((8, 16), np.nan, dtype=np.float32)),
+    ("storyboard.1.visual_feat", np.array([0.0, np.inf], dtype=np.float32)),
+], ids=["0d-vector", "1d-frame-features", "nan-frame-features", "inf-vector"])
+def test_malformed_sidecar_feature_named(tmp_path, key, value):
+    doc = manifest_doc(features="side.vemt")
+    save_tensors(tmp_path / "side.vemt", {key: np.asarray(value)})
+    with pytest.raises(ManifestError) as err:
+        ps.load_manifest(write_doc(tmp_path, doc))
+    assert err.value.field == key
+
+
 # -- frame features --------------------------------------------------------
 
 

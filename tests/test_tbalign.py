@@ -123,8 +123,8 @@ def test_aligner_features_constant_rows():
 
 def test_adapter_zero_init_is_exact_noop():
     p = tb.AdapterParams(hidden=5, channels=3)
-    z = Rng(9).gaussian((3, 8)).astype(np.float32)
-    feats = Rng(10).gaussian((5, 8)).astype(np.float32)
+    z = Rng(9).gaussian((3, 8)).astype(np.float32).T
+    feats = Rng(10).gaussian((5, 8)).astype(np.float32).T
     out = tb.apply_adapter(z, feats, p).data
     assert (out == z).all()
 
@@ -132,16 +132,16 @@ def test_adapter_zero_init_is_exact_noop():
 def test_adapter_forced_gamma_one_doubles():
     p = tb.AdapterParams(hidden=2, channels=3)
     p.gamma_b.data = np.ones(3, dtype=np.float32)
-    z = Rng(9).gaussian((3, 6)).astype(np.float32)
-    feats = np.zeros((2, 6), dtype=np.float32)
+    z = Rng(9).gaussian((3, 6)).astype(np.float32).T
+    feats = np.zeros((6, 2), dtype=np.float32)
     np.testing.assert_allclose(tb.apply_adapter(z, feats, p).data, 2 * z, atol=1e-6)
 
 
 def test_adapter_forced_gamma_minus_one_zeroes():
     p = tb.AdapterParams(hidden=2, channels=3)
     p.gamma_b.data = -np.ones(3, dtype=np.float32)
-    z = Rng(9).gaussian((3, 6)).astype(np.float32)
-    feats = np.zeros((2, 6), dtype=np.float32)
+    z = Rng(9).gaussian((3, 6)).astype(np.float32).T
+    feats = np.zeros((6, 2), dtype=np.float32)
     np.testing.assert_allclose(tb.apply_adapter(z, feats, p).data, 0.0, atol=1e-6)
 
 
@@ -154,6 +154,6 @@ def test_adapter_rejects_length_mismatch():
 def test_adapter_beta_adds():
     p = tb.AdapterParams(hidden=2, channels=2)
     p.beta_w.data = np.ones((2, 2), dtype=np.float32)
-    z = np.zeros((2, 4), dtype=np.float32)
-    feats = np.ones((2, 4), dtype=np.float32)
+    z = np.zeros((4, 2), dtype=np.float32)
+    feats = np.ones((4, 2), dtype=np.float32)
     np.testing.assert_allclose(tb.apply_adapter(z, feats, p).data, 2.0, atol=1e-6)

@@ -5,7 +5,9 @@ from vem import curation as cu
 from vem import training as tr
 from vem.audiofeat import SAMPLE_RATE, Waveform, logmel
 from vem.errors import DataError, StageOrderError
+from vem.container import load_tensors, save_tensors
 from vem.rng import Rng
+from vem.tbalign import AlignerNet
 from vem.timeline import DEFAULT_FPS
 
 
@@ -162,6 +164,44 @@ def test_checkpoint_kind_guards(tmp_path, corpus, stage_b):
     tr.save_diffusion(dpath, unet, temb, meta)
     with pytest.raises(StageOrderError):
         tr.load_aligner(dpath)
+
+
+def _without(key):
+    return lambda meta: meta.pop(key)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta.update(widths=[16]),
+    lambda meta: meta.update(in_channels=7),
+    lambda meta: meta.update(widths=[]),
+    lambda meta: meta.update(temb_dim=-4),
+    lambda meta: meta.update(widths="ab"),
+    _without("cond_dim"),
+], ids=["widths-vs-weights", "in-channels", "empty-widths", "negative-temb-dim",
+        "string-widths", "missing-cond-dim"])
+def test_load_diffusion_rejects_bad_meta(tmp_path, stage_b, edit):
+    unet, temb, meta, _ = stage_b
+    meta = dict(meta)
+    edit(meta)
+    path = tmp_path / "d.vemt"
+    tr.save_diffusion(path, unet, temb, meta)
+    with pytest.raises(DataError):
+        tr.load_diffusion(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta.update(hidden=0),
+    lambda meta: meta.update(feat_dim="x"),
+    _without("feat_dim"),
+], ids=["zero-hidden", "string-feat-dim", "missing-feat-dim"])
+def test_load_aligner_rejects_bad_meta(tmp_path, edit):
+    path = tmp_path / "a.vemt"
+    tr.save_aligner(path, AlignerNet(8, hidden=4), tiny_cfg())
+    tensors, meta = load_tensors(path)
+    edit(meta)
+    save_tensors(path, tensors, meta)
+    with pytest.raises(DataError):
+        tr.load_aligner(path)
 
 
 # -- sampling --------------------------------------------------------------
