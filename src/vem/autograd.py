@@ -9,7 +9,9 @@ Shapes broadcast like numpy; `_unbroadcast` folds gradient axes back down.
 Sequence ops are time-major: `conv1d` and `repeat2` run along axis 0 of an
 (L, C) array, and `layer_norm`/`softmax` default to the last axis.
 Everything runs in the array's own dtype: training uses float32, gradient
-checks run the same graphs in float64.
+checks run the same graphs in float64. A Python int or float met by an op
+takes the dtype of the Var it meets (`v * 0.5` on a float32 `v` stays
+float32), so scalars never promote a graph; arrays keep their own dtype.
 
 `no_grad()` disables taping wholesale; sampling loops run inside it so the
 graph never grows.
@@ -18,6 +20,7 @@ graph never grows.
 import contextlib
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import DataError
 
@@ -45,8 +48,14 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def as_var(x):
-    return x if isinstance(x, Var) else Var(np.asarray(x))
+def as_var(x, like=None):
+    """`x` as a Var (a Var passes through); a Python int or float takes the
+    dtype of `like`, so a scalar never promotes the graph it joins."""
+    if isinstance(x, Var):
+        return x
+    if like is not None and isinstance(x, (int, float)):
+        return Var(np.asarray(x, dtype=like.data.dtype))
+    return Var(np.asarray(x))
 
 
 def _node(data, parents, backward):
@@ -113,7 +122,7 @@ class Var:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = as_var(other)
+        other = as_var(other, self)
         def back(g):
             self.requires_grad and self._accum(_unbroadcast(g, self.shape))
             other.requires_grad and other._accum(_unbroadcast(g, other.shape))
@@ -122,7 +131,7 @@ class Var:
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = as_var(other)
+        other = as_var(other, self)
         def back(g):
             self.requires_grad and self._accum(_unbroadcast(g * other.data, self.shape))
             other.requires_grad and other._accum(_unbroadcast(g * self.data, other.shape))
@@ -134,10 +143,10 @@ class Var:
         return self * (-1.0)
 
     def __sub__(self, other):
-        return self + (-as_var(other))
+        return self + (-as_var(other, self))
 
     def __rsub__(self, other):
-        return as_var(other) + (-self)
+        return as_var(other, self) + (-self)
 
     def __truediv__(self, other):
         if isinstance(other, Var):
@@ -228,7 +237,7 @@ class Var:
         return _node(out_data, (self,), back)
 
     def silu(self):
-        s = _sigmoid(self.data)
+        s = expit(self.data)
         def back(g):
             self._accum(g * (s + self.data * s * (1.0 - s)))
         return _node(self.data * s, (self,), back)
@@ -258,15 +267,6 @@ class Var:
         return f"Var(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def concat(vars_, axis=0):
     vars_ = [as_var(v) for v in vars_]
     sizes = [v.shape[axis] for v in vars_]
@@ -285,8 +285,9 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     """1-D convolution (cross-correlation) over time: x (L, Cin), w (Cout, Cin, K)
     -> (Lout, Cout).
 
-    im2col formulation: both passes are single matmuls plus an index
-    scatter, which keeps the tape shallow and the arithmetic vectorized.
+    im2col formulation: both passes are single matmuls, plus k strided
+    slice-adds (col2im) for the input gradient, which keeps the tape shallow
+    and the arithmetic vectorized.
     """
     x, w = as_var(x), as_var(w)
     length, cin = x.shape
@@ -308,9 +309,11 @@ def conv1d(x, w, b=None, stride=1, padding=0):
         if b is not None and b.requires_grad:
             b._accum(g.sum(axis=0))
         if x.requires_grad:
-            gcols = (g @ wm).reshape(lout, cin, k).transpose(0, 2, 1)
+            gcols = (g @ wm).reshape(lout, cin, k)
             gxp = np.zeros_like(xp)
-            np.add.at(gxp, idx, gcols)
+            span = stride * (lout - 1) + 1
+            for j in range(k):
+                gxp[j:j + span:stride] += gcols[:, :, j]
             x._accum(gxp[padding:padding + length] if padding else gxp)
 
     return _node(out, (x, w) + ((b,) if b is not None else ()), back)
@@ -325,7 +328,7 @@ def bce_with_logits(logits, targets):
     x = logits.data
     out = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     def back(g):
-        logits._accum(g * (_sigmoid(x) - t))
+        logits._accum(g * (expit(x) - t))
     return _node(out, (logits,), back)
 
 
@@ -384,8 +387,10 @@ def param(data):
 
 
 class Linear(Module):
-    def __init__(self, n_in, n_out, rng, zero_init=False, dtype=np.float32):
-        if zero_init:
+    """x @ w + b. Without an `rng` the weights start at zero (no draws)."""
+
+    def __init__(self, n_in, n_out, rng, dtype=np.float32):
+        if rng is None:
             w = np.zeros((n_in, n_out), dtype=dtype)
         else:
             scale = 1.0 / np.sqrt(n_in)
@@ -398,10 +403,12 @@ class Linear(Module):
 
 
 class Conv1d(Module):
-    def __init__(self, c_in, c_out, k, rng, stride=1, padding=0, zero_init=False, dtype=np.float32):
+    """`conv1d` with learned w, b. Without an `rng` the weights start at zero."""
+
+    def __init__(self, c_in, c_out, k, rng, stride=1, padding=0, dtype=np.float32):
         self.stride = stride
         self.padding = padding
-        if zero_init:
+        if rng is None:
             w = np.zeros((c_out, c_in, k), dtype=dtype)
         else:
             scale = 1.0 / np.sqrt(c_in * k)
@@ -414,7 +421,16 @@ class Conv1d(Module):
 
 
 class Adam:
-    """Adam with bias correction; state lives beside the param list."""
+    """Adam (Kingma & Ba 2015, arXiv:1412.6980) with bias correction.
+
+    The moments m and v live beside the param list, one pair per parameter
+    in the parameter's own dtype, and every update is in place. The bias
+    corrections c1 = 1 - b1^t and c2 = 1 - b2^t fold into two scalars, as in
+    PyTorch's single-tensor Adam: p -= (lr / c1) * m / (sqrt(v) / sqrt(c2) + eps).
+    Hyperparameters are Python floats, so a float32 parameter is stepped in
+    float32 throughout. A parameter whose grad is None is skipped: its data,
+    m and v stay as they are.
+    """
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         self._params = list(params)
@@ -422,20 +438,29 @@ class Adam:
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.data, dtype=np.float64) for p in self._params]
-        self._v = [np.zeros_like(p.data, dtype=np.float64) for p in self._params]
+        self._m = [np.zeros_like(p.data) for p in self._params]
+        self._v = [np.zeros_like(p.data) for p in self._params]
 
     def step(self):
         self.t += 1
-        for i, p in enumerate(self._params):
-            if p.grad is None:
+        step = self.lr / (1 - self.b1 ** self.t)
+        c2_sqrt = (1 - self.b2 ** self.t) ** 0.5
+        for p, m, v in zip(self._params, self._m, self._v):
+            g = p.grad
+            if g is None:
                 continue
-            g = p.grad.astype(np.float64)
-            self._m[i] = self.b1 * self._m[i] + (1 - self.b1) * g
-            self._v[i] = self.b2 * self._v[i] + (1 - self.b2) * g * g
-            mhat = self._m[i] / (1 - self.b1 ** self.t)
-            vhat = self._v[i] / (1 - self.b2 ** self.t)
-            p.data = p.data - (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
+            m *= self.b1
+            m += (1 - self.b1) * g
+            v *= self.b2
+            gg = np.multiply(g, g)
+            gg *= 1 - self.b2
+            v += gg
+            denom = np.sqrt(v)
+            denom /= c2_sqrt
+            denom += self.eps
+            np.divide(m, denom, out=denom)
+            denom *= step
+            p.data -= denom
 
     def zero_grad(self):
         for p in self._params:

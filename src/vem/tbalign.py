@@ -23,8 +23,10 @@ from .rng import Rng
 
 
 class AlignerNet(ag.Module):
+    """Per-frame transition-beat classifier; without an `rng` every weight
+    starts at zero (no draws)."""
+
     def __init__(self, feat_dim, hidden=32, rng=None, dtype=np.float32):
-        rng = rng if rng is not None else Rng(0)
         self.feat_dim = feat_dim
         self.hidden = hidden
         self.conv1 = ag.Conv1d(feat_dim, hidden, 5, rng, padding=2, dtype=dtype)

@@ -251,6 +251,8 @@ def load_diffusion(path):
     if not isinstance(widths, list) or not widths or not all(map(_positive_int, widths)):
         raise DataError(f"{path}: meta 'widths' must be a non-empty list of positive ints, "
                         f"got {widths!r}")
+    if meta["temb_dim"] % 2:
+        raise DataError(f"{path}: meta 'temb_dim' must be even, got {meta['temb_dim']}")
     if meta["in_channels"] != LATENT_CHANNELS:
         raise DataError(f"{path}: in_channels {meta['in_channels']} != {LATENT_CHANNELS}")
     unet = TUNet(meta["in_channels"], meta["cond_dim"], widths=widths, temb_dim=meta["temb_dim"])

@@ -21,12 +21,13 @@ for the latent, all-zero mask rows for the padding) and cropped on the way out;
 callers never see the padding.
 """
 
+import itertools
+
 import numpy as np
 
 from . import autograd as ag
 from .errors import DataError
 from .numcore import linear_interp
-from .rng import Rng
 from .sgcatt import attention_logits, downsample_mask, pad_mask_rows, sg_cross_attention
 from .tbalign import AdapterParams, apply_adapter
 
@@ -134,14 +135,16 @@ class TUNet(ag.Module):
 
     def __init__(self, in_channels, cond_dim, widths=DEFAULT_WIDTHS, temb_dim=128,
                  rng=None, dtype=np.float32):
-        rng = rng if rng is not None else Rng(0)
+        if temb_dim % 2:
+            raise ValueError(f"temb_dim must be even (sin/cos pairs), got {temb_dim}")
         self.in_channels = in_channels
         self.cond_dim = cond_dim
         self.widths = tuple(widths)
         self.temb_dim = temb_dim
         self.levels = len(self.widths)
 
-        r = iter(rng.fork(i) for i in range(1000))
+        # one forked stream per block; without an rng every weight starts at zero
+        r = (None if rng is None else rng.fork(i) for i in itertools.count())
         self.temb_lin1 = ag.Linear(temb_dim, temb_dim, next(r), dtype=dtype)
         self.temb_lin2 = ag.Linear(temb_dim, temb_dim, next(r), dtype=dtype)
         self.in_conv = ag.Conv1d(in_channels, self.widths[0], 3, next(r), padding=1, dtype=dtype)
@@ -154,16 +157,14 @@ class TUNet(ag.Module):
         self.dec = [Level(2 * self.widths[i], self.widths[i], cond_dim, temb_dim, next(r), dtype)
                     for i in reversed(range(self.levels - 1))]
         self.out_norm = ChannelNorm(self.widths[0], dtype)
-        self.out_conv = ag.Conv1d(self.widths[0], in_channels, 3, next(r), padding=1,
-                                  zero_init=True, dtype=dtype)
+        # zero-initialized (no rng): an untrained net predicts zero noise
+        self.out_conv = ag.Conv1d(self.widths[0], in_channels, 3, None, padding=1, dtype=dtype)
         # global 1x1 residual from the raw input latent, gated per channel by
         # the step embedding: without it the denoiser cannot express the
         # near-identity maps high-noise steps need once trunk width drops
         # below the latent channel count, and training stalls near loss 1
-        self.res_proj = ag.Conv1d(in_channels, in_channels, 1, next(r),
-                                  zero_init=True, dtype=dtype)
-        self.res_gate = ag.Linear(temb_dim, in_channels, next(r),
-                                  zero_init=True, dtype=dtype)
+        self.res_proj = ag.Conv1d(in_channels, in_channels, 1, None, dtype=dtype)
+        self.res_gate = ag.Linear(temb_dim, in_channels, None, dtype=dtype)
         self.adapters = None  # set by attach_adapters for the fine-tune stage
 
     def attach_adapters(self, aligner_hidden, dtype=np.float32):

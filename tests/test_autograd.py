@@ -89,20 +89,31 @@ def test_conv1d_padding_stride():
           (8, 3), (4, 3, 3), (4,), tol=1e-5)
 
 
-@pytest.mark.parametrize("k,stride,padding", [(3, 2, 1), (1, 1, 0)])
+# strides above, equal to and below the kernel width, for the col2im backward
+@pytest.mark.parametrize("k,stride,padding",
+                         [(3, 2, 1), (1, 1, 0), (1, 2, 0), (5, 1, 2), (5, 3, 0)])
 def test_conv1d_matches_direct_loop(k, stride, padding):
     rng = Rng(4)
     x = rng.gaussian((9, 3)).astype(np.float64)
     w = rng.gaussian((4, 3, k)).astype(np.float64)
     b = rng.gaussian((4,)).astype(np.float64)
-    out = ag.conv1d(ag.Var(x), ag.Var(w), ag.Var(b), stride=stride, padding=padding).data
+    xv = ag.param(x.copy())
+    out = ag.conv1d(xv, ag.Var(w), ag.Var(b), stride=stride, padding=padding)
     xp = np.pad(x, ((padding, padding), (0, 0)))
     ref = np.zeros(((len(xp) - k) // stride + 1, 4))
     for t in range(ref.shape[0]):
         for o in range(4):
             ref[t, o] = b[o] + (xp[t * stride:t * stride + k].T * w[o]).sum()
-    assert out.dtype == np.float64
-    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+    assert out.data.dtype == np.float64
+    np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+    # input gradient of sum(out * g): scatter each output row back over its window
+    g = rng.gaussian(ref.shape).astype(np.float64)
+    (out * ag.Var(g)).sum().backward()
+    gref = np.zeros_like(xp)
+    for t in range(ref.shape[0]):
+        for j in range(k):
+            gref[t * stride + j] += w[:, :, j].T @ g[t]
+    np.testing.assert_allclose(xv.grad, gref[padding:padding + len(x)], rtol=1e-12, atol=1e-12)
 
 
 def test_repeat2_duplicates_rows_in_order():
@@ -186,8 +197,8 @@ def test_params_are_float32():
 
 
 def test_zero_init_layers():
-    lin = ag.Linear(3, 4, Rng(0), zero_init=True)
-    conv = ag.Conv1d(2, 2, 1, Rng(0), zero_init=True)
+    lin = ag.Linear(3, 4, None)
+    conv = ag.Conv1d(2, 2, 1, None)
     assert not lin.w.data.any() and not conv.w.data.any()
 
 
@@ -199,3 +210,74 @@ def test_adam_minimizes_quadratic():
         ((v - np.array([1.0, 2.0])) ** 2.0).sum().backward()
         opt.step()
     np.testing.assert_allclose(v.data, [1.0, 2.0], atol=1e-3)
+
+
+def _adam_reference(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Textbook Adam in float64 (Kingma & Ba 2015, algorithm 1)."""
+    p = p0.astype(np.float64)
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        p = p - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+    return p
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_moments_take_param_dtype(dtype):
+    v = ag.param(np.ones(3, dtype=dtype))
+    opt = ag.Adam([v])
+    v.grad = np.full(3, 0.5, dtype=dtype)
+    opt.step()
+    assert v.data.dtype == dtype
+    assert all(a.dtype == dtype for a in opt._m + opt._v)
+
+
+def test_adam_float32_matches_float64_reference():
+    rng = Rng(3)
+    p0 = rng.gaussian((4, 5)).astype(np.float32)
+    grads = [rng.gaussian((4, 5)).astype(np.float32) for _ in range(50)]
+    v = ag.param(p0.copy())
+    opt = ag.Adam([v], lr=1e-2)
+    for g in grads:
+        v.grad = g.copy()
+        opt.step()
+    assert v.data.dtype == np.float32
+    np.testing.assert_allclose(v.data, _adam_reference(p0, grads, lr=1e-2), rtol=1e-5)
+
+
+def test_adam_skips_param_without_grad():
+    a = ag.param(np.ones(2, dtype=np.float32))
+    b = ag.param(np.ones(2, dtype=np.float32))
+    opt = ag.Adam([a, b], lr=0.1)
+    a.grad = b.grad = np.ones(2, dtype=np.float32)
+    opt.step()
+    b_data, b_m, b_v = b.data.copy(), opt._m[1].copy(), opt._v[1].copy()
+    a_data = a.data.copy()
+    a.grad, b.grad = np.ones(2, dtype=np.float32), None
+    opt.step()
+    assert not np.array_equal(a.data, a_data)
+    np.testing.assert_array_equal(b.data, b_data)
+    np.testing.assert_array_equal(opt._m[1], b_m)
+    np.testing.assert_array_equal(opt._v[1], b_v)
+
+
+SCALAR_OPS = {
+    "v*2.0": lambda v: v * 2.0,
+    "2.0*v": lambda v: 2.0 * v,
+    "1.0-v": lambda v: 1.0 - v,
+    "v-1": lambda v: v - 1,
+    "-v": lambda v: -v,
+    "v/3.0": lambda v: v / 3.0,
+    "v+2": lambda v: v + 2,
+    "v.mean()": lambda v: v.mean(),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", sorted(SCALAR_OPS))
+def test_python_scalars_keep_var_dtype(op, dtype):
+    v = ag.param(np.arange(1.0, 7.0, dtype=dtype).reshape(2, 3))
+    out = SCALAR_OPS[op](v)
+    assert out.data.dtype == dtype

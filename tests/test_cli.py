@@ -193,6 +193,15 @@ def test_sample_bad_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_dir):
     assert rc == 3
 
 
+def test_sample_odd_temb_dim_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
+    tensors, meta = load_tensors(trained_dir / "diffusion.vemt")
+    save_tensors(tmp_path / "odd.vemt", tensors, dict(meta, temb_dim=meta["temb_dim"] - 1))
+    rc = run(["sample", str(tmp_path / "odd.vemt"), str(corpus_dir / "item_000.json"),
+              "--steps", "2"], tmp_path)
+    assert rc == 3
+    assert "'temb_dim' must be even" in capsys.readouterr().err
+
+
 def test_sample_unconditional(tmp_path, corpus_dir, trained_dir):
     manifest = str(corpus_dir / "item_001.json")
     rc = run(["sample", str(trained_dir / "adapter.vemt"), manifest,

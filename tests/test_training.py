@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from vem import autograd as ag
 from vem import curation as cu
 from vem import training as tr
 from vem.audiofeat import SAMPLE_RATE, Waveform, logmel
+from vem.diffusion import LATENT_FPS, latent_encode, training_loss
+from vem.parsing import TimeEmbedder
+from vem.sgcatt import assemble_conditions, build_mask
+from vem.tunet import TUNet
 from vem.errors import DataError, StageOrderError
 from vem.container import load_tensors, save_tensors
 from vem.rng import Rng
@@ -202,6 +207,57 @@ def test_load_aligner_rejects_bad_meta(tmp_path, edit):
     save_tensors(path, tensors, meta)
     with pytest.raises(DataError):
         tr.load_aligner(path)
+
+
+def test_load_diffusion_rejects_odd_temb_dim(tmp_path, stage_b):
+    unet, temb, meta, _ = stage_b
+    path = tmp_path / "d.vemt"
+    tr.save_diffusion(path, unet, temb, dict(meta, temb_dim=15))
+    with pytest.raises(DataError, match="'temb_dim' must be even"):
+        tr.load_diffusion(path)
+
+
+def test_load_diffusion_builds_no_random_init(tmp_path, stage_b, monkeypatch):
+    unet, temb, meta, _ = stage_b
+    path = tmp_path / "d.vemt"
+    tr.save_diffusion(path, unet, temb, meta)
+
+    def no_draws(*args, **kw):
+        raise AssertionError("a loader drew random weights")
+
+    monkeypatch.setattr(Rng, "gaussian", no_draws)
+    loaded, _, _ = tr.load_diffusion(path)
+    for (name, a), (_, b) in zip(unet.named_params(), loaded.named_params()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+# -- float32 training tape -------------------------------------------------
+
+
+def test_training_loss_tapes_only_float32(corpus):
+    """One stage-C style step (adapters, time embedder) stays in float32."""
+    ann, wav = corpus[0]
+    cfg = tiny_cfg()
+    z0 = latent_encode(logmel(wav)).values.astype(np.float32)
+    mask = build_mask(ann, z0.shape[1], LATENT_FPS, strict=False)
+    unet = TUNet(z0.shape[0], cfg.feature_dim, widths=(8, 12), temb_dim=16, rng=Rng(1))
+    unet.attach_adapters(cfg.aligner_hidden)
+    temb = TimeEmbedder(cfg.feature_dim, hidden=cfg.time_hidden, rng=Rng(2))
+    feats = Rng(3).gaussian((cfg.aligner_hidden, 40)).astype(np.float32)
+    loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
+                         cfg.schedule(), aligner_feats=feats)
+    loss.backward()
+    seen, stack, dtypes = set(), [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        dtypes.add(node.data.dtype)
+        stack.extend(node._prev)
+    assert len(seen) > 50 and dtypes == {np.dtype(np.float32)}
+    params = unet.params() + temb.params()
+    assert all(p.grad is not None and p.grad.dtype == np.float32 for p in params)
 
 
 # -- sampling --------------------------------------------------------------

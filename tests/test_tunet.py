@@ -33,6 +33,11 @@ def test_sinusoidal_embedding_basics():
     assert np.abs(e1 - e0).max() > 0.1
 
 
+def test_odd_temb_dim_is_rejected():
+    with pytest.raises(ValueError):
+        tn.TUNet(240, 64, widths=(8,), temb_dim=5)
+
+
 # -- shape contract --------------------------------------------------------
 
 
