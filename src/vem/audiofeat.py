@@ -6,17 +6,28 @@ the HTK mel scale (2595*log10(1+f/700)) over 0-8 kHz -> log(amp + 1e-5).
 The log floor keeps silence finite: an all-zero signal maps to a constant
 log(1e-5) spectrogram.
 
+Both hot kernels read strided views of the signal, with no copy, and their
+constants are built once and cached read-only. `resample` is a polyphase
+FIR run as a blocked GEMM: one period of `up` outputs consumes `down`
+inputs, so a block of consecutive outputs reads the same input window
+`down` samples further on each period, and one BLAS call multiplies that
+window sequence by the block's taps. The STFT takes every `hop`-th window of
+a `sliding_window_view`; the Hann window, the filterbank and its
+pseudo-inverse are cached.
+
 Inversion is Griffin-Lim over a pseudo-inverse of the filterbank; it stands
 in for a neural vocoder, so it only has to be spectrally faithful, not
 pretty.
 """
 
 import dataclasses
+import functools
 import math
 import struct
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from scipy.signal import firwin
 
 from .errors import DataError
 
@@ -131,34 +142,116 @@ def save_wav(path, w):
         fh.write(pcm)
 
 
+def _frozen(a):
+    """Mark a cached array read-only, so no caller can change it for the next."""
+    a.setflags(write=False)
+    return a
+
+
+_BLOCK = 16  # outputs per GEMM block of the resampler
+
+
+@dataclasses.dataclass(frozen=True)
+class _ResamplePlan:
+    """Polyphase GEMM for one reduced rate pair.
+
+    Output k is sum_n x[n] * h[k*down + half - n*up], with h the FIR scaled
+    by `up` and `half` its centre: the output `resample_poly` keeps after it
+    drops its pre-pad and pre-remove samples. Rows of the GEMM are
+    super-periods of b periods: `period` = b*up outputs reading `stride` =
+    b*down new inputs. b is the least number of periods for which `stride`
+    covers the widest window a block of `_BLOCK` outputs can read, so each
+    window view has unit column stride and lda >= width, which BLAS takes
+    without a copy.
+    """
+
+    period: int  # outputs per row
+    stride: int  # inputs per row
+    blocks: tuple  # (first output in the row, first input, taps (width, outputs))
+    left: int  # zeros before the signal, so that every window start is >= 0
+
+    def __call__(self, x, n_out):
+        rows = -(-n_out // self.period)
+        if rows == 0:
+            return np.zeros(0)
+        need = max(start + (rows - 1) * self.stride + taps.shape[0]
+                   for _, start, taps in self.blocks)
+        xp = np.zeros(max(need, len(x)) + self.left)
+        xp[self.left:self.left + len(x)] = x
+        y = np.empty((rows, self.period))
+        step = xp.strides[0]
+        for first, start, taps in self.blocks:
+            view = as_strided(xp[self.left + start:], shape=(rows, taps.shape[0]),
+                              strides=(self.stride * step, step), writeable=False)
+            np.matmul(view, taps, out=y[:, first:first + taps.shape[1]])
+        return y.reshape(-1)[:n_out]
+
+
+@functools.lru_cache(maxsize=4)
+def _resample_plan(up, down):
+    """The `_ResamplePlan` of a reduced rate pair; the FIR is designed here."""
+    m = max(up, down)
+    h = firwin(80 * m + 1, 0.97 / m, window=("kaiser", 7.0)) * up
+    half = (len(h) - 1) // 2
+    ntaps = -(-len(h) // up)  # most taps any one phase uses
+    widest = ntaps + -(-(_BLOCK - 1) * down // up)
+    b = -(-widest // down)
+    period = b * up
+    blocks, shared = [], {}
+    for first in range(0, period, _BLOCK):
+        # A block one period later reads the same taps `down` inputs later.
+        key = (first % up, min(_BLOCK, period - first))
+        if key not in shared:
+            t = np.arange(key[0], key[0] + key[1]) * down + half
+            n0, phase = t // up, t % up  # newest input each output reads, and its phase
+            start = int(n0[0]) - ntaps + 1
+            j = n0[:, None] - start - np.arange(int(n0[-1]) - start + 1)[None, :]
+            tap = phase[:, None] + j * up
+            live = (j >= 0) & (tap < len(h))
+            taps = np.where(live, h[np.where(live, tap, 0)], 0.0)
+            shared[key] = (start, _frozen(np.ascontiguousarray(taps.T)))
+        start, taps = shared[key]
+        blocks.append((first, start + first // up * down, taps))
+    left = max(0, -blocks[0][1])
+    return _ResamplePlan(period, b * down, tuple(blocks), left)
+
+
 def resample(w, target_hz):
     """Band-limited resampling; output length = round(n * target / source).
 
     The anti-alias FIR is longer than scipy's default and its cutoff sits
     just under the band edge, so imaging above the new Nyquist stays below
-    -40 dB instead of smearing through a wide transition band.
+    -40 dB instead of smearing through a wide transition band: a Kaiser
+    (beta 7) window of 80*max(up, down)+1 taps, cutoff 0.97/max(up, down),
+    the filter and alignment `scipy.signal.resample_poly` would apply.
+
+    It runs as a polyphase GEMM (`_ResamplePlan`): blocks of 16 consecutive
+    outputs per period, each one float64 matrix product of a strided view of
+    the input windows with that block's taps. The plan is cached per reduced
+    `(up, down)` pair, so the FIR is designed once.
     """
     if target_hz <= 0:
         raise DataError(f"target rate must be positive, got {target_hz}")
     if target_hz == w.sample_rate_hz:
         return Waveform(w.samples.copy(), w.sample_rate_hz)
-    g = math.gcd(int(target_hz), int(w.sample_rate_hz))
-    up, down = target_hz // g, w.sample_rate_hz // g
-    m = max(up, down)
-    taps = firwin(80 * m + 1, 0.97 / m, window=("kaiser", 7.0))
-    y = resample_poly(w.samples.astype(np.float64), up, down, window=taps)
+    src, dst = int(w.sample_rate_hz), int(target_hz)
+    g = math.gcd(dst, src)
     want = round(len(w.samples) * target_hz / w.sample_rate_hz)
-    if len(y) < want:
-        y = np.pad(y, (0, want - len(y)))
-    return Waveform(y[:want].astype(np.float32), target_hz)
+    y = _resample_plan(dst // g, src // g)(w.samples, want)
+    return Waveform(y.astype(np.float32), target_hz)
 
 
 # -- STFT / mel ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _hann(n):
+    return _frozen(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n))
+
+
 def hann_window(n=N_FFT):
     """Periodic Hann: 0.5 - 0.5 cos(2 pi k / n)."""
-    return (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)).astype(np.float64)
+    return _hann(n).copy()
 
 
 def frame_count(n_samples, n_fft=N_FFT, hop=HOP):
@@ -167,12 +260,16 @@ def frame_count(n_samples, n_fft=N_FFT, hop=HOP):
     return 1 + (n_samples - n_fft) // hop
 
 
+def _windowed_frames(samples, n_fft, hop):
+    """(windows, n_fft) Hann-weighted frames: every hop-th window of a strided
+    view of `samples`, left-aligned, no padding."""
+    frame_count(len(samples), n_fft, hop)
+    return sliding_window_view(samples, n_fft)[::hop] * _hann(n_fft)
+
+
 def stft_magnitude(samples, n_fft=N_FFT, hop=HOP):
     """(windows, n_fft//2+1) magnitude array; left-aligned frames, no padding."""
-    samples = np.asarray(samples, dtype=np.float64)
-    w = frame_count(len(samples), n_fft, hop)
-    idx = hop * np.arange(w)[:, None] + np.arange(n_fft)[None, :]
-    frames = samples[idx] * hann_window(n_fft)[None, :]
+    frames = _windowed_frames(np.asarray(samples, dtype=np.float64), n_fft, hop)
     return np.abs(np.fft.rfft(frames, axis=1))
 
 
@@ -197,6 +294,18 @@ def mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sr=SAMPLE_RATE, fmin=FMIN, fmax=F
     return fb
 
 
+@functools.lru_cache(maxsize=4)
+def _mel_fb_t(n_mels, n_fft, sr):
+    """Contiguous (n_fft//2+1, n_mels) transpose of the filterbank."""
+    return _frozen(np.ascontiguousarray(mel_filterbank(n_mels, n_fft, sr).T))
+
+
+@functools.lru_cache(maxsize=4)
+def _mel_fb_pinv(n_mels, n_fft, sr):
+    """(n_fft//2+1, n_mels) pseudo-inverse of the filterbank."""
+    return _frozen(np.linalg.pinv(mel_filterbank(n_mels, n_fft, sr)))
+
+
 def mel_center_freqs(n_mels=N_MELS, fmin=FMIN, fmax=FMAX):
     pts = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
     return pts[1:-1]
@@ -207,8 +316,7 @@ def logmel(w, n_fft=N_FFT, hop=HOP, n_mels=N_MELS):
     if w.sample_rate_hz != SAMPLE_RATE:
         raise DataError(f"expected {SAMPLE_RATE} Hz input, got {w.sample_rate_hz} (resample first)")
     mag = stft_magnitude(w.samples, n_fft, hop)
-    fb = mel_filterbank(n_mels, n_fft, w.sample_rate_hz)
-    vals = np.log(mag @ fb.T + LOG_FLOOR)
+    vals = np.log(mag @ _mel_fb_t(n_mels, n_fft, w.sample_rate_hz) + LOG_FLOOR)
     return MelSpectrogram(vals.astype(np.float32), hop, w.sample_rate_hz, n_mels)
 
 
@@ -217,7 +325,7 @@ def logmel(w, n_fft=N_FFT, hop=HOP, n_mels=N_MELS):
 
 def _istft_from_complex(spec, n_fft, hop):
     """Overlap-add inverse with squared-window normalization."""
-    w = hann_window(n_fft)
+    w = _hann(n_fft)
     frames = np.fft.irfft(spec, n=n_fft, axis=1) * w[None, :]
     n = n_fft + hop * (spec.shape[0] - 1)
     out = np.zeros(n)
@@ -241,17 +349,13 @@ def griffin_lim(m, iters=60):
         raise DataError("iters must be >= 1")
     amp = np.exp(m.values.astype(np.float64)) - LOG_FLOOR
     amp = np.clip(amp, 0.0, None)
-    fb = mel_filterbank(m.n_mels, N_FFT, m.sample_rate_hz)
-    mag = np.clip(amp @ np.linalg.pinv(fb).T, 0.0, None)  # (W, bins)
+    pinv = _mel_fb_pinv(m.n_mels, N_FFT, m.sample_rate_hz)
+    mag = np.clip(amp @ pinv.T, 0.0, None)  # (W, bins)
     spec = mag.astype(np.complex128)
     x = None
     for _ in range(iters):
         x = _istft_from_complex(spec, N_FFT, m.hop)
-        re = np.fft.rfft(
-            x[m.hop * np.arange(mag.shape[0])[:, None] + np.arange(N_FFT)[None, :]]
-            * hann_window()[None, :],
-            axis=1,
-        )
+        re = np.fft.rfft(_windowed_frames(x, N_FFT, m.hop), axis=1)
         phase = re / np.maximum(np.abs(re), 1e-12)
         spec = mag * phase
     peak = np.max(np.abs(x)) if len(x) else 0.0

@@ -20,6 +20,7 @@ graph never grows.
 import contextlib
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .errors import DataError
@@ -285,18 +286,23 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     """1-D convolution (cross-correlation) over time: x (L, Cin), w (Cout, Cin, K)
     -> (Lout, Cout).
 
-    im2col formulation: both passes are single matmuls, plus k strided
-    slice-adds (col2im) for the input gradient, which keeps the tape shallow
-    and the arithmetic vectorized.
+    im2col formulation: the columns are one copy of a strided window view,
+    both passes are single matmuls, plus k strided slice-adds (col2im) for
+    the input gradient, which keeps the tape shallow and the arithmetic
+    vectorized.
     """
     x, w = as_var(x), as_var(w)
     length, cin = x.shape
     cout, cin_w, k = w.shape
     assert cin == cin_w, f"channel mismatch {cin} vs {cin_w}"
-    xp = np.pad(x.data, ((padding, padding), (0, 0))) if padding else x.data
+    if padding:
+        xp = np.zeros((length + 2 * padding, cin), dtype=x.data.dtype)
+        xp[padding:padding + length] = x.data
+    else:
+        xp = x.data
     lout = (xp.shape[0] - k) // stride + 1
-    idx = stride * np.arange(lout)[:, None] + np.arange(k)[None, :]  # (lout, k)
-    cols = xp[idx].transpose(0, 2, 1).reshape(lout, cin * k)  # rows ordered like w
+    # (lout, cin, k) strided windows, copied once into rows ordered like w
+    cols = sliding_window_view(xp, k, axis=0)[::stride].reshape(lout, cin * k)
     wm = w.data.reshape(cout, cin * k)
     out = cols @ wm.T
     if b is not None:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import firwin, resample_poly
 
 from vem import audiofeat as af
 from vem.errors import DataError
@@ -165,6 +166,28 @@ def test_upsample_stays_band_limited():
     assert 10 * math.log10(hi / lo) < -40
 
 
+RATE_PAIRS = ([(src, SR) for src in (8000, 11025, 22050, 24000, 32000, 44100, 48000, 96000)]
+              + [(SR, 44100), (SR, 48000)])
+
+
+@pytest.mark.parametrize("src,dst", RATE_PAIRS)
+def test_resample_matches_resample_poly(src, dst):
+    """Oracle: scipy's resample_poly with the same Kaiser FIR, trimmed to the
+    round(n * dst / src) samples `resample` promises."""
+    g = math.gcd(src, dst)
+    up, down = dst // g, src // g
+    m = max(up, down)
+    taps = firwin(80 * m + 1, 0.97 / m, window=("kaiser", 7.0))
+    signal = (0.3 * Rng(src + dst).gaussian(12 * src + 11)).astype(np.float32)
+    for n in (0, 1, 2, 3, 50, len(signal)):
+        x = signal[:n]
+        want = round(n * dst / src)
+        ref = resample_poly(x.astype(np.float64), up, down, window=taps)[:want]
+        got = af.resample(af.Waveform(x, src), dst).samples
+        assert got.dtype == np.float32 and len(got) == want, (n, len(got), want)
+        np.testing.assert_allclose(got, ref.astype(np.float32), rtol=0, atol=1e-7)
+
+
 # -- stft / mel ------------------------------------------------------------
 
 
@@ -226,6 +249,42 @@ def test_logmel_deterministic():
     a = af.logmel(w).values
     b = af.logmel(w).values
     np.testing.assert_array_equal(a, b)
+
+
+def test_logmel_matches_gather_framing_oracle():
+    """Frames gathered through an index matrix, then the filterbank and log,
+    as the pipeline is defined."""
+    x = (0.3 * Rng(12).gaussian(3 * SR + 300)).astype(np.float32)
+    w = af.frame_count(len(x))
+    idx = af.HOP * np.arange(w)[:, None] + np.arange(af.N_FFT)[None, :]
+    frames = x.astype(np.float64)[idx] * af.hann_window()[None, :]
+    mag = np.abs(np.fft.rfft(frames, axis=1))
+    np.testing.assert_array_equal(af.stft_magnitude(x), mag)
+    ref = np.log(mag @ af.mel_filterbank().T + af.LOG_FLOOR).astype(np.float32)
+    np.testing.assert_allclose(af.logmel(af.Waveform(x, SR)).values, ref, rtol=0, atol=1e-5)
+
+
+def test_constant_helpers_return_fresh_writable_arrays():
+    x = (0.3 * Rng(13).gaussian(2 * SR)).astype(np.float32)
+    before = af.logmel(af.Waveform(x, SR)).values
+    fb, win = af.mel_filterbank(), af.hann_window()
+    assert fb.flags.writeable and win.flags.writeable
+    fb[:] = 7.0
+    win[:] = 0.0
+    assert af.mel_filterbank().max() <= 1.0 and af.hann_window().max() > 0.99
+    np.testing.assert_array_equal(af.logmel(af.Waveform(x, SR)).values, before)
+
+
+def test_cached_constants_are_read_only_and_bounded():
+    plan = af._resample_plan(160, 441)
+    cached = ([af._hann(af.N_FFT), af._mel_fb_t(af.N_MELS, af.N_FFT, SR),
+               af._mel_fb_pinv(af.N_MELS, af.N_FFT, SR)]
+              + [taps for _, _, taps in plan.blocks])
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    for cache in (af._hann, af._mel_fb_t, af._mel_fb_pinv, af._resample_plan):
+        assert 0 < cache.cache_info().maxsize <= 8
 
 
 # -- griffin-lim -----------------------------------------------------------
