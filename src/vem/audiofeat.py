@@ -12,8 +12,7 @@ FIR run as a blocked GEMM: one period of `up` outputs consumes `down`
 inputs, so a block of consecutive outputs reads the same input window
 `down` samples further on each period, and one BLAS call multiplies that
 window sequence by the block's taps. The STFT takes every `hop`-th window of
-a `sliding_window_view`; the Hann window, the filterbank and its
-pseudo-inverse are cached.
+a `sliding_window_view`; the Hann window and the filterbank are cached.
 
 Inversion is Griffin-Lim over a pseudo-inverse of the filterbank; it stands
 in for a neural vocoder, so it only has to be spectrally faithful, not
@@ -187,9 +186,16 @@ class _ResamplePlan:
         return y.reshape(-1)[:n_out]
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=16)
 def _resample_plan(up, down):
-    """The `_ResamplePlan` of a reduced rate pair; the FIR is designed here."""
+    """The `_ResamplePlan` of a reduced rate pair; the FIR is designed here.
+
+    16 plans hold the ten common pairs (8, 11.025, 22.05, 24, 32, 44.1, 48
+    and 96 kHz to 16 kHz, 16 kHz to 44.1 and 48 kHz; 1.6 MB together, none
+    above 0.5 MB) with room to spare, so a mixed-rate dataset designs each FIR
+    once. The count is bounded because an odd pair's plan is about as large
+    as its filter: 44101 Hz to 16 kHz holds 34 MB.
+    """
     m = max(up, down)
     h = firwin(80 * m + 1, 0.97 / m, window=("kaiser", 7.0)) * up
     half = (len(h) - 1) // 2
@@ -246,12 +252,8 @@ def resample(w, target_hz):
 
 @functools.lru_cache(maxsize=4)
 def _hann(n):
+    """Periodic Hann: 0.5 - 0.5 cos(2 pi k / n), read-only."""
     return _frozen(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n))
-
-
-def hann_window(n=N_FFT):
-    """Periodic Hann: 0.5 - 0.5 cos(2 pi k / n)."""
-    return _hann(n).copy()
 
 
 def frame_count(n_samples, n_fft=N_FFT, hop=HOP):
@@ -295,15 +297,9 @@ def mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sr=SAMPLE_RATE, fmin=FMIN, fmax=F
 
 
 @functools.lru_cache(maxsize=4)
-def _mel_fb_t(n_mels, n_fft, sr):
-    """Contiguous (n_fft//2+1, n_mels) transpose of the filterbank."""
-    return _frozen(np.ascontiguousarray(mel_filterbank(n_mels, n_fft, sr).T))
-
-
-@functools.lru_cache(maxsize=4)
-def _mel_fb_pinv(n_mels, n_fft, sr):
-    """(n_fft//2+1, n_mels) pseudo-inverse of the filterbank."""
-    return _frozen(np.linalg.pinv(mel_filterbank(n_mels, n_fft, sr)))
+def _mel_fb(n_mels, n_fft, sr):
+    """`mel_filterbank` with the default band edges, read-only."""
+    return _frozen(mel_filterbank(n_mels, n_fft, sr))
 
 
 def mel_center_freqs(n_mels=N_MELS, fmin=FMIN, fmax=FMAX):
@@ -316,7 +312,8 @@ def logmel(w, n_fft=N_FFT, hop=HOP, n_mels=N_MELS):
     if w.sample_rate_hz != SAMPLE_RATE:
         raise DataError(f"expected {SAMPLE_RATE} Hz input, got {w.sample_rate_hz} (resample first)")
     mag = stft_magnitude(w.samples, n_fft, hop)
-    vals = np.log(mag @ _mel_fb_t(n_mels, n_fft, w.sample_rate_hz) + LOG_FLOOR)
+    fb = _mel_fb(n_mels, n_fft, w.sample_rate_hz)
+    vals = np.log(mag @ fb.T + LOG_FLOOR)
     return MelSpectrogram(vals.astype(np.float32), hop, w.sample_rate_hz, n_mels)
 
 
@@ -349,8 +346,8 @@ def griffin_lim(m, iters=60):
         raise DataError("iters must be >= 1")
     amp = np.exp(m.values.astype(np.float64)) - LOG_FLOOR
     amp = np.clip(amp, 0.0, None)
-    pinv = _mel_fb_pinv(m.n_mels, N_FFT, m.sample_rate_hz)
-    mag = np.clip(amp @ pinv.T, 0.0, None)  # (W, bins)
+    fb = _mel_fb(m.n_mels, N_FFT, m.sample_rate_hz)
+    mag = np.clip(amp @ np.linalg.pinv(fb).T, 0.0, None)  # (W, bins)
     spec = mag.astype(np.complex128)
     x = None
     for _ in range(iters):
