@@ -6,13 +6,15 @@ the HTK mel scale (2595*log10(1+f/700)) over 0-8 kHz -> log(amp + 1e-5).
 The log floor keeps silence finite: an all-zero signal maps to a constant
 log(1e-5) spectrogram.
 
-Both hot kernels read strided views of the signal, with no copy, and their
-constants are built once and cached read-only. `resample` is a polyphase
-FIR run as a blocked GEMM: one period of `up` outputs consumes `down`
-inputs, so a block of consecutive outputs reads the same input window
-`down` samples further on each period, and one BLAS call multiplies that
-window sequence by the block's taps. The STFT takes every `hop`-th window of
-a `sliding_window_view`; the Hann window and the filterbank are cached.
+Both hot kernels read strided views of the signal and walk it a piece at a
+time through small reused buffers, so their working set stays in cache and
+no whole-signal temporary is built; their constants are built once and
+cached read-only. `resample` is a polyphase FIR run as a blocked GEMM: one
+period of `up` outputs consumes `down` inputs, so a block of consecutive
+outputs reads the same input window `down` samples further on each period,
+and one BLAS call multiplies that window sequence by the block's taps. The
+STFT takes every `hop`-th window of a `sliding_window_view`, a block of
+frames at a time; the Hann window and the filterbank are cached.
 
 Inversion is Griffin-Lim over a pseudo-inverse of the filterbank; it stands
 in for a neural vocoder, so it only has to be spectrally faithful, not
@@ -148,6 +150,7 @@ def _frozen(a):
 
 
 _BLOCK = 16  # outputs per GEMM block of the resampler
+_CHUNK = 32768  # input samples one round of the resampler's GEMMs reads
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,28 +165,43 @@ class _ResamplePlan:
     covers the widest window a block of `_BLOCK` outputs can read, so each
     window view has unit column stride and lda >= width, which BLAS takes
     without a copy.
+
+    The rows run in chunks that read about `_CHUNK` inputs: each chunk is
+    copied once into a small zero-padded float64 buffer, and every block's
+    GEMM reads it from cache instead of streaming the whole signal again.
     """
 
     period: int  # outputs per row
     stride: int  # inputs per row
-    blocks: tuple  # (first output in the row, first input, taps (width, outputs))
-    left: int  # zeros before the signal, so that every window start is >= 0
+    blocks: tuple  # (first output in the row, first input - lo, taps (width, outputs))
+    lo: int  # first input row 0 reads; negative inputs are zeros
+    width: int  # inputs one row's windows span
 
     def __call__(self, x, n_out):
+        """The first `n_out` outputs for input `x`, as float32."""
         rows = -(-n_out // self.period)
-        if rows == 0:
-            return np.zeros(0)
-        need = max(start + (rows - 1) * self.stride + taps.shape[0]
-                   for _, start, taps in self.blocks)
-        xp = np.zeros(max(need, len(x)) + self.left)
-        xp[self.left:self.left + len(x)] = x
-        y = np.empty((rows, self.period))
-        step = xp.strides[0]
-        for first, start, taps in self.blocks:
-            view = as_strided(xp[self.left + start:], shape=(rows, taps.shape[0]),
-                              strides=(self.stride * step, step), writeable=False)
-            np.matmul(view, taps, out=y[:, first:first + taps.shape[1]])
-        return y.reshape(-1)[:n_out]
+        chunk = max(1, _CHUNK // self.stride)  # rows per GEMM
+        n = (chunk - 1) * self.stride + self.width  # inputs one chunk reads
+        buf = np.empty(n)
+        y = np.empty((chunk, self.period))
+        step = buf.strides[0]
+        gemms = [(as_strided(buf[off:], shape=(chunk, taps.shape[0]),
+                             strides=(self.stride * step, step), writeable=False),
+                  taps, y[:, first:first + taps.shape[1]])
+                 for first, off, taps in self.blocks]
+        out = np.empty((rows, self.period), dtype=np.float32)
+        for r0 in range(0, rows, chunk):
+            a = self.lo + r0 * self.stride  # input index of buf[0]
+            i0 = min(n, max(0, -a))
+            i1 = max(i0, min(n, len(x) - a))
+            buf[:i0] = 0.0
+            buf[i0:i1] = x[a + i0:a + i1]
+            buf[i1:] = 0.0
+            for view, taps, yb in gemms:
+                np.matmul(view, taps, out=yb)
+            r = min(chunk, rows - r0)
+            out[r0:r0 + r] = y[:r]
+        return out.reshape(-1)[:n_out]
 
 
 @functools.lru_cache(maxsize=16)
@@ -218,8 +236,11 @@ def _resample_plan(up, down):
             shared[key] = (start, _frozen(np.ascontiguousarray(taps.T)))
         start, taps = shared[key]
         blocks.append((first, start + first // up * down, taps))
-    left = max(0, -blocks[0][1])
-    return _ResamplePlan(period, b * down, tuple(blocks), left)
+    lo = min(start for _, start, _ in blocks)
+    hi = max(start + taps.shape[0] for _, start, taps in blocks)
+    return _ResamplePlan(period, b * down,
+                         tuple((first, start - lo, taps) for first, start, taps in blocks),
+                         lo, hi - lo)
 
 
 def resample(w, target_hz):
@@ -233,8 +254,9 @@ def resample(w, target_hz):
 
     It runs as a polyphase GEMM (`_ResamplePlan`): blocks of 16 consecutive
     outputs per period, each one float64 matrix product of a strided view of
-    the input windows with that block's taps. The plan is cached per reduced
-    `(up, down)` pair, so the FIR is designed once.
+    the input windows with that block's taps, over chunks of rows that stay
+    in cache. The plan is cached per reduced `(up, down)` pair, so the FIR is
+    designed once.
     """
     if target_hz <= 0:
         raise DataError(f"target rate must be positive, got {target_hz}")
@@ -243,8 +265,7 @@ def resample(w, target_hz):
     src, dst = int(w.sample_rate_hz), int(target_hz)
     g = math.gcd(dst, src)
     want = round(len(w.samples) * target_hz / w.sample_rate_hz)
-    y = _resample_plan(dst // g, src // g)(w.samples, want)
-    return Waveform(y.astype(np.float32), target_hz)
+    return Waveform(_resample_plan(dst // g, src // g)(w.samples, want), target_hz)
 
 
 # -- STFT / mel ------------------------------------------------------------
@@ -262,17 +283,35 @@ def frame_count(n_samples, n_fft=N_FFT, hop=HOP):
     return 1 + (n_samples - n_fft) // hop
 
 
-def _windowed_frames(samples, n_fft, hop):
-    """(windows, n_fft) Hann-weighted frames: every hop-th window of a strided
-    view of `samples`, left-aligned, no padding."""
+_STFT_BLOCK = 64  # frames per rfft call; the block's buffers (1 MB) stay in cache
+
+
+def _frames(samples, n_fft, hop):
+    """(windows, n_fft) view of every hop-th window of `samples`: left-aligned,
+    no padding, no copy."""
     frame_count(len(samples), n_fft, hop)
-    return sliding_window_view(samples, n_fft)[::hop] * _hann(n_fft)
+    return sliding_window_view(samples, n_fft)[::hop]
 
 
 def stft_magnitude(samples, n_fft=N_FFT, hop=HOP):
-    """(windows, n_fft//2+1) magnitude array; left-aligned frames, no padding."""
-    frames = _windowed_frames(np.asarray(samples, dtype=np.float64), n_fft, hop)
-    return np.abs(np.fft.rfft(frames, axis=1))
+    """(windows, n_fft//2+1) magnitude array; left-aligned frames, no padding.
+
+    Runs `_STFT_BLOCK` frames at a time through one windowed-frame buffer and
+    one spectrum buffer, so no whole-signal temporaries are built; float32
+    samples widen to float64 inside the window product.
+    """
+    frames = _frames(np.asarray(samples), n_fft, hop)
+    w = _hann(n_fft)
+    mag = np.empty((len(frames), n_fft // 2 + 1))
+    block = min(_STFT_BLOCK, len(frames))
+    windowed = np.empty((block, n_fft))
+    spec = np.empty((block, n_fft // 2 + 1), dtype=np.complex128)
+    for i in range(0, len(frames), block):
+        k = min(block, len(frames) - i)
+        np.multiply(frames[i:i + k], w, out=windowed[:k])
+        np.fft.rfft(windowed[:k], axis=1, out=spec[:k])
+        np.abs(spec[:k], out=mag[i:i + k])
+    return mag
 
 
 def hz_to_mel(f):
@@ -352,7 +391,7 @@ def griffin_lim(m, iters=60):
     x = None
     for _ in range(iters):
         x = _istft_from_complex(spec, N_FFT, m.hop)
-        re = np.fft.rfft(_windowed_frames(x, N_FFT, m.hop), axis=1)
+        re = np.fft.rfft(_frames(x, N_FFT, m.hop) * _hann(N_FFT), axis=1)
         phase = re / np.maximum(np.abs(re), 1e-12)
         spec = mag * phase
     peak = np.max(np.abs(x)) if len(x) else 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,27 @@ def test_mixed_rate_manifest_designs_each_filter_once():
             af.resample(af.Waveform(np.zeros(src // 10, np.float32), src), SR)
     info = af._resample_plan.cache_info()
     assert (info.misses, info.hits) == (len(rates), 2 * len(rates))
+
+
+def _peak_beyond_result_bytes(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
+
+
+def test_kernels_build_no_whole_signal_temporaries():
+    """`resample` and `stft_magnitude` work through a minute of audio in
+    buffers of well under 2 MB besides their result, so their cost does not
+    include faulting in fresh whole-signal arrays on every call."""
+    x = (0.3 * Rng(14).gaussian(60 * 44100)).astype(np.float32)
+    af.resample(af.Waveform(x[:100], 44100), SR)  # designs the FIR outside the trace
+    assert _peak_beyond_result_bytes(lambda: af.resample(af.Waveform(x, 44100), SR).samples) < 2e6
+    y = x[:60 * SR]
+    assert _peak_beyond_result_bytes(lambda: af.stft_magnitude(y)) < 2e6
 
 
 # -- griffin-lim -----------------------------------------------------------
