@@ -14,10 +14,12 @@ takes the dtype of the Var it meets (`v * 0.5` on a float32 `v` stays
 float32), so scalars never promote a graph; arrays keep their own dtype.
 
 `no_grad()` disables taping wholesale; sampling loops run inside it so the
-graph never grows.
+graph never grows. The switch is a context variable, so it holds for the
+thread (or asyncio task) that opened it and no other.
 """
 
 import contextlib
+import contextvars
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,18 +27,16 @@ from scipy.special import expit
 
 from .errors import DataError
 
-_grad_enabled = True
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def _unbroadcast(grad, shape):
@@ -63,7 +63,7 @@ def _node(data, parents, backward):
     """Output of an op: a Var taped to the parents that need a gradient, or a
     plain constant when none does (or taping is off)."""
     out = Var(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._prev = tuple(p for p in parents if p.requires_grad)
         out._backward = backward
@@ -79,7 +79,7 @@ class Var:
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
         self.grad = None
-        self.requires_grad = bool(requires_grad) and _grad_enabled
+        self.requires_grad = bool(requires_grad) and _grad_enabled.get()
         self._backward = None
         self._prev = ()
 

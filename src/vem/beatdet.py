@@ -144,7 +144,9 @@ def estimate_tempo(e):
 
 def track_beats(e, bpm):
     """Timestamps of a fixed-tempo beat grid at the phase that maximizes
-    summed envelope energy. Phase is searched at quarter-hop resolution.
+    summed envelope energy. Phase is searched at quarter-hop resolution, in
+    one pass: a (phases, beats) grid, row p + k*((p + period) - p) as
+    `np.arange` steps, masked at or past n - 1, one lerp gather, one row sum.
     """
     if not (_BPM_LO <= bpm <= _BPM_HI):
         raise DataError(f"bpm {bpm} outside supported range [{_BPM_LO}, {_BPM_HI}]")
@@ -153,14 +155,13 @@ def track_beats(e, bpm):
     period = 60.0 * rate / bpm  # hops per beat
     n = len(x)
 
-    def grid_energy(phase):
-        pos = np.arange(phase, n - 1, period)
-        lo = pos.astype(int)
-        frac = pos - lo
-        return float(np.sum(x[lo] * (1 - frac) + x[lo + 1] * frac))
-
     phases = np.arange(0.0, period, 0.25)
-    scores = [grid_energy(p) for p in phases]
+    step = (phases + period) - phases
+    pos = phases[:, None] + np.arange(np.ceil((n - 1) / period)) * step[:, None]
+    live = pos < n - 1
+    lo = np.where(live, pos, 0.0).astype(int)
+    frac = pos - lo
+    scores = np.where(live, x[lo] * (1 - frac) + x[lo + 1] * frac, 0.0).sum(axis=1)
     phase = float(phases[int(np.argmax(scores))])
 
     beats = np.arange(phase, n, period) / rate + e.t0_s

@@ -58,11 +58,6 @@ class Latent:
     n_windows: int = None  # pre-padding spectrogram windows, for exact decode
 
 
-def forward_step(z_prev, beta_t, eps):
-    """One step of the stepwise corruption: sqrt(1-beta) z + sqrt(beta) eps."""
-    return np.sqrt(1.0 - beta_t) * z_prev + np.sqrt(beta_t) * eps
-
-
 def q_sample(z0, t, eps, sched):
     """Closed-form corruption to step t."""
     if not 1 <= t <= sched.T:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from vem import audiofeat as af
 from vem.audiofeat import SAMPLE_RATE, Waveform
 from vem.parsing import (Storyboard, VideoAnnotation, build_frame_features,
                          toy_text_embed, toy_visual_embed)
@@ -93,3 +94,74 @@ def make_annotation(duration_s=10.0, bounds=(0.0, 4.0, 10.0), transitions=(4.0,)
     if with_frames:
         ann.frame_features = build_frame_features(ann)
     return ann
+
+
+def mel_center_freqs(n_mels=af.N_MELS, fmin=af.FMIN, fmax=af.FMAX):
+    """Centre frequency in Hz of each band of `audiofeat.mel_filterbank`."""
+    pts = af.mel_to_hz(np.linspace(af.hz_to_mel(fmin), af.hz_to_mel(fmax), n_mels + 2))
+    return pts[1:-1]
+
+
+def forward_step(z_prev, beta_t, eps):
+    """One step of the stepwise corruption: sqrt(1-beta) z + sqrt(beta) eps."""
+    return np.sqrt(1.0 - beta_t) * z_prev + np.sqrt(beta_t) * eps
+
+
+def logmel_float64(x):
+    """Reference log-mel of 16 kHz samples computed in float64 throughout:
+    index-gathered Hann frames, `numpy.fft.rfft`, magnitude, filterbank, log."""
+    x = np.asarray(x, dtype=np.float64)
+    idx = af.HOP * np.arange(af.frame_count(len(x)))[:, None] + np.arange(af.N_FFT)[None, :]
+    mag = np.abs(np.fft.rfft(x[idx] * af._hann(af.N_FFT), axis=1))
+    return np.log(mag @ af.mel_filterbank().T + af.LOG_FLOOR)
+
+
+def track_beats_loop(e, bpm):
+    """Reference beat grid: each quarter-hop phase scored by its own
+    `np.arange` grid and interpolated sum, one phase at a time."""
+    x = e.values.astype(np.float64)
+    rate = e.hop_rate_hz
+    period = 60.0 * rate / bpm
+    n = len(x)
+
+    def grid_energy(phase):
+        pos = np.arange(phase, n - 1, period)
+        lo = pos.astype(int)
+        frac = pos - lo
+        return float(np.sum(x[lo] * (1 - frac) + x[lo + 1] * frac))
+
+    phases = np.arange(0.0, period, 0.25)
+    scores = [grid_energy(p) for p in phases]
+    phase = float(phases[int(np.argmax(scores))])
+    beats = np.arange(phase, n, period) / rate + e.t0_s
+    return [float(t) for t in beats if t <= e.duration_s]
+
+
+def istft_loop(spec, n_fft, hop):
+    """Reference overlap-add inverse: frames added one at a time, the
+    squared-window normalization built alongside."""
+    w = af._hann(n_fft)
+    frames = np.fft.irfft(spec, n=n_fft, axis=1) * w[None, :]
+    n = n_fft + hop * (spec.shape[0] - 1)
+    out = np.zeros(n)
+    norm = np.zeros(n)
+    for i in range(spec.shape[0]):
+        s = i * hop
+        out[s:s + n_fft] += frames[i]
+        norm[s:s + n_fft] += w ** 2
+    return out / np.maximum(norm, 1e-8)
+
+
+def griffin_lim_loop(m, iters):
+    """Reference Griffin-Lim over `istft_loop`, rebuilding its normalization
+    on every iteration."""
+    amp = np.clip(np.exp(m.values.astype(np.float64)) - af.LOG_FLOOR, 0.0, None)
+    fb = af.mel_filterbank(m.n_mels, af.N_FFT, m.sample_rate_hz)
+    mag = np.clip(amp @ np.linalg.pinv(fb).T, 0.0, None)
+    spec = mag.astype(np.complex128)
+    for _ in range(iters):
+        x = istft_loop(spec, af.N_FFT, m.hop)
+        re = np.fft.rfft(af._frames(x, af.N_FFT, m.hop) * af._hann(af.N_FFT), axis=1)
+        spec = mag * (re / np.maximum(np.abs(re), 1e-12))
+    peak = np.max(np.abs(x))
+    return (x / peak if peak > 1.0 else x).astype(np.float32)

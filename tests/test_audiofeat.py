@@ -3,11 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import firwin, resample_poly
 
 from vem import audiofeat as af
 from vem.errors import DataError
 from vem.rng import Rng
+
+from helpers import griffin_lim_loop, logmel_float64, mel_center_freqs
 
 SR = af.SAMPLE_RATE
 
@@ -235,7 +238,7 @@ def test_logmel_silence_hits_floor():
 
 @pytest.mark.parametrize("k", [20, 30, 45])
 def test_logmel_center_tone_peaks_in_band(k):
-    freq = af.mel_center_freqs()[k]
+    freq = mel_center_freqs()[k]
     m = af.logmel(af.Waveform(sine(freq, 1.0), SR))
     assert (np.argmax(m.values, axis=1) == k).all()
 
@@ -258,13 +261,28 @@ def test_logmel_deterministic():
 
 
 def test_logmel_matches_gather_framing_oracle():
-    """The oracle framing, then the magnitude STFT, the filterbank and the
-    log, as the pipeline is defined: the same bits."""
-    x = (0.3 * Rng(12).gaussian(3 * SR + 300)).astype(np.float32)
-    mag = np.abs(np.fft.rfft(gathered_frames(x.astype(np.float64)), axis=1))
-    np.testing.assert_array_equal(af.stft_magnitude(x), mag)
-    ref = np.log(mag @ af.mel_filterbank().T + af.LOG_FLOOR).astype(np.float32)
-    np.testing.assert_array_equal(af.logmel(af.Waveform(x, SR)).values, ref)
+    """The oracle framing, then the float32 magnitude STFT, the filterbank
+    and the log, as the pipeline is defined: the same bits at any number of
+    blocks and any remainder."""
+    fb = af.mel_filterbank().astype(np.float32)
+    for frames in (1, 16, 65, 66, 185, 809):
+        x = (0.3 * Rng(12).gaussian(af.N_FFT + af.HOP * (frames - 1) + 100)).astype(np.float32)
+        idx = af.HOP * np.arange(frames)[:, None] + np.arange(af.N_FFT)[None, :]
+        mag = np.abs(scipy.fft.rfft(x[idx] * af._hann(af.N_FFT).astype(np.float32), axis=1))
+        np.testing.assert_array_equal(af.stft_magnitude(x), mag)
+        ref = np.log(mag @ fb.T + np.float32(af.LOG_FLOOR))
+        np.testing.assert_array_equal(af.logmel(af.Waveform(x, SR)).values, ref)
+
+
+def test_logmel_float32_stays_near_float64_reference(synth_pair, small_corpus):
+    """The float32 analysis moves a log-mel by far less than the PCM16
+    quantization of its input does (up to 0.14), on synthetic clips and on
+    noise."""
+    clips = [synth_pair[1].samples] + [w.samples for _, w in small_corpus]
+    for x in clips + [(0.3 * Rng(15).gaussian(5 * SR)).astype(np.float32)]:
+        got = af.logmel(af.Waveform(x, SR)).values
+        assert got.dtype == np.float32
+        assert np.abs(got - logmel_float64(x)).max() <= 1e-3
 
 
 def test_mel_filterbank_returns_fresh_writable_array():
@@ -279,7 +297,8 @@ def test_mel_filterbank_returns_fresh_writable_array():
 
 def test_cached_constants_are_read_only_and_bounded():
     plan = af._resample_plan(160, 441)
-    cached = ([af._hann(af.N_FFT), af._mel_fb(af.N_MELS, af.N_FFT, SR)]
+    cached = ([af._hann(af.N_FFT), af._mel_fb(af.N_MELS, af.N_FFT, SR),
+               af._hann(af.N_FFT, np.float32), af._mel_fb(af.N_MELS, af.N_FFT, SR, np.float32)]
               + [taps for _, _, taps in plan.blocks])
     for a in cached:
         with pytest.raises(ValueError):
@@ -347,6 +366,16 @@ def test_griffin_lim_iteration_improves():
         n = min(back.values.shape[0], m.values.shape[0])
         return float(np.abs(back.values[:n] - m.values[:n]).mean())
     assert err(60) <= err(1) + 1e-9
+
+
+@pytest.mark.parametrize("hop", [af.HOP, 300])
+def test_griffin_lim_matches_frame_loop(hop):
+    """Segment slice-adds and a normalization built once per call give the
+    bits of adding one frame at a time, also when the hop does not divide
+    the window."""
+    x = (0.3 * Rng(16).gaussian(12 * SR)).astype(np.float32)
+    m = af.MelSpectrogram(af.logmel(af.Waveform(x, SR)).values, hop, SR, af.N_MELS)
+    np.testing.assert_array_equal(af.griffin_lim(m, iters=3).samples, griffin_lim_loop(m, 3))
 
 
 def test_griffin_lim_rejects_zero_iters():

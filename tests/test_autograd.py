@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,34 @@ def test_no_grad_suppresses_tape():
         out = (v * 2.0).sum()
     assert not out.requires_grad
     assert out._backward is None
+
+
+def test_no_grad_holds_only_in_its_own_thread():
+    """One thread holding `no_grad()` open does not stop another thread's ops
+    from taping."""
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with ag.no_grad():
+            entered.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert entered.wait(10)
+        result = {}
+        worker = threading.Thread(target=lambda: result.update(
+            out=(ag.param(np.ones(3)) * 2.0).sum(), leaf=ag.param(np.ones(2))))
+        worker.start()
+        worker.join(10)
+        assert not worker.is_alive()
+    finally:
+        release.set()
+        holder.join(10)
+    assert not holder.is_alive()
+    assert result["out"].requires_grad and result["out"]._prev
+    assert result["leaf"].requires_grad
 
 
 def test_getitem_scatter():

@@ -7,7 +7,7 @@ from vem.errors import DataError
 from vem.rng import Rng
 from vem.timeline import TimestampSet, f_measure
 
-from helpers import click_track
+from helpers import click_track, track_beats_loop
 
 SR = af.SAMPLE_RATE
 
@@ -99,6 +99,28 @@ def test_track_beats_rejects_bpm_outside_range():
     env = bd.OnsetEnvelope(np.ones(500), 62.5)
     with pytest.raises(DataError):
         bd.track_beats(env, 20.0)
+
+
+def test_track_beats_matches_per_phase_loop():
+    """The one-pass phase search picks the grid that scoring each phase on its
+    own `np.arange` grid picks, across the tempo range."""
+    r = Rng(21)
+    for bpm in np.linspace(50.0, 220.0, 23):  # most periods fall off the quarter-hop lattice
+        n = int(r.integers(300, 2000)[0])
+        env = bd.OnsetEnvelope(r.uniform(n) ** 4, 62.5, t0_s=0.032)
+        assert bd.track_beats(env, bpm) == track_beats_loop(env, bpm)
+
+
+def test_track_beats_grid_point_on_last_sample():
+    """At 100 BPM and 62.5 Hz a beat is 37.5 hops. With 76 samples, phase 0's
+    third grid point lands exactly on index n - 1 = 75; with 77, phase 1.0's
+    lands on 76. Neither may be scored, since it has no right neighbour."""
+    r = Rng(22)
+    for n in (76, 77):
+        for _ in range(10):
+            env = bd.OnsetEnvelope(r.uniform(n), 62.5)
+            assert bd.track_beats(env, 100.0) == track_beats_loop(env, 100.0)
+    assert bd.track_beats(bd.OnsetEnvelope(np.zeros(1), 62.5), 100.0) == [0.0]
 
 
 def test_shift_equivariance():

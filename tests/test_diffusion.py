@@ -9,6 +9,8 @@ from vem.errors import DataError
 from vem.rng import Rng
 from vem.sgcatt import ConditionBundle, StoryboardMask
 
+from helpers import forward_step
+
 
 # -- schedule --------------------------------------------------------------
 
@@ -85,7 +87,7 @@ def test_stepwise_and_closed_form_agree_in_distribution():
     r = Rng(123)
     z = np.full(n, z0)
     for t in range(1, T + 1):
-        z = df.forward_step(z, s.beta[t - 1], r.gaussian((n,)))
+        z = forward_step(z, s.beta[t - 1], r.gaussian((n,)))
     ab = s.abar(T)
     want_mean = np.sqrt(ab) * z0
     want_var = 1.0 - ab
