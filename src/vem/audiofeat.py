@@ -326,10 +326,11 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sr=SAMPLE_RATE, fmin=FMIN, fmax=FMAX):
-    """(n_mels, n_fft//2+1) triangular filters, unit peak, HTK mel spacing."""
+def mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sr=SAMPLE_RATE):
+    """(n_mels, n_fft//2+1) triangular filters, unit peak, HTK mel spacing
+    from FMIN to FMAX."""
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / sr)
-    pts = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+    pts = mel_to_hz(np.linspace(hz_to_mel(FMIN), hz_to_mel(FMAX), n_mels + 2))
     fb = np.zeros((n_mels, len(freqs)))
     for m in range(n_mels):
         lo, mid, hi = pts[m], pts[m + 1], pts[m + 2]
@@ -341,20 +342,21 @@ def mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sr=SAMPLE_RATE, fmin=FMIN, fmax=F
 
 @functools.lru_cache(maxsize=4)
 def _mel_fb(n_mels, n_fft, sr, dtype=np.float64):
-    """`mel_filterbank` with the default band edges, cast, read-only."""
+    """`mel_filterbank`, cast, read-only."""
     return _frozen(mel_filterbank(n_mels, n_fft, sr).astype(dtype))
 
 
-def logmel(w, n_fft=N_FFT, hop=HOP, n_mels=N_MELS):
-    """Log-amplitude mel spectrogram of a 16 kHz waveform: a float32 GEMM of
-    the float32 magnitudes, then the floor and log in place (module docstring)."""
+def logmel(w):
+    """Log-amplitude mel spectrogram of a 16 kHz waveform at N_FFT, HOP and
+    N_MELS: a float32 GEMM of the float32 magnitudes, then the floor and log
+    in place (module docstring)."""
     if w.sample_rate_hz != SAMPLE_RATE:
         raise DataError(f"expected {SAMPLE_RATE} Hz input, got {w.sample_rate_hz} (resample first)")
-    fb = _mel_fb(n_mels, n_fft, w.sample_rate_hz, np.float32)
-    vals = stft_magnitude(w.samples, n_fft, hop) @ fb.T
+    fb = _mel_fb(N_MELS, N_FFT, SAMPLE_RATE, np.float32)
+    vals = stft_magnitude(w.samples) @ fb.T
     vals += np.float32(LOG_FLOOR)
     np.log(vals, out=vals)
-    return MelSpectrogram(vals, hop, w.sample_rate_hz, n_mels)
+    return MelSpectrogram(vals, HOP, SAMPLE_RATE, N_MELS)
 
 
 # -- inversion -------------------------------------------------------------
@@ -406,19 +408,20 @@ def griffin_lim(m, iters=60):
 # -- curation signal quality ----------------------------------------------
 
 
-def estimate_snr(w, frame_len=1024):
-    """SNR estimate in dB: mean frame energy over 10th-percentile frame energy.
+def estimate_snr(w):
+    """SNR estimate in dB: mean frame energy over 10th-percentile frame energy,
+    over whole 1024-sample frames.
 
     The noise floor is read from the quietest frames, so the measure needs
     material with gaps or beds between events; a wall-to-wall constant tone
     scores near 0 dB by design. Digital silence (zero noise floor) returns
-    +inf, which gates treat as a pass.
+    +inf, which gates treat as a pass. Energies accumulate in float64 from a
+    float32 view of the frames, so no whole-signal copy is made.
     """
-    x = w.samples.astype(np.float64)
-    if len(x) < w.sample_rate_hz:
+    if len(w.samples) < w.sample_rate_hz:
         raise DataError("need at least 1 s of audio for an SNR estimate")
-    n = (len(x) // frame_len) * frame_len
-    energy = (x[:n].reshape(-1, frame_len) ** 2).mean(axis=1)
+    f = w.samples[:len(w.samples) // 1024 * 1024].reshape(-1, 1024)
+    energy = np.einsum("ij,ij->i", f, f, dtype=np.float64) / 1024
     p_signal = float(energy.mean())
     p_noise = float(np.percentile(energy, 10))
     if p_noise <= 0.0:

@@ -367,9 +367,6 @@ class Module:
         for p in self.params():
             p.grad = None
 
-    def num_params(self):
-        return sum(p.data.size for p in self.params())
-
     def state_dict(self):
         return {name: p.data.copy() for name, p in self.named_params()}
 

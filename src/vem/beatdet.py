@@ -20,8 +20,6 @@ from .audiofeat import N_FFT
 from .errors import DataError
 from .timeline import TimestampSet
 
-FRAME_FPS = 16.0  # rasterization rate for event timelines
-
 _BPM_LO, _BPM_HI = 50.0, 220.0
 _BPM_PREF_LO, _BPM_PREF_HI = 80.0, 160.0
 

@@ -1,4 +1,4 @@
-"""Corpus curation: quality gates, beat alignment, clip segmentation, and
+"""Corpus curation: the quality gate that admits a (video, music) pair, and
 the synthetic paired corpus used for end-to-end experiments.
 
 The synthetic generator builds miniature "edited videos": a click track at a
@@ -16,7 +16,7 @@ from .audiofeat import SAMPLE_RATE, Waveform, estimate_snr
 from .errors import DataError
 from .parsing import Storyboard, VideoAnnotation, toy_text_embed, toy_visual_embed
 from .rng import Rng
-from .timeline import DEFAULT_FPS, TimestampSet, align_to_nearest_beat
+from .timeline import DEFAULT_FPS, TimestampSet
 
 
 @dataclasses.dataclass
@@ -24,14 +24,10 @@ class CurationRule:
     min_snr_db: float = 20.0
     max_duration_s: float = 120.0
     max_shots: int = 20
-    clip_len_range_s: tuple = (20.0, 60.0)
-    clip_shot_range: tuple = (2, 20)
 
     def __post_init__(self):
         if self.min_snr_db <= 0 or self.max_duration_s <= 0 or self.max_shots <= 0:
             raise DataError("curation thresholds must be positive")
-        if self.clip_len_range_s[0] >= self.clip_len_range_s[1] or self.clip_shot_range[0] > self.clip_shot_range[1]:
-            raise DataError("curation ranges must be non-empty")
 
 
 def gate(pair, rules=None):
@@ -47,102 +43,6 @@ def gate(pair, rules=None):
     if ann.shot_count > rules.max_shots:
         reasons.append(f"shots: {ann.shot_count} exceeds {rules.max_shots}")
     return (not reasons), reasons
-
-
-def align_pair(ann, beats):
-    """Snap transitions to their nearest beats; storyboard boundaries that
-    sat on a moved transition move with it (continuity rule), everything
-    else stays put.
-    """
-    if len(beats) == 0:
-        raise DataError("cannot align to an empty beat set")
-    moved = {}
-    for t in ann.transitions.times_s:
-        snapped = align_to_nearest_beat(TimestampSet([t], ann.duration_s), beats)
-        moved[t] = snapped.times_s[0]
-    new_tr = TimestampSet(sorted(set(moved.values())), ann.duration_s)
-
-    bounds = [s.start_s for s in ann.storyboards] + [ann.storyboards[-1].end_s]
-    new_bounds = []
-    for b in bounds:
-        hit = next((t for t in moved if abs(t - b) < 1e-6), None)
-        new_bounds.append(moved[hit] if hit is not None else b)
-    sbs = []
-    for i, sb in enumerate(ann.storyboards):
-        start, end = new_bounds[i], new_bounds[i + 1]
-        if end - start <= 0:
-            raise DataError(f"alignment collapsed storyboard {i} to non-positive duration")
-        sbs.append(dataclasses.replace(sb, start_s=start, duration_s=end - start))
-    return dataclasses.replace(ann, transitions=new_tr, storyboards=sbs)
-
-
-def _clip_annotation(ann, t0, t1, suffix):
-    """Restrict an annotation to [t0, t1) and re-zero its clock."""
-    dur = t1 - t0
-    sbs = []
-    for sb in ann.storyboards:
-        lo, hi = max(sb.start_s, t0), min(sb.end_s, t1)
-        if hi - lo > 1e-9:
-            sbs.append(dataclasses.replace(
-                sb, index=len(sbs), start_s=lo - t0, duration_s=hi - lo))
-    tr = [t - t0 for t in ann.transitions.times_s if t0 <= t < t1]
-    ff = ann.frame_features
-    if ff is not None:
-        a = int(np.floor(t0 * DEFAULT_FPS))
-        b = min(int(np.ceil(t1 * DEFAULT_FPS)), ff.shape[1])
-        ff = ff[:, a:b]
-        want = int(np.ceil(dur * DEFAULT_FPS))
-        if ff.shape[1] > want:
-            ff = ff[:, :want]
-        elif ff.shape[1] < want:
-            ff = np.pad(ff, ((0, 0), (0, want - ff.shape[1])))
-    return dataclasses.replace(
-        ann, video_id=f"{ann.video_id}_{suffix}", duration_s=dur,
-        storyboards=sbs, transitions=TimestampSet(tr, dur), frame_features=ff)
-
-
-def segment_clips(ann, beats, rules=None):
-    """Cut a long video into clips on beat timestamps, greedy left-to-right.
-
-    Each cut takes the LATEST beat that keeps the clip inside the length
-    range with an admissible shot count; a tail shorter than the minimum is
-    discarded. A video already inside the length range comes back whole.
-    """
-    rules = rules or CurationRule()
-    lo, hi = rules.clip_len_range_s
-    smin, smax = rules.clip_shot_range
-
-    def shots_in(t0, t1):
-        return sum(1 for s in ann.storyboards if min(s.end_s, t1) - max(s.start_s, t0) > 1e-9)
-
-    def check_shots(t0, t1):
-        n = shots_in(t0, t1)
-        return smin <= n <= smax
-
-    if ann.duration_s <= hi:
-        if ann.duration_s < lo:
-            raise DataError(f"length: video of {ann.duration_s:.1f} s is shorter than {lo:.0f} s")
-        if not check_shots(0.0, ann.duration_s):
-            raise DataError(f"shot range: video has {shots_in(0, ann.duration_s)} shots, "
-                            f"need {smin}-{smax}")
-        return [ann]
-
-    bt = sorted(beats.times_s)
-    clips = []
-    cur = 0.0
-    while ann.duration_s - cur > hi:
-        cands = [b for b in bt if lo <= b - cur <= hi and check_shots(cur, b)]
-        if not cands:
-            in_len = [b for b in bt if lo <= b - cur <= hi]
-            what = "shot range" if in_len else "length: no beat inside the clip window"
-            raise DataError(f"no valid cut after {cur:.1f} s ({what} unsatisfiable)")
-        nxt = cands[-1]
-        clips.append(_clip_annotation(ann, cur, nxt, f"clip{len(clips)}"))
-        cur = nxt
-    rem = ann.duration_s - cur
-    if rem >= lo and check_shots(cur, ann.duration_s):
-        clips.append(_clip_annotation(ann, cur, ann.duration_s, f"clip{len(clips)}"))
-    return clips
 
 
 # -- synthetic corpus ------------------------------------------------------

@@ -149,7 +149,7 @@ def latent_encode(m):
     return Latent(z, LATENT_FPS, n_windows=w)
 
 
-def latent_decode(z, n_windows=None):
+def latent_decode(z):
     """Latent -> MelSpectrogram, inverting the permutation bit-exactly and
     cropping any encode-time padding."""
     vals = np.asarray(z.values, dtype=np.float32)
@@ -157,9 +157,8 @@ def latent_decode(z, n_windows=None):
         raise DataError(f"latent has {vals.shape[0]} channels, codec expects {LATENT_CHANNELS}")
     patches = (_SIGNS[:, None] * vals)[_INV_PERM]               # undo sign then perm
     mel = patches.T.reshape(vals.shape[1] * PATCH, N_MELS)
-    keep = n_windows if n_windows is not None else z.n_windows
-    if keep is not None:
-        mel = mel[:keep]
+    if z.n_windows is not None:
+        mel = mel[:z.n_windows]
     return MelSpectrogram(mel, HOP, SAMPLE_RATE, N_MELS)
 
 

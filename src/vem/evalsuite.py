@@ -16,18 +16,6 @@ from .numcore import frechet_gaussian
 
 
 @dataclasses.dataclass
-class EmbeddingSet:
-    """Per-sample embedding vectors or class-probability rows, (M, D)."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        if self.rows.ndim != 2:
-            raise DataError(f"embedding set must be 2-D, got shape {self.rows.shape}")
-
-
-@dataclasses.dataclass
 class StoryboardScores:
     scores: list      # per-storyboard scalar
     durations: list   # matching d_i, seconds
@@ -54,8 +42,6 @@ def tw_score(s):
 
 
 def _as_matrix(x, name):
-    if isinstance(x, EmbeddingSet):
-        return x.rows
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise DataError(f"{name} must be a 2-D (samples, dim) matrix, got shape {m.shape}")

@@ -152,7 +152,7 @@ def _number(doc, field, path):
     return val
 
 
-def load_manifest(path, feature_dim=FEATURE_DIM):
+def load_manifest(path):
     """Read and validate a manifest; attach features from the sidecar or the
     toy embedders. Raises ManifestError naming the offending field.
     """
@@ -192,8 +192,8 @@ def load_manifest(path, feature_dim=FEATURE_DIM):
                                      f"got shape {v.shape}")
         return v
 
-    caption_feat = feat("caption_feat", lambda: toy_text_embed(caption, feature_dim))
-    tag_feat = feat("tag_feat", lambda: toy_text_embed(" ".join(map(str, tags)), feature_dim))
+    caption_feat = feat("caption_feat", lambda: toy_text_embed(caption))
+    tag_feat = feat("tag_feat", lambda: toy_text_embed(" ".join(map(str, tags))))
 
     raw_sbs = _require(doc, "storyboards", "")
     if not isinstance(raw_sbs, list) or not raw_sbs:
@@ -216,8 +216,8 @@ def load_manifest(path, feature_dim=FEATURE_DIM):
         prev_end = start + dur
         sbs.append(Storyboard(
             index=i, start_s=float(start), duration_s=float(dur), text=text,
-            text_feat=feat(f"storyboard.{i}.text_feat", lambda t=text: toy_text_embed(t, feature_dim)),
-            visual_feat=feat(f"storyboard.{i}.visual_feat", lambda t=text: toy_visual_embed(t, feature_dim)),
+            text_feat=feat(f"storyboard.{i}.text_feat", lambda t=text: toy_text_embed(t)),
+            visual_feat=feat(f"storyboard.{i}.visual_feat", lambda t=text: toy_visual_embed(t)),
         ))
 
     dims = {len(caption_feat), len(tag_feat)}
@@ -243,10 +243,11 @@ def load_manifest(path, feature_dim=FEATURE_DIM):
     )
 
 
-def save_manifest(path, ann, with_features=True):
+def save_manifest(path, ann):
     """Write the manifest JSON; feature vectors go to a sidecar next to it so
     a round-trip restores them exactly.
     """
+    sidecar = os.path.splitext(path)[0] + ".feat.vemt"
     doc = {
         "video_id": ann.video_id,
         "duration_s": ann.duration_s,
@@ -256,44 +257,40 @@ def save_manifest(path, ann, with_features=True):
             for s in ann.storyboards
         ],
         "transitions_s": list(ann.transitions.times_s),
+        "features": os.path.basename(sidecar),
     }
-    if with_features:
-        sidecar = os.path.splitext(path)[0] + ".feat.vemt"
-        tensors = {"caption_feat": ann.caption_feat, "tag_feat": ann.tag_feat}
-        for s in ann.storyboards:
-            tensors[f"storyboard.{s.index}.text_feat"] = s.text_feat
-            tensors[f"storyboard.{s.index}.visual_feat"] = s.visual_feat
-        if ann.frame_features is not None:
-            tensors["frame_features"] = ann.frame_features
-        save_tensors(sidecar, tensors)
-        doc["features"] = os.path.basename(sidecar)
+    tensors = {"caption_feat": ann.caption_feat, "tag_feat": ann.tag_feat}
+    for s in ann.storyboards:
+        tensors[f"storyboard.{s.index}.text_feat"] = s.text_feat
+        tensors[f"storyboard.{s.index}.visual_feat"] = s.visual_feat
+    if ann.frame_features is not None:
+        tensors["frame_features"] = ann.frame_features
+    save_tensors(sidecar, tensors)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
 
 
-def build_frame_features(ann, channels=8, fps=DEFAULT_FPS):
-    """Derive a (channels, frames) feature matrix from the annotation alone,
-    for manifests without a precomputed frame_features sidecar entry.
+def build_frame_features(ann):
+    """Derive an (8, frames) feature matrix at DEFAULT_FPS from the annotation
+    alone, for manifests without a precomputed frame_features sidecar entry.
 
     Channel 0 carries a transition impulse smeared over one frame each side;
-    the rest encode storyboard phase/index so the matrix is not degenerate.
+    channels 1-3 encode storyboard phase/index and clip position so the
+    matrix is not degenerate; the rest stay zero.
     """
-    n = int(np.ceil(ann.duration_s * fps))
-    out = np.zeros((channels, n), dtype=np.float32)
+    n = int(np.ceil(ann.duration_s * DEFAULT_FPS))
+    out = np.zeros((8, n), dtype=np.float32)
     for t in ann.transitions.times_s:
-        idx = min(int(np.floor(t * fps)), n - 1)
+        idx = min(int(np.floor(t * DEFAULT_FPS)), n - 1)
         out[0, idx] = 1.0
         if idx > 0:
             out[0, idx - 1] = max(out[0, idx - 1], 0.5)
         if idx + 1 < n:
             out[0, idx + 1] = max(out[0, idx + 1], 0.5)
-    times = (np.arange(n) + 0.5) / fps
+    times = (np.arange(n) + 0.5) / DEFAULT_FPS
     for s in ann.storyboards:
         inside = (times >= s.start_s) & (times < s.end_s)
-        if channels > 1:
-            out[1, inside] = (times[inside] - s.start_s) / s.duration_s
-        if channels > 2:
-            out[2, inside] = (s.index + 1) / max(len(ann.storyboards), 1)
-    if channels > 3:
-        out[3] = times / max(ann.duration_s, 1e-9)
+        out[1, inside] = (times[inside] - s.start_s) / s.duration_s
+        out[2, inside] = (s.index + 1) / max(len(ann.storyboards), 1)
+    out[3] = times / max(ann.duration_s, 1e-9)
     return out

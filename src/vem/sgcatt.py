@@ -85,17 +85,14 @@ def zero_conditions(ann, dim):
                            spans, n)
 
 
-def build_mask(ann, latent_len, latent_fps, strict=True):
+def build_mask(ann, latent_len, latent_fps):
     """Base-resolution mask: position x (time x / latent_fps) sees token y
     iff that time lies in y's storyboard interval.
 
-    strict=False skips the length check for latents produced by the codec,
-    which run one frame short of ceil(duration * fps) because STFT framing
-    drops the partial window at the clip tail.
+    Latents produced by the codec run one frame short of
+    ceil(duration * fps), because STFT framing drops the partial window at
+    the clip tail; the sampler's latents run the full ceil(duration * fps).
     """
-    want = int(np.ceil(ann.duration_s * latent_fps))
-    if strict and latent_len != want:
-        raise DataError(f"latent_len {latent_len} != ceil(duration * latent_fps) = {want}")
     times = np.arange(latent_len) / latent_fps
     grid = np.zeros((latent_len, len(ann.storyboards) * TOKENS_PER_STORYBOARD), dtype=np.uint8)
     for i, sb in enumerate(ann.storyboards):

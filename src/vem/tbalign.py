@@ -43,12 +43,6 @@ class AlignerNet(ag.Module):
         logits = self.head(h)                         # (frames, 1)
         return h.transpose(), logits.reshape(x.shape[1])
 
-    def predict(self, frame_features):
-        """Per-frame match probabilities, graph-free."""
-        with ag.no_grad():
-            _, logits = self.forward(frame_features)
-        return 1.0 / (1.0 + np.exp(-logits.data.astype(np.float64)))
-
 
 def aligner_loss(net, frame_features, label_frames):
     """Mean BCE over frames, computed from logits in the stable form."""

@@ -1,8 +1,8 @@
 """Event-timeline algebra on a 16 fps frame grid.
 
 Events live as continuous timestamps for as long as possible and are only
-rasterized (frame = floor(t * fps)) at the last step, so sub-frame shifts
-survive alignment operations. Matching between two timestamp sets is greedy
+rasterized (frame = floor(t * fps)) at the last step, so sub-frame offsets
+survive until the timelines are compared. Matching between two timestamp sets is greedy
 ascending one-to-one within a symmetric tolerance; on sorted inputs with
 interval constraints this attains the maximum matching, which the test suite
 cross-checks against a brute-force bipartite oracle.
@@ -106,24 +106,6 @@ def transitions_beats_iou(tv, bm, tol_s=DEFAULT_TOL_S):
     return beats_iou(tv, bm, tol_s)
 
 
-def align_to_nearest_beat(transitions, beats):
-    """Snap each transition to its nearest beat (ties to the earlier beat);
-    result deduplicated and sorted.
-    """
-    if len(beats) == 0:
-        raise DataError("cannot align to an empty beat set")
-    bt = np.asarray(beats.times_s)
-    out = []
-    for t in transitions.times_s:
-        i = int(np.searchsorted(bt, t))
-        cands = [c for c in (i - 1, i) if 0 <= c < len(bt)]
-        # min() keeps the first (earlier) candidate on distance ties
-        best = min(cands, key=lambda c: abs(bt[c] - t))
-        out.append(float(bt[best]))
-    dedup = sorted(set(out))
-    return TimestampSet(dedup, transitions.duration_s)
-
-
 def f_measure(reference, estimate, tol_s=0.07):
     """Beat-tracking F-measure at the given tolerance (default 70 ms)."""
     if len(reference) == 0 and len(estimate) == 0:
@@ -141,15 +123,6 @@ def f_measure(reference, estimate, tol_s=0.07):
 # -- JSON form -------------------------------------------------------------
 
 
-def save_events_json(path, ts, fps=DEFAULT_FPS):
+def save_events_json(path, ts):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"fps": fps, "duration_s": ts.duration_s, "events": ts.times_s}, fh)
-
-
-def load_events_json(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key in ("fps", "duration_s", "events"):
-        if key not in doc:
-            raise DataError(f"events file missing key {key!r}")
-    return TimestampSet(sorted(doc["events"]), doc["duration_s"]), float(doc["fps"])
+        json.dump({"fps": DEFAULT_FPS, "duration_s": ts.duration_s, "events": ts.times_s}, fh)

@@ -90,7 +90,7 @@ def train_stage_aligner(corpus, cfg):
 
 def _prepare_latents(corpus):
     """Encode every waveform; returns (items, mean, std) with items holding
-    standardized latents and strict=False masks on the codec clock."""
+    standardized latents and masks on the codec clock."""
     items = []
     allvals = []
     for ann, wav in corpus:
@@ -105,7 +105,7 @@ def _prepare_latents(corpus):
     for it in items:
         z = it["latent"]
         it["z0"] = ((z.values - mean) / std).astype(np.float32)
-        it["mask"] = build_mask(it["ann"], z.values.shape[1], LATENT_FPS, strict=False)
+        it["mask"] = build_mask(it["ann"], z.values.shape[1], LATENT_FPS)
     return items, mean, std
 
 

@@ -330,14 +330,16 @@ def _peak_beyond_result_bytes(fn):
 
 
 def test_kernels_build_no_whole_signal_temporaries():
-    """`resample` and `stft_magnitude` work through a minute of audio in
-    buffers of well under 2 MB besides their result, so their cost does not
-    include faulting in fresh whole-signal arrays on every call."""
+    """`resample`, `stft_magnitude` and `estimate_snr` work through a minute of
+    audio in buffers of well under 2 MB besides their result, so their cost
+    does not include faulting in fresh whole-signal arrays on every call."""
     x = (0.3 * Rng(14).gaussian(60 * 44100)).astype(np.float32)
     af.resample(af.Waveform(x[:100], 44100), SR)  # designs the FIR outside the trace
     assert _peak_beyond_result_bytes(lambda: af.resample(af.Waveform(x, 44100), SR).samples) < 2e6
     y = x[:60 * SR]
     assert _peak_beyond_result_bytes(lambda: af.stft_magnitude(y)) < 2e6
+    w = af.Waveform(y, SR)
+    assert _peak_beyond_result_bytes(lambda: np.float64(af.estimate_snr(w))) < 2e6
 
 
 # -- griffin-lim -----------------------------------------------------------

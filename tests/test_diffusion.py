@@ -277,7 +277,7 @@ def test_codec_preserves_norm():
 def test_codec_pad_region_is_log_floor():
     m = spectro(50, seed=4)
     z = df.latent_encode(m)
-    full = df.latent_decode(z, n_windows=52)
+    full = df.latent_decode(df.Latent(z.values, z.latent_fps, n_windows=52))
     np.testing.assert_allclose(full.values[50:], np.log(LOG_FLOOR), rtol=1e-6)
 
 
@@ -292,5 +292,5 @@ def test_codec_rejects_wrong_geometry():
 def test_codec_decode_explicit_crop_overrides():
     m = spectro(48, seed=6)
     z = df.latent_encode(m)
-    cropped = df.latent_decode(z, n_windows=40)
+    cropped = df.latent_decode(df.Latent(z.values, z.latent_fps, n_windows=40))
     np.testing.assert_array_equal(cropped.values, m.values[:40])

@@ -106,16 +106,6 @@ def test_frechet_errors():
         ev.frechet_distance(r.gaussian((4, 2, 2)), r.gaussian((10, 2)))
 
 
-def test_embedding_set_wraps_and_validates():
-    s = ev.EmbeddingSet([[1.0, 2.0], [3.0, 4.0]])
-    assert s.rows.dtype == np.float64
-    with pytest.raises(DataError):
-        ev.EmbeddingSet(np.zeros(3))
-    a = ev.EmbeddingSet(Rng(8).gaussian((20, 2)))
-    b = ev.EmbeddingSet(Rng(9).gaussian((20, 2)))
-    assert ev.frechet_distance(a, b) >= 0.0
-
-
 # -- inception_score -------------------------------------------------------
 
 

@@ -217,7 +217,7 @@ def test_round_trip_structural_equality(tmp_path):
     ann = make_annotation(duration_s=12.0, bounds=(0.0, 3.0, 7.5, 12.0),
                           transitions=(3.0, 7.5), video_id="rt")
     path = tmp_path / "rt.json"
-    ps.save_manifest(path, ann, with_features=True)
+    ps.save_manifest(path, ann)
     back = ps.load_manifest(path)
     assert back.video_id == ann.video_id
     assert back.duration_s == ann.duration_s
@@ -273,7 +273,7 @@ def test_malformed_sidecar_feature_named(tmp_path, key, value):
 def test_build_frame_features_shape_and_impulses():
     ann = make_annotation(duration_s=10.0, bounds=(0.0, 4.0, 10.0),
                           transitions=(4.0,), with_frames=False)
-    ff = ps.build_frame_features(ann, channels=8)
+    ff = ps.build_frame_features(ann)
     assert ff.shape == (8, 160)
     assert ff[0, 64] == 1.0  # floor(4.0 * 16)
     assert ff[0, 63] == 0.5 and ff[0, 65] == 0.5

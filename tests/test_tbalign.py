@@ -35,13 +35,6 @@ def test_forward_rejects_wrong_dim():
         net.forward(np.zeros((5, 20)))
 
 
-def test_predict_probabilities():
-    net = tb.AlignerNet(4, hidden=4, rng=Rng(1))
-    p = net.predict(Rng(2).gaussian((4, 15)))
-    assert p.shape == (15,)
-    assert (p > 0).all() and (p < 1).all()
-
-
 def test_aligner_gradients_match_fd():
     net = tb.AlignerNet(3, hidden=4, rng=Rng(5), dtype=np.float64)
     feats = Rng(6).gaussian((3, 7))

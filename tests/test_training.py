@@ -239,7 +239,7 @@ def test_training_loss_tapes_only_float32(corpus):
     ann, wav = corpus[0]
     cfg = tiny_cfg()
     z0 = latent_encode(logmel(wav)).values.astype(np.float32)
-    mask = build_mask(ann, z0.shape[1], LATENT_FPS, strict=False)
+    mask = build_mask(ann, z0.shape[1], LATENT_FPS)
     unet = TUNet(z0.shape[0], cfg.feature_dim, widths=(8, 12), temb_dim=16, rng=Rng(1))
     unet.attach_adapters(cfg.aligner_hidden)
     temb = TimeEmbedder(cfg.feature_dim, hidden=cfg.time_hidden, rng=Rng(2))
