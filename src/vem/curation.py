@@ -51,15 +51,15 @@ def gate(pair, rules=None):
 @dataclasses.dataclass
 class SynthConfig:
     duration_range_s: tuple = (10.0, 16.0)
-    tempo_range_bpm: tuple = (90.0, 140.0)
-    storyboard_range: tuple = (2, 4)
-    feature_channels: int = 8
-    click_amp: float = 0.6
-    bed_amp: float = 0.12
-    noise_amp: float = 5e-4
-    am_rate_hz: float = 0.35
 
 
+TEMPO_RANGE_BPM = (90.0, 140.0)
+STORYBOARD_RANGE = (2, 4)
+FEATURE_CHANNELS = 8
+CLICK_AMP = 0.6
+BED_AMP = 0.12
+NOISE_AMP = 5e-4
+AM_RATE_HZ = 0.35
 _MOODS = ("calm", "bright", "driving", "dark", "warm", "tense")
 _ROOTS = (220.0, 277.18, 329.63, 392.0)
 
@@ -68,7 +68,7 @@ def synth_item(item_rng, cfg):
     """One (annotation, waveform) pair from a dedicated random stream."""
     lo, hi = cfg.duration_range_s
     duration = lo + (hi - lo) * float(item_rng.uniform(1)[0])
-    t_lo, t_hi = cfg.tempo_range_bpm
+    t_lo, t_hi = TEMPO_RANGE_BPM
     tempo = t_lo + (t_hi - t_lo) * float(item_rng.uniform(1)[0])
     period = 60.0 / tempo
     phase = float(item_rng.uniform(1)[0]) * period
@@ -78,7 +78,7 @@ def synth_item(item_rng, cfg):
         beats.append(t)
         t += period
 
-    n_sb = int(item_rng.integers(cfg.storyboard_range[0], cfg.storyboard_range[1] + 1, 1)[0])
+    n_sb = int(item_rng.integers(STORYBOARD_RANGE[0], STORYBOARD_RANGE[1] + 1, 1)[0])
     bounds = [0.0]
     for j in range(1, n_sb):
         target = duration * j / n_sb
@@ -97,16 +97,16 @@ def synth_item(item_rng, cfg):
 
     n_samp = int(round(duration * SAMPLE_RATE))
     ts = np.arange(n_samp) / SAMPLE_RATE
-    audio = cfg.noise_amp * item_rng.normal(n_samp)
+    audio = NOISE_AMP * item_rng.normal(n_samp)
     for sb in sbs:
         root = _ROOTS[int(item_rng.integers(0, len(_ROOTS), 1)[0])]
         seg = (ts >= sb.start_s) & (ts < sb.end_s)
         tt = ts[seg] - sb.start_s
-        env = 0.5 * (1.0 - np.cos(2.0 * np.pi * cfg.am_rate_hz * tt))
-        audio[seg] += cfg.bed_amp * env * (
+        env = 0.5 * (1.0 - np.cos(2.0 * np.pi * AM_RATE_HZ * tt))
+        audio[seg] += BED_AMP * env * (
             np.sin(2.0 * np.pi * root * tt) + 0.5 * np.sin(2.0 * np.pi * root * 1.5 * tt))
     burst_len = 480  # 30 ms
-    burst = item_rng.normal(burst_len) * np.exp(-np.arange(burst_len) / 120.0) * cfg.click_amp
+    burst = item_rng.normal(burst_len) * np.exp(-np.arange(burst_len) / 120.0) * CLICK_AMP
     for b in beats:
         i0 = int(round(b * SAMPLE_RATE))
         i1 = min(i0 + burst_len, n_samp)
@@ -114,7 +114,7 @@ def synth_item(item_rng, cfg):
     audio = np.clip(audio, -1.0, 1.0)
 
     n_frames = int(np.ceil(duration * DEFAULT_FPS))
-    ff = np.zeros((cfg.feature_channels, n_frames), dtype=np.float32)
+    ff = np.zeros((FEATURE_CHANNELS, n_frames), dtype=np.float32)
     ff += 0.02 * item_rng.normal(ff.size).reshape(ff.shape).astype(np.float32)
     for b in beats:
         idx = int(np.floor(b * DEFAULT_FPS))
@@ -126,12 +126,9 @@ def synth_item(item_rng, cfg):
     frame_t = (np.arange(n_frames) + 0.5) / DEFAULT_FPS
     for sb in sbs:
         inside = (frame_t >= sb.start_s) & (frame_t < sb.end_s)
-        if cfg.feature_channels > 1:
-            ff[1, inside] = (frame_t[inside] - sb.start_s) / sb.duration_s
-        if cfg.feature_channels > 2:
-            ff[2, inside] = (sb.index + 1) / n_sb
-    if cfg.feature_channels > 3:
-        ff[3] = frame_t / duration
+        ff[1, inside] = (frame_t[inside] - sb.start_s) / sb.duration_s
+        ff[2, inside] = (sb.index + 1) / n_sb
+    ff[3] = frame_t / duration
 
     ann = VideoAnnotation(
         video_id=f"synth_{int(item_rng.integers(0, 1 << 31, 1)[0]):08x}",

@@ -125,8 +125,8 @@ class TimeEmbedder(ag.Module):
         if np.any(arr < 0):
             raise ValueError(f"time must be non-negative, got {arr.min()}")
         x = ag.Var(arr[:, None] * self.INPUT_SCALE)
-        h = (x @ self.w1 + self.b1).tanh()
-        return h @ self.w2 + self.b2
+        h = ag.linear(x, self.w1, self.b1).tanh()
+        return ag.linear(h, self.w2, self.b2)
 
 
 # -- manifest I/O ----------------------------------------------------------

@@ -114,6 +114,6 @@ def apply_adapter(z, feats, p):
     if feats.shape[0] != z.shape[0]:
         raise DataError(f"adapter features cover {feats.shape[0]} frames, latent has {z.shape[0]}")
     ft = ag.Var(feats.astype(p.gamma_w.data.dtype))
-    gamma = ft @ p.gamma_w + p.gamma_b                  # (L, channels)
-    beta = ft @ p.beta_w + p.beta_b
+    gamma = ag.linear(ft, p.gamma_w, p.gamma_b)         # (L, channels)
+    beta = ag.linear(ft, p.beta_w, p.beta_b)
     return z + gamma * z + beta

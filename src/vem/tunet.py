@@ -50,7 +50,7 @@ class ChannelNorm(ag.Module):
         self.b = ag.param(np.zeros(channels, dtype=dtype))
 
     def __call__(self, x):
-        return x.layer_norm() * self.g + self.b
+        return x.layer_norm(self.g, self.b)
 
 
 class ResBlock(ag.Module):
@@ -62,9 +62,9 @@ class ResBlock(ag.Module):
         self.conv2 = ag.Conv1d(c_out, c_out, 3, rng, padding=1, dtype=dtype)
         self.skip = None if c_in == c_out else ag.Conv1d(c_in, c_out, 1, rng, dtype=dtype)
 
-    def __call__(self, x, temb):
+    def __call__(self, x, temb_act):
         h = self.conv1(self.norm1(x).silu())
-        h = h + self.temb_proj(temb.silu())
+        h = h + self.temb_proj(temb_act)
         h = self.conv2(self.norm2(h).silu())
         s = x if self.skip is None else self.skip(x)
         return s + h
@@ -124,8 +124,8 @@ class Level(ag.Module):
         self.selfattn = SelfAttnBlock(c_out, rng, dtype)
         self.sgc = SGCAttBlock(c_out, cond_dim, rng, dtype)
 
-    def __call__(self, x, temb, tokens, mask):
-        x = self.res(x, temb)
+    def __call__(self, x, temb_act, tokens, mask):
+        x = self.res(x, temb_act)
         x = self.selfattn(x)
         return self.sgc(x, tokens, mask)
 
@@ -195,6 +195,7 @@ class TUNet(ag.Module):
 
         temb = ag.Var(sinusoidal_step_embedding(step, self.temb_dim).astype(z.data.dtype))
         temb = self.temb_lin2(self.temb_lin1(temb).silu())
+        temb_act = temb.silu()  # computed once, shared by every ResBlock
 
         x = self.in_conv(x)
         skips = []
@@ -202,7 +203,7 @@ class TUNet(ag.Module):
             if self.adapters is not None and aligner_feats is not None:
                 feats = linear_interp(np.asarray(aligner_feats, dtype=np.float64), x.shape[0])
                 x = apply_adapter(x, feats.T, self.adapters[lvl])
-            x = self.enc[lvl](x, temb, cond.tokens, masks[lvl])
+            x = self.enc[lvl](x, temb_act, cond.tokens, masks[lvl])
             if lvl < self.levels - 1:
                 skips.append(x)
                 x = self.down[lvl](x)
@@ -210,7 +211,7 @@ class TUNet(ag.Module):
         for i, lvl in enumerate(reversed(range(self.levels - 1))):
             x = self.up[i](x.repeat2())
             x = ag.concat([x, skips[lvl]], axis=1)
-            x = self.dec[i](x, temb, cond.tokens, masks[lvl])
+            x = self.dec[i](x, temb_act, cond.tokens, masks[lvl])
 
         gate = self.res_gate(temb) + 1.0
         x = self.out_conv(self.out_norm(x).silu()) + self.res_proj(z_in) * gate

@@ -1,8 +1,10 @@
 """Shared test utilities: reference implementations and fixture builders."""
 
 import numpy as np
+from scipy.special import expit
 
 from vem import audiofeat as af
+from vem import autograd as ag
 from vem.audiofeat import SAMPLE_RATE, Waveform
 from vem.parsing import (Storyboard, VideoAnnotation, build_frame_features,
                          toy_text_embed, toy_visual_embed)
@@ -165,3 +167,37 @@ def griffin_lim_loop(m, iters):
         spec = mag * (re / np.maximum(np.abs(re), 1e-12))
     peak = np.max(np.abs(x))
     return (x / peak if peak > 1.0 else x).astype(np.float32)
+
+
+# -- unfused autograd oracles: the layer primitives built from plain Var ops --
+
+
+def linear_unfused(x, w, b):
+    """x @ w + b as a matmul node and a broadcast-add node (a 1-D x as one row)."""
+    x = ag.as_var(x)
+    if x.ndim == 1:
+        return (x.reshape(1, -1) @ w).reshape(w.shape[1]) + b
+    return x @ w + b
+
+
+def layer_norm_unfused(x, gain, bias, eps=1e-5):
+    """Centre, scale by (mean square + eps)^-1/2, then `* gain + bias`."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc * (var + eps) ** -0.5 * gain + bias
+
+
+def silu_expit(x):
+    """x * expit(x) with the gradient s + x s (1 - s), s = expit(x)."""
+    s = expit(x.data)
+    def back(g):
+        x._accum(g * (s + x.data * s * (1.0 - s)))
+    return ag._node(x.data * s, (x,), back)
+
+
+def use_unfused_ops(monkeypatch):
+    """Route every `linear`, `Var.layer_norm` and `Var.silu` of the package
+    through the unfused oracles above for the rest of a test."""
+    monkeypatch.setattr(ag, "linear", linear_unfused)
+    monkeypatch.setattr(ag.Var, "layer_norm", layer_norm_unfused)
+    monkeypatch.setattr(ag.Var, "silu", silu_expit)

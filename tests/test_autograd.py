@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from vem import autograd as ag
 from vem.rng import Rng
@@ -56,12 +57,13 @@ def test_matmul_2d():
     check(lambda a, b: (a @ b).sum(), (3, 4), (4, 2))
 
 
-def test_matmul_1d_promotions():
-    check(lambda a, b: (a @ b).sum(), (4,), (4, 3))
-    check(lambda a, b: (a @ b).sum(), (3, 4), (4,))
-    check(lambda a, b: a @ b, (5,), (5,))
-    check(lambda a, b: (a @ b).sum(), (2, 3, 4), (4,))
-    check(lambda a, b: (a @ b).sum(), (4,), (2, 4, 3))
+def test_matmul_rejects_1d_operands():
+    """A vector times a matrix is `linear`'s job; `Var.matmul` takes stacks of
+    matrices only, broadcasting the stack axes."""
+    check(lambda a, b: (a @ b).sum(), (2, 3, 4), (4, 2))
+    for shapes in [((4,), (4, 3)), ((3, 4), (4,)), ((5,), (5,))]:
+        with pytest.raises(ValueError):
+            ag.param(np.ones(shapes[0])) @ ag.param(np.ones(shapes[1]))
 
 
 def test_shape_ops():
@@ -79,7 +81,77 @@ def test_pointwise():
 
 def test_softmax_layernorm():
     check(lambda a: (a.softmax(axis=-1) * np.arange(4.0)).sum(), (3, 4))
-    check(lambda a: (a.layer_norm() * np.arange(5.0)).sum(), (2, 5), tol=1e-5)
+    check(lambda a: (a.layer_norm(np.ones(5), np.zeros(5)) * np.arange(5.0)).sum(), (2, 5),
+          tol=1e-5)
+
+
+def test_linear_gradcheck_2d_and_1d():
+    check(lambda x, w, b: (ag.linear(x, w, b) ** 2.0).sum(), (3, 4), (4, 2), (2,))
+    check(lambda x, w, b: (ag.linear(x, w, b) ** 2.0).sum(), (4,), (4, 2), (2,))
+
+
+def test_linear_is_one_node_matching_matmul_plus_bias():
+    rng = Rng(6)
+    x, w, b = (ag.param(rng.gaussian(s)) for s in [(5, 3), (3, 4), (4,)])
+    out = ag.linear(x, w, b)
+    assert out._prev == (x, w, b)
+    np.testing.assert_allclose(out.data, x.data @ w.data + b.data, rtol=1e-14)
+
+
+def test_layer_norm_affine_gradcheck():
+    check(lambda x, g, b: (x.layer_norm(g, b) ** 2.0 * np.arange(1.0, 6.0)).sum(),
+          (3, 5), (5,), (5,), tol=1e-5)
+
+
+def test_silu_float32_matches_expit_reference():
+    x = np.linspace(-30.0, 30.0, 120001, dtype=np.float32)
+    v = ag.param(x.copy())
+    out = v.silu()
+    out.sum().backward()
+    s = expit(x.astype(np.float64))
+    assert out.data.dtype == np.float32 and v.grad.dtype == np.float32
+    np.testing.assert_allclose(out.data, x * s, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(v.grad, s + x * s * (1.0 - s), rtol=1e-6, atol=1e-6)
+
+
+def test_getitem_backward_slice_int_and_repeated_fancy_index():
+    """Each picked element's gradient lands on its source; a row picked twice
+    gets the sum of both."""
+    for idx in [slice(1, 3), 2, (slice(None), 1), (3, slice(0, 2)), np.array([0, 0, 2])]:
+        v = ag.param(np.zeros((4, 3)))
+        picked = v[idx]
+        w = np.arange(1.0, picked.data.size + 1).reshape(picked.shape)
+        (picked * w).sum().backward()
+        want = np.zeros((4, 3))
+        np.add.at(want, idx, w)
+        np.testing.assert_array_equal(v.grad, want)
+    np.testing.assert_array_equal(want[0], [5.0, 7.0, 9.0])  # rows 0 and 1 of w
+
+
+def test_shared_gradient_fans_out_through_fused_ops():
+    """`+` hands one gradient array to both operands; silu and layer_norm
+    read it side by side, in both orders, and must not write into it. All
+    of them feed the same linear."""
+    def build(x, w, b, gain, bias):
+        h = ag.linear(x, w, b)
+        p = h.silu() + h.layer_norm(gain, bias)
+        q = h.layer_norm(gain, bias) + h.silu()
+        return ((p + q * 0.5) * np.arange(12.0).reshape(3, 4)).sum()
+    check(build, (3, 4), (4, 4), (4,), (4,), (4,), tol=1e-5)
+    h = ag.param(Rng(2).gaussian((3, 4)).astype(np.float64))
+    a, c = h.silu(), h.layer_norm(np.ones(4), np.zeros(4))
+    (a + c).sum().backward()
+    assert a.grad is c.grad
+
+
+def test_pow_needs_a_scalar_exponent():
+    with pytest.raises(TypeError):
+        ag.param(np.ones(3)) ** np.array([1.0, 2.0, 3.0])
+
+
+def test_conv1d_rejects_channel_mismatch():
+    with pytest.raises(ValueError, match="channel"):
+        ag.conv1d(ag.Var(np.ones((8, 3))), ag.Var(np.ones((4, 2, 3))))
 
 
 def test_concat():

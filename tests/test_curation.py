@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from helpers import make_annotation
@@ -118,6 +120,22 @@ def test_synth_item_structure():
     # boundaries of interior storyboards sit exactly on transition beats
     for sb in ann.storyboards[1:]:
         assert min(abs(sb.start_s - t) for t in ts) < 1e-9
+
+
+def test_synth_item_output_is_pinned():
+    """SHA-256 over everything `synth_item` emits for four fixed streams: a
+    change to the generator's constants or its draw order moves it."""
+    h = hashlib.sha256()
+    items = [cu.synth_item(Rng(s), cu.SynthConfig()) for s in (0, 7, 42)]
+    items.append(cu.synth_item(Rng(3), cu.SynthConfig(duration_range_s=(12.0, 12.0))))
+    for ann, wav in items:
+        h.update(wav.samples.tobytes())
+        h.update(ann.frame_features.tobytes())
+        h.update(np.asarray(ann.transitions.times_s, dtype=np.float64).tobytes())
+        h.update(repr([(sb.start_s, sb.duration_s, sb.text) for sb in ann.storyboards]).encode())
+        h.update(repr((ann.video_id, ann.duration_s, ann.global_caption,
+                       ann.emotion_tags)).encode())
+    assert h.hexdigest() == "83f7ee1fe68173bf273120ef080ce9cc7f68b02ddf4dcc6afeb5ed3ce7ad6a22"
 
 
 def test_synth_manifests_survive_strict_loading(tmp_path):

@@ -13,7 +13,8 @@ def softmax(x, axis=-1):
 
 
 def layer_norm(x):
-    return Var(x).layer_norm().data
+    n = np.shape(x)[-1]
+    return Var(x).layer_norm(np.ones(n), np.zeros(n)).data
 
 
 class TestSoftmax:
