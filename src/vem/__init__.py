@@ -19,8 +19,7 @@ from .evalsuite import (StoryboardScores, frechet_distance, inception_score, mea
 from .parsing import (Storyboard, TimeEmbedder, VideoAnnotation, load_manifest,
                       save_manifest, toy_text_embed)
 from .rng import Rng
-from .sgcatt import (ConditionBundle, StoryboardMask, assemble_conditions,
-                     build_mask, downsample_mask, sg_cross_attention)
+from .sgcatt import StoryboardMask, assemble_conditions, build_mask, level_masks, sg_cross_attention
 from .tbalign import AdapterParams, AlignerNet, apply_adapter, train_aligner
 from .timeline import (EventTimeline, TimestampSet, beats_iou, from_timestamps, intersect,
                        match_count, transitions_beats_iou)

@@ -164,21 +164,6 @@ class Var:
     def __sub__(self, other):
         return self + (-as_var(other, self))
 
-    def __rsub__(self, other):
-        return as_var(other, self) + (-self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            return self * other ** -1.0
-        return self * (1.0 / other)
-
-    def __pow__(self, p):
-        if not np.isscalar(p):
-            raise TypeError(f"Var ** p needs a scalar exponent, got {type(p).__name__}")
-        def back(g):
-            self._accum(_unbroadcast(g * p * self.data ** (p - 1), self.shape))
-        return _node(self.data ** p, (self,), back)
-
     def matmul(self, other):
         other = as_var(other)
         if self.ndim == 1 or other.ndim == 1:
@@ -198,8 +183,6 @@ class Var:
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.shape
         def back(g):
             self._accum(g.reshape(old))
@@ -230,18 +213,15 @@ class Var:
 
     # -- reductions --------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self):
+        """Sum of every element, a 0-d Var."""
         def back(g):
-            if axis is None:
-                self._accum(np.broadcast_to(g, self.shape))
-            else:
-                ge = g if keepdims else np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(ge, self.shape))
-        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
+            self._accum(np.broadcast_to(g, self.shape))
+        return _node(self.data.sum(), (self,), back)
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self):
+        """Mean of every element, a 0-d Var."""
+        return self.sum() * (1.0 / self.data.size)
 
     # -- pointwise ---------------------------------------------------------
 
@@ -398,16 +378,10 @@ class Module:
                 for i, item in enumerate(val):
                     if isinstance(item, Module):
                         out.extend(item.named_params(f"{name}.{i}"))
-                    elif isinstance(item, Var) and item.requires_grad:
-                        out.append((f"{name}.{i}", item))
         return out
 
     def params(self):
         return [p for _, p in self.named_params()]
-
-    def zero_grad(self):
-        for p in self.params():
-            p.grad = None
 
     def state_dict(self):
         return {name: p.data.copy() for name, p in self.named_params()}

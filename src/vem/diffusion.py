@@ -7,12 +7,16 @@ posterior variance beta_t (1-abar_{t-1}) / (1-abar_t). When the sampler is
 asked for fewer steps than the schedule has, it runs on an evenly strided
 timestep subsequence (always containing both endpoints) with effective
 per-stride alphas, which degenerates to the full recursion at steps == T.
+Both the loss and the sampler condition the denoiser on two inputs: the
+(6N, D) condition-token Var and the base-resolution `StoryboardMask`.
 
 The latent codec replaces a learned autoencoder with an exactly invertible
 map: non-overlapping patches of 4 spectrogram windows x 60 mel bins are
 flattened to 240 channels and passed through a fixed signed permutation
 (orthogonal, so norms survive and decode inverts bit-exactly). One latent
-frame covers 4 hops: 62.5 / 4 = 15.625 latent frames per second.
+frame covers 4 hops: 62.5 / 4 = 15.625 latent frames per second. That rate,
+`LATENT_FPS`, is the one latent clock: `sgcatt.build_mask` reads it, and no
+latent or mask carries a rate of its own.
 """
 
 import dataclasses
@@ -32,9 +36,7 @@ LATENT_FPS = (SAMPLE_RATE / HOP) / PATCH    # 15.625
 @dataclasses.dataclass
 class NoiseSchedule:
     T: int
-    beta: np.ndarray       # index t-1 holds beta_t
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
+    alpha_bar: np.ndarray  # index t-1 holds abar_t = prod_{s<=t} (1 - beta_s)
 
     def abar(self, t):
         """alpha_bar at step t, with the t=0 convention abar_0 = 1."""
@@ -47,14 +49,12 @@ def make_schedule(T=1000, beta_start=1e-4, beta_end=0.02):
     if T < 1:
         raise DataError(f"need T >= 1, got {T}")
     beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
-    alpha = 1.0 - beta
-    return NoiseSchedule(T, beta, alpha, np.cumprod(alpha))
+    return NoiseSchedule(T, np.cumprod(1.0 - beta))
 
 
 @dataclasses.dataclass
 class Latent:
-    values: np.ndarray     # (channels, frames)
-    latent_fps: float
+    values: np.ndarray     # (channels, frames), one frame per 1 / LATENT_FPS seconds
     n_windows: int = None  # pre-padding spectrogram windows, for exact decode
 
 
@@ -66,18 +66,20 @@ def q_sample(z0, t, eps, sched):
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
-def training_loss(model, z0, cond, base_mask, rng, sched, aligner_feats=None):
+def training_loss(model, z0, tokens, base_mask, rng, sched, aligner_feats=None):
     """Noise-regression objective at a uniformly drawn step.
 
     Returns the scalar loss Var (mean squared error over elements between
     the drawn noise and the model's estimate); call .backward() on it for
-    gradients. z0 is a plain (C, L) array in standardized latent units.
+    gradients. z0 is a plain (C, L) array in standardized latent units;
+    `tokens` is the (6N, D) condition Var and `base_mask` the storyboard
+    mask at the latent's length.
     """
     z0 = np.asarray(z0)
     t = int(rng.integers(1, sched.T + 1, 1)[0])
     eps = rng.gaussian(z0.shape).astype(z0.dtype)
     zt = q_sample(z0, t, eps, sched).astype(z0.dtype)
-    pred = model(zt, t, cond, base_mask, aligner_feats=aligner_feats)
+    pred = model(zt, t, tokens, base_mask, aligner_feats=aligner_feats)
     diff = pred - ag.Var(eps)
     return (diff * diff).mean()
 
@@ -92,9 +94,10 @@ def strided_timesteps(T, steps):
     return list(ts[::-1])
 
 
-def sample(model, cond, base_mask, shape, steps, rng, sched, aligner_feats=None):
+def sample(model, tokens, base_mask, shape, steps, rng, sched, aligner_feats=None):
     """Ancestral sampling from pure noise; deterministic given the rng.
 
+    `tokens` and `base_mask` condition every step as in `training_loss`.
     Returns a (C, L) array in standardized latent units.
     """
     ts = strided_timesteps(sched.T, steps)
@@ -106,7 +109,7 @@ def sample(model, cond, base_mask, shape, steps, rng, sched, aligner_feats=None)
             ab_prev = sched.abar(t_prev)
             alpha_eff = ab_t / ab_prev
             beta_eff = 1.0 - alpha_eff
-            eps_hat = model(z, t, cond, base_mask, aligner_feats=aligner_feats).data
+            eps_hat = model(z, t, tokens, base_mask, aligner_feats=aligner_feats).data
             mu = (z - beta_eff / np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(alpha_eff)
             if t_prev > 0:
                 var = beta_eff * (1.0 - ab_prev) / (1.0 - ab_t)
@@ -146,7 +149,7 @@ def latent_encode(m):
         vals = np.concatenate([vals, pad], axis=0)
     patches = vals.reshape(padded // PATCH, PATCH * N_MELS).T   # (240, L)
     z = _SIGNS[:, None] * patches[_PERM]
-    return Latent(z, LATENT_FPS, n_windows=w)
+    return Latent(z, n_windows=w)
 
 
 def latent_decode(z):
@@ -163,5 +166,5 @@ def latent_decode(z):
 
 
 def latent_len_for_duration(duration_s):
-    """ceil(duration * latent_fps): latent frames covering a clip."""
+    """ceil(duration * LATENT_FPS): latent frames covering a clip."""
     return int(np.ceil(duration_s * LATENT_FPS))

@@ -21,12 +21,12 @@ from . import autograd as ag
 from .audiofeat import logmel
 from .beatdet import beats_within
 from .container import load_tensors, save_tensors
-from .diffusion import (LATENT_CHANNELS, LATENT_FPS, Latent, latent_decode, latent_encode,
+from .diffusion import (LATENT_CHANNELS, Latent, latent_decode, latent_encode,
                         latent_len_for_duration, make_schedule, sample, training_loss)
 from .errors import DataError, StageOrderError
 from .parsing import TimeEmbedder, build_frame_features
 from .rng import Rng
-from .sgcatt import StoryboardMask, assemble_conditions, build_mask, zero_conditions
+from .sgcatt import TOKENS_PER_STORYBOARD, StoryboardMask, assemble_conditions, build_mask
 from .tbalign import aligner_features, train_aligner
 from .timeline import DEFAULT_FPS, from_timestamps, intersect, transitions_beats_iou
 from .tunet import TUNet
@@ -88,24 +88,20 @@ def train_stage_aligner(corpus, cfg):
 # -- stages B and C --------------------------------------------------------
 
 
-def _prepare_latents(corpus):
+def _prepare_latents(corpus, stats=None):
     """Encode every waveform; returns (items, mean, std) with items holding
-    standardized latents and masks on the codec clock."""
-    items = []
-    allvals = []
-    for ann, wav in corpus:
-        z = latent_encode(logmel(wav))
-        allvals.append(z.values.ravel())
-        items.append({"ann": ann, "latent": z})
-    vals = np.concatenate(allvals).astype(np.float64)
-    mean = float(vals.mean())
-    std = float(vals.std())
-    if std <= 0:
-        raise DataError("degenerate corpus: zero latent variance")
-    for it in items:
-        z = it["latent"]
-        it["z0"] = ((z.values - mean) / std).astype(np.float32)
-        it["mask"] = build_mask(it["ann"], z.values.shape[1], LATENT_FPS)
+    latents standardized by `stats` = (mean, std), or by the corpus's own
+    scalar mean and std when `stats` is None, and masks on the latent clock."""
+    latents = [latent_encode(logmel(wav)).values for _, wav in corpus]
+    if stats is None:
+        vals = np.concatenate([z.ravel() for z in latents]).astype(np.float64)
+        stats = float(vals.mean()), float(vals.std())
+        if stats[1] <= 0:
+            raise DataError("degenerate corpus: zero latent variance")
+    mean, std = stats
+    items = [{"ann": ann, "z0": ((z - mean) / std).astype(np.float32),
+              "mask": build_mask(ann, z.shape[1])}
+             for (ann, _), z in zip(corpus, latents)]
     return items, mean, std
 
 
@@ -133,8 +129,8 @@ def _run_diffusion_loop(items, unet, temb, cfg, steps, lr, rng, feats_key=None,
         total = None
         for d in range(draws):
             it = items[(step * draws + d) % len(items)]
-            cond = assemble_conditions(it["ann"], temb)
-            loss = training_loss(unet, it["z0"], cond, it["mask"], rng, sched,
+            tokens = assemble_conditions(it["ann"], temb)
+            loss = training_loss(unet, it["z0"], tokens, it["mask"], rng, sched,
                                  aligner_feats=it.get(feats_key) if feats_key else None)
             total = loss if total is None else total + loss
         if draws > 1:
@@ -170,11 +166,9 @@ def train_stage_adapter(corpus, cfg, aligner, unet, temb, meta):
         raise DataError("empty corpus")
     if meta.get("stage") not in ("diffusion", "adapter"):
         raise StageOrderError(f"adapter stage needs a diffusion checkpoint, got {meta.get('stage')!r}")
-    items, _, _ = _prepare_latents(corpus)
     # keep the standardization the base model was trained with
-    mean, std = meta["latent_mean"], meta["latent_std"]
+    items, _, _ = _prepare_latents(corpus, (meta["latent_mean"], meta["latent_std"]))
     for it in items:
-        it["z0"] = ((it["latent"].values - mean) / std).astype(np.float32)
         it["afeats"] = aligner_features(aligner, frame_features_of(it["ann"]),
                                         it["z0"].shape[1])
     if unet.adapters is None:
@@ -247,6 +241,8 @@ def load_diffusion(path):
     _check_meta(path, meta, ("in_channels", "cond_dim", "temb_dim", "feature_dim", "time_hidden",
                              "T") + (("aligner_hidden",) if adapter else ()),
                 ("beta_start", "beta_end", "latent_mean", "latent_std"))
+    if meta["latent_std"] <= 0:
+        raise DataError(f"{path}: meta 'latent_std' must be positive, got {meta['latent_std']!r}")
     widths = meta.get("widths")
     if not isinstance(widths, list) or not widths or not all(map(_positive_int, widths)):
         raise DataError(f"{path}: meta 'widths' must be a non-empty list of positive ints, "
@@ -272,26 +268,26 @@ def load_diffusion(path):
 def sample_mel(unet, temb, meta, ann, steps, seed, aligner=None, conditioned=True):
     """Generate a spectrogram for one annotation.
 
-    conditioned=False is the ablation baseline: an all-zero condition bundle,
+    conditioned=False is the ablation baseline: all-zero condition tokens,
     an all-ones mask (no storyboard structure reaches the model), and no
     aligner features.
     """
     sched = make_schedule(int(meta["T"]), float(meta["beta_start"]), float(meta["beta_end"]))
     length = latent_len_for_duration(ann.duration_s)
     if conditioned:
-        cond = assemble_conditions(ann, temb)
-        mask = build_mask(ann, length, LATENT_FPS)
+        tokens = assemble_conditions(ann, temb)
+        mask = build_mask(ann, length)
     else:
-        cond = zero_conditions(ann, int(meta["feature_dim"]))
-        mask = StoryboardMask(np.ones((length, cond.tokens.shape[0]), dtype=np.uint8),
-                              LATENT_FPS)
+        n_tok = TOKENS_PER_STORYBOARD * len(ann.storyboards)
+        tokens = ag.Var(np.zeros((n_tok, int(meta["feature_dim"])), dtype=np.float32))
+        mask = StoryboardMask(np.ones((length, n_tok), dtype=np.uint8))
     afeats = None
     if conditioned and aligner is not None and unet.adapters is not None:
         afeats = aligner_features(aligner, frame_features_of(ann), length)
-    z = sample(unet, cond, mask, (unet.in_channels, length), steps, Rng(seed), sched,
+    z = sample(unet, tokens, mask, (unet.in_channels, length), steps, Rng(seed), sched,
                aligner_feats=afeats)
     z = z * float(meta["latent_std"]) + float(meta["latent_mean"])
-    return latent_decode(Latent(z.astype(np.float32), LATENT_FPS, n_windows=None))
+    return latent_decode(Latent(z.astype(np.float32)))
 
 
 def generation_tb_iou(mel, ann, tol_s=0.5):

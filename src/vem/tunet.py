@@ -10,8 +10,10 @@ Encoder and decoder levels are the same `Level`: residual block (with the
 diffusion-step embedding injected) -> plain self-attention transformer block
 -> storyboard-guided cross-attention block. Encoder levels may first pass
 through the modulation adapter; levels are bridged by stride-2 convolutions
-down and repeat+conv up, with channel-concat skips. The storyboard mask is
-OR-pooled by 2^level to follow the latent clock.
+down and repeat+conv up, with channel-concat skips. The conditions arrive as
+the (6N, D) token Var of `sgcatt.assemble_conditions` and the base-resolution
+`StoryboardMask`; `sgcatt.level_masks` OR-pools the mask by 2^level to
+follow the latent clock.
 
 The output convolution is zero-initialized, so an untrained net predicts
 zero noise and the initial training loss sits near E||eps||^2 = 1.
@@ -28,7 +30,7 @@ import numpy as np
 from . import autograd as ag
 from .errors import DataError
 from .numcore import linear_interp
-from .sgcatt import attention_logits, downsample_mask, pad_mask_rows, sg_cross_attention
+from .sgcatt import attention_logits, level_masks, sg_cross_attention
 from .tbalign import AdapterParams, apply_adapter
 
 DEFAULT_WIDTHS = (64, 128, 256)
@@ -131,7 +133,7 @@ class Level(ag.Module):
 
 
 class TUNet(ag.Module):
-    """Denoiser: eps prediction from (z_t, step, conditions, mask)."""
+    """Denoiser: eps prediction from (z_t, step, condition tokens, mask)."""
 
     def __init__(self, in_channels, cond_dim, widths=DEFAULT_WIDTHS, temb_dim=128,
                  rng=None, dtype=np.float32):
@@ -170,19 +172,15 @@ class TUNet(ag.Module):
     def attach_adapters(self, aligner_hidden, dtype=np.float32):
         self.adapters = [AdapterParams(aligner_hidden, w, dtype) for w in self.widths]
 
-    def level_masks(self, base_mask, padded_len):
-        padded = pad_mask_rows(base_mask, padded_len)
-        return [downsample_mask(padded, 2 ** lvl) for lvl in range(self.levels)]
-
-    def __call__(self, z, step, cond, base_mask, aligner_feats=None):
+    def __call__(self, z, step, tokens, base_mask, aligner_feats=None):
         z = ag.as_var(z)
         if z.ndim != 2 or z.shape[0] != self.in_channels:
             raise DataError(f"latent shape {z.shape} != ({self.in_channels}, L)")
         length = z.shape[1]
         if base_mask.grid.shape[0] != length:
             raise DataError(f"mask rows {base_mask.grid.shape[0]} != latent length {length}")
-        if cond.tokens.shape[1] != self.cond_dim:
-            raise DataError(f"condition dim {cond.tokens.shape[1]} != {self.cond_dim}")
+        if tokens.shape[1] != self.cond_dim:
+            raise DataError(f"condition dim {tokens.shape[1]} != {self.cond_dim}")
 
         mult = 2 ** (self.levels - 1)
         padded = ((length + mult - 1) // mult) * mult
@@ -191,7 +189,7 @@ class TUNet(ag.Module):
             pad = ag.Var(np.zeros((padded - length, self.in_channels), dtype=z.data.dtype))
             x = ag.concat([x, pad], axis=0)
         z_in = x
-        masks = self.level_masks(base_mask, padded)
+        masks = level_masks(base_mask, padded, self.levels)
 
         temb = ag.Var(sinusoidal_step_embedding(step, self.temb_dim).astype(z.data.dtype))
         temb = self.temb_lin2(self.temb_lin1(temb).silu())
@@ -203,7 +201,7 @@ class TUNet(ag.Module):
             if self.adapters is not None and aligner_feats is not None:
                 feats = linear_interp(np.asarray(aligner_feats, dtype=np.float64), x.shape[0])
                 x = apply_adapter(x, feats.T, self.adapters[lvl])
-            x = self.enc[lvl](x, temb_act, cond.tokens, masks[lvl])
+            x = self.enc[lvl](x, temb_act, tokens, masks[lvl])
             if lvl < self.levels - 1:
                 skips.append(x)
                 x = self.down[lvl](x)
@@ -211,7 +209,7 @@ class TUNet(ag.Module):
         for i, lvl in enumerate(reversed(range(self.levels - 1))):
             x = self.up[i](x.repeat2())
             x = ag.concat([x, skips[lvl]], axis=1)
-            x = self.dec[i](x, temb_act, cond.tokens, masks[lvl])
+            x = self.dec[i](x, temb_act, tokens, masks[lvl])
 
         gate = self.res_gate(temb) + 1.0
         x = self.out_conv(self.out_norm(x).silu()) + self.res_proj(z_in) * gate

@@ -98,6 +98,21 @@ def make_annotation(duration_s=10.0, bounds=(0.0, 4.0, 10.0), transitions=(4.0,)
     return ann
 
 
+def assemble_conditions_loop(ann, time_emb):
+    """Reference condition tokens: one (6, D) block per storyboard (stacked
+    features, then its start and duration embedding rows), concatenated one
+    storyboard at a time."""
+    dim = len(ann.caption_feat)
+    starts = time_emb.embed([sb.start_s for sb in ann.storyboards])
+    durs = time_emb.embed([sb.duration_s for sb in ann.storyboards])
+    blocks = []
+    for i, sb in enumerate(ann.storyboards):
+        static = np.stack([ann.caption_feat, ann.tag_feat, sb.text_feat, sb.visual_feat])
+        blocks.append(ag.concat([ag.Var(static.astype(np.float32)),
+                                 starts[i].reshape(1, dim), durs[i].reshape(1, dim)], axis=0))
+    return ag.concat(blocks, axis=0)
+
+
 def mel_center_freqs(n_mels=af.N_MELS, fmin=af.FMIN, fmax=af.FMAX):
     """Centre frequency in Hz of each band of `audiofeat.mel_filterbank`."""
     pts = af.mel_to_hz(np.linspace(af.hz_to_mel(fmin), af.hz_to_mel(fmax), n_mels + 2))
@@ -180,11 +195,24 @@ def linear_unfused(x, w, b):
     return x @ w + b
 
 
+def _row_mean(x):
+    """Mean over the last axis, kept as a column: a matmul by a column of 1/n."""
+    n = x.shape[-1]
+    return x @ ag.Var(np.full((n, 1), 1.0 / n, dtype=x.data.dtype))
+
+
+def _rsqrt(x):
+    """x ** -0.5 with the gradient -0.5 x ** -1.5."""
+    out = x.data ** -0.5
+    def back(g):
+        x._accum(g * -0.5 * out / x.data)
+    return ag._node(out, (x,), back)
+
+
 def layer_norm_unfused(x, gain, bias, eps=1e-5):
     """Centre, scale by (mean square + eps)^-1/2, then `* gain + bias`."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc * (var + eps) ** -0.5 * gain + bias
+    xc = x - _row_mean(x)
+    return xc * _rsqrt(_row_mean(xc * xc) + eps) * gain + bias
 
 
 def silu_expit(x):

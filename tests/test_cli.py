@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -200,6 +201,19 @@ def test_sample_odd_temb_dim_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
               "--steps", "2"], tmp_path)
     assert rc == 3
     assert "'temb_dim' must be even" in capsys.readouterr().err
+
+
+def test_train_adapter_zero_latent_std_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
+    """A diffusion checkpoint whose latent_std is 0 would turn every stage-C
+    latent into NaN; it is refused before any training."""
+    tensors, meta = load_tensors(trained_dir / "diffusion.vemt")
+    save_tensors(tmp_path / "diffusion.vemt", tensors, dict(meta, latent_std=0.0))
+    shutil.copy(trained_dir / "aligner.vemt", tmp_path / "aligner.vemt")
+    rc = run(["train", "--corpus", str(corpus_dir), "--widths", "8", "--t-steps", "50",
+              "--steps", "2", "--stage", "adapter"], tmp_path)
+    assert rc == 3
+    assert "'latent_std' must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "adapter.vemt").exists()
 
 
 def test_sample_unconditional(tmp_path, corpus_dir, trained_dir):

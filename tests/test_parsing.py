@@ -86,7 +86,8 @@ def test_time_embedder_gradients():
 
     def loss_of(emb_):
         out = emb_.embed([1.5, 20.0])
-        return ((out - target) ** 2.0).mean()
+        d = out - target
+        return (d * d).mean()
 
     loss_of(emb).backward()
     eps = 1e-6
@@ -114,7 +115,8 @@ def test_time_embedder_distinguishes_times_after_training():
     for _ in range(100):
         opt.zero_grad()
         out = emb.embed([3.0, 30.0])
-        ((out - np.stack([want3, want30])) ** 2.0).mean().backward()
+        d = out - np.stack([want3, want30])
+        (d * d).mean().backward()
         opt.step()
     d = np.abs(emb.embed([3.0]).data[0] - emb.embed([30.0]).data[0]).max()
     assert d > 0.5

@@ -19,7 +19,7 @@ from vem.container import load_tensors, save_tensors
 from vem.errors import DataError
 from vem.parsing import load_manifest
 from vem.rng import Rng
-from vem.sgcatt import StoryboardMask, downsample_mask
+from vem.sgcatt import StoryboardMask, level_masks
 
 times = st.lists(st.floats(0.0, 29.0, allow_nan=False, width=32), max_size=10)
 
@@ -74,14 +74,21 @@ def test_frechet_symmetric_nonnegative(seed, dim):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 8))
-def test_mask_pyramid_composes(seed, blocks, n_tok):
-    rows = 4 * blocks
+@given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 8), st.integers(1, 4))
+def test_level_masks_or_pool_padded_grid(seed, rows, n_tok, levels):
     grid = (Rng(seed).uniform(rows * n_tok).reshape(rows, n_tok) > 0.6).astype(np.uint8)
-    m = StoryboardMask(grid, 16.0)
-    two_hops = downsample_mask(downsample_mask(m, 2), 2)
-    one_hop = downsample_mask(m, 4)
-    np.testing.assert_array_equal(two_hops.grid, one_hop.grid)
+    mult = 2 ** (levels - 1)
+    padded_len = -(-rows // mult) * mult
+    masks = level_masks(StoryboardMask(grid), padded_len, levels)
+    assert len(masks) == levels
+    for lvl, m in enumerate(masks):
+        f = 2 ** lvl
+        assert m.grid.dtype == np.uint8 and m.grid.shape == (padded_len // f, n_tok)
+        for i in range(padded_len // f):
+            block = grid[i * f:(i + 1) * f]   # past the clip the slice is short or empty
+            want = block.max(axis=0) if len(block) else np.zeros(n_tok, dtype=np.uint8)
+            np.testing.assert_array_equal(m.grid[i], want)
+        assert not m.grid[-(-rows // f):].any()   # rows wholly past the clip
 
 
 @settings(max_examples=25, deadline=None)

@@ -29,3 +29,36 @@ def test_public_names_have_non_test_callers():
                 continue
             unused.append(f"{path.stem}.{name}")
     assert not unused, f"public names with no caller outside tests: {unused}"
+
+
+def _dataclass_fields(tree):
+    """(class node, field names) of each `@dataclasses.dataclass` class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            out.append((node, [s.target.id for s in node.body
+                               if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]))
+    return out
+
+
+def _attribute_reads(tree, own_self):
+    """Names read as `x.name`; reads through `self` count only when
+    `own_self` is set (inside the dataclass that owns the field)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and (own_self or not (isinstance(node.value, ast.Name) and node.value.id == "self"))}
+
+
+def test_dataclass_fields_are_read():
+    """Every field of a `vem` dataclass is read as `.name` somewhere in the
+    package or the benchmark; a field only tests read is dead weight."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    reads = set().union(*(_attribute_reads(t, False) for t in trees.values()))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls, fields in _dataclass_fields(trees[path]):
+            own = _attribute_reads(cls, True)
+            unread += [f"{path.stem}.{cls.name}.{f}" for f in fields if f not in reads | own]
+    assert not unread, f"dataclass fields nothing reads: {unread}"

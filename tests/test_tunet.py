@@ -5,16 +5,15 @@ from vem import autograd as ag
 from vem import tunet as tn
 from vem.errors import DataError
 from vem.rng import Rng
-from vem.sgcatt import ConditionBundle, StoryboardMask
+from vem.sgcatt import StoryboardMask, sg_cross_attention
 
 
 def make_inputs(channels=6, length=12, n_tok=6, cond_dim=10, seed=0):
     r = Rng(seed)
     z = r.gaussian((channels, length)).astype(np.float32)
-    cond = ConditionBundle(ag.Var(r.gaussian((n_tok, cond_dim)).astype(np.float32)),
-                           [(0.0, 1.0)] * n_tok, 1)
-    mask = StoryboardMask(np.ones((length, n_tok), dtype=np.uint8), 16.0)
-    return z, cond, mask
+    tokens = ag.Var(r.gaussian((n_tok, cond_dim)).astype(np.float32))
+    mask = StoryboardMask(np.ones((length, n_tok), dtype=np.uint8))
+    return z, tokens, mask
 
 
 def make_net(channels=6, cond_dim=10, widths=(8, 12), seed=1):
@@ -62,25 +61,32 @@ def test_input_validation():
         net(z[:4], 1, cond, mask)
     with pytest.raises(DataError):
         net(z[:, :10], 1, cond, mask)  # mask rows disagree
-    bad_cond = ConditionBundle(ag.Var(np.zeros((6, 5), dtype=np.float32)),
-                               cond.spans, 1)
     with pytest.raises(DataError):
-        net(z, 1, bad_cond, mask)
+        net(z, 1, ag.Var(np.zeros((6, 5), dtype=np.float32)), mask)
 
 
 # -- level masks -----------------------------------------------------------
 
 
-def test_level_masks_match_direct_or_pooling():
-    r = Rng(4)
-    grid = (r.uniform(16 * 6).reshape(16, 6) > 0.5).astype(np.uint8)
-    mask = StoryboardMask(grid, 16.0)
-    net = make_net(widths=(8, 12, 16))
-    masks = net.level_masks(mask, 16)
-    for lvl, m in enumerate(masks):
-        f = 2 ** lvl
-        ref = grid.reshape(16 // f, f, 6).max(axis=1)
-        np.testing.assert_array_equal(m.grid, ref)
+def test_level_masks_match_direct_or_pooling(monkeypatch):
+    """Each SG-CAtt block sees the base grid zero-padded to the net's padded
+    length and OR-pooled over 2^level rows, encoder and decoder alike."""
+    z, tokens, _ = make_inputs(length=11)
+    grid = (Rng(4).uniform(11 * 6).reshape(11, 6) > 0.5).astype(np.uint8)
+    seen = []
+
+    def spy(q, k, v, mask):
+        seen.append(mask.grid)
+        return sg_cross_attention(q, k, v, mask)
+
+    monkeypatch.setattr(tn, "sg_cross_attention", spy)
+    make_net(widths=(8, 12, 16))(z, 3, tokens, StoryboardMask(grid))
+    padded = np.zeros((12, 6), dtype=np.uint8)
+    padded[:11] = grid
+    ref = [padded.reshape(12 >> lvl, 1 << lvl, 6).max(axis=1) for lvl in range(3)]
+    assert len(seen) == 5
+    for got, lvl in zip(seen, [0, 1, 2, 1, 0]):
+        np.testing.assert_array_equal(got, ref[lvl])
 
 
 # -- determinism and sensitivity -------------------------------------------
@@ -109,8 +115,7 @@ def test_conditions_change_output():
     net = make_net()
     _nudge_from_zero(net)
     o1 = net(z, 10, cond, mask).data
-    zero = ConditionBundle(ag.Var(np.zeros_like(cond.tokens.data)), cond.spans, 1)
-    o2 = net(z, 10, zero, mask).data
+    o2 = net(z, 10, ag.Var(np.zeros_like(cond.data)), mask).data
     assert np.abs(o1 - o2).max() > 1e-8
 
 
@@ -167,7 +172,8 @@ def test_gradients_reach_all_parameter_groups():
     _nudge_from_zero(net)
     target = Rng(5).gaussian((6, 12)).astype(np.float32)
     out = net(ag.Var(z), 4, cond, mask)
-    ((out - target) ** 2.0).mean().backward()
+    d = out - target
+    (d * d).mean().backward()
     names_with_grad = {name for name, p in net.named_params()
                        if p.grad is not None and np.abs(p.grad).max() > 0}
     for prefix in ("in_conv", "enc.0", "enc.1", "dec.0", "down.0", "up.0",
@@ -178,8 +184,8 @@ def test_gradients_reach_all_parameter_groups():
 def test_gradcheck_sampled_parameters():
     r = Rng(11)
     z = r.gaussian((3, 6))
-    cond = ConditionBundle(ag.Var(r.gaussian((6, 5))), [(0.0, 1.0)] * 6, 1)
-    mask = StoryboardMask(np.ones((6, 6), dtype=np.uint8), 16.0)
+    cond = ag.Var(r.gaussian((6, 5)))
+    mask = StoryboardMask(np.ones((6, 6), dtype=np.uint8))
     net = tn.TUNet(3, 5, widths=(4, 6), temb_dim=8, rng=Rng(2), dtype=np.float64)
     net.out_conv.w.data = net.out_conv.w.data + 0.05
     net.res_proj.w.data = net.res_proj.w.data + 0.05
@@ -187,7 +193,8 @@ def test_gradcheck_sampled_parameters():
 
     def loss():
         out = net(ag.Var(z), 7, cond, mask)
-        return ((out - target) ** 2.0).mean()
+        d = out - target
+        return (d * d).mean()
 
     loss().backward()
     eps = 1e-6
