@@ -21,8 +21,8 @@ from .parsing import (Storyboard, TimeEmbedder, VideoAnnotation, load_manifest,
 from .rng import Rng
 from .sgcatt import StoryboardMask, assemble_conditions, build_mask, level_masks, sg_cross_attention
 from .tbalign import AdapterParams, AlignerNet, apply_adapter, train_aligner
-from .timeline import (EventTimeline, TimestampSet, beats_iou, from_timestamps, intersect,
-                       match_count, transitions_beats_iou)
+from .timeline import (TimestampSet, beats_iou, from_timestamps, match_count,
+                       transitions_beats_iou)
 from .training import TrainConfig, sample_mel, three_stage_train
 from .tunet import TUNet
 

@@ -22,6 +22,7 @@ from .timeline import TimestampSet
 
 _BPM_LO, _BPM_HI = 50.0, 220.0
 _BPM_PREF_LO, _BPM_PREF_HI = 80.0, 160.0
+MIN_ENVELOPE_S = 4.0  # shortest onset envelope tempo estimation accepts
 
 
 @dataclasses.dataclass
@@ -79,8 +80,8 @@ def estimate_tempo(e):
     partner inside the band wins whenever its correlation is within 80% of
     the raw peak.
     """
-    if e.duration_s < 4.0:
-        raise DataError("need at least 4 s of envelope for tempo estimation")
+    if e.duration_s < MIN_ENVELOPE_S:
+        raise DataError(f"need at least {MIN_ENVELOPE_S:g} s of envelope for tempo estimation")
     x = e.values.astype(np.float64)
     if not np.isfinite(x).all():
         raise DataError("no periodicity: non-finite onset envelope")

@@ -7,7 +7,6 @@ generation (sample), metric reports (eval), and the inference-step sweep
 <out-dir>/run_config.json; figures-grade outputs are CSV files.
 
 Exit codes: 0 ok, 2 usage (argparse), 3 data error, 4 stage-order error.
-VEM_SEED in the environment overrides the --seed default.
 """
 
 import argparse
@@ -15,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,11 +30,19 @@ from .training import (TrainConfig, generation_tb_iou, load_aligner, load_diffus
                        train_stage_aligner, train_stage_diffusion)
 
 
-def _default_seed():
+def _positive_int(text):
+    """argparse type: an int >= 1; anything else is a usage error (exit 2)."""
     try:
-        return int(os.environ.get("VEM_SEED", "0"))
+        if int(text) >= 1:
+            return int(text)
     except ValueError:
-        return 0
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
+def _positive_ints(text):
+    """argparse type: a comma list of ints >= 1."""
+    return tuple(_positive_int(x) for x in text.split(","))
 
 
 def build_parser():
@@ -45,10 +51,7 @@ def build_parser():
         description="Video-to-music alignment toolkit: spectrogram features, beat "
                     "tracking, corpus curation, staged diffusion training, sampling, "
                     "and rhythmic evaluation metrics.")
-    p.add_argument("--seed", type=int, default=_default_seed(),
-                   help="master random seed (default: $VEM_SEED or 0)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for per-file stages (default 1)")
+    p.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
     p.add_argument("--out-dir", default="vem_out", help="output directory (default vem_out)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -74,8 +77,10 @@ def build_parser():
     q = sub.add_parser("train", help="run one training stage on a corpus directory")
     q.add_argument("--stage", choices=("aligner", "diffusion", "adapter"), required=True)
     q.add_argument("--corpus", required=True)
-    q.add_argument("--steps", type=int, help="override the stage's default step count")
-    q.add_argument("--widths", default="64,128,256", help="denoiser channel widths")
+    q.add_argument("--steps", type=_positive_int,
+                   help="override the stage's default step count")
+    q.add_argument("--widths", type=_positive_ints, default=(64, 128, 256),
+                   help="denoiser channel widths, comma list (default 64,128,256)")
     q.add_argument("--t-steps", type=int, default=1000, help="diffusion schedule length")
 
     q = sub.add_parser("sample", help="generate music for a manifest from a checkpoint")
@@ -98,7 +103,8 @@ def build_parser():
     q = sub.add_parser("sweep-steps", help="sample at several step counts, report errors")
     q.add_argument("ckpt")
     q.add_argument("manifest")
-    q.add_argument("--steps", default="1,50,200", help="comma list of step counts")
+    q.add_argument("--steps", type=_positive_ints, default=(1, 50, 200),
+                   help="comma list of step counts (default 1,50,200)")
     q.add_argument("--ref-wav", help="reference audio for reconstruction error")
     q.add_argument("--aligner")
     return p
@@ -144,13 +150,6 @@ def _write_csv(path, header, rows):
         wr.writerows(rows)
 
 
-def _pool_map(fn, items, threads):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- subcommand bodies -----------------------------------------------------
 
 
@@ -178,14 +177,10 @@ def _cmd_beats(args):
 def _cmd_curate(args):
     rules = CurationRule(min_snr_db=args.min_snr_db, max_duration_s=args.max_duration_s,
                          max_shots=args.max_shots)
-    pairs = _corpus_pairs(args.corpus)
-
-    def one(pair):
-        ann, wav = pair
+    rows = []
+    for ann, wav in _corpus_pairs(args.corpus):
         passed, reasons = gate((ann, wav), rules)
-        return [ann.video_id, "pass" if passed else "fail", "; ".join(reasons)]
-
-    rows = _pool_map(one, pairs, args.threads)
+        rows.append([ann.video_id, "pass" if passed else "fail", "; ".join(reasons)])
     out = os.path.join(args.out_dir, "curation.csv")
     _write_csv(out, ["video_id", "status", "reasons"], rows)
     kept = sum(1 for r in rows if r[1] == "pass")
@@ -208,9 +203,8 @@ def _cmd_synth(args):
 
 def _cmd_train(args):
     pairs = _corpus_pairs(args.corpus)
-    widths = tuple(int(x) for x in args.widths.split(","))
-    cfg = TrainConfig(seed=args.seed, widths=widths, T=args.t_steps)
-    if args.steps:
+    cfg = TrainConfig(seed=args.seed, widths=args.widths, T=args.t_steps)
+    if args.steps is not None:
         cfg.aligner_steps = cfg.diffusion_steps = cfg.adapter_steps = args.steps
     os.makedirs(args.out_dir, exist_ok=True)
     aligner_path = os.path.join(args.out_dir, "aligner.vemt")
@@ -313,8 +307,8 @@ def _cmd_eval(args):
         return out
 
     if per_file:
-        for chunk in _pool_map(one, _manifest_names(args.dir), args.threads):
-            rows.extend(chunk)
+        for name in _manifest_names(args.dir):
+            rows.extend(one(name))
 
     corpus_metrics = [m for m in metrics if m in ("fad", "is", "kld")]
     if corpus_metrics:
@@ -352,10 +346,9 @@ def _beats_of(path):
 def _cmd_sweep(args):
     unet, temb, meta, aligner = _load_sampler(args)
     ann = load_manifest(args.manifest)
-    steps_list = [int(s) for s in args.steps.split(",")]
     ref_mel = logmel(_load_wav_16k(args.ref_wav)) if args.ref_wav else None
     rows = []
-    for steps in steps_list:
+    for steps in args.steps:
         mel = sample_mel(unet, temb, meta, ann, steps, args.seed, aligner=aligner)
         if ref_mel is not None:
             n = min(mel.values.shape[0], ref_mel.values.shape[0])

@@ -12,7 +12,8 @@ import dataclasses
 
 import numpy as np
 
-from .audiofeat import SAMPLE_RATE, Waveform, estimate_snr
+from .audiofeat import HOP, N_FFT, SAMPLE_RATE, Waveform, estimate_snr
+from .beatdet import MIN_ENVELOPE_S
 from .errors import DataError
 from .parsing import Storyboard, VideoAnnotation, toy_text_embed, toy_visual_embed
 from .rng import Rng
@@ -48,9 +49,22 @@ def gate(pair, rules=None):
 # -- synthetic corpus ------------------------------------------------------
 
 
+# the onset envelope of an n-sample clip spans n - (N_FFT - HOP) samples, so
+# this is the shortest clip whose beats stage A can track
+MIN_SYNTH_S = MIN_ENVELOPE_S + (N_FFT - HOP) / SAMPLE_RATE
+
+
 @dataclasses.dataclass
 class SynthConfig:
     duration_range_s: tuple = (10.0, 16.0)
+
+    def __post_init__(self):
+        lo, hi = self.duration_range_s
+        if not lo <= hi < np.inf:
+            raise DataError(f"duration range [{lo}, {hi}] must be finite and ordered")
+        if lo < MIN_SYNTH_S:
+            raise DataError(f"clips must last at least {MIN_SYNTH_S:g} s for beat tracking, "
+                            f"got {lo}")
 
 
 TEMPO_RANGE_BPM = (90.0, 140.0)

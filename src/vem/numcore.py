@@ -30,29 +30,26 @@ def sqrtm_psd(a, clip_tol=1e-6):
 
 
 def linear_interp(values, num_out):
-    """Resample a 1-D or (channels, length) array to `num_out` samples.
+    """Resample an array along axis 0 (time-major: (length, ...)) to
+    `num_out` rows.
 
     Endpoint-preserving: output positions are spread over [0, n_in - 1], so
-    the first and last input samples survive exactly. A length-1 input is
+    the first and last input rows survive exactly. A length-1 input is
     broadcast.
     """
     values = np.asarray(values)
-    squeeze = values.ndim == 1
-    if squeeze:
-        values = values[None, :]
-    n_in = values.shape[1]
+    n_in = values.shape[0]
     num_out = int(num_out)
     if num_out < 1:
         raise ValueError("num_out must be >= 1")
     if n_in == 1:
-        out = np.repeat(values, num_out, axis=1)
-    else:
-        pos = np.linspace(0.0, n_in - 1.0, num_out)
-        lo = np.floor(pos).astype(int)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = (pos - lo).astype(values.dtype if values.dtype.kind == "f" else np.float64)
-        out = values[:, lo] * (1.0 - frac) + values[:, hi] * frac
-    return out[0] if squeeze else out
+        return np.repeat(values, num_out, axis=0)
+    pos = np.linspace(0.0, n_in - 1.0, num_out)
+    lo = np.floor(pos).astype(int)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = (pos - lo).astype(values.dtype if values.dtype.kind == "f" else np.float64)
+    frac = frac.reshape((num_out,) + (1,) * (values.ndim - 1))
+    return values[lo] * (1.0 - frac) + values[hi] * frac
 
 
 def frechet_gaussian(mu_a, cov_a, mu_b, cov_b, eps=1e-6):

@@ -4,7 +4,9 @@ A video arrives as a JSON manifest describing three levels: one global
 caption + emotion tags, a list of storyboards (start, duration, text), and
 frame-level transition timestamps. Feature vectors either ride along in a
 tensor-container sidecar (so real encoder outputs can drop in) or are
-synthesized here by deterministic bag-of-tokens hash embedders.
+synthesized here: text and visual vectors by deterministic bag-of-tokens
+hash embedders, frame features by `build_frame_features` from the
+transitions and storyboards.
 
 Manifest schema (exact keys):
 
@@ -15,8 +17,8 @@ Manifest schema (exact keys):
      features?: path-to-sidecar}
 
 Sidecar entries: "caption_feat", "tag_feat", "storyboard.{i}.text_feat",
-"storyboard.{i}.visual_feat", optional "frame_features" (channels x frames
-at 16 fps).
+"storyboard.{i}.visual_feat", "frame_features" (channels x frames at 16 fps).
+Each entry is optional; a missing one is synthesized.
 """
 
 import dataclasses
@@ -58,7 +60,7 @@ class VideoAnnotation:
     tag_feat: np.ndarray
     storyboards: list
     transitions: TimestampSet
-    frame_features: np.ndarray = None  # (channels, frames) at 16 fps, optional
+    frame_features: np.ndarray  # (channels, frames) float32 at 16 fps
 
     @property
     def shot_count(self):
@@ -233,14 +235,15 @@ def load_manifest(path):
     if tr and (tr[0] < 0 or tr[-1] > duration):
         raise ManifestError("transitions_s", f"values outside [0, {duration}]")
 
-    frame_features = feat("frame_features", lambda: None, ndim=2)
-    return VideoAnnotation(
+    ann = VideoAnnotation(
         video_id=video_id, duration_s=float(duration),
         global_caption=caption, caption_feat=np.asarray(caption_feat, dtype=np.float32),
         emotion_tags=[str(t) for t in tags], tag_feat=np.asarray(tag_feat, dtype=np.float32),
         storyboards=sbs, transitions=TimestampSet(tr, float(duration)),
-        frame_features=frame_features,
+        frame_features=None,
     )
+    ann.frame_features = feat("frame_features", lambda: build_frame_features(ann), ndim=2)
+    return ann
 
 
 def save_manifest(path, ann):
@@ -259,12 +262,11 @@ def save_manifest(path, ann):
         "transitions_s": list(ann.transitions.times_s),
         "features": os.path.basename(sidecar),
     }
-    tensors = {"caption_feat": ann.caption_feat, "tag_feat": ann.tag_feat}
+    tensors = {"caption_feat": ann.caption_feat, "tag_feat": ann.tag_feat,
+               "frame_features": ann.frame_features}
     for s in ann.storyboards:
         tensors[f"storyboard.{s.index}.text_feat"] = s.text_feat
         tensors[f"storyboard.{s.index}.visual_feat"] = s.visual_feat
-    if ann.frame_features is not None:
-        tensors["frame_features"] = ann.frame_features
     save_tensors(sidecar, tensors)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -272,7 +274,7 @@ def save_manifest(path, ann):
 
 def build_frame_features(ann):
     """Derive an (8, frames) feature matrix at DEFAULT_FPS from the annotation
-    alone, for manifests without a precomputed frame_features sidecar entry.
+    alone; `load_manifest` fills it in when the sidecar has no frame_features.
 
     Channel 0 carries a transition impulse smeared over one frame each side;
     channels 1-3 encode storyboard phase/index and clip position so the

@@ -34,14 +34,15 @@ class AlignerNet(ag.Module):
         self.head = ag.Conv1d(hidden, 1, 1, rng, dtype=dtype)
 
     def forward(self, frame_features):
-        """(feat_dim, frames) -> (penultimate (hidden, frames), logits (frames,))."""
+        """(feat_dim, frames) features -> (penultimate activations, time-major
+        (frames, hidden), and logits (frames,))."""
         x = np.asarray(frame_features)
         if x.ndim != 2 or x.shape[0] != self.feat_dim:
             raise DataError(f"expected ({self.feat_dim}, frames) features, got {x.shape}")
         h = self.conv1(ag.Var(x.T)).silu()
-        h = self.conv2(h).silu()                      # (frames, hidden)
+        h = self.conv2(h).silu()
         logits = self.head(h)                         # (frames, 1)
-        return h.transpose(), logits.reshape(x.shape[1])
+        return h, logits.reshape(x.shape[1])
 
 
 def aligner_loss(net, frame_features, label_frames):
@@ -83,8 +84,9 @@ def train_aligner(dataset, steps=500, lr=1e-3, seed=0, hidden=32):
 
 
 def aligner_features(net, frame_features, latent_len):
-    """Penultimate activations resampled to the latent clock, as constants
-    (the aligner is frozen wherever these are consumed).
+    """Penultimate activations resampled to the latent clock, as a constant
+    (latent_len, hidden) array (the aligner is frozen wherever these are
+    consumed).
     """
     with ag.no_grad():
         pen, _ = net.forward(frame_features)

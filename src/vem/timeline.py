@@ -1,11 +1,12 @@
-"""Event-timeline algebra on a 16 fps frame grid.
+"""Event timestamps and the rhythmic metrics over them, on a 16 fps grid.
 
 Events live as continuous timestamps for as long as possible and are only
-rasterized (frame = floor(t * fps)) at the last step, so sub-frame offsets
-survive until the timelines are compared. Matching between two timestamp sets is greedy
-ascending one-to-one within a symmetric tolerance; on sorted inputs with
-interval constraints this attains the maximum matching, which the test suite
-cross-checks against a brute-force bipartite oracle.
+rasterized (frame = floor(t * fps), a uint8 0/1 array) at the last step, so
+sub-frame offsets survive until the timelines are compared. Matching between
+two timestamp sets is greedy ascending one-to-one within a symmetric
+tolerance; on sorted inputs with interval constraints this attains the
+maximum matching, which the test suite cross-checks against a brute-force
+bipartite oracle.
 """
 
 import dataclasses
@@ -17,21 +18,6 @@ from .errors import DataError
 
 DEFAULT_FPS = 16.0
 DEFAULT_TOL_S = 0.5
-
-
-@dataclasses.dataclass
-class EventTimeline:
-    fps: float
-    frames: np.ndarray  # binary
-    duration_s: float
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.uint8)
-        if not np.all((self.frames == 0) | (self.frames == 1)):
-            raise DataError("timeline frames must be binary")
-        want = int(np.ceil(self.duration_s * self.fps))
-        if len(self.frames) != want:
-            raise DataError(f"timeline length {len(self.frames)} != ceil(duration*fps) = {want}")
 
 
 @dataclasses.dataclass
@@ -51,24 +37,16 @@ class TimestampSet:
 
 
 def from_timestamps(ts, fps=DEFAULT_FPS):
-    """Rasterize to a binary frame sequence; colliding timestamps collapse."""
+    """Rasterize to a uint8 0/1 array of ceil(duration * fps) frames.
+
+    Colliding timestamps collapse; a timestamp at the clip end lands on the
+    last frame.
+    """
     n = int(np.ceil(ts.duration_s * fps))
     frames = np.zeros(n, dtype=np.uint8)
     for t in ts.times_s:
-        idx = int(np.floor(t * fps))
-        if idx >= n:
-            raise DataError(f"timestamp {t} rasterizes past the timeline (duration {ts.duration_s})")
-        frames[idx] = 1
-    return EventTimeline(fps, frames, ts.duration_s)
-
-
-def intersect(video, music):
-    """Elementwise AND of two timelines on the same grid."""
-    if video.fps != music.fps or len(video.frames) != len(music.frames):
-        raise DataError(
-            f"timeline grids differ: fps {video.fps} vs {music.fps}, "
-            f"len {len(video.frames)} vs {len(music.frames)}")
-    return EventTimeline(video.fps, video.frames & music.frames, video.duration_s)
+        frames[min(int(np.floor(t * fps)), n - 1)] = 1
+    return frames
 
 
 def match_count(a, b, tol_s):

@@ -24,18 +24,17 @@ from .container import load_tensors, save_tensors
 from .diffusion import (LATENT_CHANNELS, Latent, latent_decode, latent_encode,
                         latent_len_for_duration, make_schedule, sample, training_loss)
 from .errors import DataError, StageOrderError
-from .parsing import TimeEmbedder, build_frame_features
+from .parsing import TimeEmbedder
 from .rng import Rng
 from .sgcatt import TOKENS_PER_STORYBOARD, StoryboardMask, assemble_conditions, build_mask
 from .tbalign import aligner_features, train_aligner
-from .timeline import DEFAULT_FPS, from_timestamps, intersect, transitions_beats_iou
+from .timeline import from_timestamps, transitions_beats_iou
 from .tunet import TUNet
 
 
 @dataclasses.dataclass
 class TrainConfig:
     seed: int = 0
-    feature_dim: int = 64
     time_hidden: int = 32
     aligner_hidden: int = 32
     aligner_steps: int = 400
@@ -56,16 +55,10 @@ class TrainConfig:
         return make_schedule(self.T, self.beta_start, self.beta_end)
 
 
-def frame_features_of(ann):
-    ff = ann.frame_features
-    return np.asarray(ff, dtype=np.float32) if ff is not None else build_frame_features(ann)
-
-
 def intersection_labels(ann, wav):
     """Frames where an annotated transition meets a detected music beat."""
-    video_tl = from_timestamps(ann.transitions, DEFAULT_FPS)
-    music_tl = from_timestamps(beats_within(logmel(wav), ann.duration_s), DEFAULT_FPS)
-    return intersect(video_tl, music_tl).frames
+    beats = beats_within(logmel(wav), ann.duration_s)
+    return from_timestamps(ann.transitions) & from_timestamps(beats)
 
 
 # -- stage A ---------------------------------------------------------------
@@ -77,10 +70,9 @@ def train_stage_aligner(corpus, cfg):
         raise DataError("empty corpus")
     dataset = []
     for ann, wav in corpus:
-        feats = frame_features_of(ann)
         labels = intersection_labels(ann, wav)
-        n = min(feats.shape[1], len(labels))
-        dataset.append((feats[:, :n], labels[:n]))
+        n = min(ann.frame_features.shape[1], len(labels))
+        dataset.append((ann.frame_features[:, :n], labels[:n]))
     return train_aligner(dataset, steps=cfg.aligner_steps, lr=cfg.aligner_lr,
                          seed=cfg.seed, hidden=cfg.aligner_hidden)
 
@@ -88,10 +80,12 @@ def train_stage_aligner(corpus, cfg):
 # -- stages B and C --------------------------------------------------------
 
 
-def _prepare_latents(corpus, stats=None):
-    """Encode every waveform; returns (items, mean, std) with items holding
-    latents standardized by `stats` = (mean, std), or by the corpus's own
-    scalar mean and std when `stats` is None, and masks on the latent clock."""
+def _prepare_latents(corpus, stats=None, aligner=None):
+    """Encode every waveform; returns (items, mean, std). Each item is an
+    (ann, z0, mask, afeats) tuple: the latent standardized by `stats` =
+    (mean, std), or by the corpus's own scalar mean and std when `stats` is
+    None; its storyboard mask; and the aligner's features on the latent
+    clock, None without an `aligner`."""
     latents = [latent_encode(logmel(wav)).values for _, wav in corpus]
     if stats is None:
         vals = np.concatenate([z.ravel() for z in latents]).astype(np.float64)
@@ -99,25 +93,26 @@ def _prepare_latents(corpus, stats=None):
         if stats[1] <= 0:
             raise DataError("degenerate corpus: zero latent variance")
     mean, std = stats
-    items = [{"ann": ann, "z0": ((z - mean) / std).astype(np.float32),
-              "mask": build_mask(ann, z.shape[1])}
-             for (ann, _), z in zip(corpus, latents)]
+    items = []
+    for (ann, _), z in zip(corpus, latents):
+        length = z.shape[1]
+        afeats = None if aligner is None else aligner_features(aligner, ann.frame_features, length)
+        items.append((ann, ((z - mean) / std).astype(np.float32), build_mask(ann, length), afeats))
     return items, mean, std
 
 
-def _diffusion_meta(cfg, unet, mean, std, stage):
+def _diffusion_meta(cfg, unet, mean, std):
     return {
-        "stage": stage, "T": cfg.T, "beta_start": cfg.beta_start, "beta_end": cfg.beta_end,
+        "stage": "diffusion", "T": cfg.T, "beta_start": cfg.beta_start, "beta_end": cfg.beta_end,
         "widths": list(unet.widths), "temb_dim": unet.temb_dim,
         "in_channels": unet.in_channels, "cond_dim": unet.cond_dim,
         "latent_mean": mean, "latent_std": std,
-        "feature_dim": cfg.feature_dim, "time_hidden": cfg.time_hidden,
-        "aligner_hidden": cfg.aligner_hidden if stage == "adapter" else None,
+        "feature_dim": unet.cond_dim, "time_hidden": cfg.time_hidden,
+        "aligner_hidden": None,
     }
 
 
-def _run_diffusion_loop(items, unet, temb, cfg, steps, lr, rng, feats_key=None,
-                        draws=1):
+def _run_diffusion_loop(items, unet, temb, cfg, steps, lr, rng, draws=1):
     """One optimizer step averages `draws` independent noise/timestep draws,
     cycling the corpus between draws; gradient noise drops accordingly.
     """
@@ -128,10 +123,9 @@ def _run_diffusion_loop(items, unet, temb, cfg, steps, lr, rng, feats_key=None,
         opt.zero_grad()
         total = None
         for d in range(draws):
-            it = items[(step * draws + d) % len(items)]
-            tokens = assemble_conditions(it["ann"], temb)
-            loss = training_loss(unet, it["z0"], tokens, it["mask"], rng, sched,
-                                 aligner_feats=it.get(feats_key) if feats_key else None)
+            ann, z0, mask, afeats = items[(step * draws + d) % len(items)]
+            loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, sched,
+                                 aligner_feats=afeats)
             total = loss if total is None else total + loss
         if draws > 1:
             total = total * (1.0 / draws)
@@ -147,14 +141,14 @@ def train_stage_diffusion(corpus, cfg):
         raise DataError("empty corpus")
     items, mean, std = _prepare_latents(corpus)
     master = Rng(cfg.seed)
-    in_channels = items[0]["z0"].shape[0]
-    unet = TUNet(in_channels, cfg.feature_dim, widths=cfg.widths,
-                 temb_dim=cfg.temb_dim, rng=master.fork(1))
-    temb = TimeEmbedder(cfg.feature_dim, hidden=cfg.time_hidden, rng=master.fork(2))
+    ann, z0 = items[0][:2]
+    dim = len(ann.caption_feat)
+    unet = TUNet(z0.shape[0], dim, widths=cfg.widths, temb_dim=cfg.temb_dim, rng=master.fork(1))
+    temb = TimeEmbedder(dim, hidden=cfg.time_hidden, rng=master.fork(2))
     losses = _run_diffusion_loop(items, unet, temb, cfg,
                                  cfg.diffusion_steps, cfg.diffusion_lr, master.fork(3),
                                  draws=cfg.diffusion_draws)
-    return unet, temb, _diffusion_meta(cfg, unet, mean, std, "diffusion"), losses
+    return unet, temb, _diffusion_meta(cfg, unet, mean, std), losses
 
 
 def train_stage_adapter(corpus, cfg, aligner, unet, temb, meta):
@@ -167,19 +161,16 @@ def train_stage_adapter(corpus, cfg, aligner, unet, temb, meta):
     if meta.get("stage") not in ("diffusion", "adapter"):
         raise StageOrderError(f"adapter stage needs a diffusion checkpoint, got {meta.get('stage')!r}")
     # keep the standardization the base model was trained with
-    items, _, _ = _prepare_latents(corpus, (meta["latent_mean"], meta["latent_std"]))
-    for it in items:
-        it["afeats"] = aligner_features(aligner, frame_features_of(it["ann"]),
-                                        it["z0"].shape[1])
+    items, _, _ = _prepare_latents(corpus, (meta["latent_mean"], meta["latent_std"]), aligner)
     if unet.adapters is None:
-        unet.attach_adapters(cfg.aligner_hidden)
+        unet.attach_adapters(aligner.hidden)
     master = Rng(cfg.seed + 1)
     losses = _run_diffusion_loop(items, unet, temb, cfg,
                                  cfg.adapter_steps, cfg.adapter_lr, master.fork(3),
-                                 feats_key="afeats", draws=cfg.adapter_draws)
+                                 draws=cfg.adapter_draws)
     new_meta = dict(meta)
     new_meta["stage"] = "adapter"
-    new_meta["aligner_hidden"] = cfg.aligner_hidden
+    new_meta["aligner_hidden"] = aligner.hidden
     return unet, temb, new_meta, losses
 
 
@@ -283,7 +274,7 @@ def sample_mel(unet, temb, meta, ann, steps, seed, aligner=None, conditioned=Tru
         mask = StoryboardMask(np.ones((length, n_tok), dtype=np.uint8))
     afeats = None
     if conditioned and aligner is not None and unet.adapters is not None:
-        afeats = aligner_features(aligner, frame_features_of(ann), length)
+        afeats = aligner_features(aligner, ann.frame_features, length)
     z = sample(unet, tokens, mask, (unet.in_channels, length), steps, Rng(seed), sched,
                aligner_feats=afeats)
     z = z * float(meta["latent_std"]) + float(meta["latent_mean"])

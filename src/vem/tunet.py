@@ -9,11 +9,12 @@ concatenate on axis 1.
 Encoder and decoder levels are the same `Level`: residual block (with the
 diffusion-step embedding injected) -> plain self-attention transformer block
 -> storyboard-guided cross-attention block. Encoder levels may first pass
-through the modulation adapter; levels are bridged by stride-2 convolutions
-down and repeat+conv up, with channel-concat skips. The conditions arrive as
-the (6N, D) token Var of `sgcatt.assemble_conditions` and the base-resolution
-`StoryboardMask`; `sgcatt.level_masks` OR-pools the mask by 2^level to
-follow the latent clock.
+through the modulation adapter, fed the time-major (L, hidden) aligner
+features resampled to the level's length. Levels are bridged by stride-2
+convolutions down and repeat+conv up, with channel-concat skips. The
+conditions arrive as the (6N, D) token Var of `sgcatt.assemble_conditions`
+and the base-resolution `StoryboardMask`; `sgcatt.level_masks` OR-pools the
+mask by 2^level to follow the latent clock.
 
 The output convolution is zero-initialized, so an untrained net predicts
 zero noise and the initial training loss sits near E||eps||^2 = 1.
@@ -200,7 +201,7 @@ class TUNet(ag.Module):
         for lvl in range(self.levels):
             if self.adapters is not None and aligner_feats is not None:
                 feats = linear_interp(np.asarray(aligner_feats, dtype=np.float64), x.shape[0])
-                x = apply_adapter(x, feats.T, self.adapters[lvl])
+                x = apply_adapter(x, feats, self.adapters[lvl])
             x = self.enc[lvl](x, temb_act, tokens, masks[lvl])
             if lvl < self.levels - 1:
                 skips.append(x)

@@ -75,7 +75,7 @@ def click_track(bpm, duration_s=30.0, seed=0, click_amp=0.8, noise_amp=5e-4,
 
 
 def make_annotation(duration_s=10.0, bounds=(0.0, 4.0, 10.0), transitions=(4.0,),
-                    video_id="fixture", feature_dim=64, with_frames=True):
+                    video_id="fixture", feature_dim=64):
     """Hand-built annotation with storyboards between consecutive bounds."""
     boards = []
     for i in range(len(bounds) - 1):
@@ -93,8 +93,7 @@ def make_annotation(duration_s=10.0, bounds=(0.0, 4.0, 10.0), transitions=(4.0,)
         storyboards=boards,
         transitions=TimestampSet(sorted(transitions), duration_s),
         frame_features=None)
-    if with_frames:
-        ann.frame_features = build_frame_features(ann)
+    ann.frame_features = build_frame_features(ann)
     return ann
 
 

@@ -10,6 +10,8 @@ from helpers import click_track
 from vem import cli
 from vem.audiofeat import SAMPLE_RATE, Waveform, save_wav
 from vem.container import load_tensors, save_tensors
+from vem.curation import MIN_SYNTH_S
+from vem.parsing import build_frame_features, load_manifest
 from vem.rng import Rng
 
 
@@ -89,6 +91,21 @@ def test_stage_order_violation_exits_4(tmp_path, corpus_dir):
     assert rc == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--stage", "aligner", "--corpus", "c", "--steps", "-1"],
+    ["train", "--stage", "aligner", "--corpus", "c", "--steps", "0"],
+    ["train", "--stage", "aligner", "--corpus", "c", "--widths", "a"],
+    ["train", "--stage", "aligner", "--corpus", "c", "--widths", "8,0"],
+    ["sweep-steps", "ckpt.vemt", "m.json", "--steps", "a"],
+    ["sweep-steps", "ckpt.vemt", "m.json", "--steps", "1,,2"],
+], ids=["steps-negative", "steps-zero", "widths-word", "widths-zero", "sweep-word",
+        "sweep-empty-item"])
+def test_bad_numbers_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv, tmp_path)
+    assert exc.value.code == 2
+
+
 def test_run_config_echo(tmp_path):
     run(["beats", str(tmp_path / "nope.wav")], tmp_path)   # fails late, echoes first
     doc = json.load(open(tmp_path / "run_config.json", encoding="utf-8"))
@@ -131,15 +148,6 @@ def test_synth_layout_and_determinism(tmp_path, corpus_dir):
         assert a == b, name
 
 
-def test_vem_seed_env_overrides_default(tmp_path, monkeypatch, corpus_dir):
-    monkeypatch.setenv("VEM_SEED", "21")
-    rc = cli.main(["--out-dir", str(tmp_path), "synth", "--n", "2"])
-    assert rc == 0
-    a = open(corpus_dir / "item_000.wav", "rb").read()
-    b = open(tmp_path / "corpus" / "item_000.wav", "rb").read()
-    assert a == b
-
-
 def test_curate_report(tmp_path, corpus_dir):
     assert run(["curate", str(corpus_dir)], tmp_path) == 0
     rows = read_csv(tmp_path / "curation.csv")
@@ -148,14 +156,34 @@ def test_curate_report(tmp_path, corpus_dir):
     assert all(r[1] in ("pass", "fail") for r in rows[1:])
 
 
-def test_curate_threads_agree(tmp_path, corpus_dir):
-    assert run(["curate", str(corpus_dir)], tmp_path / "one") == 0
-    assert cli.main(["--out-dir", str(tmp_path / "two"), "--threads", "4",
-                     "curate", str(corpus_dir)]) == 0
-    assert read_csv(tmp_path / "one" / "curation.csv") == read_csv(tmp_path / "two" / "curation.csv")
+@pytest.mark.parametrize("dur", [("0.01", "0.02"), ("16", "10"), ("4.0", "16"),
+                                 (str(MIN_SYNTH_S - 1e-3), "10"), ("nan", "nan"),
+                                 ("5", "nan"), ("5", "inf")],
+                         ids=["too-short", "reversed", "4-s", "just-under-bound", "nan",
+                              "nan-max", "inf-max"])
+def test_synth_bad_durations_exit_3(tmp_path, dur):
+    rc = run(["synth", "--n", "1", "--dur-min", dur[0], "--dur-max", dur[1]], tmp_path)
+    assert rc == 3
+    assert not (tmp_path / "corpus").exists()
 
 
 # -- train / sample / sweep ------------------------------------------------
+
+
+def test_train_without_frame_features(tmp_path, corpus_dir):
+    """A sidecar with no frame_features entry loads with the matrix
+    build_frame_features derives, and stage A trains on it."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    for side in corpus.glob("*.feat.vemt"):
+        tensors, meta = load_tensors(side)
+        del tensors["frame_features"]
+        save_tensors(side, tensors, meta)
+    ann = load_manifest(corpus / "item_000.json")
+    np.testing.assert_array_equal(ann.frame_features, build_frame_features(ann))
+    assert run(["train", "--stage", "aligner", "--corpus", str(corpus), "--steps", "2"],
+               tmp_path / "out") == 0
+    assert (tmp_path / "out" / "aligner.vemt").exists()
 
 
 def test_train_artifacts(trained_dir):

@@ -41,7 +41,7 @@ def test_gate_passes_clean_pair():
 
 def test_gate_rejects_long_video():
     bounds = tuple(np.linspace(0.0, 130.0, 5))
-    ann = make_annotation(130.0, bounds, (bounds[1],), with_frames=False)
+    ann = make_annotation(130.0, bounds, (bounds[1],))
     passed, reasons = cu.gate((ann, quiet_wave(130.0)))
     assert not passed
     assert any(r.startswith("duration") for r in reasons)
@@ -49,7 +49,7 @@ def test_gate_rejects_long_video():
 
 def test_gate_rejects_too_many_shots():
     bounds = tuple(np.linspace(0.0, 60.0, 22))   # 21 storyboards
-    ann = make_annotation(60.0, bounds, (bounds[1],), with_frames=False)
+    ann = make_annotation(60.0, bounds, (bounds[1],))
     passed, reasons = cu.gate((ann, quiet_wave(60.0)))
     assert not passed
     assert any(r.startswith("shots") for r in reasons)
@@ -64,7 +64,7 @@ def test_gate_rejects_low_snr():
 
 def test_gate_lists_every_failing_reason():
     bounds = tuple(np.linspace(0.0, 130.0, 23))
-    ann = make_annotation(130.0, bounds, (bounds[1],), with_frames=False)
+    ann = make_annotation(130.0, bounds, (bounds[1],))
     passed, reasons = cu.gate((ann, noisy_wave(130.0)))
     assert not passed and len(reasons) == 3
 
@@ -102,6 +102,14 @@ def test_synth_corpus_deterministic():
 def test_synth_corpus_needs_positive_n():
     with pytest.raises(DataError):
         cu.synth_corpus(0, seed=1)
+
+
+def test_shortest_synth_clip_keeps_beat_tracking():
+    # MIN_SYNTH_S leaves exactly 4 s of onset envelope, enough for the tempo search
+    assert cu.MIN_SYNTH_S == pytest.approx(4.048)
+    for seed in range(4):
+        ann, wav = cu.synth_item(Rng(seed), cu.SynthConfig((cu.MIN_SYNTH_S, cu.MIN_SYNTH_S)))
+        assert len(beats_within(logmel(wav), ann.duration_s)) > 0
 
 
 def test_synth_item_structure():

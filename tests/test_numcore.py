@@ -98,9 +98,14 @@ class TestLinearInterp:
         np.testing.assert_allclose(y, [5.0, -3.0])
 
     def test_two_dimensional_rows_interpolated(self):
-        x = np.array([[0.0, 2.0], [10.0, 30.0]])
+        # time-major: axis 0 is resampled, each column independently
+        x = np.array([[0.0, 10.0], [2.0, 30.0]])
         y = linear_interp(x, 3)
-        np.testing.assert_allclose(y, [[0.0, 1.0, 2.0], [10.0, 20.0, 30.0]])
+        np.testing.assert_allclose(y, [[0.0, 10.0], [1.0, 20.0], [2.0, 30.0]])
+
+    def test_length_one_broadcasts_rows(self):
+        np.testing.assert_allclose(linear_interp(np.array([[1.0, 2.0]]), 3),
+                                   [[1.0, 2.0]] * 3)
 
     def test_length_one_broadcasts(self):
         np.testing.assert_allclose(linear_interp(np.array([7.0]), 4),

@@ -140,7 +140,7 @@ def test_load_valid_manifest(tmp_path):
     assert ann.storyboards[1].end_s == pytest.approx(10.0)
     assert ann.transitions.times_s == [4.0]
     assert ann.caption_feat.shape == (64,)
-    assert ann.frame_features is None
+    np.testing.assert_array_equal(ann.frame_features, ps.build_frame_features(ann))
 
 
 def test_single_storyboard_full_span(tmp_path):
@@ -273,8 +273,7 @@ def test_malformed_sidecar_feature_named(tmp_path, key, value):
 
 
 def test_build_frame_features_shape_and_impulses():
-    ann = make_annotation(duration_s=10.0, bounds=(0.0, 4.0, 10.0),
-                          transitions=(4.0,), with_frames=False)
+    ann = make_annotation(duration_s=10.0, bounds=(0.0, 4.0, 10.0), transitions=(4.0,))
     ff = ps.build_frame_features(ann)
     assert ff.shape == (8, 160)
     assert ff[0, 64] == 1.0  # floor(4.0 * 16)

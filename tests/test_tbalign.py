@@ -25,7 +25,7 @@ def toy_dataset(n_items=2, frames=48, feat_dim=6, seed=0):
 def test_forward_shapes():
     net = tb.AlignerNet(6, hidden=4, rng=Rng(0))
     pen, logits = net.forward(np.zeros((6, 20), dtype=np.float32))
-    assert pen.shape == (4, 20)
+    assert pen.shape == (20, 4)  # time-major
     assert logits.shape == (20,)
 
 
@@ -95,19 +95,20 @@ def test_aligner_features_interp_oracle():
     out = tb.aligner_features(net, feats, 6)
     ref = linear_interp(pen.data.astype(np.float64), 6)
     np.testing.assert_allclose(out, ref, atol=1e-6)
-    assert out.shape == (5, 6)
+    assert out.shape == (6, 5)
 
 
 def test_aligner_features_constant_rows():
     class Fixed(tb.AlignerNet):
         def forward(self, ff):
             import vem.autograd as ag
-            pen = ag.Var(np.full((self.hidden, ff.shape[1]), 2.5, dtype=np.float32))
+            pen = ag.Var(np.full((ff.shape[1], self.hidden), 2.5, dtype=np.float32))
             return pen, ag.Var(np.zeros(ff.shape[1], dtype=np.float32))
 
     net = Fixed(4, hidden=3, rng=Rng(0))
     for latent_len in (5, 12, 31):
         out = tb.aligner_features(net, np.zeros((4, 12), dtype=np.float32), latent_len)
+        assert out.shape == (latent_len, 3)
         np.testing.assert_allclose(out, 2.5, atol=1e-6)
 
 

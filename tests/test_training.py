@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import use_unfused_ops
+from helpers import click_track, make_annotation, use_unfused_ops
 
 from vem import autograd as ag
 from vem import curation as cu
@@ -18,7 +18,7 @@ from vem.timeline import DEFAULT_FPS
 
 
 def tiny_cfg(**kw):
-    base = dict(seed=0, feature_dim=64, time_hidden=8, aligner_hidden=6,
+    base = dict(seed=0, time_hidden=8, aligner_hidden=6,
                 aligner_steps=60, widths=(8,), temb_dim=16, T=50,
                 diffusion_steps=12, diffusion_lr=1e-3, adapter_steps=8,
                 adapter_lr=5e-4)
@@ -60,6 +60,16 @@ def test_stage_aligner_learns(corpus):
     assert len(losses) == 60
     assert losses[-1] < losses[0]
     assert net.feat_dim == corpus[0][0].frame_features.shape[0]
+
+
+def test_stage_aligner_trains_on_transition_at_clip_end():
+    # 10.0 s * 16 fps is whole, so the transition at 10.0 s floors one frame
+    # past the raster and lands on the last frame instead
+    wav, _ = click_track(120.0, duration_s=10.0)
+    ann = make_annotation(10.0, (0.0, 4.0, 10.0), (4.0, 10.0))
+    assert len(tr.intersection_labels(ann, wav)) == 160
+    net, losses = tr.train_stage_aligner([(ann, wav)], tiny_cfg(aligner_steps=3))
+    assert len(losses) == 3 and all(np.isfinite(losses))
 
 
 def test_stage_aligner_empty_corpus():
@@ -243,10 +253,10 @@ def test_training_loss_tapes_only_float32(corpus):
     cfg = tiny_cfg()
     z0 = latent_encode(logmel(wav)).values.astype(np.float32)
     mask = build_mask(ann, z0.shape[1])
-    unet = TUNet(z0.shape[0], cfg.feature_dim, widths=(8, 12), temb_dim=16, rng=Rng(1))
+    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), temb_dim=16, rng=Rng(1))
     unet.attach_adapters(cfg.aligner_hidden)
-    temb = TimeEmbedder(cfg.feature_dim, hidden=cfg.time_hidden, rng=Rng(2))
-    feats = Rng(3).gaussian((cfg.aligner_hidden, 40)).astype(np.float32)
+    temb = TimeEmbedder(len(ann.caption_feat), hidden=cfg.time_hidden, rng=Rng(2))
+    feats = Rng(3).gaussian((40, cfg.aligner_hidden)).astype(np.float32)
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
                          cfg.schedule(), aligner_feats=feats)
     loss.backward()
@@ -282,14 +292,14 @@ def _stage_c_loss(ann, wav, dtype):
     cfg = tiny_cfg()
     z0 = latent_encode(logmel(wav)).values.astype(dtype)
     mask = build_mask(ann, z0.shape[1])
-    unet = TUNet(z0.shape[0], cfg.feature_dim, widths=(8, 12), temb_dim=16, rng=Rng(1),
+    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), temb_dim=16, rng=Rng(1),
                  dtype=dtype)
     unet.attach_adapters(cfg.aligner_hidden, dtype=dtype)
-    temb = TimeEmbedder(cfg.feature_dim, hidden=cfg.time_hidden, rng=Rng(2), dtype=dtype)
+    temb = TimeEmbedder(len(ann.caption_feat), hidden=cfg.time_hidden, rng=Rng(2), dtype=dtype)
     r = Rng(5)
     for p in unet.params() + temb.params():
         p.data = p.data + (0.05 * r.gaussian(p.shape)).astype(dtype)
-    feats = Rng(3).gaussian((cfg.aligner_hidden, 40)).astype(dtype)
+    feats = Rng(3).gaussian((40, cfg.aligner_hidden)).astype(dtype)
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
                          cfg.schedule(), aligner_feats=feats)
     loss.backward()
@@ -327,9 +337,9 @@ def test_stage_b_loss_tape_size():
     ann, wav = cu.synth_corpus(1, seed=9, cfg=cu.SynthConfig(duration_range_s=(12.0, 12.0)))[0]
     z0 = latent_encode(logmel(wav)).values.astype(np.float32)
     mask = build_mask(ann, z0.shape[1])
-    unet = TUNet(z0.shape[0], cfg.feature_dim, widths=cfg.widths, temb_dim=cfg.temb_dim,
+    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=cfg.widths, temb_dim=cfg.temb_dim,
                  rng=Rng(1))
-    temb = TimeEmbedder(cfg.feature_dim, hidden=cfg.time_hidden, rng=Rng(2))
+    temb = TimeEmbedder(len(ann.caption_feat), hidden=cfg.time_hidden, rng=Rng(2))
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4), cfg.schedule())
     assert _tape_nodes(loss) <= 256
 

@@ -134,7 +134,7 @@ def test_fresh_adapter_is_exact_noop():
     _nudge_from_zero(net)
     before = net(z, 8, cond, mask).data.copy()
     net.attach_adapters(aligner_hidden=5)
-    feats = Rng(9).gaussian((5, 12)).astype(np.float32)
+    feats = Rng(9).gaussian((12, 5)).astype(np.float32)  # (L, hidden)
     after = net(z, 8, cond, mask, aligner_feats=feats).data
     np.testing.assert_array_equal(before, after)
 
@@ -145,7 +145,7 @@ def test_trained_adapter_changes_output():
     _nudge_from_zero(net)
     net.attach_adapters(aligner_hidden=5)
     net.adapters[0].beta_b.data = np.full_like(net.adapters[0].beta_b.data, 0.3)
-    feats = Rng(9).gaussian((5, 12)).astype(np.float32)
+    feats = Rng(9).gaussian((12, 5)).astype(np.float32)  # (L, hidden)
     with_feats = net(z, 8, cond, mask, aligner_feats=feats).data
     without = net(z, 8, cond, mask).data
     assert np.abs(with_feats - without).max() > 1e-6
