@@ -81,12 +81,13 @@ def build_parser():
                    help="override the stage's default step count")
     q.add_argument("--widths", type=_positive_ints, default=(64, 128, 256),
                    help="denoiser channel widths, comma list (default 64,128,256)")
-    q.add_argument("--t-steps", type=int, default=1000, help="diffusion schedule length")
+    q.add_argument("--t-steps", type=_positive_int, default=1000, help="diffusion schedule length")
 
     q = sub.add_parser("sample", help="generate music for a manifest from a checkpoint")
     q.add_argument("ckpt")
     q.add_argument("manifest")
-    q.add_argument("--steps", type=int, default=200, help="inference steps (default 200)")
+    q.add_argument("--steps", type=_positive_int, default=200,
+                   help="inference steps (default 200)")
     q.add_argument("--aligner", help="aligner checkpoint (default: aligner.vemt beside ckpt)")
     q.add_argument("--unconditional", action="store_true",
                    help="ablation: zero conditions, no storyboard mask, no aligner")
@@ -378,7 +379,7 @@ def main(argv=None):
     except StageOrderError as exc:
         print(f"error: stage-order: {exc}", file=sys.stderr)
         return 4
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return 3
 

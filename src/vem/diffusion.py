@@ -1,5 +1,7 @@
 """Latent diffusion core: schedule, forward process, loss, sampler, codec.
 
+The noise schedule is the fixed linear one of DDPM: beta_t runs evenly from
+BETA_START = 1e-4 at t = 1 to BETA_END = 0.02 at t = T, and only T varies.
 The forward process corrupts a latent z0 by z_t = sqrt(abar_t) z0 +
 sqrt(1-abar_t) eps; training regresses the noise; sampling walks the
 timesteps back with the posterior mean of the eps-parameterization and
@@ -31,6 +33,7 @@ from .rng import Rng
 PATCH = 4
 LATENT_CHANNELS = PATCH * N_MELS            # 240
 LATENT_FPS = (SAMPLE_RATE / HOP) / PATCH    # 15.625
+BETA_START, BETA_END = 1e-4, 0.02
 
 
 @dataclasses.dataclass
@@ -43,12 +46,10 @@ class NoiseSchedule:
         return 1.0 if t == 0 else float(self.alpha_bar[t - 1])
 
 
-def make_schedule(T=1000, beta_start=1e-4, beta_end=0.02):
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise DataError(f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]")
+def make_schedule(T):
     if T < 1:
         raise DataError(f"need T >= 1, got {T}")
-    beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
+    beta = np.linspace(BETA_START, BETA_END, T, dtype=np.float64)
     return NoiseSchedule(T, np.cumprod(1.0 - beta))
 
 

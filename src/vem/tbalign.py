@@ -21,12 +21,15 @@ from .errors import DataError
 from .numcore import linear_interp
 from .rng import Rng
 
+ALIGNER_HIDDEN = 32
+ALIGNER_LR = 1e-3
+
 
 class AlignerNet(ag.Module):
     """Per-frame transition-beat classifier; without an `rng` every weight
     starts at zero (no draws)."""
 
-    def __init__(self, feat_dim, hidden=32, rng=None, dtype=np.float32):
+    def __init__(self, feat_dim, hidden=ALIGNER_HIDDEN, rng=None, dtype=np.float32):
         self.feat_dim = feat_dim
         self.hidden = hidden
         self.conv1 = ag.Conv1d(feat_dim, hidden, 5, rng, padding=2, dtype=dtype)
@@ -54,8 +57,9 @@ def aligner_loss(net, frame_features, label_frames):
     return ag.bce_with_logits(logits, labels).mean()
 
 
-def train_aligner(dataset, steps=500, lr=1e-3, seed=0, hidden=32):
-    """Full-batch training on (frame_features, label_frames) pairs.
+def train_aligner(dataset, steps, seed):
+    """Full-batch Adam training, at ALIGNER_LR, of an ALIGNER_HIDDEN-wide net
+    on (frame_features, label_frames) pairs.
 
     Returns (net, per-step losses). Deterministic in the seed.
     """
@@ -67,8 +71,8 @@ def train_aligner(dataset, steps=500, lr=1e-3, seed=0, hidden=32):
             raise DataError(f"inconsistent feature dims {feats.shape[0]} vs {feat_dim}")
         if feats.shape[1] != len(labels):
             raise DataError(f"features cover {feats.shape[1]} frames, labels {len(labels)}")
-    net = AlignerNet(feat_dim, hidden=hidden, rng=Rng(seed).fork(1))
-    opt = ag.Adam(net.params(), lr=lr)
+    net = AlignerNet(feat_dim, rng=Rng(seed).fork(1))
+    opt = ag.Adam(net.params(), lr=ALIGNER_LR)
     losses = []
     for _ in range(steps):
         opt.zero_grad()

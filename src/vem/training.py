@@ -6,10 +6,18 @@ Stage B trains the diffusion denoiser with storyboard conditioning, adapter
 excluded. Stage C freezes the aligner, bolts zero-initialized adapters onto
 the encoder levels, and fine-tunes the denoiser jointly with them.
 
-Checkpoints are tensor-container files whose JSON metadata header carries
-the schedule, architecture dims, the latent standardization constants, and
-the stage tag; loading reconstructs the exact model. Diffusion operates on
-standardized latents (corpus scalar mean/std), so samples must be
+A run varies only in `TrainConfig`: the seed, the denoiser widths, the
+schedule length T and each stage's step count. Everything else is a
+constant of the code that uses it: the learning rates (here and in
+`tbalign`), the beta endpoints (`diffusion`), and the time-embedding,
+step-embedding and aligner widths (the constructors' defaults).
+
+Checkpoints are tensor-container files with a JSON metadata header. An
+aligner's meta holds its stage tag, `feat_dim` and `seed`. A diffusion
+model's holds the stage tag ("diffusion" or "adapter"), `T`, `widths`,
+`cond_dim` and the corpus latent standardization `latent_mean` /
+`latent_std`; loading rebuilds the exact model from these and ignores any
+other key. Diffusion operates on standardized latents, so samples are
 de-standardized before decoding.
 """
 
@@ -27,32 +35,26 @@ from .errors import DataError, StageOrderError
 from .parsing import TimeEmbedder
 from .rng import Rng
 from .sgcatt import TOKENS_PER_STORYBOARD, StoryboardMask, assemble_conditions, build_mask
-from .tbalign import aligner_features, train_aligner
+from .tbalign import AlignerNet, aligner_features, train_aligner
 from .timeline import from_timestamps, transitions_beats_iou
 from .tunet import TUNet
+
+DIFFUSION_LR = 1e-3
+ADAPTER_LR = 5e-4
 
 
 @dataclasses.dataclass
 class TrainConfig:
     seed: int = 0
-    time_hidden: int = 32
-    aligner_hidden: int = 32
-    aligner_steps: int = 400
-    aligner_lr: float = 1e-3
     widths: tuple = (64, 128, 256)
-    temb_dim: int = 128
     T: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
+    aligner_steps: int = 400
     diffusion_steps: int = 800
-    diffusion_lr: float = 1e-3
-    diffusion_draws: int = 1
     adapter_steps: int = 400
-    adapter_lr: float = 5e-4
-    adapter_draws: int = 1
 
-    def schedule(self):
-        return make_schedule(self.T, self.beta_start, self.beta_end)
+    # every optimizer step draws one noise/timestep sample; a class constant,
+    # not a field, for the benchmark's per-step clock that reads it
+    diffusion_draws = adapter_draws = 1
 
 
 def intersection_labels(ann, wav):
@@ -73,8 +75,7 @@ def train_stage_aligner(corpus, cfg):
         labels = intersection_labels(ann, wav)
         n = min(ann.frame_features.shape[1], len(labels))
         dataset.append((ann.frame_features[:, :n], labels[:n]))
-    return train_aligner(dataset, steps=cfg.aligner_steps, lr=cfg.aligner_lr,
-                         seed=cfg.seed, hidden=cfg.aligner_hidden)
+    return train_aligner(dataset, cfg.aligner_steps, cfg.seed)
 
 
 # -- stages B and C --------------------------------------------------------
@@ -101,37 +102,19 @@ def _prepare_latents(corpus, stats=None, aligner=None):
     return items, mean, std
 
 
-def _diffusion_meta(cfg, unet, mean, std):
-    return {
-        "stage": "diffusion", "T": cfg.T, "beta_start": cfg.beta_start, "beta_end": cfg.beta_end,
-        "widths": list(unet.widths), "temb_dim": unet.temb_dim,
-        "in_channels": unet.in_channels, "cond_dim": unet.cond_dim,
-        "latent_mean": mean, "latent_std": std,
-        "feature_dim": unet.cond_dim, "time_hidden": cfg.time_hidden,
-        "aligner_hidden": None,
-    }
-
-
-def _run_diffusion_loop(items, unet, temb, cfg, steps, lr, rng, draws=1):
-    """One optimizer step averages `draws` independent noise/timestep draws,
-    cycling the corpus between draws; gradient noise drops accordingly.
-    """
-    sched = cfg.schedule()
+def _run_diffusion_loop(items, unet, temb, T, steps, lr, rng):
+    """One optimizer step per noise/timestep draw, cycling the corpus."""
+    sched = make_schedule(T)
     opt = ag.Adam(unet.params() + temb.params(), lr=lr)
     losses = []
     for step in range(steps):
         opt.zero_grad()
-        total = None
-        for d in range(draws):
-            ann, z0, mask, afeats = items[(step * draws + d) % len(items)]
-            loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, sched,
-                                 aligner_feats=afeats)
-            total = loss if total is None else total + loss
-        if draws > 1:
-            total = total * (1.0 / draws)
-        total.backward()
+        ann, z0, mask, afeats = items[step % len(items)]
+        loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, sched,
+                             aligner_feats=afeats)
+        loss.backward()
         opt.step()
-        losses.append(float(total.data))
+        losses.append(float(loss.data))
     return losses
 
 
@@ -143,12 +126,13 @@ def train_stage_diffusion(corpus, cfg):
     master = Rng(cfg.seed)
     ann, z0 = items[0][:2]
     dim = len(ann.caption_feat)
-    unet = TUNet(z0.shape[0], dim, widths=cfg.widths, temb_dim=cfg.temb_dim, rng=master.fork(1))
-    temb = TimeEmbedder(dim, hidden=cfg.time_hidden, rng=master.fork(2))
-    losses = _run_diffusion_loop(items, unet, temb, cfg,
-                                 cfg.diffusion_steps, cfg.diffusion_lr, master.fork(3),
-                                 draws=cfg.diffusion_draws)
-    return unet, temb, _diffusion_meta(cfg, unet, mean, std), losses
+    unet = TUNet(z0.shape[0], dim, cfg.widths, rng=master.fork(1))
+    temb = TimeEmbedder(dim, rng=master.fork(2))
+    losses = _run_diffusion_loop(items, unet, temb, cfg.T, cfg.diffusion_steps, DIFFUSION_LR,
+                                 master.fork(3))
+    meta = {"stage": "diffusion", "T": cfg.T, "widths": list(unet.widths), "cond_dim": dim,
+            "latent_mean": mean, "latent_std": std}
+    return unet, temb, meta, losses
 
 
 def train_stage_adapter(corpus, cfg, aligner, unet, temb, meta):
@@ -165,13 +149,9 @@ def train_stage_adapter(corpus, cfg, aligner, unet, temb, meta):
     if unet.adapters is None:
         unet.attach_adapters(aligner.hidden)
     master = Rng(cfg.seed + 1)
-    losses = _run_diffusion_loop(items, unet, temb, cfg,
-                                 cfg.adapter_steps, cfg.adapter_lr, master.fork(3),
-                                 draws=cfg.adapter_draws)
-    new_meta = dict(meta)
-    new_meta["stage"] = "adapter"
-    new_meta["aligner_hidden"] = aligner.hidden
-    return unet, temb, new_meta, losses
+    losses = _run_diffusion_loop(items, unet, temb, cfg.T, cfg.adapter_steps, ADAPTER_LR,
+                                 master.fork(3))
+    return unet, temb, dict(meta, stage="adapter"), losses
 
 
 def three_stage_train(corpus, cfg):
@@ -202,18 +182,16 @@ def _check_meta(path, meta, ints, floats=()):
 
 
 def save_aligner(path, net, cfg):
-    meta = {"stage": "aligner", "feat_dim": net.feat_dim, "hidden": net.hidden,
-            "seed": cfg.seed}
-    save_tensors(path, net.state_dict(), meta)
+    save_tensors(path, net.state_dict(), {"stage": "aligner", "feat_dim": net.feat_dim,
+                                          "seed": cfg.seed})
 
 
 def load_aligner(path):
-    from .tbalign import AlignerNet
     tensors, meta = load_tensors(path)
     if meta.get("stage") != "aligner":
         raise StageOrderError(f"{path} is not an aligner checkpoint (stage={meta.get('stage')!r})")
-    _check_meta(path, meta, ("feat_dim", "hidden"))
-    net = AlignerNet(meta["feat_dim"], hidden=meta["hidden"])
+    _check_meta(path, meta, ("feat_dim",))
+    net = AlignerNet(meta["feat_dim"])
     net.load_state_dict(tensors)
     return net, meta
 
@@ -228,26 +206,19 @@ def load_diffusion(path):
     tensors, meta = load_tensors(path)
     if meta.get("stage") not in ("diffusion", "adapter"):
         raise StageOrderError(f"{path} is not a diffusion checkpoint (stage={meta.get('stage')!r})")
-    adapter = meta["stage"] == "adapter"
-    _check_meta(path, meta, ("in_channels", "cond_dim", "temb_dim", "feature_dim", "time_hidden",
-                             "T") + (("aligner_hidden",) if adapter else ()),
-                ("beta_start", "beta_end", "latent_mean", "latent_std"))
+    _check_meta(path, meta, ("cond_dim", "T"), ("latent_mean", "latent_std"))
     if meta["latent_std"] <= 0:
         raise DataError(f"{path}: meta 'latent_std' must be positive, got {meta['latent_std']!r}")
     widths = meta.get("widths")
     if not isinstance(widths, list) or not widths or not all(map(_positive_int, widths)):
         raise DataError(f"{path}: meta 'widths' must be a non-empty list of positive ints, "
                         f"got {widths!r}")
-    if meta["temb_dim"] % 2:
-        raise DataError(f"{path}: meta 'temb_dim' must be even, got {meta['temb_dim']}")
-    if meta["in_channels"] != LATENT_CHANNELS:
-        raise DataError(f"{path}: in_channels {meta['in_channels']} != {LATENT_CHANNELS}")
-    unet = TUNet(meta["in_channels"], meta["cond_dim"], widths=widths, temb_dim=meta["temb_dim"])
-    if adapter:
-        unet.attach_adapters(meta["aligner_hidden"])
+    unet = TUNet(LATENT_CHANNELS, meta["cond_dim"], widths)
+    if meta["stage"] == "adapter":
+        unet.attach_adapters()
     unet.load_state_dict({k[len("unet."):]: v for k, v in tensors.items()
                           if k.startswith("unet.")})
-    temb = TimeEmbedder(meta["feature_dim"], hidden=meta["time_hidden"])
+    temb = TimeEmbedder(meta["cond_dim"])
     temb.load_state_dict({k[len("time_embedder."):]: v for k, v in tensors.items()
                           if k.startswith("time_embedder.")})
     return unet, temb, meta
@@ -263,14 +234,14 @@ def sample_mel(unet, temb, meta, ann, steps, seed, aligner=None, conditioned=Tru
     an all-ones mask (no storyboard structure reaches the model), and no
     aligner features.
     """
-    sched = make_schedule(int(meta["T"]), float(meta["beta_start"]), float(meta["beta_end"]))
+    sched = make_schedule(int(meta["T"]))
     length = latent_len_for_duration(ann.duration_s)
     if conditioned:
         tokens = assemble_conditions(ann, temb)
         mask = build_mask(ann, length)
     else:
         n_tok = TOKENS_PER_STORYBOARD * len(ann.storyboards)
-        tokens = ag.Var(np.zeros((n_tok, int(meta["feature_dim"])), dtype=np.float32))
+        tokens = ag.Var(np.zeros((n_tok, unet.cond_dim), dtype=np.float32))
         mask = StoryboardMask(np.ones((length, n_tok), dtype=np.uint8))
     afeats = None
     if conditioned and aligner is not None and unet.adapters is not None:

@@ -32,9 +32,7 @@ from . import autograd as ag
 from .errors import DataError
 from .numcore import linear_interp
 from .sgcatt import attention_logits, level_masks, sg_cross_attention
-from .tbalign import AdapterParams, apply_adapter
-
-DEFAULT_WIDTHS = (64, 128, 256)
+from .tbalign import ALIGNER_HIDDEN, AdapterParams, apply_adapter
 
 
 def sinusoidal_step_embedding(t, dim):
@@ -136,8 +134,7 @@ class Level(ag.Module):
 class TUNet(ag.Module):
     """Denoiser: eps prediction from (z_t, step, condition tokens, mask)."""
 
-    def __init__(self, in_channels, cond_dim, widths=DEFAULT_WIDTHS, temb_dim=128,
-                 rng=None, dtype=np.float32):
+    def __init__(self, in_channels, cond_dim, widths, temb_dim=128, rng=None, dtype=np.float32):
         if temb_dim % 2:
             raise ValueError(f"temb_dim must be even (sin/cos pairs), got {temb_dim}")
         self.in_channels = in_channels
@@ -170,7 +167,7 @@ class TUNet(ag.Module):
         self.res_gate = ag.Linear(temb_dim, in_channels, None, dtype=dtype)
         self.adapters = None  # set by attach_adapters for the fine-tune stage
 
-    def attach_adapters(self, aligner_hidden, dtype=np.float32):
+    def attach_adapters(self, aligner_hidden=ALIGNER_HIDDEN, dtype=np.float32):
         self.adapters = [AdapterParams(aligner_hidden, w, dtype) for w in self.widths]
 
     def __call__(self, z, step, tokens, base_mask, aligner_feats=None):

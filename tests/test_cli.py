@@ -13,6 +13,8 @@ from vem.container import load_tensors, save_tensors
 from vem.curation import MIN_SYNTH_S
 from vem.parsing import build_frame_features, load_manifest
 from vem.rng import Rng
+from vem.tbalign import AlignerNet
+from vem.training import TrainConfig, save_aligner
 
 
 def run(argv, out_dir):
@@ -85,6 +87,16 @@ def test_missing_file_exits_3(tmp_path):
     assert run(["beats", str(tmp_path / "nope.wav")], tmp_path) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    lambda ckpt, d: ["features", d],
+    lambda ckpt, d: ["sample", ckpt, d, "--steps", "2"],
+], ids=["features", "sample-manifest"])
+def test_directory_as_input_exits_3(tmp_path, trained_dir, capsys, argv):
+    rc = run(argv(str(trained_dir / "diffusion.vemt"), str(tmp_path)), tmp_path)
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: data: ")
+
+
 def test_stage_order_violation_exits_4(tmp_path, corpus_dir):
     rc = run(["train", "--stage", "adapter", "--corpus", str(corpus_dir),
               "--steps", "2", "--widths", "8", "--t-steps", "50"], tmp_path)
@@ -98,8 +110,10 @@ def test_stage_order_violation_exits_4(tmp_path, corpus_dir):
     ["train", "--stage", "aligner", "--corpus", "c", "--widths", "8,0"],
     ["sweep-steps", "ckpt.vemt", "m.json", "--steps", "a"],
     ["sweep-steps", "ckpt.vemt", "m.json", "--steps", "1,,2"],
+    ["train", "--stage", "aligner", "--corpus", "c", "--t-steps", "-3"],
+    ["sample", "ckpt.vemt", "m.json", "--steps", "0"],
 ], ids=["steps-negative", "steps-zero", "widths-word", "widths-zero", "sweep-word",
-        "sweep-empty-item"])
+        "sweep-empty-item", "t-steps-negative", "sample-steps-zero"])
 def test_bad_numbers_exit_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv, tmp_path)
@@ -216,19 +230,18 @@ def test_sample_adapter_checkpoint_needs_aligner(tmp_path, corpus_dir, trained_d
 
 def test_sample_bad_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_dir):
     tensors, meta = load_tensors(trained_dir / "diffusion.vemt")
-    save_tensors(tmp_path / "bad.vemt", tensors, dict(meta, in_channels=7))
+    save_tensors(tmp_path / "bad.vemt", tensors, dict(meta, widths=[]))
     rc = run(["sample", str(tmp_path / "bad.vemt"), str(corpus_dir / "item_000.json"),
               "--steps", "2"], tmp_path)
     assert rc == 3
 
 
-def test_sample_odd_temb_dim_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
-    tensors, meta = load_tensors(trained_dir / "diffusion.vemt")
-    save_tensors(tmp_path / "odd.vemt", tensors, dict(meta, temb_dim=meta["temb_dim"] - 1))
-    rc = run(["sample", str(tmp_path / "odd.vemt"), str(corpus_dir / "item_000.json"),
-              "--steps", "2"], tmp_path)
+def test_sample_other_width_aligner_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
+    save_aligner(tmp_path / "a4.vemt", AlignerNet(8, hidden=4), TrainConfig())
+    rc = run(["sample", str(trained_dir / "adapter.vemt"), str(corpus_dir / "item_000.json"),
+              "--steps", "2", "--aligner", str(tmp_path / "a4.vemt")], tmp_path)
     assert rc == 3
-    assert "'temb_dim' must be even" in capsys.readouterr().err
+    assert "shape mismatch for conv1.w" in capsys.readouterr().err
 
 
 def test_train_adapter_zero_latent_std_exits_3(tmp_path, corpus_dir, trained_dir, capsys):

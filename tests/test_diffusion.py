@@ -21,19 +21,19 @@ def betas(s):
 
 
 def test_schedule_single_step():
-    s = df.make_schedule(1, 1e-4, 0.02)
+    s = df.make_schedule(1)
     assert s.T == 1
     np.testing.assert_allclose(s.alpha_bar, [1.0 - 1e-4])
 
 
 def test_schedule_default_endpoint_noise():
-    s = df.make_schedule(1000, 1e-4, 0.02)
+    s = df.make_schedule(1000)
     np.testing.assert_allclose(betas(s)[[0, -1]], [1e-4, 0.02], rtol=1e-9)
     assert s.alpha_bar[-1] < 1e-4
 
 
 def test_schedule_monotone():
-    s = df.make_schedule(200, 1e-4, 0.02)
+    s = df.make_schedule(200)
     assert (np.diff(betas(s)) > 0).all()
     assert (np.diff(s.alpha_bar) < 0).all()
     assert (s.alpha_bar > 0).all() and (s.alpha_bar < 1).all()
@@ -45,8 +45,7 @@ def test_schedule_abar_zero_convention():
     assert s.abar(1) == pytest.approx(1.0 - 1e-4)
 
 
-@pytest.mark.parametrize("args", [(0,), (1000, 0.0, 0.02), (1000, 0.02, 1e-4),
-                                  (1000, 1e-4, 1.0)])
+@pytest.mark.parametrize("args", [(0,)])
 def test_schedule_rejects_bad_ranges(args):
     with pytest.raises(DataError):
         df.make_schedule(*args)
@@ -56,7 +55,7 @@ def test_schedule_rejects_bad_ranges(args):
 
 
 def test_q_sample_small_beta_stays_close():
-    s = df.make_schedule(10, 1e-6, 1e-6)
+    s = df.NoiseSchedule(10, np.cumprod(np.full(10, 1.0 - 1e-6)))
     z0 = Rng(0).gaussian((3, 5))
     eps = Rng(1).gaussian((3, 5))
     zt = df.q_sample(z0, 1, eps, s)
@@ -64,7 +63,7 @@ def test_q_sample_small_beta_stays_close():
 
 
 def test_q_sample_endpoint_is_mostly_noise():
-    s = df.make_schedule(1000, 1e-4, 0.02)
+    s = df.make_schedule(1000)
     z0 = np.full((2, 4), 10.0)
     eps = Rng(2).gaussian((2, 4))
     zT = df.q_sample(z0, s.T, eps, s)
@@ -85,7 +84,7 @@ def test_stepwise_and_closed_form_agree_in_distribution():
     # iterate the one-step corruption for all of T=50 and compare the
     # resulting marginal's mean and variance to the closed form, 10k trials
     T = 50
-    s = df.make_schedule(T, 1e-4, 0.02)
+    s = df.make_schedule(T)
     n = 10_000
     z0 = 1.5
     r = Rng(123)

@@ -62,3 +62,52 @@ def test_dataclass_fields_are_read():
             own = _attribute_reads(cls, True)
             unread += [f"{path.stem}.{cls.name}.{f}" for f in fields if f not in reads | own]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def _dict_keys(node, dicts):
+    """String keys of a `**` argument: a dict literal or a name bound to one."""
+    if isinstance(node, ast.Name):
+        node = dicts.get(node.id)
+    if not isinstance(node, ast.Dict):
+        return set()
+    return {k.value for k in node.keys if isinstance(k, ast.Constant)}
+
+
+def _fields_set(tree, name, fields):
+    """Fields of dataclass `name` that `tree` sets: passed by keyword or by
+    position to a `name(...)` call, or assigned as `x.field = ...` (stores
+    through `self` belong to the class that runs them, not to the dataclass)."""
+    dicts = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            out.update(fields[:len(node.args)])
+            for kw in node.keywords:
+                out |= {kw.arg} if kw.arg else _dict_keys(kw.value, dicts)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and getattr(node.value, "id", None) != "self":
+            out.add(node.attr)
+    return out
+
+
+def _defaulted(cls):
+    """Fields of a dataclass node that carry a default value."""
+    return [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)
+            and isinstance(s.target, ast.Name) and s.value is not None]
+
+
+def test_defaulted_dataclass_fields_are_set():
+    """Every defaulted field of a `vem` dataclass is set by some code in the
+    package or the benchmark; a default nothing overrides is a constant
+    dressed as a knob, and belongs in the code that uses it."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    never = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls, fields in _dataclass_fields(trees[path]):
+            seen = set().union(*(_fields_set(t, cls.name, fields) for t in trees.values()))
+            never += [f"{path.stem}.{cls.name}.{f}" for f in _defaulted(cls)
+                      if f not in seen]
+    assert not never, f"defaulted dataclass fields nothing sets: {never}"

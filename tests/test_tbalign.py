@@ -58,8 +58,8 @@ def test_aligner_gradients_match_fd():
 
 def test_training_learns_and_is_deterministic():
     data = toy_dataset()
-    net1, losses1 = tb.train_aligner(data, steps=150, lr=3e-3, seed=4, hidden=8)
-    net2, losses2 = tb.train_aligner(data, steps=150, lr=3e-3, seed=4, hidden=8)
+    net1, losses1 = tb.train_aligner(data, 150, seed=4)
+    net2, losses2 = tb.train_aligner(data, 150, seed=4)
     assert losses1[-1] < 0.3 * losses1[0]
     assert losses1 == losses2
     for a, b in zip(net1.params(), net2.params()):
@@ -68,13 +68,13 @@ def test_training_learns_and_is_deterministic():
 
 def test_training_rejects_bad_datasets():
     with pytest.raises(DataError):
-        tb.train_aligner([], steps=1)
+        tb.train_aligner([], 1, 0)
     good = toy_dataset(1)
     bad_dim = [(np.zeros((3, 10), dtype=np.float32), np.zeros(10))]
     with pytest.raises(DataError):
-        tb.train_aligner(good + bad_dim, steps=1)
+        tb.train_aligner(good + bad_dim, 1, 0)
     with pytest.raises(DataError):
-        tb.train_aligner([(np.zeros((3, 10), dtype=np.float32), np.zeros(9))], steps=1)
+        tb.train_aligner([(np.zeros((3, 10), dtype=np.float32), np.zeros(9))], 1, 0)
 
 
 # -- feature resampling ----------------------------------------------------

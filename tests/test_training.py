@@ -6,22 +6,19 @@ from vem import autograd as ag
 from vem import curation as cu
 from vem import training as tr
 from vem.audiofeat import SAMPLE_RATE, Waveform, logmel
-from vem.diffusion import latent_encode, training_loss
+from vem.diffusion import latent_encode, make_schedule, training_loss
 from vem.parsing import TimeEmbedder
 from vem.sgcatt import assemble_conditions, build_mask
 from vem.tunet import TUNet
 from vem.errors import DataError, StageOrderError
 from vem.container import load_tensors, save_tensors
 from vem.rng import Rng
-from vem.tbalign import AlignerNet
+from vem.tbalign import ALIGNER_HIDDEN, AlignerNet
 from vem.timeline import DEFAULT_FPS
 
 
 def tiny_cfg(**kw):
-    base = dict(seed=0, time_hidden=8, aligner_hidden=6,
-                aligner_steps=60, widths=(8,), temb_dim=16, T=50,
-                diffusion_steps=12, diffusion_lr=1e-3, adapter_steps=8,
-                adapter_lr=5e-4)
+    base = dict(seed=0, widths=(8,), T=50, aligner_steps=60, diffusion_steps=12, adapter_steps=8)
     base.update(kw)
     return tr.TrainConfig(**base)
 
@@ -83,8 +80,8 @@ def test_stage_aligner_empty_corpus():
 def test_stage_diffusion_outputs(stage_b):
     unet, temb, meta, losses = stage_b
     assert len(losses) == 12 and all(np.isfinite(losses))
+    assert set(meta) == {"stage", "T", "widths", "cond_dim", "latent_mean", "latent_std"}
     assert meta["stage"] == "diffusion"
-    assert meta["in_channels"] == 240
     assert meta["latent_std"] > 0
     assert unet.adapters is None
 
@@ -114,8 +111,7 @@ def test_stage_adapter_attaches_and_trains(corpus):
     unet, temb, meta, _ = tr.train_stage_diffusion(corpus, cfg)
     unet, temb, meta, losses = tr.train_stage_adapter(corpus, cfg, aligner, unet, temb, meta)
     assert meta["stage"] == "adapter"
-    assert meta["aligner_hidden"] == 6
-    assert unet.adapters is not None
+    assert unet.adapters[0].gamma_w.shape[0] == aligner.hidden == ALIGNER_HIDDEN
     assert len(losses) == 6 and all(np.isfinite(losses))
 
 
@@ -136,7 +132,7 @@ def test_aligner_checkpoint_round_trip(tmp_path, corpus):
     path = tmp_path / "aligner.vemt"
     tr.save_aligner(path, net, cfg)
     loaded, meta = tr.load_aligner(path)
-    assert meta["stage"] == "aligner"
+    assert meta == {"stage": "aligner", "feat_dim": net.feat_dim, "seed": 0}
     for (na, pa), (nb, pb) in zip(net.named_params(), loaded.named_params()):
         assert na == nb
         np.testing.assert_array_equal(pa.data, pb.data)
@@ -188,15 +184,13 @@ def _without(key):
 
 @pytest.mark.parametrize("edit", [
     lambda meta: meta.update(widths=[16]),
-    lambda meta: meta.update(in_channels=7),
     lambda meta: meta.update(widths=[]),
-    lambda meta: meta.update(temb_dim=-4),
     lambda meta: meta.update(widths="ab"),
     _without("cond_dim"),
     lambda meta: meta.update(latent_std=0.0),
     lambda meta: meta.update(latent_std=-1.0),
-], ids=["widths-vs-weights", "in-channels", "empty-widths", "negative-temb-dim",
-        "string-widths", "missing-cond-dim", "zero-latent-std", "negative-latent-std"])
+], ids=["widths-vs-weights", "empty-widths", "string-widths", "missing-cond-dim",
+        "zero-latent-std", "negative-latent-std"])
 def test_load_diffusion_rejects_bad_meta(tmp_path, stage_b, edit):
     unet, temb, meta, _ = stage_b
     meta = dict(meta)
@@ -208,13 +202,12 @@ def test_load_diffusion_rejects_bad_meta(tmp_path, stage_b, edit):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda meta: meta.update(hidden=0),
     lambda meta: meta.update(feat_dim="x"),
     _without("feat_dim"),
-], ids=["zero-hidden", "string-feat-dim", "missing-feat-dim"])
+], ids=["string-feat-dim", "missing-feat-dim"])
 def test_load_aligner_rejects_bad_meta(tmp_path, edit):
     path = tmp_path / "a.vemt"
-    tr.save_aligner(path, AlignerNet(8, hidden=4), tiny_cfg())
+    tr.save_aligner(path, AlignerNet(8), tiny_cfg())
     tensors, meta = load_tensors(path)
     edit(meta)
     save_tensors(path, tensors, meta)
@@ -222,12 +215,29 @@ def test_load_aligner_rejects_bad_meta(tmp_path, edit):
         tr.load_aligner(path)
 
 
-def test_load_diffusion_rejects_odd_temb_dim(tmp_path, stage_b):
+def test_load_diffusion_ignores_dropped_meta_keys(tmp_path, stage_b, corpus):
+    """A checkpoint whose meta still carries the keys older writers stored
+    (schedule endpoints, embedding widths, channel counts) loads to the same
+    model and samples the same bytes as one with today's six keys."""
     unet, temb, meta, _ = stage_b
-    path = tmp_path / "d.vemt"
-    tr.save_diffusion(path, unet, temb, dict(meta, temb_dim=15))
-    with pytest.raises(DataError, match="'temb_dim' must be even"):
-        tr.load_diffusion(path)
+    old = dict(meta, beta_start=1e-4, beta_end=0.02, temb_dim=128, in_channels=240,
+               feature_dim=meta["cond_dim"], time_hidden=32, aligner_hidden=None)
+    new_path, old_path = tmp_path / "new.vemt", tmp_path / "old.vemt"
+    tr.save_diffusion(new_path, unet, temb, meta)
+    tr.save_diffusion(old_path, unet, temb, old)
+    u_new, t_new, _ = tr.load_diffusion(new_path)
+    u_old, t_old, m_old = tr.load_diffusion(old_path)
+    assert m_old == old
+    for a, b in ((u_new, u_old), (t_new, t_old)):
+        sa, sb = a.state_dict(), b.state_dict()
+        assert sa.keys() == sb.keys()
+        for k in sa:
+            assert sa[k].dtype == sb[k].dtype and sa[k].tobytes() == sb[k].tobytes(), k
+    ann = corpus[0][0]
+    for conditioned in (True, False):
+        mel_new = tr.sample_mel(u_new, t_new, meta, ann, 3, 5, conditioned=conditioned)
+        mel_old = tr.sample_mel(u_old, t_old, m_old, ann, 3, 5, conditioned=conditioned)
+        assert mel_new.values.tobytes() == mel_old.values.tobytes()
 
 
 def test_load_diffusion_builds_no_random_init(tmp_path, stage_b, monkeypatch):
@@ -250,15 +260,14 @@ def test_load_diffusion_builds_no_random_init(tmp_path, stage_b, monkeypatch):
 def test_training_loss_tapes_only_float32(corpus):
     """One stage-C style step (adapters, time embedder) stays in float32."""
     ann, wav = corpus[0]
-    cfg = tiny_cfg()
     z0 = latent_encode(logmel(wav)).values.astype(np.float32)
     mask = build_mask(ann, z0.shape[1])
     unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), temb_dim=16, rng=Rng(1))
-    unet.attach_adapters(cfg.aligner_hidden)
-    temb = TimeEmbedder(len(ann.caption_feat), hidden=cfg.time_hidden, rng=Rng(2))
-    feats = Rng(3).gaussian((40, cfg.aligner_hidden)).astype(np.float32)
+    unet.attach_adapters(6)
+    temb = TimeEmbedder(len(ann.caption_feat), hidden=8, rng=Rng(2))
+    feats = Rng(3).gaussian((40, 6)).astype(np.float32)
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
-                         cfg.schedule(), aligner_feats=feats)
+                         make_schedule(50), aligner_feats=feats)
     loss.backward()
     seen, stack, dtypes = set(), [loss], set()
     while stack:
@@ -289,19 +298,18 @@ def _tape_nodes(loss):
 def _stage_c_loss(ann, wav, dtype):
     """One stage-C style loss (adapters, time embedder) of a small net in
     `dtype`, with every zero-initialized weight moved off zero."""
-    cfg = tiny_cfg()
     z0 = latent_encode(logmel(wav)).values.astype(dtype)
     mask = build_mask(ann, z0.shape[1])
     unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), temb_dim=16, rng=Rng(1),
                  dtype=dtype)
-    unet.attach_adapters(cfg.aligner_hidden, dtype=dtype)
-    temb = TimeEmbedder(len(ann.caption_feat), hidden=cfg.time_hidden, rng=Rng(2), dtype=dtype)
+    unet.attach_adapters(6, dtype=dtype)
+    temb = TimeEmbedder(len(ann.caption_feat), hidden=8, rng=Rng(2), dtype=dtype)
     r = Rng(5)
     for p in unet.params() + temb.params():
         p.data = p.data + (0.05 * r.gaussian(p.shape)).astype(dtype)
-    feats = Rng(3).gaussian((40, cfg.aligner_hidden)).astype(dtype)
+    feats = Rng(3).gaussian((40, 6)).astype(dtype)
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
-                         cfg.schedule(), aligner_feats=feats)
+                         make_schedule(50), aligner_feats=feats)
     loss.backward()
     return loss, unet.named_params() + temb.named_params()
 
@@ -337,10 +345,10 @@ def test_stage_b_loss_tape_size():
     ann, wav = cu.synth_corpus(1, seed=9, cfg=cu.SynthConfig(duration_range_s=(12.0, 12.0)))[0]
     z0 = latent_encode(logmel(wav)).values.astype(np.float32)
     mask = build_mask(ann, z0.shape[1])
-    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=cfg.widths, temb_dim=cfg.temb_dim,
-                 rng=Rng(1))
-    temb = TimeEmbedder(len(ann.caption_feat), hidden=cfg.time_hidden, rng=Rng(2))
-    loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4), cfg.schedule())
+    unet = TUNet(z0.shape[0], len(ann.caption_feat), cfg.widths, rng=Rng(1))
+    temb = TimeEmbedder(len(ann.caption_feat), rng=Rng(2))
+    loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
+                         make_schedule(cfg.T))
     assert _tape_nodes(loss) <= 256
 
 
