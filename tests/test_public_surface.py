@@ -64,28 +64,16 @@ def test_dataclass_fields_are_read():
     assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
-def _dict_keys(node, dicts):
-    """String keys of a `**` argument: a dict literal or a name bound to one."""
-    if isinstance(node, ast.Name):
-        node = dicts.get(node.id)
-    if not isinstance(node, ast.Dict):
-        return set()
-    return {k.value for k in node.keys if isinstance(k, ast.Constant)}
-
-
 def _fields_set(tree, name, fields):
     """Fields of dataclass `name` that `tree` sets: passed by keyword or by
     position to a `name(...)` call, or assigned as `x.field = ...` (stores
     through `self` belong to the class that runs them, not to the dataclass)."""
-    dicts = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
-             for t in node.targets if isinstance(t, ast.Name)}
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
                                                    getattr(node.func, "attr", None)):
             out.update(fields[:len(node.args)])
-            for kw in node.keywords:
-                out |= {kw.arg} if kw.arg else _dict_keys(kw.value, dicts)
+            out.update(kw.arg for kw in node.keywords if kw.arg)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
                 and getattr(node.value, "id", None) != "self":
             out.add(node.attr)
