@@ -262,7 +262,7 @@ def resample(w, target_hz):
     outputs per period, each one float64 matrix product of a strided view of
     the input windows with that block's taps, over chunks of rows that stay
     in cache. The plan is cached per reduced `(up, down)` pair, so the FIR is
-    designed once.
+    designed once; a pair with a term above 2^17 would need gigabytes, and is refused.
     """
     if target_hz <= 0:
         raise DataError(f"target rate must be positive, got {target_hz}")
@@ -270,8 +270,11 @@ def resample(w, target_hz):
         return Waveform(w.samples.copy(), w.sample_rate_hz)
     src, dst = int(w.sample_rate_hz), int(target_hz)
     g = math.gcd(dst, src)
+    up, down = dst // g, src // g
+    if max(up, down) > 2 ** 17:
+        raise DataError(f"{src} Hz to {dst} Hz reduces to {up}/{down}, a term above 2^17")
     want = round(len(w.samples) * target_hz / w.sample_rate_hz)
-    return Waveform(_resample_plan(dst // g, src // g)(w.samples, want), target_hz)
+    return Waveform(_resample_plan(up, down)(w.samples, want), target_hz)
 
 
 # -- STFT / mel ------------------------------------------------------------
@@ -299,18 +302,18 @@ def _frames(samples, n_fft, hop):
     return sliding_window_view(samples, n_fft)[::hop]
 
 
-def stft_magnitude(samples, n_fft=N_FFT, hop=HOP):
-    """(windows, n_fft//2+1) magnitude array; left-aligned frames, no padding.
+def stft_magnitude(samples):
+    """(windows, N_FFT//2+1) magnitudes of every HOP-th window, left-aligned, no padding.
 
     float32 throughout, the precision of PCM16 input (module docstring):
     `_STFT_BLOCK` frames at a time go through one reused window buffer and a
     complex64 `scipy.fft.rfft`, so no whole-signal temporaries are built.
     """
-    frames = _frames(np.asarray(samples, dtype=np.float32), n_fft, hop)
-    w = _hann(n_fft, np.float32)
-    mag = np.empty((len(frames), n_fft // 2 + 1), dtype=np.float32)
+    frames = _frames(np.asarray(samples, dtype=np.float32), N_FFT, HOP)
+    w = _hann(N_FFT, np.float32)
+    mag = np.empty((len(frames), N_FFT // 2 + 1), dtype=np.float32)
     block = min(_STFT_BLOCK, len(frames))
-    windowed = np.empty((block, n_fft), dtype=np.float32)
+    windowed = np.empty((block, N_FFT), dtype=np.float32)
     for i in range(0, len(frames), block):
         k = min(block, len(frames) - i)
         np.multiply(frames[i:i + k], w, out=windowed[:k])

@@ -8,10 +8,10 @@ arrays, never `Var`s; no higher-order derivatives).
 Shapes broadcast like numpy; `_unbroadcast` folds gradient axes back down.
 Sequence ops are time-major: `conv1d` and `repeat2` run along axis 0 of an
 (L, C) array, and `layer_norm`/`softmax` act on the last axis.
-Everything runs in the array's own dtype: training uses float32, gradient
-checks run the same graphs in float64. A Python int or float met by an op
-takes the dtype of the Var it meets (`v * 0.5` on a float32 `v` stays
-float32), so scalars never promote a graph; arrays keep their own dtype.
+Everything runs in the array's own dtype: modules build float32 parameters,
+and gradient checks cast them to float64 to run the same graphs. A Python
+int or float met by an op takes the dtype of the Var it meets (`v * 0.5` on
+a float32 `v` stays float32), so scalars never promote a graph.
 
 The layer primitives are fused, one tape node each: `linear` (x @ w + b),
 `conv1d` (with its bias), `Var.layer_norm` (with its gain and bias) and
@@ -253,12 +253,12 @@ class Var:
             self._accum(out_data * (g - dot))
         return _node(out_data, (self,), back)
 
-    def layer_norm(self, gain, bias, eps=1e-5):
-        """Zero-mean unit-variance over the last axis, then `* gain + bias`."""
+    def layer_norm(self, gain, bias):
+        """Zero-mean unit-variance (variance + 1e-5) over the last axis, then `* gain + bias`."""
         gain, bias = as_var(gain), as_var(bias)
         n = self.shape[-1]
         xhat = self.data - self.data.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / n + eps)
+        inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / n + 1e-5)
         xhat *= inv
         def back(g):
             g2 = g.reshape(-1, n)
@@ -408,14 +408,11 @@ def param(data):
 class Linear(Module):
     """x @ w + b. Without an `rng` the weights start at zero (no draws)."""
 
-    def __init__(self, n_in, n_out, rng, dtype=np.float32):
-        if rng is None:
-            w = np.zeros((n_in, n_out), dtype=dtype)
-        else:
-            scale = 1.0 / np.sqrt(n_in)
-            w = (rng.gaussian((n_in, n_out)) * scale).astype(dtype)
-        self.w = param(w)
-        self.b = param(np.zeros(n_out, dtype=dtype))
+    def __init__(self, n_in, n_out, rng):
+        w = (np.zeros((n_in, n_out)) if rng is None
+             else rng.gaussian((n_in, n_out)) * (1.0 / np.sqrt(n_in)))
+        self.w = param(w.astype(np.float32))
+        self.b = param(np.zeros(n_out, dtype=np.float32))
 
     def __call__(self, x):
         return linear(x, self.w, self.b)
@@ -424,16 +421,13 @@ class Linear(Module):
 class Conv1d(Module):
     """`conv1d` with learned w, b. Without an `rng` the weights start at zero."""
 
-    def __init__(self, c_in, c_out, k, rng, stride=1, padding=0, dtype=np.float32):
+    def __init__(self, c_in, c_out, k, rng, stride=1, padding=0):
         self.stride = stride
         self.padding = padding
-        if rng is None:
-            w = np.zeros((c_out, c_in, k), dtype=dtype)
-        else:
-            scale = 1.0 / np.sqrt(c_in * k)
-            w = (rng.gaussian((c_out, c_in, k)) * scale).astype(dtype)
-        self.w = param(w)
-        self.b = param(np.zeros(c_out, dtype=dtype))
+        w = (np.zeros((c_out, c_in, k)) if rng is None
+             else rng.gaussian((c_out, c_in, k)) * (1.0 / np.sqrt(c_in * k)))
+        self.w = param(w.astype(np.float32))
+        self.b = param(np.zeros(c_out, dtype=np.float32))
 
     def __call__(self, x):
         return conv1d(x, self.w, self.b, stride=self.stride, padding=self.padding)
@@ -451,11 +445,11 @@ class Adam:
     m and v stay as they are.
     """
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults; only lr varies
+
+    def __init__(self, params, lr=1e-3):
         self._params = list(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self._params]
         self._v = [np.zeros_like(p.data) for p in self._params]

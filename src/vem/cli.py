@@ -86,8 +86,8 @@ def build_parser():
     q = sub.add_parser("sample", help="generate music for a manifest from a checkpoint")
     q.add_argument("ckpt")
     q.add_argument("manifest")
-    q.add_argument("--steps", type=_positive_int, default=200,
-                   help="inference steps (default 200)")
+    q.add_argument("--steps", type=_positive_int,
+                   help="inference steps (default 200, capped at the checkpoint's T)")
     q.add_argument("--aligner", help="aligner checkpoint (default: aligner.vemt beside ckpt)")
     q.add_argument("--unconditional", action="store_true",
                    help="ablation: zero conditions, no storyboard mask, no aligner")
@@ -104,8 +104,8 @@ def build_parser():
     q = sub.add_parser("sweep-steps", help="sample at several step counts, report errors")
     q.add_argument("ckpt")
     q.add_argument("manifest")
-    q.add_argument("--steps", type=_positive_ints, default=(1, 50, 200),
-                   help="comma list of step counts (default 1,50,200)")
+    q.add_argument("--steps", type=_positive_ints,
+                   help="comma list of step counts (default 1,50,200, capped at T)")
     q.add_argument("--ref-wav", help="reference audio for reconstruction error")
     q.add_argument("--aligner")
     return p
@@ -251,15 +251,16 @@ def _load_sampler(args):
 
 def _cmd_sample(args):
     unet, temb, meta, aligner = _load_sampler(args)
+    steps = args.steps or min(200, int(meta["T"]))
     ann = load_manifest(args.manifest)
-    mel = sample_mel(unet, temb, meta, ann, args.steps, args.seed, aligner=aligner,
+    mel = sample_mel(unet, temb, meta, ann, steps, args.seed, aligner=aligner,
                      conditioned=not args.unconditional)
     stem = os.path.splitext(os.path.basename(args.manifest))[0]
     out = os.path.join(args.out_dir, f"{stem}.gen.mel.vemt")
     save_tensors(out, {"mel": mel.values},
                  {"hop": mel.hop, "sample_rate_hz": mel.sample_rate_hz, "n_mels": mel.n_mels,
-                  "steps": args.steps, "seed": args.seed})
-    line = f"sampled {mel.values.shape[0]} windows ({args.steps} steps) -> {out}"
+                  "steps": steps, "seed": args.seed})
+    line = f"sampled {mel.values.shape[0]} windows ({steps} steps) -> {out}"
     if args.wav_out:
         save_wav(args.wav_out, griffin_lim(mel, iters=40))
         line += f" + {args.wav_out}"
@@ -349,7 +350,7 @@ def _cmd_sweep(args):
     ann = load_manifest(args.manifest)
     ref_mel = logmel(_load_wav_16k(args.ref_wav)) if args.ref_wav else None
     rows = []
-    for steps in args.steps:
+    for steps in args.steps or sorted({min(s, int(meta["T"])) for s in (1, 50, 200)}):
         mel = sample_mel(unet, temb, meta, ann, steps, args.seed, aligner=aligner)
         if ref_mel is not None:
             n = min(mel.values.shape[0], ref_mel.values.shape[0])

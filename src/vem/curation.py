@@ -27,7 +27,7 @@ class CurationRule:
     max_shots: int = 20
 
     def __post_init__(self):
-        if self.min_snr_db <= 0 or self.max_duration_s <= 0 or self.max_shots <= 0:
+        if not (self.min_snr_db > 0 and self.max_duration_s > 0 and self.max_shots > 0):
             raise DataError("curation thresholds must be positive")
 
 

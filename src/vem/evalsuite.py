@@ -48,7 +48,7 @@ def _as_matrix(x, name):
     return m
 
 
-def frechet_distance(a, b, eps=1e-6):
+def frechet_distance(a, b):
     """Fréchet distance between Gaussian fits of two embedding sets."""
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
@@ -59,7 +59,7 @@ def frechet_distance(a, b, eps=1e-6):
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
     cov_a = np.cov(a, rowvar=False).reshape(a.shape[1], a.shape[1])
     cov_b = np.cov(b, rowvar=False).reshape(b.shape[1], b.shape[1])
-    return frechet_gaussian(mu_a, cov_a, mu_b, cov_b, eps=eps)
+    return frechet_gaussian(mu_a, cov_a, mu_b, cov_b)
 
 
 def _check_prob_rows(p, name):

@@ -8,11 +8,11 @@ preserve the caller's dtype.
 import numpy as np
 
 
-def sqrtm_psd(a, clip_tol=1e-6):
+def sqrtm_psd(a):
     """Symmetric PSD matrix square root via eigendecomposition.
 
     Input must be symmetric up to round-off. Slightly negative eigenvalues
-    (>= -clip_tol * max_eig) are clamped to zero; anything more negative
+    (>= -1e-6 * max_eig) are clamped to zero; anything more negative
     raises, since that means the matrix was not PSD to begin with.
     Always computed and returned in float64.
     """
@@ -22,7 +22,7 @@ def sqrtm_psd(a, clip_tol=1e-6):
     if not np.allclose(a, a.T, atol=1e-8 * max(1.0, float(np.abs(a).max(initial=0.0)))):
         raise ValueError("matrix is not symmetric")
     w, v = np.linalg.eigh((a + a.T) / 2.0)
-    floor = -clip_tol * max(1.0, float(w.max(initial=0.0)))
+    floor = -1e-6 * max(1.0, float(w.max(initial=0.0)))
     if w.min(initial=0.0) < floor:
         raise ValueError(f"matrix has negative eigenvalue {w.min():g}, not PSD")
     w = np.clip(w, 0.0, None)
@@ -52,13 +52,13 @@ def linear_interp(values, num_out):
     return values[lo] * (1.0 - frac) + values[hi] * frac
 
 
-def frechet_gaussian(mu_a, cov_a, mu_b, cov_b, eps=1e-6):
+def frechet_gaussian(mu_a, cov_a, mu_b, cov_b):
     """Squared Fréchet distance between two Gaussians.
 
     ||mu_a - mu_b||^2 + tr(cov_a + cov_b - 2 sqrtm(cov_a cov_b)). The cross
     term is evaluated as tr sqrtm(S cov_b S) with S = sqrtm(cov_a), which is
     symmetric PSD by construction, so `sqrtm_psd` applies. Covariances get
-    an eps * I ridge first. Identical inputs give exactly 0.0 by short-cut.
+    a 1e-6 * I ridge first. Identical inputs give exactly 0.0 by short-cut.
     """
     mu_a = np.asarray(mu_a, dtype=np.float64)
     mu_b = np.asarray(mu_b, dtype=np.float64)
@@ -67,7 +67,7 @@ def frechet_gaussian(mu_a, cov_a, mu_b, cov_b, eps=1e-6):
     if np.array_equal(mu_a, mu_b) and np.array_equal(cov_a, cov_b):
         return 0.0
     d = mu_a.shape[0]
-    ridge = eps * np.eye(d)
+    ridge = 1e-6 * np.eye(d)
     cov_a = cov_a + ridge
     cov_b = cov_b + ridge
     s = sqrtm_psd(cov_a)

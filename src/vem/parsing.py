@@ -110,15 +110,15 @@ class TimeEmbedder(ag.Module):
 
     INPUT_SCALE = 1.0 / 30.0
 
-    def __init__(self, dim=FEATURE_DIM, hidden=32, rng=None, dtype=np.float32):
+    def __init__(self, dim=FEATURE_DIM, hidden=32, rng=None):
         if rng is None:
-            self.w1 = ag.param(np.zeros((1, hidden), dtype=dtype))
-            self.w2 = ag.param(np.zeros((hidden, dim), dtype=dtype))
+            self.w1 = ag.param(np.zeros((1, hidden), dtype=np.float32))
+            self.w2 = ag.param(np.zeros((hidden, dim), dtype=np.float32))
         else:
-            self.w1 = ag.param(rng.gaussian((1, hidden)).astype(dtype))
-            self.w2 = ag.param((rng.gaussian((hidden, dim)) / np.sqrt(hidden)).astype(dtype))
-        self.b1 = ag.param(np.zeros(hidden, dtype=dtype))
-        self.b2 = ag.param(np.zeros(dim, dtype=dtype))
+            self.w1 = ag.param(rng.gaussian((1, hidden)).astype(np.float32))
+            self.w2 = ag.param((rng.gaussian((hidden, dim)) / np.sqrt(hidden)).astype(np.float32))
+        self.b1 = ag.param(np.zeros(hidden, dtype=np.float32))
+        self.b2 = ag.param(np.zeros(dim, dtype=np.float32))
         self.dim = dim
 
     def embed(self, times):

@@ -29,12 +29,12 @@ class AlignerNet(ag.Module):
     """Per-frame transition-beat classifier; without an `rng` every weight
     starts at zero (no draws)."""
 
-    def __init__(self, feat_dim, hidden=ALIGNER_HIDDEN, rng=None, dtype=np.float32):
+    def __init__(self, feat_dim, hidden=ALIGNER_HIDDEN, rng=None):
         self.feat_dim = feat_dim
         self.hidden = hidden
-        self.conv1 = ag.Conv1d(feat_dim, hidden, 5, rng, padding=2, dtype=dtype)
-        self.conv2 = ag.Conv1d(hidden, hidden, 5, rng, padding=2, dtype=dtype)
-        self.head = ag.Conv1d(hidden, 1, 1, rng, dtype=dtype)
+        self.conv1 = ag.Conv1d(feat_dim, hidden, 5, rng, padding=2)
+        self.conv2 = ag.Conv1d(hidden, hidden, 5, rng, padding=2)
+        self.head = ag.Conv1d(hidden, 1, 1, rng)
 
     def forward(self, frame_features):
         """(feat_dim, frames) features -> (penultimate activations, time-major
@@ -102,11 +102,11 @@ class AdapterParams(ag.Module):
     from aligner hidden width to latent channels, emitting gamma and beta.
     """
 
-    def __init__(self, hidden, channels, dtype=np.float32):
-        self.gamma_w = ag.param(np.zeros((hidden, channels), dtype=dtype))
-        self.gamma_b = ag.param(np.zeros(channels, dtype=dtype))
-        self.beta_w = ag.param(np.zeros((hidden, channels), dtype=dtype))
-        self.beta_b = ag.param(np.zeros(channels, dtype=dtype))
+    def __init__(self, hidden, channels):
+        self.gamma_w = ag.param(np.zeros((hidden, channels), dtype=np.float32))
+        self.gamma_b = ag.param(np.zeros(channels, dtype=np.float32))
+        self.beta_w = ag.param(np.zeros((hidden, channels), dtype=np.float32))
+        self.beta_b = ag.param(np.zeros(channels, dtype=np.float32))
 
 
 def apply_adapter(z, feats, p):

@@ -36,16 +36,16 @@ class TimestampSet:
         return len(self.times_s)
 
 
-def from_timestamps(ts, fps=DEFAULT_FPS):
-    """Rasterize to a uint8 0/1 array of ceil(duration * fps) frames.
+def from_timestamps(ts):
+    """Rasterize to a uint8 0/1 array of ceil(duration * DEFAULT_FPS) frames.
 
     Colliding timestamps collapse; a timestamp at the clip end lands on the
     last frame.
     """
-    n = int(np.ceil(ts.duration_s * fps))
+    n = int(np.ceil(ts.duration_s * DEFAULT_FPS))
     frames = np.zeros(n, dtype=np.uint8)
     for t in ts.times_s:
-        frames[min(int(np.floor(t * fps)), n - 1)] = 1
+        frames[min(int(np.floor(t * DEFAULT_FPS)), n - 1)] = 1
     return frames
 
 
@@ -53,8 +53,8 @@ def match_count(a, b, tol_s):
     """One-to-one greedy matching count: sweep `a` ascending, consume the
     earliest unmatched element of `b` within +-tol_s.
     """
-    if tol_s <= 0:
-        raise DataError("tolerance must be positive")
+    if not tol_s > 0:
+        raise DataError(f"tolerance must be positive, got {tol_s}")
     count = 0
     j = 0
     bt = b.times_s
@@ -84,13 +84,13 @@ def transitions_beats_iou(tv, bm, tol_s=DEFAULT_TOL_S):
     return beats_iou(tv, bm, tol_s)
 
 
-def f_measure(reference, estimate, tol_s=0.07):
-    """Beat-tracking F-measure at the given tolerance (default 70 ms)."""
+def f_measure(reference, estimate):
+    """Beat-tracking F-measure at the usual 70 ms tolerance."""
     if len(reference) == 0 and len(estimate) == 0:
         return 1.0
     if len(reference) == 0 or len(estimate) == 0:
         return 0.0
-    m = match_count(reference, estimate, tol_s)
+    m = match_count(reference, estimate, 0.07)
     precision = m / len(estimate)
     recall = m / len(reference)
     if precision + recall == 0:

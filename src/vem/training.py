@@ -252,7 +252,7 @@ def sample_mel(unet, temb, meta, ann, steps, seed, aligner=None, conditioned=Tru
     return latent_decode(Latent(z.astype(np.float32)))
 
 
-def generation_tb_iou(mel, ann, tol_s=0.5):
+def generation_tb_iou(mel, ann):
     """TB_IoU of the annotation's transitions against beats detected in a
     generated spectrogram; detector failures count as 0 (no beats found).
     """
@@ -260,4 +260,4 @@ def generation_tb_iou(mel, ann, tol_s=0.5):
         bm = beats_within(mel, mel.values.shape[0] / mel.frames_per_second)
     except DataError:
         return 0.0
-    return transitions_beats_iou(ann.transitions, bm, tol_s)
+    return transitions_beats_iou(ann.transitions, bm)

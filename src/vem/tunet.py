@@ -46,22 +46,22 @@ def sinusoidal_step_embedding(t, dim):
 class ChannelNorm(ag.Module):
     """Per-position layer norm over channels with a learned affine part."""
 
-    def __init__(self, channels, dtype=np.float32):
-        self.g = ag.param(np.ones(channels, dtype=dtype))
-        self.b = ag.param(np.zeros(channels, dtype=dtype))
+    def __init__(self, channels):
+        self.g = ag.param(np.ones(channels, dtype=np.float32))
+        self.b = ag.param(np.zeros(channels, dtype=np.float32))
 
     def __call__(self, x):
         return x.layer_norm(self.g, self.b)
 
 
 class ResBlock(ag.Module):
-    def __init__(self, c_in, c_out, temb_dim, rng, dtype=np.float32):
-        self.norm1 = ChannelNorm(c_in, dtype)
-        self.conv1 = ag.Conv1d(c_in, c_out, 3, rng, padding=1, dtype=dtype)
-        self.temb_proj = ag.Linear(temb_dim, c_out, rng, dtype=dtype)
-        self.norm2 = ChannelNorm(c_out, dtype)
-        self.conv2 = ag.Conv1d(c_out, c_out, 3, rng, padding=1, dtype=dtype)
-        self.skip = None if c_in == c_out else ag.Conv1d(c_in, c_out, 1, rng, dtype=dtype)
+    def __init__(self, c_in, c_out, temb_dim, rng):
+        self.norm1 = ChannelNorm(c_in)
+        self.conv1 = ag.Conv1d(c_in, c_out, 3, rng, padding=1)
+        self.temb_proj = ag.Linear(temb_dim, c_out, rng)
+        self.norm2 = ChannelNorm(c_out)
+        self.conv2 = ag.Conv1d(c_out, c_out, 3, rng, padding=1)
+        self.skip = None if c_in == c_out else ag.Conv1d(c_in, c_out, 1, rng)
 
     def __call__(self, x, temb_act):
         h = self.conv1(self.norm1(x).silu())
@@ -72,10 +72,10 @@ class ResBlock(ag.Module):
 
 
 class FeedForward(ag.Module):
-    def __init__(self, c, rng, dtype=np.float32):
-        self.norm = ChannelNorm(c, dtype)
-        self.lin1 = ag.Linear(c, 2 * c, rng, dtype=dtype)
-        self.lin2 = ag.Linear(2 * c, c, rng, dtype=dtype)
+    def __init__(self, c, rng):
+        self.norm = ChannelNorm(c)
+        self.lin1 = ag.Linear(c, 2 * c, rng)
+        self.lin2 = ag.Linear(2 * c, c, rng)
 
     def __call__(self, x):
         return x + self.lin2(self.lin1(self.norm(x)).silu())
@@ -84,13 +84,13 @@ class FeedForward(ag.Module):
 class SelfAttnBlock(ag.Module):
     """Pre-norm single-head self-attention over time, plus a feed-forward."""
 
-    def __init__(self, c, rng, dtype=np.float32):
-        self.norm = ChannelNorm(c, dtype)
-        self.wq = ag.Linear(c, c, rng, dtype=dtype)
-        self.wk = ag.Linear(c, c, rng, dtype=dtype)
-        self.wv = ag.Linear(c, c, rng, dtype=dtype)
-        self.wo = ag.Linear(c, c, rng, dtype=dtype)
-        self.ffn = FeedForward(c, rng, dtype)
+    def __init__(self, c, rng):
+        self.norm = ChannelNorm(c)
+        self.wq = ag.Linear(c, c, rng)
+        self.wk = ag.Linear(c, c, rng)
+        self.wv = ag.Linear(c, c, rng)
+        self.wo = ag.Linear(c, c, rng)
+        self.ffn = FeedForward(c, rng)
 
     def __call__(self, x):
         t = self.norm(x)
@@ -103,13 +103,13 @@ class SGCAttBlock(ag.Module):
     by the storyboard mask; the final transformer block of each level.
     """
 
-    def __init__(self, c, cond_dim, rng, dtype=np.float32):
-        self.norm = ChannelNorm(c, dtype)
-        self.wq = ag.Linear(c, c, rng, dtype=dtype)
-        self.wk = ag.Linear(cond_dim, c, rng, dtype=dtype)
-        self.wv = ag.Linear(cond_dim, c, rng, dtype=dtype)
-        self.wo = ag.Linear(c, c, rng, dtype=dtype)
-        self.ffn = FeedForward(c, rng, dtype)
+    def __init__(self, c, cond_dim, rng):
+        self.norm = ChannelNorm(c)
+        self.wq = ag.Linear(c, c, rng)
+        self.wk = ag.Linear(cond_dim, c, rng)
+        self.wv = ag.Linear(cond_dim, c, rng)
+        self.wo = ag.Linear(c, c, rng)
+        self.ffn = FeedForward(c, rng)
 
     def __call__(self, x, tokens, mask):
         out = sg_cross_attention(self.wq(self.norm(x)), self.wk(tokens), self.wv(tokens), mask)
@@ -120,10 +120,10 @@ class Level(ag.Module):
     """Encoder levels keep their width (c_in == c_out); decoder levels take
     the upsampled path concatenated with the skip (c_in == 2 * c_out)."""
 
-    def __init__(self, c_in, c_out, cond_dim, temb_dim, rng, dtype=np.float32):
-        self.res = ResBlock(c_in, c_out, temb_dim, rng, dtype)
-        self.selfattn = SelfAttnBlock(c_out, rng, dtype)
-        self.sgc = SGCAttBlock(c_out, cond_dim, rng, dtype)
+    def __init__(self, c_in, c_out, cond_dim, temb_dim, rng):
+        self.res = ResBlock(c_in, c_out, temb_dim, rng)
+        self.selfattn = SelfAttnBlock(c_out, rng)
+        self.sgc = SGCAttBlock(c_out, cond_dim, rng)
 
     def __call__(self, x, temb_act, tokens, mask):
         x = self.res(x, temb_act)
@@ -134,7 +134,7 @@ class Level(ag.Module):
 class TUNet(ag.Module):
     """Denoiser: eps prediction from (z_t, step, condition tokens, mask)."""
 
-    def __init__(self, in_channels, cond_dim, widths, temb_dim=128, rng=None, dtype=np.float32):
+    def __init__(self, in_channels, cond_dim, widths, temb_dim=128, rng=None):
         if temb_dim % 2:
             raise ValueError(f"temb_dim must be even (sin/cos pairs), got {temb_dim}")
         self.in_channels = in_channels
@@ -145,30 +145,29 @@ class TUNet(ag.Module):
 
         # one forked stream per block; without an rng every weight starts at zero
         r = (None if rng is None else rng.fork(i) for i in itertools.count())
-        self.temb_lin1 = ag.Linear(temb_dim, temb_dim, next(r), dtype=dtype)
-        self.temb_lin2 = ag.Linear(temb_dim, temb_dim, next(r), dtype=dtype)
-        self.in_conv = ag.Conv1d(in_channels, self.widths[0], 3, next(r), padding=1, dtype=dtype)
-        self.enc = [Level(w, w, cond_dim, temb_dim, next(r), dtype) for w in self.widths]
-        self.down = [ag.Conv1d(self.widths[i], self.widths[i + 1], 3, next(r),
-                               stride=2, padding=1, dtype=dtype)
+        self.temb_lin1 = ag.Linear(temb_dim, temb_dim, next(r))
+        self.temb_lin2 = ag.Linear(temb_dim, temb_dim, next(r))
+        self.in_conv = ag.Conv1d(in_channels, self.widths[0], 3, next(r), padding=1)
+        self.enc = [Level(w, w, cond_dim, temb_dim, next(r)) for w in self.widths]
+        self.down = [ag.Conv1d(self.widths[i], self.widths[i + 1], 3, next(r), stride=2, padding=1)
                      for i in range(self.levels - 1)]
-        self.up = [ag.Conv1d(self.widths[i + 1], self.widths[i], 3, next(r), padding=1, dtype=dtype)
+        self.up = [ag.Conv1d(self.widths[i + 1], self.widths[i], 3, next(r), padding=1)
                    for i in reversed(range(self.levels - 1))]
-        self.dec = [Level(2 * self.widths[i], self.widths[i], cond_dim, temb_dim, next(r), dtype)
+        self.dec = [Level(2 * self.widths[i], self.widths[i], cond_dim, temb_dim, next(r))
                     for i in reversed(range(self.levels - 1))]
-        self.out_norm = ChannelNorm(self.widths[0], dtype)
+        self.out_norm = ChannelNorm(self.widths[0])
         # zero-initialized (no rng): an untrained net predicts zero noise
-        self.out_conv = ag.Conv1d(self.widths[0], in_channels, 3, None, padding=1, dtype=dtype)
+        self.out_conv = ag.Conv1d(self.widths[0], in_channels, 3, None, padding=1)
         # global 1x1 residual from the raw input latent, gated per channel by
         # the step embedding: without it the denoiser cannot express the
         # near-identity maps high-noise steps need once trunk width drops
         # below the latent channel count, and training stalls near loss 1
-        self.res_proj = ag.Conv1d(in_channels, in_channels, 1, None, dtype=dtype)
-        self.res_gate = ag.Linear(temb_dim, in_channels, None, dtype=dtype)
+        self.res_proj = ag.Conv1d(in_channels, in_channels, 1, None)
+        self.res_gate = ag.Linear(temb_dim, in_channels, None)
         self.adapters = None  # set by attach_adapters for the fine-tune stage
 
-    def attach_adapters(self, aligner_hidden=ALIGNER_HIDDEN, dtype=np.float32):
-        self.adapters = [AdapterParams(aligner_hidden, w, dtype) for w in self.widths]
+    def attach_adapters(self, aligner_hidden=ALIGNER_HIDDEN):
+        self.adapters = [AdapterParams(aligner_hidden, w) for w in self.widths]
 
     def __call__(self, z, step, tokens, base_mask, aligner_feats=None):
         z = ag.as_var(z)

@@ -11,6 +11,14 @@ from vem.parsing import (Storyboard, VideoAnnotation, build_frame_features,
 from vem.timeline import TimestampSet
 
 
+def with_dtype(module, dtype):
+    """`module` with every parameter cast to `dtype`, in place: modules build
+    float32 parameters, and gradient checks run the same graphs in float64."""
+    for p in module.params():
+        p.data = p.data.astype(dtype)
+    return module
+
+
 def splitmix64_reference(seed, n):
     """Independent pure-python SplitMix64: n raw 64-bit outputs."""
     mask = (1 << 64) - 1

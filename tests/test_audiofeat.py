@@ -170,7 +170,8 @@ def test_upsample_stays_band_limited():
     assert 10 * math.log10(hi / lo) < -40
 
 
-RATE_PAIRS = ([(src, SR) for src in (8000, 11025, 22050, 24000, 32000, 44100, 48000, 96000)]
+RATE_PAIRS = ([(src, SR) for src in (8000, 11025, 22050, 24000, 32000, 44100, 48000, 96000,
+                                      192000)]
               + [(SR, 44100), (SR, 48000)])
 
 

@@ -142,6 +142,6 @@ def test_f_measure_on_click_tracks(bpm):
     beats, est = bd.detect_beats(af.logmel(af.Waveform(w.samples, SR)))
     dur = w.duration_s
     got = TimestampSet([b for b in beats if b <= dur], dur)
-    f = f_measure(got, TimestampSet(truth, dur), tol_s=0.07)
+    f = f_measure(got, TimestampSet(truth, dur))
     assert f >= 0.95
     assert abs(est - bpm) <= 2.0

@@ -138,6 +138,17 @@ def test_features_writes_container(tmp_path):
     assert meta["sample_rate_hz"] == SAMPLE_RATE
 
 
+def test_features_huge_header_rate_exits_3(tmp_path, capsys):
+    """A prime 4,294,967,291 Hz header would need a 2.5 TiB filter."""
+    path = tmp_path / "clip.wav"
+    save_wav(path, Waveform(np.zeros(2048, dtype=np.float32), SAMPLE_RATE))
+    raw = bytearray(path.read_bytes())
+    raw[24:28] = (4_294_967_291).to_bytes(4, "little")  # fmt chunk sample rate
+    path.write_bytes(bytes(raw))
+    assert run(["features", str(path)], tmp_path) == 3
+    assert "2^17" in capsys.readouterr().err
+
+
 def test_beats_writes_events_json(tmp_path):
     wav, beats = click_track(120.0, duration_s=10.0)
     save_wav(tmp_path / "clk.wav", wav)
@@ -168,6 +179,15 @@ def test_curate_report(tmp_path, corpus_dir):
     assert rows[0] == ["video_id", "status", "reasons"]
     assert len(rows) == 3
     assert all(r[1] in ("pass", "fail") for r in rows[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["curate", d, "--min-snr-db", "nan"],
+    lambda d: ["eval", d, "--tol-s", "nan"],
+], ids=["curate-min-snr", "eval-tol"])
+def test_nan_thresholds_exit_3(tmp_path, corpus_dir, capsys, argv):
+    assert run(argv(str(corpus_dir)), tmp_path) == 3
+    assert capsys.readouterr().err.startswith("error: data: ")
 
 
 @pytest.mark.parametrize("dur", [("0.01", "0.02"), ("16", "10"), ("4.0", "16"),
@@ -216,6 +236,16 @@ def test_sample_from_checkpoint(tmp_path, corpus_dir, trained_dir):
     assert rc == 0
     tensors, meta = load_tensors(tmp_path / "item_000.gen.mel.vemt")
     assert tensors["mel"].shape[1] == 60 and meta["steps"] == 3
+
+
+def test_sample_default_steps_capped_at_schedule(tmp_path, corpus_dir, trained_dir):
+    """The default 200 steps drop to the checkpoint's T (50); an explicit
+    count above T is still an error."""
+    ckpt, manifest = str(trained_dir / "diffusion.vemt"), str(corpus_dir / "item_000.json")
+    assert run(["sample", ckpt, manifest], tmp_path) == 0
+    _, meta = load_tensors(tmp_path / "item_000.gen.mel.vemt")
+    assert meta["steps"] == 50
+    assert run(["sample", ckpt, manifest, "--steps", "51"], tmp_path) == 3
 
 
 def test_sample_adapter_checkpoint_needs_aligner(tmp_path, corpus_dir, trained_dir):
@@ -274,6 +304,13 @@ def test_sweep_steps_csv(tmp_path, corpus_dir, trained_dir):
     assert rows[0] == ["steps", "recon_error", "tb_iou"]
     assert [r[0] for r in rows[1:]] == ["1", "4"]
     assert all(float(r[1]) >= 0 for r in rows[1:])
+
+
+def test_sweep_steps_default_capped_at_schedule(tmp_path, corpus_dir, trained_dir):
+    rc = run(["sweep-steps", str(trained_dir / "diffusion.vemt"),
+              str(corpus_dir / "item_000.json")], tmp_path)
+    assert rc == 0
+    assert [r[0] for r in read_csv(tmp_path / "sweep_steps.csv")[1:]] == ["1", "50"]
 
 
 # -- eval ------------------------------------------------------------------

@@ -9,7 +9,7 @@ from vem.errors import DataError
 from vem.rng import Rng
 from vem.sgcatt import StoryboardMask
 
-from helpers import forward_step
+from helpers import forward_step, with_dtype
 
 
 # -- schedule --------------------------------------------------------------
@@ -110,7 +110,7 @@ def toy_setup(dtype=np.float32, seed=5):
     z0 = r.gaussian((2, 8)).astype(dtype)
     cond = ag.Var(r.gaussian((6, 5)).astype(dtype))
     mask = StoryboardMask(np.ones((8, 6), dtype=np.uint8))
-    net = tn.TUNet(2, 5, widths=(4,), temb_dim=8, rng=Rng(7), dtype=dtype)
+    net = with_dtype(tn.TUNet(2, 5, widths=(4,), temb_dim=8, rng=Rng(7)), dtype)
     return z0, cond, mask, net
 
 

@@ -9,7 +9,7 @@ from vem.container import save_tensors
 from vem.errors import ManifestError
 from vem.rng import Rng
 
-from helpers import make_annotation
+from helpers import make_annotation, with_dtype
 
 
 def manifest_doc(**overrides):
@@ -81,7 +81,7 @@ def test_time_embedder_rejects_negative():
 
 
 def test_time_embedder_gradients():
-    emb = ps.TimeEmbedder(dim=6, hidden=5, rng=Rng(3), dtype=np.float64)
+    emb = with_dtype(ps.TimeEmbedder(dim=6, hidden=5, rng=Rng(3)), np.float64)
     target = Rng(4).gaussian((2, 6))
 
     def loss_of(emb_):

@@ -99,3 +99,63 @@ def test_defaulted_dataclass_fields_are_set():
             never += [f"{path.stem}.{cls.name}.{f}" for f in _defaulted(cls)
                       if f not in seen]
     assert not never, f"defaulted dataclass fields nothing sets: {never}"
+
+
+def _signatures(tree):
+    """(qualified name, name a call uses, positional parameters, defaulted
+    parameters) of each public function of a module and each public method,
+    `__init__` and `__call__` of its public classes. A constructor is called
+    by its class name; a `__call__` by no name (None), so only keywords can
+    be matched to it."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out.append((node.name, node.name, node.args, 0))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and (
+                        not f.name.startswith("_") or f.name in ("__init__", "__call__")):
+                    called = {"__init__": node.name, "__call__": None}.get(f.name, f.name)
+                    static = any("staticmethod" in ast.unparse(d) for d in f.decorator_list)
+                    out.append((f"{node.name}.{f.name}", called, f.args, 0 if static else 1))
+    sigs = []
+    for qual, called, args, bound in out:
+        positional = [a.arg for a in args.posonlyargs + args.args][bound:]
+        defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        sigs.append((qual, called, positional, defaulted))
+    return sigs
+
+
+def _calls(tree):
+    """(called name, positional argument count, keyword names) of each call;
+    a `*` argument makes the count None (every position), a `**` one passes
+    no keyword."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            out.append((name, None if starred else len(node.args),
+                        {kw.arg for kw in node.keywords if kw.arg}))
+    return out
+
+
+def test_defaulted_parameters_are_passed():
+    """Every defaulted parameter of a public `vem` function or method is
+    passed, by keyword or by position, by some call in the package, the
+    benchmark or the tests; a default nothing overrides is a constant dressed
+    as a knob, and belongs in the code that uses it."""
+    paths = [p for d in ("src", "bench", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
+    calls = [c for p in paths for c in _calls(ast.parse(p.read_text(encoding="utf-8")))]
+    never = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qual, called, positional, defaulted in _signatures(ast.parse(path.read_text("utf-8"))):
+            seen = set()
+            for name, n_args, keywords in calls:
+                if called is None:
+                    seen |= keywords
+                elif name == called:
+                    seen |= keywords | set(positional[:n_args])
+            never += [f"{path.stem}.{qual}({p})" for p in defaulted if p not in seen]
+    assert not never, f"defaulted parameters nothing passes: {never}"

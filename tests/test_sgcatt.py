@@ -8,7 +8,7 @@ from vem.errors import DataError
 from vem.parsing import TimeEmbedder
 from vem.rng import Rng
 
-from helpers import assemble_conditions_loop, make_annotation
+from helpers import assemble_conditions_loop, make_annotation, with_dtype
 
 
 def tokens_for(ann, seed=0):
@@ -80,7 +80,7 @@ def test_tokens_and_gradients_match_loop_oracle(dtype):
     weight = ag.Var(Rng(3).gaussian((24, 64)).astype(dtype))
     grads = []
     for assemble in (sg.assemble_conditions, assemble_conditions_loop):
-        emb = TimeEmbedder(dim=64, hidden=16, rng=Rng(2), dtype=dtype)
+        emb = with_dtype(TimeEmbedder(dim=64, hidden=16, rng=Rng(2)), dtype)
         toks = assemble(ann, emb)
         (toks * weight).sum().backward()
         grads.append((toks.data, [(name, p.grad) for name, p in emb.named_params()]))

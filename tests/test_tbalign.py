@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import with_dtype
 from vem import tbalign as tb
 from vem.errors import DataError
 from vem.numcore import linear_interp
@@ -36,7 +37,7 @@ def test_forward_rejects_wrong_dim():
 
 
 def test_aligner_gradients_match_fd():
-    net = tb.AlignerNet(3, hidden=4, rng=Rng(5), dtype=np.float64)
+    net = with_dtype(tb.AlignerNet(3, hidden=4, rng=Rng(5)), np.float64)
     feats = Rng(6).gaussian((3, 7))
     labels = (Rng(7).uniform(7) > 0.5).astype(np.float64)
     tb.aligner_loss(net, feats, labels).backward()

@@ -29,35 +29,35 @@ def test_timestampset_validation():
 
 def test_timeline_validation():
     # rasters are uint8 0/1 arrays of ceil(duration * fps) frames by construction
-    out = tl.from_timestamps(ts([0.0, 0.3, 0.31, 2.9], 3.0), fps=16.0)
+    out = tl.from_timestamps(ts([0.0, 0.3, 0.31, 2.9], 3.0))
     assert out.dtype == np.uint8 and len(out) == 48
     assert set(np.unique(out).tolist()) == {0, 1}
-    assert len(tl.from_timestamps(ts([], 1.01), fps=16.0)) == 17
+    assert len(tl.from_timestamps(ts([], 1.01))) == 17
 
 
 # -- rasterization ---------------------------------------------------------
 
 
 def test_from_timestamps_floor_rule():
-    out = tl.from_timestamps(ts([1.0], 2.0), fps=16.0)
+    out = tl.from_timestamps(ts([1.0], 2.0))
     assert out[16] == 1
     assert out.sum() == 1
 
 
 def test_from_timestamps_empty():
-    out = tl.from_timestamps(ts([], 1.0), fps=16.0)
+    out = tl.from_timestamps(ts([], 1.0))
     assert out.sum() == 0 and len(out) == 16
 
 
 def test_from_timestamps_collision_collapses():
-    out = tl.from_timestamps(ts([0.01, 0.05], 1.0), fps=16.0)
+    out = tl.from_timestamps(ts([0.01, 0.05], 1.0))
     assert out.sum() == 1 and out[0] == 1
 
 
 def test_from_timestamps_clip_end_lands_on_last_frame():
     # 1.0 s * 16 fps is a whole number, so floor(t * fps) is one past the
     # raster; build_frame_features clamps that frame the same way
-    out = tl.from_timestamps(tl.TimestampSet([0.5, 1.0], 1.0), fps=16.0)
+    out = tl.from_timestamps(tl.TimestampSet([0.5, 1.0], 1.0))
     assert len(out) == 16
     assert out.nonzero()[0].tolist() == [8, 15]
 
@@ -67,7 +67,7 @@ def test_from_timestamps_clip_end_lands_on_last_frame():
 
 def test_intersect_examples():
     def raster(times):
-        return tl.from_timestamps(ts(times, 0.25), fps=16.0)  # 4 frames
+        return tl.from_timestamps(ts(times, 0.25))  # 4 frames
     v = raster([0.0, 0.125])
     m = raster([0.0, 0.0625])
     np.testing.assert_array_equal(v & m, [1, 0, 0, 0])
@@ -151,7 +151,7 @@ def test_f_measure_half_precision():
     # estimate doubles every beat: recall 1, precision 0.5, F = 2/3
     ref = ts([1.0, 2.0])
     est = ts([1.0, 1.2, 2.0, 2.2])
-    assert tl.f_measure(ref, est, tol_s=0.07) == pytest.approx(2 / 3)
+    assert tl.f_measure(ref, est) == pytest.approx(2 / 3)
 
 
 # -- json ------------------------------------------------------------------

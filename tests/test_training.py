@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import click_track, make_annotation, use_unfused_ops
+from helpers import click_track, make_annotation, use_unfused_ops, with_dtype
 
 from vem import autograd as ag
 from vem import curation as cu
@@ -300,10 +300,10 @@ def _stage_c_loss(ann, wav, dtype):
     `dtype`, with every zero-initialized weight moved off zero."""
     z0 = latent_encode(logmel(wav)).values.astype(dtype)
     mask = build_mask(ann, z0.shape[1])
-    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), temb_dim=16, rng=Rng(1),
-                 dtype=dtype)
-    unet.attach_adapters(6, dtype=dtype)
-    temb = TimeEmbedder(len(ann.caption_feat), hidden=8, rng=Rng(2), dtype=dtype)
+    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), temb_dim=16, rng=Rng(1))
+    unet.attach_adapters(6)
+    with_dtype(unet, dtype)
+    temb = with_dtype(TimeEmbedder(len(ann.caption_feat), hidden=8, rng=Rng(2)), dtype)
     r = Rng(5)
     for p in unet.params() + temb.params():
         p.data = p.data + (0.05 * r.gaussian(p.shape)).astype(dtype)

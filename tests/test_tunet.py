@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import with_dtype
 from vem import autograd as ag
 from vem import tunet as tn
 from vem.errors import DataError
@@ -186,7 +187,7 @@ def test_gradcheck_sampled_parameters():
     z = r.gaussian((3, 6))
     cond = ag.Var(r.gaussian((6, 5)))
     mask = StoryboardMask(np.ones((6, 6), dtype=np.uint8))
-    net = tn.TUNet(3, 5, widths=(4, 6), temb_dim=8, rng=Rng(2), dtype=np.float64)
+    net = with_dtype(tn.TUNet(3, 5, widths=(4, 6), temb_dim=8, rng=Rng(2)), np.float64)
     net.out_conv.w.data = net.out_conv.w.data + 0.05
     net.res_proj.w.data = net.res_proj.w.data + 0.05
     target = r.gaussian((3, 6))
