@@ -8,11 +8,10 @@ subcommands; each module's docstring describes its stage.
 
 from .audiofeat import (MelSpectrogram, Waveform, estimate_snr, griffin_lim,
                         load_wav, logmel, resample, save_wav)
-from .beatdet import (OnsetEnvelope, beats_within, detect_beats, estimate_tempo,
-                      spectral_flux, track_beats)
+from .beatdet import beats_within, detect_beats, estimate_tempo, spectral_flux, track_beats
 from .curation import CurationRule, SynthConfig, gate, synth_corpus
-from .diffusion import (Latent, NoiseSchedule, latent_decode, latent_encode,
-                        make_schedule, q_sample, sample, training_loss)
+from .diffusion import (Latent, latent_decode, latent_encode, make_schedule, q_sample, sample,
+                        training_loss)
 from .errors import DataError, ManifestError, StageOrderError
 from .evalsuite import (StoryboardScores, frechet_distance, inception_score, mean_kld,
                         tw_score)

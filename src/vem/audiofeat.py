@@ -4,7 +4,8 @@ Analysis chain: resample to 16 kHz -> frame (1024-sample periodic Hann,
 hop 256, no centering) -> magnitude STFT -> 60-band triangular filterbank on
 the HTK mel scale (2595*log10(1+f/700)) over 0-8 kHz -> log(amp + 1e-5).
 The log floor keeps silence finite: an all-zero signal maps to a constant
-log(1e-5) spectrogram.
+log(1e-5) spectrogram. That geometry is the only one: every helper reads the
+constants, and a `MelSpectrogram` keeps its hop, rate and bins as checked tags.
 
 Both hot kernels read strided views of the signal and walk it a piece at a
 time through small reused buffers, so their working set stays in cache and
@@ -13,7 +14,7 @@ cached read-only. `resample` is a polyphase FIR run as a blocked GEMM: one
 period of `up` outputs consumes `down` inputs, so a block of consecutive
 outputs reads the same input window `down` samples further on each period,
 and one BLAS call multiplies that window sequence by the block's taps. The
-STFT takes every `hop`-th window of a `sliding_window_view`, a block of
+STFT takes every HOP-th window of a `sliding_window_view`, a block of
 frames at a time; the Hann window and the filterbank are cached.
 
 The STFT and the mel projection run in float32 (the resampler and
@@ -30,6 +31,7 @@ import dataclasses
 import functools
 import math
 import struct
+import threading
 
 import numpy as np
 import scipy.fft
@@ -68,19 +70,17 @@ class Waveform:
 
 @dataclasses.dataclass
 class MelSpectrogram:
-    values: np.ndarray  # (windows, n_mels), log-amplitude
-    hop: int
+    values: np.ndarray  # (windows, N_MELS), log-amplitude
+    hop: int  # the three tags must read HOP, SAMPLE_RATE and N_MELS
     sample_rate_hz: int
     n_mels: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 2 or self.values.shape[1] != self.n_mels:
-            raise DataError(f"mel matrix shape {self.values.shape} disagrees with n_mels={self.n_mels}")
-
-    @property
-    def frames_per_second(self):
-        return self.sample_rate_hz / self.hop
+        tags, shape = (self.hop, self.sample_rate_hz, self.n_mels), self.values.shape
+        if tags != (HOP, SAMPLE_RATE, N_MELS) or len(shape) != 2 or shape[1] != N_MELS:
+            raise DataError(f"mel of shape {shape} tagged (hop, rate, bins) {tags} is not "
+                            f"(windows, {N_MELS}) at the package's {(HOP, SAMPLE_RATE, N_MELS)}")
 
 
 # -- WAV I/O ---------------------------------------------------------------
@@ -182,6 +182,7 @@ class _ResamplePlan:
     blocks: tuple  # (first output in the row, first input - lo, taps (width, outputs))
     lo: int  # first input row 0 reads; negative inputs are zeros
     width: int  # inputs one row's windows span
+    nbytes: int  # bytes the distinct tap arrays hold (blocks share them)
 
     def __call__(self, x, n_out):
         """The first `n_out` outputs for input `x`, as float32."""
@@ -210,16 +211,31 @@ class _ResamplePlan:
         return out.reshape(-1)[:n_out]
 
 
-@functools.lru_cache(maxsize=16)
+_PLAN_CACHE_SIZE, _PLAN_CACHE_BYTES = 16, 8 << 20
+_plans, _plans_lock = {}, threading.Lock()  # (up, down) -> plan, least recently used first
+
+
 def _resample_plan(up, down):
-    """The `_ResamplePlan` of a reduced rate pair; the FIR is designed here.
+    """The `_ResamplePlan` of a reduced rate pair, from the cache or designed.
 
     16 plans hold the ten common pairs (8, 11.025, 22.05, 24, 32, 44.1, 48
     and 96 kHz to 16 kHz, 16 kHz to 44.1 and 48 kHz; 1.6 MB together, none
-    above 0.5 MB) with room to spare, so a mixed-rate dataset designs each FIR
-    once. The count is bounded because an odd pair's plan is about as large
-    as its filter: 44101 Hz to 16 kHz holds 34 MB.
+    above 0.5 MB), so a mixed-rate dataset designs each FIR once. An odd
+    pair's plan is about its filter's size (44101 Hz to 16 kHz 34 MB), so a
+    plan above 8 MB is designed per call and never kept. One lock covers the
+    lookup, the design and the update: two threads never design a kept plan twice.
     """
+    with _plans_lock:
+        plan = _plans.pop((up, down), None) or _design_plan(up, down)
+        if plan.nbytes <= _PLAN_CACHE_BYTES:
+            _plans[up, down] = plan
+            if len(_plans) > _PLAN_CACHE_SIZE:
+                del _plans[next(iter(_plans))]
+    return plan
+
+
+def _design_plan(up, down):
+    """Design the FIR of a reduced rate pair and lay out its `_ResamplePlan`."""
     m = max(up, down)
     h = firwin(80 * m + 1, 0.97 / m, window=("kaiser", 7.0)) * up
     half = (len(h) - 1) // 2
@@ -246,7 +262,7 @@ def _resample_plan(up, down):
     hi = max(start + taps.shape[0] for _, start, taps in blocks)
     return _ResamplePlan(period, b * down,
                          tuple((first, start - lo, taps) for first, start, taps in blocks),
-                         lo, hi - lo)
+                         lo, hi - lo, sum(taps.nbytes for _, taps in shared.values()))
 
 
 def resample(w, target_hz):
@@ -261,8 +277,8 @@ def resample(w, target_hz):
     It runs as a polyphase GEMM (`_ResamplePlan`): blocks of 16 consecutive
     outputs per period, each one float64 matrix product of a strided view of
     the input windows with that block's taps, over chunks of rows that stay
-    in cache. The plan is cached per reduced `(up, down)` pair, so the FIR is
-    designed once; a pair with a term above 2^17 would need gigabytes, and is refused.
+    in cache. A plan of up to 8 MB is cached per reduced `(up, down)` pair; a
+    pair with a term above 2^17 would need gigabytes, and is refused.
     """
     if target_hz <= 0:
         raise DataError(f"target rate must be positive, got {target_hz}")
@@ -281,25 +297,25 @@ def resample(w, target_hz):
 
 
 @functools.lru_cache(maxsize=4)
-def _hann(n, dtype=np.float64):
-    """Periodic Hann: 0.5 - 0.5 cos(2 pi k / n) in float64, cast, read-only."""
-    return _frozen((0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)).astype(dtype))
+def _hann(dtype):
+    """Periodic Hann, 0.5 - 0.5 cos(2 pi k / N_FFT), in float64, cast, read-only."""
+    return _frozen((0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)).astype(dtype))
 
 
-def frame_count(n_samples, n_fft=N_FFT, hop=HOP):
-    if n_samples < n_fft:
-        raise DataError(f"waveform of {n_samples} samples is shorter than one {n_fft}-sample window")
-    return 1 + (n_samples - n_fft) // hop
+def frame_count(n_samples):
+    if n_samples < N_FFT:
+        raise DataError(f"waveform of {n_samples} samples is shorter than one {N_FFT}-sample window")
+    return 1 + (n_samples - N_FFT) // HOP
 
 
 _STFT_BLOCK = 64  # frames per rfft call; the block's buffers (0.5 MB) stay in cache
 
 
-def _frames(samples, n_fft, hop):
-    """(windows, n_fft) view of every hop-th window of `samples`: left-aligned,
+def _frames(samples):
+    """(windows, N_FFT) view of every HOP-th window of `samples`: left-aligned,
     no padding, no copy."""
-    frame_count(len(samples), n_fft, hop)
-    return sliding_window_view(samples, n_fft)[::hop]
+    frame_count(len(samples))
+    return sliding_window_view(samples, N_FFT)[::HOP]
 
 
 def stft_magnitude(samples):
@@ -309,8 +325,8 @@ def stft_magnitude(samples):
     `_STFT_BLOCK` frames at a time go through one reused window buffer and a
     complex64 `scipy.fft.rfft`, so no whole-signal temporaries are built.
     """
-    frames = _frames(np.asarray(samples, dtype=np.float32), N_FFT, HOP)
-    w = _hann(N_FFT, np.float32)
+    frames = _frames(np.asarray(samples, dtype=np.float32))
+    w = _hann(np.float32)
     mag = np.empty((len(frames), N_FFT // 2 + 1), dtype=np.float32)
     block = min(_STFT_BLOCK, len(frames))
     windowed = np.empty((block, N_FFT), dtype=np.float32)
@@ -329,13 +345,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sr=SAMPLE_RATE):
-    """(n_mels, n_fft//2+1) triangular filters, unit peak, HTK mel spacing
+def mel_filterbank():
+    """(N_MELS, N_FFT//2+1) triangular filters, unit peak, HTK mel spacing
     from FMIN to FMAX."""
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sr)
-    pts = mel_to_hz(np.linspace(hz_to_mel(FMIN), hz_to_mel(FMAX), n_mels + 2))
-    fb = np.zeros((n_mels, len(freqs)))
-    for m in range(n_mels):
+    freqs = np.fft.rfftfreq(N_FFT, d=1.0 / SAMPLE_RATE)
+    pts = mel_to_hz(np.linspace(hz_to_mel(FMIN), hz_to_mel(FMAX), N_MELS + 2))
+    fb = np.zeros((N_MELS, len(freqs)))
+    for m in range(N_MELS):
         lo, mid, hi = pts[m], pts[m + 1], pts[m + 2]
         up = (freqs - lo) / (mid - lo)
         down = (hi - freqs) / (hi - mid)
@@ -344,9 +360,9 @@ def mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sr=SAMPLE_RATE):
 
 
 @functools.lru_cache(maxsize=4)
-def _mel_fb(n_mels, n_fft, sr, dtype=np.float64):
+def _mel_fb(dtype):
     """`mel_filterbank`, cast, read-only."""
-    return _frozen(mel_filterbank(n_mels, n_fft, sr).astype(dtype))
+    return _frozen(mel_filterbank().astype(dtype))
 
 
 def logmel(w):
@@ -355,7 +371,7 @@ def logmel(w):
     in place (module docstring)."""
     if w.sample_rate_hz != SAMPLE_RATE:
         raise DataError(f"expected {SAMPLE_RATE} Hz input, got {w.sample_rate_hz} (resample first)")
-    fb = _mel_fb(N_MELS, N_FFT, SAMPLE_RATE, np.float32)
+    fb = _mel_fb(np.float32)
     vals = stft_magnitude(w.samples) @ fb.T
     vals += np.float32(LOG_FLOOR)
     np.log(vals, out=vals)
@@ -365,17 +381,16 @@ def logmel(w):
 # -- inversion -------------------------------------------------------------
 
 
-def _overlap_add(frames, hop):
-    """Sum of the rows of `frames`, row i starting at sample i*hop: one
-    slice-add per hop-long segment, into (frames, hop) rows of the output,
-    last segment first, so each sample sums its frames in ascending order."""
-    count, n_fft = frames.shape
-    segments = -(-n_fft // hop)
-    out = np.zeros((count + segments - 1, hop))
+def _overlap_add(frames):
+    """Sum of the (count, N_FFT) rows of `frames`, row i starting at sample
+    i*HOP: one slice-add per HOP-long segment (HOP divides N_FFT) into (count,
+    HOP) rows, last segment first, so each sample sums its frames in order."""
+    count = len(frames)
+    segments = N_FFT // HOP
+    out = np.zeros((count + segments - 1, HOP))
     for j in reversed(range(segments)):
-        seg = frames[:, j * hop:(j + 1) * hop]
-        out[j:j + count, :seg.shape[1]] += seg
-    return out.reshape(-1)[:n_fft + hop * (count - 1)]
+        out[j:j + count] += frames[:, j * HOP:(j + 1) * HOP]
+    return out.reshape(-1)
 
 
 def griffin_lim(m, iters=60):
@@ -390,22 +405,22 @@ def griffin_lim(m, iters=60):
         raise DataError("iters must be >= 1")
     amp = np.exp(m.values.astype(np.float64)) - LOG_FLOOR
     amp = np.clip(amp, 0.0, None)
-    fb = _mel_fb(m.n_mels, N_FFT, m.sample_rate_hz)
+    fb = _mel_fb(np.float64)
     mag = np.clip(amp @ np.linalg.pinv(fb).T, 0.0, None)  # (W, bins)
     spec = mag.astype(np.complex128)
-    w = _hann(N_FFT)
+    w = _hann(np.float64)
     # the overlap-add inverse divides by the squared-window overlap-add
-    norm = np.maximum(_overlap_add(np.broadcast_to(w ** 2, (len(mag), N_FFT)), m.hop), 1e-8)
+    norm = np.maximum(_overlap_add(np.broadcast_to(w ** 2, (len(mag), N_FFT))), 1e-8)
     x = None
     for _ in range(iters):
-        x = _overlap_add(np.fft.irfft(spec, n=N_FFT, axis=1) * w, m.hop) / norm
-        re = np.fft.rfft(_frames(x, N_FFT, m.hop) * w, axis=1)
+        x = _overlap_add(np.fft.irfft(spec, n=N_FFT, axis=1) * w) / norm
+        re = np.fft.rfft(_frames(x) * w, axis=1)
         phase = re / np.maximum(np.abs(re), 1e-12)
         spec = mag * phase
     peak = np.max(np.abs(x)) if len(x) else 0.0
     if peak > 1.0:
         x = x / peak
-    return Waveform(x.astype(np.float32), m.sample_rate_hz)
+    return Waveform(x.astype(np.float32), SAMPLE_RATE)
 
 
 # -- curation signal quality ----------------------------------------------

@@ -244,12 +244,12 @@ class Var:
             self._accum(d)
         return _node(x * s, (self,), back)
 
-    def softmax(self, axis=-1):
-        m = self.data.max(axis=axis, keepdims=True)
+    def softmax(self):
+        m = self.data.max(axis=-1, keepdims=True)
         e = np.exp(self.data - m)
-        out_data = e / e.sum(axis=axis, keepdims=True)
+        out_data = e / e.sum(axis=-1, keepdims=True)
         def back(g):
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
+            dot = (g * out_data).sum(axis=-1, keepdims=True)
             self._accum(out_data * (g - dot))
         return _node(out_data, (self,), back)
 

@@ -9,53 +9,35 @@ Precision note: a raw integer-lag autocorrelation peak quantizes tempo to
 the hop rate, and over 30 s even a 1% period error drifts the far end of the
 grid by several hundred ms. `estimate_tempo` therefore refines the period
 with parabolic interpolation at the peak and re-estimates it from the
-highest usable lag multiple.
+highest usable lag multiple. The onset envelope is a float32 array, one value
+per spectrogram window: ENVELOPE_RATE_HZ values a second from ENVELOPE_T0_S.
 """
-
-import dataclasses
 
 import numpy as np
 
-from .audiofeat import N_FFT
+from .audiofeat import HOP, N_FFT, SAMPLE_RATE
 from .errors import DataError
 from .timeline import TimestampSet
 
 _BPM_LO, _BPM_HI = 50.0, 220.0
 _BPM_PREF_LO, _BPM_PREF_HI = 80.0, 160.0
 MIN_ENVELOPE_S = 4.0  # shortest onset envelope tempo estimation accepts
-
-
-@dataclasses.dataclass
-class OnsetEnvelope:
-    values: np.ndarray  # one per STFT hop, >= 0
-    hop_rate_hz: float
-    t0_s: float = 0.0  # wall-clock time of index 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if np.any(self.values < 0):
-            raise DataError("onset envelope must be non-negative")
-
-    @property
-    def duration_s(self):
-        return len(self.values) / self.hop_rate_hz
+ENVELOPE_RATE_HZ = SAMPLE_RATE / HOP
+# Index i sits at window i's centre, where an impulse contributes most under
+# the Hann taper (window-start timestamps read transients ~2 hops early).
+ENVELOPE_T0_S = 0.5 * N_FFT / SAMPLE_RATE
 
 
 def spectral_flux(m):
-    """Half-wave-rectified positive mel-amplitude differences, summed over bins.
-
-    Indexing matches the spectrogram windows; t0 places index i at the window
-    center, since that is where an impulse contributes most under the Hann
-    taper (window-start timestamps read transients ~2 hops early).
-    """
+    """Half-wave-rectified positive mel-amplitude differences, summed over
+    bins: the float32 onset envelope, index i for spectrogram window i."""
     if m.values.shape[0] < 2:
         raise DataError("need at least 2 spectrogram windows for flux")
     # cap keeps exp finite on degenerate (e.g. model-generated) inputs
     amp = np.exp(np.clip(m.values.astype(np.float64), None, 32.0))
     diff = np.clip(amp[1:] - amp[:-1], 0.0, None).sum(axis=1)
-    vals = np.concatenate([[0.0], diff])  # keep index == window index
-    t0 = 0.5 * N_FFT / m.sample_rate_hz
-    return OnsetEnvelope(vals, m.frames_per_second, t0)
+    # float32 like the spectrogram; tempo and beat times depend on the cast
+    return np.concatenate([[0.0], diff]).astype(np.float32)  # keep index == window index
 
 
 def _autocorr(x):
@@ -73,16 +55,16 @@ def _parabolic_offset(y_prev, y_peak, y_next):
     return float(np.clip(0.5 * (y_prev - y_next) / denom, -0.5, 0.5))
 
 
-def estimate_tempo(e):
+def estimate_tempo(env):
     """Tempo in BPM from envelope autocorrelation, searched over 50-220 BPM.
 
     Octave ambiguity breaks toward the 80-160 BPM band: a half/double
     partner inside the band wins whenever its correlation is within 80% of
     the raw peak.
     """
-    if e.duration_s < MIN_ENVELOPE_S:
+    if len(env) / ENVELOPE_RATE_HZ < MIN_ENVELOPE_S:
         raise DataError(f"need at least {MIN_ENVELOPE_S:g} s of envelope for tempo estimation")
-    x = e.values.astype(np.float64)
+    x = env.astype(np.float64)
     if not np.isfinite(x).all():
         raise DataError("no periodicity: non-finite onset envelope")
     if np.ptp(x) <= 1e-12:
@@ -93,7 +75,7 @@ def estimate_tempo(e):
         raise DataError("no periodicity: zero-power envelope")
     ac = ac / ac[0]
 
-    rate = e.hop_rate_hz
+    rate = ENVELOPE_RATE_HZ
     lag_min = max(2, int(np.floor(60.0 * rate / _BPM_HI)))
     lag_max = min(len(ac) - 2, int(np.ceil(60.0 * rate / _BPM_LO)))
     if lag_max <= lag_min:
@@ -141,7 +123,7 @@ def estimate_tempo(e):
     return float(np.clip(bpm, _BPM_LO, _BPM_HI))
 
 
-def track_beats(e, bpm):
+def track_beats(env, bpm):
     """Timestamps of a fixed-tempo beat grid at the phase that maximizes
     summed envelope energy. Phase is searched at quarter-hop resolution, in
     one pass: a (phases, beats) grid, row p + k*((p + period) - p) as
@@ -149,8 +131,8 @@ def track_beats(e, bpm):
     """
     if not (_BPM_LO <= bpm <= _BPM_HI):
         raise DataError(f"bpm {bpm} outside supported range [{_BPM_LO}, {_BPM_HI}]")
-    x = e.values.astype(np.float64)
-    rate = e.hop_rate_hz
+    x = env.astype(np.float64)
+    rate = ENVELOPE_RATE_HZ
     period = 60.0 * rate / bpm  # hops per beat
     n = len(x)
 
@@ -163,8 +145,8 @@ def track_beats(e, bpm):
     scores = np.where(live, x[lo] * (1 - frac) + x[lo + 1] * frac, 0.0).sum(axis=1)
     phase = float(phases[int(np.argmax(scores))])
 
-    beats = np.arange(phase, n, period) / rate + e.t0_s
-    return [float(t) for t in beats if t <= e.duration_s]
+    beats = np.arange(phase, n, period) / rate + ENVELOPE_T0_S
+    return [float(t) for t in beats if t <= n / rate]
 
 
 def detect_beats(m):

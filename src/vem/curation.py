@@ -104,7 +104,7 @@ def synth_item(item_rng, cfg):
     for j in range(n_sb):
         text = f"scene {j} {_MOODS[int(mood_idx[j])]} tempo{int(round(tempo))}"
         sbs.append(Storyboard(
-            index=j, start_s=bounds[j], duration_s=bounds[j + 1] - bounds[j], text=text,
+            start_s=bounds[j], duration_s=bounds[j + 1] - bounds[j], text=text,
             text_feat=toy_text_embed(text), visual_feat=toy_visual_embed(text)))
     caption = f"synthetic montage tempo{int(round(tempo))}"
     tags = ["synthetic", _MOODS[int(mood_idx[0])]]
@@ -138,10 +138,10 @@ def synth_item(item_rng, cfg):
         if idx + 1 < n_frames:
             ff[0, idx + 1] += 0.4
     frame_t = (np.arange(n_frames) + 0.5) / DEFAULT_FPS
-    for sb in sbs:
+    for j, sb in enumerate(sbs):
         inside = (frame_t >= sb.start_s) & (frame_t < sb.end_s)
         ff[1, inside] = (frame_t[inside] - sb.start_s) / sb.duration_s
-        ff[2, inside] = (sb.index + 1) / n_sb
+        ff[2, inside] = (j + 1) / n_sb
     ff[3] = frame_t / duration
 
     ann = VideoAnnotation(

@@ -1,7 +1,8 @@
 """Latent diffusion core: schedule, forward process, loss, sampler, codec.
 
 The noise schedule is the fixed linear one of DDPM: beta_t runs evenly from
-BETA_START = 1e-4 at t = 1 to BETA_END = 0.02 at t = T, and only T varies.
+BETA_START = 1e-4 at t = 1 to BETA_END = 0.02 at t = T; only T varies, and
+`make_schedule(T)` is the (T+1,) float64 abar[t] = prod_{s<=t} (1 - beta_s).
 The forward process corrupts a latent z0 by z_t = sqrt(abar_t) z0 +
 sqrt(1-abar_t) eps; training regresses the noise; sampling walks the
 timesteps back with the posterior mean of the eps-parameterization and
@@ -36,21 +37,12 @@ LATENT_FPS = (SAMPLE_RATE / HOP) / PATCH    # 15.625
 BETA_START, BETA_END = 1e-4, 0.02
 
 
-@dataclasses.dataclass
-class NoiseSchedule:
-    T: int
-    alpha_bar: np.ndarray  # index t-1 holds abar_t = prod_{s<=t} (1 - beta_s)
-
-    def abar(self, t):
-        """alpha_bar at step t, with the t=0 convention abar_0 = 1."""
-        return 1.0 if t == 0 else float(self.alpha_bar[t - 1])
-
-
 def make_schedule(T):
+    """abar of a T-step schedule, indexed by step, so abar[0] = 1 (module docstring)."""
     if T < 1:
         raise DataError(f"need T >= 1, got {T}")
     beta = np.linspace(BETA_START, BETA_END, T, dtype=np.float64)
-    return NoiseSchedule(T, np.cumprod(1.0 - beta))
+    return np.concatenate([[1.0], np.cumprod(1.0 - beta)])
 
 
 @dataclasses.dataclass
@@ -59,15 +51,15 @@ class Latent:
     n_windows: int = None  # pre-padding spectrogram windows, for exact decode
 
 
-def q_sample(z0, t, eps, sched):
-    """Closed-form corruption to step t."""
-    if not 1 <= t <= sched.T:
-        raise DataError(f"step {t} outside [1, {sched.T}]")
-    ab = sched.abar(t)
+def q_sample(z0, t, eps, T):
+    """Closed-form corruption to step t of a T-step schedule."""
+    if not 1 <= t <= T:
+        raise DataError(f"step {t} outside [1, {T}]")
+    ab = float(make_schedule(T)[t])
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
-def training_loss(model, z0, tokens, base_mask, rng, sched, aligner_feats=None):
+def training_loss(model, z0, tokens, base_mask, rng, T, aligner_feats=None):
     """Noise-regression objective at a uniformly drawn step.
 
     Returns the scalar loss Var (mean squared error over elements between
@@ -77,9 +69,9 @@ def training_loss(model, z0, tokens, base_mask, rng, sched, aligner_feats=None):
     mask at the latent's length.
     """
     z0 = np.asarray(z0)
-    t = int(rng.integers(1, sched.T + 1, 1)[0])
+    t = int(rng.integers(1, T + 1, 1)[0])
     eps = rng.gaussian(z0.shape).astype(z0.dtype)
-    zt = q_sample(z0, t, eps, sched).astype(z0.dtype)
+    zt = q_sample(z0, t, eps, T).astype(z0.dtype)
     pred = model(zt, t, tokens, base_mask, aligner_feats=aligner_feats)
     diff = pred - ag.Var(eps)
     return (diff * diff).mean()
@@ -95,19 +87,20 @@ def strided_timesteps(T, steps):
     return list(ts[::-1])
 
 
-def sample(model, tokens, base_mask, shape, steps, rng, sched, aligner_feats=None):
+def sample(model, tokens, base_mask, shape, steps, rng, T, aligner_feats=None):
     """Ancestral sampling from pure noise; deterministic given the rng.
 
     `tokens` and `base_mask` condition every step as in `training_loss`.
     Returns a (C, L) array in standardized latent units.
     """
-    ts = strided_timesteps(sched.T, steps)
+    ts = strided_timesteps(T, steps)
+    abar = make_schedule(T)
     z = rng.gaussian(shape)
     with ag.no_grad():
         for i, t in enumerate(ts):
             t_prev = ts[i + 1] if i + 1 < len(ts) else 0
-            ab_t = sched.abar(t)
-            ab_prev = sched.abar(t_prev)
+            ab_t = float(abar[t])
+            ab_prev = float(abar[t_prev])
             alpha_eff = ab_t / ab_prev
             beta_eff = 1.0 - alpha_eff
             eps_hat = model(z, t, tokens, base_mask, aligner_feats=aligner_feats).data
@@ -140,8 +133,6 @@ def latent_encode(m):
     """MelSpectrogram -> Latent. Windows are padded to a multiple of 4 with
     the log floor so the patchify is exact; the pad is remembered for decode.
     """
-    if m.n_mels != N_MELS:
-        raise DataError(f"codec expects {N_MELS} mel bins, got {m.n_mels}")
     vals = m.values.astype(np.float32)
     w = vals.shape[0]
     padded = ((w + PATCH - 1) // PATCH) * PATCH

@@ -38,7 +38,6 @@ FEATURE_DIM = 64
 
 @dataclasses.dataclass
 class Storyboard:
-    index: int
     start_s: float
     duration_s: float
     text: str
@@ -143,8 +142,8 @@ def _require(doc, field, path):
 
 
 def _finite(x):
-    """A JSON number that converts to a finite float (NaN, inf and huge ints fail)."""
-    return isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+    """A JSON number that converts to a finite float (bool, NaN, inf and huge ints fail)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _number(doc, field, path):
@@ -217,7 +216,7 @@ def load_manifest(path):
                                 f"overlaps previous storyboard ending at {prev_end}")
         prev_end = start + dur
         sbs.append(Storyboard(
-            index=i, start_s=float(start), duration_s=float(dur), text=text,
+            start_s=float(start), duration_s=float(dur), text=text,
             text_feat=feat(f"storyboard.{i}.text_feat", lambda t=text: toy_text_embed(t)),
             visual_feat=feat(f"storyboard.{i}.visual_feat", lambda t=text: toy_visual_embed(t)),
         ))
@@ -264,9 +263,9 @@ def save_manifest(path, ann):
     }
     tensors = {"caption_feat": ann.caption_feat, "tag_feat": ann.tag_feat,
                "frame_features": ann.frame_features}
-    for s in ann.storyboards:
-        tensors[f"storyboard.{s.index}.text_feat"] = s.text_feat
-        tensors[f"storyboard.{s.index}.visual_feat"] = s.visual_feat
+    for i, s in enumerate(ann.storyboards):
+        tensors[f"storyboard.{i}.text_feat"] = s.text_feat
+        tensors[f"storyboard.{i}.visual_feat"] = s.visual_feat
     save_tensors(sidecar, tensors)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -290,9 +289,9 @@ def build_frame_features(ann):
         if idx + 1 < n:
             out[0, idx + 1] = max(out[0, idx + 1], 0.5)
     times = (np.arange(n) + 0.5) / DEFAULT_FPS
-    for s in ann.storyboards:
+    for i, s in enumerate(ann.storyboards):
         inside = (times >= s.start_s) & (times < s.end_s)
         out[1, inside] = (times[inside] - s.start_s) / s.duration_s
-        out[2, inside] = (s.index + 1) / max(len(ann.storyboards), 1)
+        out[2, inside] = (i + 1) / max(len(ann.storyboards), 1)
     out[3] = times / max(ann.duration_s, 1e-9)
     return out

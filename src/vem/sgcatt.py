@@ -117,6 +117,6 @@ def sg_cross_attention(q, k, v, mask):
     if mask.grid.shape != (xq, yk):
         raise DataError(f"mask shape {mask.grid.shape} != (query {xq}, token {yk})")
     bias = (mask.grid.astype(np.float32) - 1.0) * 1e9
-    attn = (attention_logits(q, k) + ag.Var(bias)).softmax(axis=-1)
+    attn = (attention_logits(q, k) + ag.Var(bias)).softmax()
     live = mask.grid.any(axis=1).astype(np.float32)[:, None]
     return (attn * ag.Var(live)) @ v

@@ -27,10 +27,10 @@ import numpy as np
 
 from . import autograd as ag
 from .audiofeat import logmel
-from .beatdet import beats_within
+from .beatdet import ENVELOPE_RATE_HZ, beats_within
 from .container import load_tensors, save_tensors
 from .diffusion import (LATENT_CHANNELS, Latent, latent_decode, latent_encode,
-                        latent_len_for_duration, make_schedule, sample, training_loss)
+                        latent_len_for_duration, sample, training_loss)
 from .errors import DataError, StageOrderError
 from .parsing import TimeEmbedder
 from .rng import Rng
@@ -104,13 +104,12 @@ def _prepare_latents(corpus, stats=None, aligner=None):
 
 def _run_diffusion_loop(items, unet, temb, T, steps, lr, rng):
     """One optimizer step per noise/timestep draw, cycling the corpus."""
-    sched = make_schedule(T)
     opt = ag.Adam(unet.params() + temb.params(), lr=lr)
     losses = []
     for step in range(steps):
         opt.zero_grad()
         ann, z0, mask, afeats = items[step % len(items)]
-        loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, sched,
+        loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, T,
                              aligner_feats=afeats)
         loss.backward()
         opt.step()
@@ -234,7 +233,6 @@ def sample_mel(unet, temb, meta, ann, steps, seed, aligner=None, conditioned=Tru
     an all-ones mask (no storyboard structure reaches the model), and no
     aligner features.
     """
-    sched = make_schedule(int(meta["T"]))
     length = latent_len_for_duration(ann.duration_s)
     if conditioned:
         tokens = assemble_conditions(ann, temb)
@@ -246,7 +244,7 @@ def sample_mel(unet, temb, meta, ann, steps, seed, aligner=None, conditioned=Tru
     afeats = None
     if conditioned and aligner is not None and unet.adapters is not None:
         afeats = aligner_features(aligner, ann.frame_features, length)
-    z = sample(unet, tokens, mask, (unet.in_channels, length), steps, Rng(seed), sched,
+    z = sample(unet, tokens, mask, (unet.in_channels, length), steps, Rng(seed), int(meta["T"]),
                aligner_feats=afeats)
     z = z * float(meta["latent_std"]) + float(meta["latent_mean"])
     return latent_decode(Latent(z.astype(np.float32)))
@@ -257,7 +255,7 @@ def generation_tb_iou(mel, ann):
     generated spectrogram; detector failures count as 0 (no beats found).
     """
     try:
-        bm = beats_within(mel, mel.values.shape[0] / mel.frames_per_second)
+        bm = beats_within(mel, len(mel.values) / ENVELOPE_RATE_HZ)
     except DataError:
         return 0.0
     return transitions_beats_iou(ann.transitions, bm)

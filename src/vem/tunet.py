@@ -95,7 +95,7 @@ class SelfAttnBlock(ag.Module):
     def __call__(self, x):
         t = self.norm(x)
         q, k, v = self.wq(t), self.wk(t), self.wv(t)
-        return self.ffn(x + self.wo(attention_logits(q, k).softmax(axis=-1) @ v))
+        return self.ffn(x + self.wo(attention_logits(q, k).softmax() @ v))
 
 
 class SGCAttBlock(ag.Module):

@@ -5,6 +5,7 @@ from scipy.special import expit
 
 from vem import audiofeat as af
 from vem import autograd as ag
+from vem import beatdet as bd
 from vem.audiofeat import SAMPLE_RATE, Waveform
 from vem.parsing import (Storyboard, VideoAnnotation, build_frame_features,
                          toy_text_embed, toy_visual_embed)
@@ -90,7 +91,7 @@ def make_annotation(duration_s=10.0, bounds=(0.0, 4.0, 10.0), transitions=(4.0,)
         start, end = bounds[i], bounds[i + 1]
         text = f"scene {i} of {video_id}"
         boards.append(Storyboard(
-            index=i, start_s=start, duration_s=end - start, text=text,
+            start_s=start, duration_s=end - start, text=text,
             text_feat=toy_text_embed(text, feature_dim),
             visual_feat=toy_visual_embed(text, feature_dim)))
     ann = VideoAnnotation(
@@ -136,15 +137,15 @@ def logmel_float64(x):
     index-gathered Hann frames, `numpy.fft.rfft`, magnitude, filterbank, log."""
     x = np.asarray(x, dtype=np.float64)
     idx = af.HOP * np.arange(af.frame_count(len(x)))[:, None] + np.arange(af.N_FFT)[None, :]
-    mag = np.abs(np.fft.rfft(x[idx] * af._hann(af.N_FFT), axis=1))
+    mag = np.abs(np.fft.rfft(x[idx] * af._hann(np.float64), axis=1))
     return np.log(mag @ af.mel_filterbank().T + af.LOG_FLOOR)
 
 
-def track_beats_loop(e, bpm):
+def track_beats_loop(env, bpm):
     """Reference beat grid: each quarter-hop phase scored by its own
     `np.arange` grid and interpolated sum, one phase at a time."""
-    x = e.values.astype(np.float64)
-    rate = e.hop_rate_hz
+    x = env.astype(np.float64)
+    rate = bd.ENVELOPE_RATE_HZ
     period = 60.0 * rate / bpm
     n = len(x)
 
@@ -157,14 +158,15 @@ def track_beats_loop(e, bpm):
     phases = np.arange(0.0, period, 0.25)
     scores = [grid_energy(p) for p in phases]
     phase = float(phases[int(np.argmax(scores))])
-    beats = np.arange(phase, n, period) / rate + e.t0_s
-    return [float(t) for t in beats if t <= e.duration_s]
+    beats = np.arange(phase, n, period) / rate + bd.ENVELOPE_T0_S
+    return [float(t) for t in beats if t <= n / rate]
 
 
-def istft_loop(spec, n_fft, hop):
+def istft_loop(spec):
     """Reference overlap-add inverse: frames added one at a time, the
     squared-window normalization built alongside."""
-    w = af._hann(n_fft)
+    n_fft, hop = af.N_FFT, af.HOP
+    w = af._hann(np.float64)
     frames = np.fft.irfft(spec, n=n_fft, axis=1) * w[None, :]
     n = n_fft + hop * (spec.shape[0] - 1)
     out = np.zeros(n)
@@ -180,12 +182,12 @@ def griffin_lim_loop(m, iters):
     """Reference Griffin-Lim over `istft_loop`, rebuilding its normalization
     on every iteration."""
     amp = np.clip(np.exp(m.values.astype(np.float64)) - af.LOG_FLOOR, 0.0, None)
-    fb = af.mel_filterbank(m.n_mels, af.N_FFT, m.sample_rate_hz)
+    fb = af.mel_filterbank()
     mag = np.clip(amp @ np.linalg.pinv(fb).T, 0.0, None)
     spec = mag.astype(np.complex128)
     for _ in range(iters):
-        x = istft_loop(spec, af.N_FFT, m.hop)
-        re = np.fft.rfft(af._frames(x, af.N_FFT, m.hop) * af._hann(af.N_FFT), axis=1)
+        x = istft_loop(spec)
+        re = np.fft.rfft(af._frames(x) * af._hann(np.float64), axis=1)
         spec = mag * (re / np.maximum(np.abs(re), 1e-12))
     peak = np.max(np.abs(x))
     return (x / peak if peak > 1.0 else x).astype(np.float32)

@@ -36,8 +36,15 @@ def test_waveform_validation():
 def test_mel_type_checks_bins():
     with pytest.raises(DataError):
         af.MelSpectrogram(np.zeros((5, 13)), af.HOP, SR, 60)
-    m = af.MelSpectrogram(np.zeros((5, 60)), af.HOP, SR, 60)
-    assert m.frames_per_second == 62.5
+    assert af.MelSpectrogram(np.zeros((5, 60)), af.HOP, SR, 60).values.shape == (5, 60)
+
+
+@pytest.mark.parametrize("geometry", [(300, SR, 60), (af.HOP, 22050, 60), (af.HOP, SR, 30)])
+def test_mel_spectrogram_rejects_other_geometry(geometry):
+    """Every helper reads HOP, SAMPLE_RATE and N_MELS, so a spectrogram
+    tagged with any other hop, rate or bin count cannot be built."""
+    with pytest.raises(DataError, match="package"):
+        af.MelSpectrogram(np.zeros((5, geometry[2])), *geometry)
 
 
 # -- wav io ----------------------------------------------------------------
@@ -193,6 +200,21 @@ def test_resample_matches_resample_poly(src, dst):
         np.testing.assert_allclose(got, ref.astype(np.float32), rtol=0, atol=1e-7)
 
 
+def test_large_resample_plans_are_not_cached():
+    """44101 Hz reduces to 16000/44101, a 34 MB plan: it is designed per call,
+    never kept, and its output still matches the `resample_poly` oracle; a
+    22.05 kHz plan (0.3 MB) is still cached."""
+    up, down = 16000, 44101
+    x = (0.3 * Rng(17).gaussian(44101)).astype(np.float32)
+    got = af.resample(af.Waveform(x, 44101), SR).samples
+    assert (up, down) not in af._plans
+    taps = firwin(80 * down + 1, 0.97 / down, window=("kaiser", 7.0))
+    ref = resample_poly(x.astype(np.float64), up, down, window=taps)[:SR]
+    np.testing.assert_allclose(got, ref.astype(np.float32), rtol=0, atol=1e-7)
+    af.resample(af.Waveform(x[:22050], 22050), SR)
+    assert af._plans[320, 441].nbytes <= af._PLAN_CACHE_BYTES
+
+
 # -- stft / mel ------------------------------------------------------------
 
 
@@ -213,7 +235,7 @@ def gathered_frames(x):
     """Oracle framing: Hann-weighted frames gathered through an index matrix."""
     w = af.frame_count(len(x))
     idx = af.HOP * np.arange(w)[:, None] + np.arange(af.N_FFT)[None, :]
-    return x[idx] * af._hann(af.N_FFT)[None, :]
+    return x[idx] * af._hann(np.float64)[None, :]
 
 
 def test_parseval_on_random_signal():
@@ -269,7 +291,7 @@ def test_logmel_matches_gather_framing_oracle():
     for frames in (1, 16, 65, 66, 185, 809):
         x = (0.3 * Rng(12).gaussian(af.N_FFT + af.HOP * (frames - 1) + 100)).astype(np.float32)
         idx = af.HOP * np.arange(frames)[:, None] + np.arange(af.N_FFT)[None, :]
-        mag = np.abs(scipy.fft.rfft(x[idx] * af._hann(af.N_FFT).astype(np.float32), axis=1))
+        mag = np.abs(scipy.fft.rfft(x[idx] * af._hann(np.float64).astype(np.float32), axis=1))
         np.testing.assert_array_equal(af.stft_magnitude(x), mag)
         ref = np.log(mag @ fb.T + np.float32(af.LOG_FLOOR))
         np.testing.assert_array_equal(af.logmel(af.Waveform(x, SR)).values, ref)
@@ -298,26 +320,32 @@ def test_mel_filterbank_returns_fresh_writable_array():
 
 def test_cached_constants_are_read_only_and_bounded():
     plan = af._resample_plan(160, 441)
-    cached = ([af._hann(af.N_FFT), af._mel_fb(af.N_MELS, af.N_FFT, SR),
-               af._hann(af.N_FFT, np.float32), af._mel_fb(af.N_MELS, af.N_FFT, SR, np.float32)]
+    cached = ([af._hann(np.float64), af._mel_fb(np.float64),
+               af._hann(np.float32), af._mel_fb(np.float32)]
               + [taps for _, _, taps in plan.blocks])
     for a in cached:
         with pytest.raises(ValueError):
             a[0] = 1.0
-    for cache in (af._hann, af._mel_fb, af._resample_plan):
+    for cache in (af._hann, af._mel_fb):
         assert 0 < cache.cache_info().maxsize <= 16
+    # 17 rates k kHz reduce to 17 small pairs: the least recently used goes
+    af._plans.clear()
+    for k in range(17, 34):
+        af.resample(af.Waveform(np.zeros(k * 100, np.float32), k * 1000), SR)
+    assert len(af._plans) == 16 and (16, 17) not in af._plans
 
 
-def test_mixed_rate_manifest_designs_each_filter_once():
+def test_mixed_rate_manifest_designs_each_filter_once(monkeypatch):
     """A dataset that cycles through the common source rates hits the plan
     cache on every clip after the first of each rate."""
     rates = [8000, 11025, 22050, 24000, 32000, 44100, 48000, 96000]
-    af._resample_plan.cache_clear()
+    design, designed = af._design_plan, []
+    monkeypatch.setattr(af, "_design_plan", lambda *pair: designed.append(pair) or design(*pair))
+    af._plans.clear()
     for _ in range(3):
         for src in rates:
             af.resample(af.Waveform(np.zeros(src // 10, np.float32), src), SR)
-    info = af._resample_plan.cache_info()
-    assert (info.misses, info.hits) == (len(rates), 2 * len(rates))
+    assert len(designed) == len(rates)
 
 
 def _peak_beyond_result_bytes(fn):
@@ -371,13 +399,11 @@ def test_griffin_lim_iteration_improves():
     assert err(60) <= err(1) + 1e-9
 
 
-@pytest.mark.parametrize("hop", [af.HOP, 300])
-def test_griffin_lim_matches_frame_loop(hop):
+def test_griffin_lim_matches_frame_loop():
     """Segment slice-adds and a normalization built once per call give the
-    bits of adding one frame at a time, also when the hop does not divide
-    the window."""
+    bits of adding one frame at a time."""
     x = (0.3 * Rng(16).gaussian(12 * SR)).astype(np.float32)
-    m = af.MelSpectrogram(af.logmel(af.Waveform(x, SR)).values, hop, SR, af.N_MELS)
+    m = af.logmel(af.Waveform(x, SR))
     np.testing.assert_array_equal(af.griffin_lim(m, iters=3).samples, griffin_lim_loop(m, 3))
 
 

@@ -173,6 +173,23 @@ def test_string_start_rejected(tmp_path):
     assert "storyboards[0].start_s" in str(err.value)
 
 
+@pytest.mark.parametrize("field,doc", [
+    ("duration_s", manifest_doc(duration_s=True, transitions_s=[],
+                                storyboards=[{"start_s": 0.0, "duration_s": 1.0, "text": "a"}])),
+    ("storyboards[0].start_s",
+     manifest_doc(storyboards=[{"start_s": False, "duration_s": 10.0, "text": "a"}])),
+    ("storyboards[0].duration_s",
+     manifest_doc(storyboards=[{"start_s": 0.0, "duration_s": True, "text": "a"}])),
+    ("transitions_s", manifest_doc(transitions_s=[True])),
+])
+def test_boolean_number_rejected(tmp_path, field, doc):
+    """JSON true and false are not numbers, though Python counts a bool as
+    an int: each of these documents would otherwise load, as 1 or 0."""
+    with pytest.raises(ManifestError) as err:
+        ps.load_manifest(write_doc(tmp_path, doc))
+    assert err.value.field == field
+
+
 def test_span_outside_duration_rejected(tmp_path):
     doc = manifest_doc(storyboards=[{"start_s": 8.0, "duration_s": 5.0, "text": "a"}])
     with pytest.raises(ManifestError):

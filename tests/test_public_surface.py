@@ -159,3 +159,72 @@ def test_defaulted_parameters_are_passed():
                     seen |= keywords | set(positional[:n_args])
             never += [f"{path.stem}.{qual}({p})" for p in defaulted if p not in seen]
     assert not never, f"defaulted parameters nothing passes: {never}"
+
+
+def _all_signatures(tree):
+    """(qualified name, name a call uses, positional and keyword-only
+    parameters) of every function of a module and every method of its
+    classes, private ones included. `__call__` is left out: a call does not
+    name it."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node.name, node.args, 0))
+        elif isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and f.name != "__call__":
+                    called = node.name if f.name == "__init__" else f.name
+                    static = any("staticmethod" in ast.unparse(d) for d in f.decorator_list)
+                    out.append((f"{node.name}.{f.name}", called, f.args, 0 if static else 1))
+    return [(qual, called, [a.arg for a in args.posonlyargs + args.args][bound:],
+             {a.arg for a in args.kwonlyargs}) for qual, called, args, bound in out]
+
+
+def _module_constants(tree):
+    """Names a module binds by a top-level assignment."""
+    out = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def _constant_value(node, constants):
+    """The literal an argument spells, or the `vem` constant it names; None
+    for anything else."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError):
+        pass
+    return node.id if isinstance(node, ast.Name) and node.id in constants else None
+
+
+def test_no_parameter_always_gets_the_same_constant():
+    """No parameter of a `vem` function or method is passed the same literal,
+    or the same module-level `vem` name, by every call that passes it, when
+    at least two calls in the package or the benchmark do (tests do not
+    count): a value every caller fixes is a constant of the function."""
+    package = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    constants = set().union(*map(_module_constants, package.values()))
+    callers = [p for d in ("src", "bench") for p in sorted((ROOT / d).rglob("*.py"))
+               if "tests" not in p.relative_to(ROOT).parts]
+    calls = [node for p in callers for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    fixed = []
+    for path, tree in package.items():
+        for qual, called, positional, kwonly in _all_signatures(tree):
+            passed = {}
+            for call in calls:
+                if (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) != called:
+                    continue
+                for param, arg in zip(positional, call.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    passed.setdefault(param, []).append(_constant_value(arg, constants))
+                for kw in call.keywords:
+                    if kw.arg in positional or kw.arg in kwonly:
+                        passed.setdefault(kw.arg, []).append(_constant_value(kw.value, constants))
+            fixed += [f"{path.stem}.{qual}({param})" for param, values in passed.items()
+                      if len(values) >= 2 and len(set(values)) == 1 and values[0] is not None]
+    assert not fixed, f"parameters every caller passes the same constant: {fixed}"

@@ -6,7 +6,7 @@ from vem import autograd as ag
 from vem import curation as cu
 from vem import training as tr
 from vem.audiofeat import SAMPLE_RATE, Waveform, logmel
-from vem.diffusion import latent_encode, make_schedule, training_loss
+from vem.diffusion import latent_encode, training_loss
 from vem.parsing import TimeEmbedder
 from vem.sgcatt import assemble_conditions, build_mask
 from vem.tunet import TUNet
@@ -267,7 +267,7 @@ def test_training_loss_tapes_only_float32(corpus):
     temb = TimeEmbedder(len(ann.caption_feat), hidden=8, rng=Rng(2))
     feats = Rng(3).gaussian((40, 6)).astype(np.float32)
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
-                         make_schedule(50), aligner_feats=feats)
+                         50, aligner_feats=feats)
     loss.backward()
     seen, stack, dtypes = set(), [loss], set()
     while stack:
@@ -309,7 +309,7 @@ def _stage_c_loss(ann, wav, dtype):
         p.data = p.data + (0.05 * r.gaussian(p.shape)).astype(dtype)
     feats = Rng(3).gaussian((40, 6)).astype(dtype)
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
-                         make_schedule(50), aligner_feats=feats)
+                         50, aligner_feats=feats)
     loss.backward()
     return loss, unet.named_params() + temb.named_params()
 
@@ -348,7 +348,7 @@ def test_stage_b_loss_tape_size():
     unet = TUNet(z0.shape[0], len(ann.caption_feat), cfg.widths, rng=Rng(1))
     temb = TimeEmbedder(len(ann.caption_feat), rng=Rng(2))
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
-                         make_schedule(cfg.T))
+                         cfg.T)
     assert _tape_nodes(loss) <= 256
 
 
