@@ -20,6 +20,12 @@ as the same array, not copied, so one array may be the `.grad` of several
 nodes: no backward closure may write into its incoming `g`, and `_accum`
 never adds in place.
 
+The kernels a training step spends its time in keep their passes few:
+`conv1d` builds its im2col columns with one strided slice write per tap
+and no padded copy of the input, `layer_norm` takes its row means (forward
+and backward) as GEMVs against a 1/n vector, and `Adam` keeps its moments
+pre-scaled so a step is ten in-place passes with one temporary.
+
 `no_grad()` disables taping wholesale; sampling loops run inside it so the
 graph never grows. The switch is a context variable, so it holds for the
 thread (or asyncio task) that opened it and no other.
@@ -29,7 +35,6 @@ import contextlib
 import contextvars
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -254,11 +259,15 @@ class Var:
         return _node(out_data, (self,), back)
 
     def layer_norm(self, gain, bias):
-        """Zero-mean unit-variance (variance + 1e-5) over the last axis, then `* gain + bias`."""
+        """Zero-mean unit-variance (variance + 1e-5) over the last axis, then `* gain + bias`.
+
+        Every row mean, forward and backward, is a GEMV against a vector of
+        1/n in the data's dtype."""
         gain, bias = as_var(gain), as_var(bias)
         n = self.shape[-1]
-        xhat = self.data - self.data.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / n + 1e-5)
+        mean_w = np.full(n, 1.0 / n, dtype=self.data.dtype)
+        xhat = self.data - (self.data @ mean_w)[..., None]
+        inv = 1.0 / np.sqrt((np.square(xhat) @ mean_w)[..., None] + 1e-5)
         xhat *= inv
         def back(g):
             g2 = g.reshape(-1, n)
@@ -266,8 +275,8 @@ class Var:
             bias.requires_grad and bias._accum(g2.sum(axis=0))
             if self.requires_grad:
                 gh = g * gain.data
-                gx = np.einsum("...i,...i->...", gh, xhat)[..., None] / n
-                gh -= gh.mean(axis=-1, keepdims=True)
+                gx = ((gh * xhat) @ mean_w)[..., None]
+                gh -= (gh @ mean_w)[..., None]
                 gh -= xhat * gx
                 gh *= inv
                 self._accum(gh)
@@ -295,24 +304,36 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     """1-D convolution (cross-correlation) over time: x (L, Cin), w (Cout, Cin, K)
     -> (Lout, Cout).
 
-    im2col formulation: the columns are one copy of a strided window view,
-    both passes are single matmuls, plus k strided slice-adds (col2im) for
-    the input gradient, which keeps the tape shallow and the arithmetic
-    vectorized.
+    im2col formulation: the columns are a (Lout, Cin, K) array, cin-major
+    like w, so both passes are single matmuls against w's own layout. It is
+    built with one strided slice write per tap, cols[lo, :, j] =
+    x[lo*stride + j - padding], and the rows where a tap reads the padding
+    are zeroed, so no padded copy of x is made. Backward adds each tap's
+    slice of the column gradient straight into an unpadded input gradient
+    (col2im), in tap order.
     """
     x, w = as_var(x), as_var(w)
     length, cin = x.shape
     cout, cin_w, k = w.shape
     if cin != cin_w:
         raise ValueError(f"conv1d channel mismatch: input has {cin}, weight expects {cin_w}")
-    if padding:
-        xp = np.zeros((length + 2 * padding, cin), dtype=x.data.dtype)
-        xp[padding:padding + length] = x.data
-    else:
-        xp = x.data
-    lout = (xp.shape[0] - k) // stride + 1
-    # (lout, cin, k) strided windows, copied once into rows ordered like w
-    cols = sliding_window_view(xp, k, axis=0)[::stride].reshape(lout, cin * k)
+    lout = (length + 2 * padding - k) // stride + 1
+    if lout < 1:
+        raise ValueError(f"conv1d input of {length} rows is shorter than the kernel")
+    # tap j reads x[lo*stride + j - padding] for output rows lo in [lo_j, hi_j)
+    taps = []
+    for j in range(k):
+        off = j - padding
+        lo = max(0, -(off // stride))
+        hi = max(lo, min(lout, (length - 1 - off) // stride + 1))
+        start = lo * stride + off
+        taps.append((lo, hi, slice(start, start + (hi - lo) * stride, stride)))
+    cols = np.empty((lout, cin, k), dtype=x.data.dtype)
+    for j, (lo, hi, rows) in enumerate(taps):
+        cols[:lo, :, j] = 0
+        cols[hi:, :, j] = 0
+        cols[lo:hi, :, j] = x.data[rows]
+    cols = cols.reshape(lout, cin * k)
     wm = w.data.reshape(cout, cin * k)
     out = cols @ wm.T
     if b is not None:
@@ -326,11 +347,10 @@ def conv1d(x, w, b=None, stride=1, padding=0):
             b._accum(g.sum(axis=0))
         if x.requires_grad:
             gcols = (g @ wm).reshape(lout, cin, k)
-            gxp = np.zeros_like(xp)
-            span = stride * (lout - 1) + 1
-            for j in range(k):
-                gxp[j:j + span:stride] += gcols[:, :, j]
-            x._accum(gxp[padding:padding + length] if padding else gxp)
+            gx = np.zeros_like(x.data)
+            for j, (lo, hi, rows) in enumerate(taps):
+                gx[rows] += gcols[lo:hi, :, j]
+            x._accum(gx)
 
     return _node(out, (x, w) + ((b,) if b is not None else ()), back)
 
@@ -436,13 +456,20 @@ class Conv1d(Module):
 class Adam:
     """Adam (Kingma & Ba 2015, arXiv:1412.6980) with bias correction.
 
-    The moments m and v live beside the param list, one pair per parameter
-    in the parameter's own dtype, and every update is in place. The bias
-    corrections c1 = 1 - b1^t and c2 = 1 - b2^t fold into two scalars, as in
-    PyTorch's single-tensor Adam: p -= (lr / c1) * m / (sqrt(v) / sqrt(c2) + eps).
-    Hyperparameters are Python floats, so a float32 parameter is stepped in
-    float32 throughout. A parameter whose grad is None is skipped: its data,
-    m and v stay as they are.
+    The moments live beside the param list, one pair per parameter in the
+    parameter's own dtype, kept pre-scaled: `_m` holds m / (1 - b1) and `_v`
+    holds v / (1 - b2), so each update is m~ = b1 m~ + g, v~ = b2 v~ + g^2
+    with no multiply of g. The bias corrections c1 = 1 - b1^t and
+    c2 = 1 - b2^t and both scales fold into two scalars,
+
+        k = sqrt((1 - b2) / c2),  s = lr (1 - b1) / (c1 k),  eps~ = eps / k,
+        p -= s * m~ / (sqrt(v~) + eps~),
+
+    which is p -= (lr / c1) m / (sqrt(v / c2) + eps) rearranged: ten in-place
+    passes and one temporary per parameter. Hyperparameters are Python
+    floats, so a float32 parameter is stepped in float32 throughout. A
+    parameter whose grad is None is skipped: its data, m~ and v~ stay as
+    they are.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults; only lr varies
@@ -456,24 +483,23 @@ class Adam:
 
     def step(self):
         self.t += 1
-        step = self.lr / (1 - self.b1 ** self.t)
-        c2_sqrt = (1 - self.b2 ** self.t) ** 0.5
+        k = ((1 - self.b2) / (1 - self.b2 ** self.t)) ** 0.5
+        scale = self.lr * (1 - self.b1) / ((1 - self.b1 ** self.t) * k)
+        eps = self.eps / k
         for p, m, v in zip(self._params, self._m, self._v):
             g = p.grad
             if g is None:
                 continue
             m *= self.b1
-            m += (1 - self.b1) * g
+            m += g
             v *= self.b2
-            gg = np.multiply(g, g)
-            gg *= 1 - self.b2
-            v += gg
-            denom = np.sqrt(v)
-            denom /= c2_sqrt
-            denom += self.eps
-            np.divide(m, denom, out=denom)
-            denom *= step
-            p.data -= denom
+            d = np.multiply(g, g)
+            v += d
+            np.sqrt(v, out=d)
+            d += eps
+            np.divide(m, d, out=d)
+            d *= scale
+            p.data -= d
 
     def zero_grad(self):
         for p in self._params:

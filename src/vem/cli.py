@@ -67,10 +67,10 @@ def build_parser():
     q.add_argument("corpus")
     q.add_argument("--min-snr-db", type=float, default=20.0)
     q.add_argument("--max-duration-s", type=float, default=120.0)
-    q.add_argument("--max-shots", type=int, default=20)
+    q.add_argument("--max-shots", type=_positive_int, default=20)
 
     q = sub.add_parser("synth", help="generate a synthetic paired corpus")
-    q.add_argument("--n", type=int, required=True, help="number of pairs")
+    q.add_argument("--n", type=_positive_int, required=True, help="number of pairs")
     q.add_argument("--dur-min", type=float, default=10.0)
     q.add_argument("--dur-max", type=float, default=16.0)
 

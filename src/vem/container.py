@@ -85,7 +85,7 @@ def load_tensors(path):
             (jlen,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
             try:
                 meta = json.loads(_read_exact(fh, jlen, "metadata").decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise DataError(f"corrupt metadata block: {exc}") from exc
             if not isinstance(meta, dict):
                 raise DataError("metadata block is not a JSON object")

@@ -160,7 +160,7 @@ def load_manifest(path):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ManifestError("(document)", f"invalid JSON: {exc}") from exc
 
     video_id = str(_require(doc, "video_id", ""))

@@ -1,6 +1,7 @@
 """Shared test utilities: reference implementations and fixture builders."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from vem import audiofeat as af
@@ -230,6 +231,32 @@ def silu_expit(x):
     def back(g):
         x._accum(g * (s + x.data * s * (1.0 - s)))
     return ag._node(x.data * s, (x,), back)
+
+
+def conv1d_window_view(x, w, b, stride=1, padding=0):
+    """`ag.conv1d` by the window-view im2col: pad x into a copy, take the
+    (Lout, Cin, K) windows of a strided view and copy them into the columns;
+    backward adds each tap into a padded gradient and crops it."""
+    length, cin = x.shape
+    cout, _, k = w.shape
+    xp = np.zeros((length + 2 * padding, cin), dtype=x.data.dtype)
+    xp[padding:padding + length] = x.data
+    lout = (xp.shape[0] - k) // stride + 1
+    cols = sliding_window_view(xp, k, axis=0)[::stride].reshape(lout, cin * k)
+    wm = w.data.reshape(cout, cin * k)
+    out = cols @ wm.T + b.data
+
+    def back(g):
+        w._accum((g.T @ cols).reshape(w.shape))
+        b._accum(g.sum(axis=0))
+        gcols = (g @ wm).reshape(lout, cin, k)
+        gxp = np.zeros_like(xp)
+        span = stride * (lout - 1) + 1
+        for j in range(k):
+            gxp[j:j + span:stride] += gcols[:, :, j]
+        x._accum(gxp[padding:padding + length])
+
+    return ag._node(out, (x, w, b), back)
 
 
 def use_unfused_ops(monkeypatch):

@@ -2,10 +2,16 @@ import threading
 
 import numpy as np
 import pytest
+from helpers import conv1d_window_view
 from scipy.special import expit
 
 from vem import autograd as ag
+from vem.diffusion import LATENT_CHANNELS
+from vem.parsing import FEATURE_DIM
 from vem.rng import Rng
+from vem.tbalign import AlignerNet
+from vem.training import TrainConfig
+from vem.tunet import TUNet
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -189,6 +195,66 @@ def test_conv1d_matches_direct_loop(k, stride, padding):
     np.testing.assert_allclose(xv.grad, gref[padding:padding + len(x)], rtol=1e-12, atol=1e-12)
 
 
+def _conv_layers(module):
+    """Every Conv1d reachable from `module`'s attributes."""
+    for val in vars(module).values():
+        for item in val if isinstance(val, (list, tuple)) else (val,):
+            if isinstance(item, ag.Conv1d):
+                yield item
+            elif isinstance(item, ag.Module):
+                yield from _conv_layers(item)
+
+
+def _model_conv_configs():
+    """(cin, cout, k, stride, padding) of each Conv1d of a default TUNet with
+    adapters and of an AlignerNet."""
+    unet = TUNet(LATENT_CHANNELS, 8, TrainConfig().widths)
+    unet.attach_adapters()
+    convs = list(_conv_layers(unet)) + list(_conv_layers(AlignerNet(FEATURE_DIM)))
+    return sorted({(c.w.shape[1], c.w.shape[0], c.w.shape[2], c.stride, c.padding)
+                   for c in convs})
+
+
+def _conv_outputs(conv, x, w, b, g, stride, padding):
+    """Output and x, w, b gradients of sum(conv(x, w, b) * g)."""
+    xv, wv, bv = ag.param(x), ag.param(w), ag.param(b)
+    out = conv(xv, wv, bv, stride=stride, padding=padding)
+    (out * ag.Var(g)).sum().backward()
+    return out.data, xv.grad, wv.grad, bv.grad
+
+
+def _assert_conv_matches_window_view(length, cin, cout, k, stride, padding, seed=5):
+    rng = Rng(seed)
+    x = rng.gaussian((length, cin)).astype(np.float32)
+    w = rng.gaussian((cout, cin, k)).astype(np.float32)
+    b = rng.gaussian((cout,)).astype(np.float32)
+    g = rng.gaussian(((length + 2 * padding - k) // stride + 1, cout)).astype(np.float32)
+    got = _conv_outputs(ag.conv1d, x, w, b, g, stride, padding)
+    want = _conv_outputs(conv1d_window_view, x, w, b, g, stride, padding)
+    for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
+        assert a.dtype == e.dtype == np.float32, name
+        assert a.shape == e.shape and a.tobytes() == e.tobytes(), name
+
+
+@pytest.mark.parametrize("cin,cout,k,stride,padding", _model_conv_configs())
+def test_conv1d_byte_equal_to_window_view_for_model_layers(cin, cout, k, stride, padding):
+    for length in (188, 47):
+        _assert_conv_matches_window_view(length, cin, cout, k, stride, padding)
+
+
+# the padding reaches past the input: some taps read no row of x at all
+@pytest.mark.parametrize("length,k,stride,padding",
+                         [(n, 5, 1, 2) for n in (1, 2, 3, 4)]
+                         + [(n, k, 2, k // 2) for n in (1, 2) for k in (3, 5)])
+def test_conv1d_byte_equal_to_window_view_at_edge_lengths(length, k, stride, padding):
+    _assert_conv_matches_window_view(length, 3, 4, k, stride, padding)
+
+
+def test_conv1d_rejects_input_shorter_than_kernel():
+    with pytest.raises(ValueError, match="shorter than the kernel"):
+        ag.conv1d(ag.Var(np.ones((2, 3))), ag.Var(np.ones((4, 3, 5))))
+
+
 def test_repeat2_duplicates_rows_in_order():
     out = ag.Var(np.arange(6.0).reshape(3, 2)).repeat2().data
     np.testing.assert_array_equal(out, [[0, 1], [0, 1], [2, 3], [2, 3], [4, 5], [4, 5]])
@@ -346,6 +412,27 @@ def test_adam_float32_matches_float64_reference():
         opt.step()
     assert v.data.dtype == np.float32
     np.testing.assert_allclose(v.data, _adam_reference(p0, grads, lr=1e-2), rtol=1e-5)
+
+
+# float64 with a steady drift: the parameters move far enough that an eps~
+# off by k (eps in place of eps / k) misses by ~2e-4; float32 with zero-mean
+# gradients: the pre-scaled moments keep float32 within the same rtol
+@pytest.mark.parametrize("dtype,drift", [(np.float32, 0.0), (np.float64, 0.5)],
+                         ids=["float32", "float64-drift"])
+def test_adam_long_run_matches_float64_reference_across_gradient_scales(dtype, drift):
+    """3,000 steps, rows of gradients scaled 1e-4 .. 1e2: eps~ = eps / k moves
+    about 30x over the run, and on the 1e-4 row it is not negligible."""
+    rng = Rng(0)
+    scales = (10.0 ** np.linspace(-4, 2, 7))[:, None]
+    p0 = (1.0 + 2 * drift + 0.1 * rng.gaussian((7, 6))).astype(dtype)
+    grads = [((rng.gaussian((7, 6)) + drift) * scales).astype(dtype) for _ in range(3000)]
+    v = ag.param(p0.copy())
+    opt = ag.Adam([v], lr=1e-3)
+    for g in grads:
+        v.grad = g.copy()
+        opt.step()
+    assert v.data.dtype == dtype
+    np.testing.assert_allclose(v.data, _adam_reference(p0, grads, lr=1e-3), rtol=1e-5)
 
 
 def test_adam_skips_param_without_grad():

@@ -112,8 +112,11 @@ def test_stage_order_violation_exits_4(tmp_path, corpus_dir):
     ["sweep-steps", "ckpt.vemt", "m.json", "--steps", "1,,2"],
     ["train", "--stage", "aligner", "--corpus", "c", "--t-steps", "-3"],
     ["sample", "ckpt.vemt", "m.json", "--steps", "0"],
+    ["synth", "--n", "0"],
+    ["curate", "c", "--max-shots", "0"],
 ], ids=["steps-negative", "steps-zero", "widths-word", "widths-zero", "sweep-word",
-        "sweep-empty-item", "t-steps-negative", "sample-steps-zero"])
+        "sweep-empty-item", "t-steps-negative", "sample-steps-zero", "synth-n-zero",
+        "curate-max-shots-zero"])
 def test_bad_numbers_exit_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv, tmp_path)
@@ -264,6 +267,21 @@ def test_sample_bad_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_dir):
     rc = run(["sample", str(tmp_path / "bad.vemt"), str(corpus_dir / "item_000.json"),
               "--steps", "2"], tmp_path)
     assert rc == 3
+
+
+@pytest.mark.parametrize("nested", ["ckpt", "manifest"])
+def test_sample_deeply_nested_json_exits_3(tmp_path, corpus_dir, trained_dir, capsys, nested):
+    ckpt, manifest = trained_dir / "diffusion.vemt", corpus_dir / "item_000.json"
+    if nested == "ckpt":
+        blob = b"[" * 200_000
+        ckpt = tmp_path / "nested.vemt"
+        ckpt.write_bytes(b"VEMT\x02" + len(blob).to_bytes(4, "little") + blob)
+    else:
+        manifest = tmp_path / "nested.json"
+        manifest.write_text("[" * 200_000)
+    rc = run(["sample", str(ckpt), str(manifest), "--steps", "2"], tmp_path)
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: data: ")
 
 
 def test_sample_other_width_aligner_exits_3(tmp_path, corpus_dir, trained_dir, capsys):

@@ -63,6 +63,15 @@ def test_bad_magic_rejected(tmp_path):
         load_tensors(path)
 
 
+def test_deeply_nested_metadata_rejected(tmp_path):
+    # json's decoder recurses once per level and gives up with RecursionError
+    blob = b"[" * 200_000
+    path = tmp_path / "nested.vemt"
+    path.write_bytes(b"VEMT\x02" + struct.pack("<I", len(blob)) + blob)
+    with pytest.raises(DataError, match="corrupt metadata block"):
+        load_tensors(path)
+
+
 def _entry(name_bytes, dims, payload):
     return (struct.pack("<I", len(name_bytes)) + name_bytes + struct.pack("<I", len(dims))
             + struct.pack(f"<{len(dims)}I", *dims) + payload)

@@ -219,6 +219,13 @@ def test_invalid_json_rejected(tmp_path):
         ps.load_manifest(p)
 
 
+def test_deeply_nested_json_rejected(tmp_path):
+    p = tmp_path / "nested.json"
+    p.write_text("[" * 200_000)
+    with pytest.raises(ManifestError, match="invalid JSON"):
+        ps.load_manifest(p)
+
+
 def test_transition_outside_duration_rejected(tmp_path):
     doc = manifest_doc(transitions_s=[12.0])
     with pytest.raises(ManifestError):
