@@ -415,8 +415,7 @@ def griffin_lim(m, iters=60):
     for _ in range(iters):
         x = _overlap_add(np.fft.irfft(spec, n=N_FFT, axis=1) * w) / norm
         re = np.fft.rfft(_frames(x) * w, axis=1)
-        phase = re / np.maximum(np.abs(re), 1e-12)
-        spec = mag * phase
+        spec = re * (mag / np.maximum(np.abs(re), 1e-12))  # mag * unit phase, one complex pass
     peak = np.max(np.abs(x)) if len(x) else 0.0
     if peak > 1.0:
         x = x / peak

@@ -5,6 +5,13 @@ output gradient back to the inputs. `backward()` on a scalar replays the tape
 in reverse topological order. Gradients accumulate into `.grad` (numpy
 arrays, never `Var`s; no higher-order derivatives).
 
+Backward consumes the tape: as each interior node's closure runs, the node
+drops that closure (and the arrays it saved) and its own `.grad`. Leaves
+keep `.grad`; every node keeps `.data` and `_prev`, so the graph stays
+walkable after backward, but it cannot be replayed: a second backward()
+through it raises ValueError. Drop the loss before the next forward starts
+and the old graph's activations go with it.
+
 Shapes broadcast like numpy; `_unbroadcast` folds gradient axes back down.
 Sequence ops are time-major: `conv1d` and `repeat2` run along axis 0 of an
 (L, C) array, and `layer_norm`/`softmax` act on the last axis.
@@ -124,6 +131,17 @@ class Var:
             self.grad = self.grad + grad
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the `.grad` of every leaf behind
+        this scalar, consuming the graph as it goes.
+
+        Each interior node drops its closure, and with it the arrays the
+        closure saved, and its own `.grad` as soon as the closure has run,
+        so a step's transient memory peaks once, not twice. Leaves keep
+        `.grad`. `_prev` and `.data` stay, so the graph can still be walked
+        and measured afterwards. A graph that a backward() has already run
+        through (any part of it) raises ValueError rather than silently
+        losing that part's gradients.
+        """
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar loss")
         topo, seen, stack = [], set(), [(self, False)]
@@ -134,6 +152,8 @@ class Var:
                 continue
             if id(node) in seen:
                 continue
+            if node._prev and node._backward is None:
+                raise ValueError("backward() through a graph that backward() already consumed")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._prev:
@@ -142,6 +162,7 @@ class Var:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward = node.grad = None
 
     # -- arithmetic --------------------------------------------------------
 

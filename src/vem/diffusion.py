@@ -35,12 +35,13 @@ PATCH = 4
 LATENT_CHANNELS = PATCH * N_MELS            # 240
 LATENT_FPS = (SAMPLE_RATE / HOP) / PATCH    # 15.625
 BETA_START, BETA_END = 1e-4, 0.02
+MAX_T = 10_000  # longest schedule accepted: ten times DDPM's 1000 steps
 
 
 def make_schedule(T):
     """abar of a T-step schedule, indexed by step, so abar[0] = 1 (module docstring)."""
-    if T < 1:
-        raise DataError(f"need T >= 1, got {T}")
+    if not 1 <= T <= MAX_T:
+        raise DataError(f"need 1 <= T <= {MAX_T}, got {T}")
     beta = np.linspace(BETA_START, BETA_END, T, dtype=np.float64)
     return np.concatenate([[1.0], np.cumprod(1.0 - beta)])
 

@@ -34,6 +34,7 @@ from .errors import ManifestError
 from .timeline import DEFAULT_FPS, TimestampSet
 
 FEATURE_DIM = 64
+MAX_DURATION_S = 3600.0  # longest clip a manifest may declare: 1.8 MB of frame features
 
 
 @dataclasses.dataclass
@@ -165,8 +166,8 @@ def load_manifest(path):
 
     video_id = str(_require(doc, "video_id", ""))
     duration = _number(doc, "duration_s", "")
-    if duration <= 0:
-        raise ManifestError("duration_s", f"must be positive, got {duration!r}")
+    if not 0 < duration <= MAX_DURATION_S:
+        raise ManifestError("duration_s", f"must be in (0, {MAX_DURATION_S}], got {duration!r}")
     glob = _require(doc, "global", "")
     caption = str(_require(glob, "caption", "global."))
     tags = _require(glob, "tags", "global.")

@@ -14,6 +14,9 @@ trained diffusion model cannot disturb it until fine-tuning moves the
 weights.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 from . import autograd as ag
@@ -76,14 +79,12 @@ def train_aligner(dataset, steps, seed):
     losses = []
     for _ in range(steps):
         opt.zero_grad()
-        total = None
-        for feats, labels in dataset:
-            term = aligner_loss(net, feats, labels)
-            total = term if total is None else total + term
-        loss = total * (1.0 / len(dataset))
+        terms = (aligner_loss(net, feats, labels) for feats, labels in dataset)
+        loss = functools.reduce(operator.add, terms) * (1.0 / len(dataset))
         loss.backward()
         opt.step()
         losses.append(float(loss.data))
+        del loss  # the step's graph goes before the next forward
     return net, losses
 
 

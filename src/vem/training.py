@@ -17,8 +17,10 @@ aligner's meta holds its stage tag, `feat_dim` and `seed`. A diffusion
 model's holds the stage tag ("diffusion" or "adapter"), `T`, `widths`,
 `cond_dim` and the corpus latent standardization `latent_mean` /
 `latent_std`; loading rebuilds the exact model from these and ignores any
-other key. Diffusion operates on standardized latents, so samples are
-de-standardized before decoding.
+other key. Each size in the meta must match the stored tensors, and `T`
+must not exceed `diffusion.MAX_T`, before any module is built from them.
+Diffusion operates on standardized latents, so samples are de-standardized
+before decoding.
 """
 
 import dataclasses
@@ -29,7 +31,7 @@ from . import autograd as ag
 from .audiofeat import logmel
 from .beatdet import ENVELOPE_RATE_HZ, beats_within
 from .container import load_tensors, save_tensors
-from .diffusion import (LATENT_CHANNELS, Latent, latent_decode, latent_encode,
+from .diffusion import (LATENT_CHANNELS, MAX_T, Latent, latent_decode, latent_encode,
                         latent_len_for_duration, sample, training_loss)
 from .errors import DataError, StageOrderError
 from .parsing import TimeEmbedder
@@ -103,7 +105,8 @@ def _prepare_latents(corpus, stats=None, aligner=None):
 
 
 def _run_diffusion_loop(items, unet, temb, T, steps, lr, rng):
-    """One optimizer step per noise/timestep draw, cycling the corpus."""
+    """One optimizer step per noise/timestep draw, cycling the corpus. Each
+    step's graph is dropped before the next forward builds its own."""
     opt = ag.Adam(unet.params() + temb.params(), lr=lr)
     losses = []
     for step in range(steps):
@@ -114,6 +117,7 @@ def _run_diffusion_loop(items, unet, temb, T, steps, lr, rng):
         loss.backward()
         opt.step()
         losses.append(float(loss.data))
+        del loss
     return losses
 
 
@@ -180,6 +184,20 @@ def _check_meta(path, meta, ints, floats=()):
             raise DataError(f"{path}: meta {key!r} must be a finite number, got {v!r}")
 
 
+def _stored_dim(path, tensors, key, axis):
+    """Axis `axis` of the stored tensor `key`: what a meta size is checked
+    against before any module is built from it."""
+    t = tensors.get(key)
+    if t is None or t.ndim <= axis:
+        raise DataError(f"{path}: tensor {key!r} is missing or has too few axes")
+    return t.shape[axis]
+
+
+def _check_meta_dim(path, meta, key, stored):
+    if meta[key] != stored:
+        raise DataError(f"{path}: meta {key!r} is {meta[key]!r}, the stored tensors hold {stored!r}")
+
+
 def save_aligner(path, net, cfg):
     save_tensors(path, net.state_dict(), {"stage": "aligner", "feat_dim": net.feat_dim,
                                           "seed": cfg.seed})
@@ -190,6 +208,7 @@ def load_aligner(path):
     if meta.get("stage") != "aligner":
         raise StageOrderError(f"{path} is not an aligner checkpoint (stage={meta.get('stage')!r})")
     _check_meta(path, meta, ("feat_dim",))
+    _check_meta_dim(path, meta, "feat_dim", _stored_dim(path, tensors, "conv1.w", 1))
     net = AlignerNet(meta["feat_dim"])
     net.load_state_dict(tensors)
     return net, meta
@@ -212,6 +231,15 @@ def load_diffusion(path):
     if not isinstance(widths, list) or not widths or not all(map(_positive_int, widths)):
         raise DataError(f"{path}: meta 'widths' must be a non-empty list of positive ints, "
                         f"got {widths!r}")
+    if meta["T"] > MAX_T:
+        raise DataError(f"{path}: meta 'T' must be at most {MAX_T}, got {meta['T']!r}")
+    # every size a module is built with must match the file, so that the
+    # allocations are bounded by what was stored
+    stored = [_stored_dim(path, tensors, "unet.in_conv.w", 0)]
+    while f"unet.down.{len(stored) - 1}.w" in tensors:
+        stored.append(_stored_dim(path, tensors, f"unet.down.{len(stored) - 1}.w", 0))
+    _check_meta_dim(path, meta, "widths", stored)
+    _check_meta_dim(path, meta, "cond_dim", _stored_dim(path, tensors, "time_embedder.w2", 1))
     unet = TUNet(LATENT_CHANNELS, meta["cond_dim"], widths)
     if meta["stage"] == "adapter":
         unet.attach_adapters()

@@ -181,7 +181,7 @@ def istft_loop(spec):
 
 def griffin_lim_loop(m, iters):
     """Reference Griffin-Lim over `istft_loop`, rebuilding its normalization
-    on every iteration."""
+    on every iteration and taking the phase as mag * (re / |re|)."""
     amp = np.clip(np.exp(m.values.astype(np.float64)) - af.LOG_FLOOR, 0.0, None)
     fb = af.mel_filterbank()
     mag = np.clip(amp @ np.linalg.pinv(fb).T, 0.0, None)
@@ -192,6 +192,41 @@ def griffin_lim_loop(m, iters):
         spec = mag * (re / np.maximum(np.abs(re), 1e-12))
     peak = np.max(np.abs(x))
     return (x / peak if peak > 1.0 else x).astype(np.float32)
+
+
+# -- tape walks -------------------------------------------------------------
+
+
+def tape_nodes(root):
+    """The non-leaf nodes on the graph behind `root`, walked through `_prev`
+    as the benchmark tracer walks it to count nodes and `data` bytes."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._prev:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        stack.extend(node._prev)
+    return out
+
+
+def backward_retaining(root):
+    """Reference backward that replays the tape and keeps it: every closure
+    and every interior `.grad` stays, as before backward consumed the tape."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._prev)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
 
 
 # -- unfused autograd oracles: the layer primitives built from plain Var ops --

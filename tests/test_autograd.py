@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import conv1d_window_view
+from helpers import backward_retaining, conv1d_window_view, tape_nodes, with_dtype
 from scipy.special import expit
 
 from vem import autograd as ag
@@ -286,6 +286,73 @@ def test_grad_accumulates_on_reuse():
     v = ag.param(np.array([3.0]))
     (v * v + v).backward()  # d/dv (v^2 + v) = 2v + 1
     np.testing.assert_allclose(v.grad, [7.0])
+
+
+# -- backward consumes the tape -------------------------------------------
+
+
+def _mixed_loss(seed):
+    """A scalar over every kind of node: an aligner's BCE (conv1d, silu,
+    reshape) plus linear, layer norm, softmax, matmul, a fancy index,
+    concat, repeat2, transpose and tanh, with one activation feeding
+    several nodes. Returns (loss, leaves)."""
+    r = Rng(seed)
+    net = AlignerNet(4, hidden=6, rng=r.fork(1))
+    feats, labels = r.gaussian((4, 12)), (r.uniform(12) > 0.5).astype(np.float64)
+    with_dtype(net, np.float64)
+    h, logits = net.forward(feats)
+    w, b = ag.param(r.gaussian((6, 6))), ag.param(r.gaussian(6))
+    g, beta = ag.param(r.gaussian(6)), ag.param(r.gaussian(6))
+    y = ag.linear(h, w, b).layer_norm(g, beta)
+    att = (y.matmul(h.transpose())).softmax().matmul(h)
+    mix = ag.concat([att, y[np.array([0, 0, 3])]], axis=0).repeat2().tanh()
+    loss = ag.bce_with_logits(logits, labels).mean() + (mix * mix).mean() + h.sum() * 0.01
+    return loss, net.params() + [w, b, g, beta]
+
+
+def test_backward_frees_interior_closures_and_grads():
+    loss, leaves = _mixed_loss(1)
+    loss.backward()
+    interior = tape_nodes(loss)
+    assert len(interior) > 20
+    assert all(n._backward is None and n.grad is None for n in interior)
+    assert all(p.grad is not None for p in leaves)
+
+
+def test_consumed_backward_leaf_grads_match_retaining_backward():
+    """Dropping each closure as soon as it has run changes no gradient bit."""
+    loss, leaves = _mixed_loss(2)
+    loss.backward()
+    ref_loss, ref_leaves = _mixed_loss(2)
+    backward_retaining(ref_loss)
+    for p, q in zip(leaves, ref_leaves):
+        np.testing.assert_array_equal(p.grad, q.grad)
+
+
+def test_graph_stays_walkable_after_backward():
+    """The benchmark tracer walks `_prev` and sums `data` bytes after
+    backward() returns: both survive."""
+    loss, _ = _mixed_loss(3)
+    before = tape_nodes(loss)
+    loss.backward()
+    after = tape_nodes(loss)
+    assert len(after) == len(before) > 20
+    assert sum(n.data.nbytes for n in after) == sum(n.data.nbytes for n in before)
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    loss, leaves = _mixed_loss(4)
+    loss.backward()
+    first = [p.grad.copy() for p in leaves]
+    with pytest.raises(ValueError, match="consumed"):
+        loss.backward()
+    v = ag.param(np.array([2.0, -1.0]))
+    h = v * v
+    h.sum().backward()
+    with pytest.raises(ValueError, match="consumed"):
+        (h * 3.0).sum().backward()   # a new root over a consumed node
+    for p, g in zip(leaves, first):  # the refused call changed nothing
+        np.testing.assert_array_equal(p.grad, g)
 
 
 def test_no_grad_suppresses_tape():

@@ -184,6 +184,19 @@ def test_curate_report(tmp_path, corpus_dir):
     assert all(r[1] in ("pass", "fail") for r in rows[1:])
 
 
+@pytest.mark.parametrize("duration", [1e9, 1e300])
+def test_curate_huge_manifest_duration_exits_3(tmp_path, corpus_dir, capsys, duration):
+    """A declared duration past MAX_DURATION_S is refused before frame
+    features are built for it (477 GiB at 1e9 s)."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(corpus_dir / "item_000.wav", corpus / "item_000.wav")
+    doc = json.loads((corpus_dir / "item_000.json").read_text())
+    (corpus / "item_000.json").write_text(json.dumps(dict(doc, duration_s=duration)))
+    assert run(["curate", str(corpus)], tmp_path) == 3
+    assert "duration_s" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     lambda d: ["curate", d, "--min-snr-db", "nan"],
     lambda d: ["eval", d, "--tol-s", "nan"],
@@ -267,6 +280,30 @@ def test_sample_bad_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_dir):
     rc = run(["sample", str(tmp_path / "bad.vemt"), str(corpus_dir / "item_000.json"),
               "--steps", "2"], tmp_path)
     assert rc == 3
+
+
+@pytest.mark.parametrize("bad", [{"widths": [8, 2_000_000]}, {"T": 10**12},
+                                 {"cond_dim": 10**12}], ids=["widths", "T", "cond-dim"])
+def test_sample_oversized_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_dir, capsys,
+                                                  bad):
+    """Sizes in the meta that the stored tensors do not hold, and a schedule
+    past MAX_T, are refused before anything is allocated from them (each of
+    these would ask for TiBs)."""
+    tensors, meta = load_tensors(trained_dir / "diffusion.vemt")
+    save_tensors(tmp_path / "big.vemt", tensors, dict(meta, **bad))
+    rc = run(["sample", str(tmp_path / "big.vemt"), str(corpus_dir / "item_000.json"),
+              "--steps", "2"], tmp_path)
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: data: ")
+
+
+def test_sample_oversized_aligner_feat_dim_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
+    tensors, meta = load_tensors(trained_dir / "aligner.vemt")
+    save_tensors(tmp_path / "big.vemt", tensors, dict(meta, feat_dim=10**9))
+    rc = run(["sample", str(trained_dir / "adapter.vemt"), str(corpus_dir / "item_000.json"),
+              "--steps", "2", "--aligner", str(tmp_path / "big.vemt")], tmp_path)
+    assert rc == 3
+    assert "'feat_dim'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("nested", ["ckpt", "manifest"])

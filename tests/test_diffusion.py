@@ -45,7 +45,7 @@ def test_schedule_abar_zero_convention():
     assert abar[1] == pytest.approx(1.0 - 1e-4)
 
 
-@pytest.mark.parametrize("args", [(0,)])
+@pytest.mark.parametrize("args", [(0,), (df.MAX_T + 1,), (10**12,)])
 def test_schedule_rejects_bad_ranges(args):
     with pytest.raises(DataError):
         df.make_schedule(*args)

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import click_track, make_annotation, use_unfused_ops, with_dtype
+from helpers import click_track, make_annotation, tape_nodes, use_unfused_ops, with_dtype
 
 from vem import autograd as ag
 from vem import curation as cu
@@ -282,19 +284,6 @@ def test_training_loss_tapes_only_float32(corpus):
     assert all(p.grad is not None and p.grad.dtype == np.float32 for p in params)
 
 
-def _tape_nodes(loss):
-    """Non-leaf nodes on the graph behind `loss`, counted as the benchmark
-    tracer counts them."""
-    seen, stack = set(), [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or not node._prev:
-            continue
-        seen.add(id(node))
-        stack.extend(node._prev)
-    return len(seen)
-
-
 def _stage_c_loss(ann, wav, dtype):
     """One stage-C style loss (adapters, time embedder) of a small net in
     `dtype`, with every zero-initialized weight moved off zero."""
@@ -322,7 +311,7 @@ def test_fused_ops_match_unfused_oracle_in_float64(corpus, monkeypatch):
     with monkeypatch.context() as m:
         use_unfused_ops(m)
         ref_loss, ref_params = _stage_c_loss(ann, wav, np.float64)
-    assert _tape_nodes(loss) < _tape_nodes(ref_loss)
+    assert len(tape_nodes(loss)) < len(tape_nodes(ref_loss))
     assert abs(float(loss.data) - float(ref_loss.data)) <= 1e-12 * abs(float(ref_loss.data))
     assert len(params) == len(ref_params) > 100
     top = max(np.abs(q.grad).max() for _, q in ref_params)
@@ -349,7 +338,31 @@ def test_stage_b_loss_tape_size():
     temb = TimeEmbedder(len(ann.caption_feat), rng=Rng(2))
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
                          cfg.T)
-    assert _tape_nodes(loss) <= 256
+    assert len(tape_nodes(loss)) <= 256
+
+
+def test_diffusion_loop_holds_one_graph_at_a_time(corpus):
+    """Backward frees each closure and interior gradient once it has run,
+    and the loop drops a step's graph before the next forward: three steps
+    peak, beyond the Adam moments, under two graphs' worth of activations.
+    Measured 1.7 graphs; without the del of the loss 2.2, without the
+    freeing in backward 2.5, without both 3.4."""
+    items, _, _ = tr._prepare_latents(corpus)
+    ann, z0 = items[0][:2]
+    unet = TUNet(z0.shape[0], len(ann.caption_feat), (8, 16), rng=Rng(1))
+    temb = TimeEmbedder(len(ann.caption_feat), rng=Rng(2))
+    graph = max(sum(n.data.nbytes for n in tape_nodes(training_loss(
+                    unet, z, assemble_conditions(a, temb), m, Rng(3), 50, aligner_feats=f)))
+                for a, z, m, f in items)
+    moments = 2 * sum(p.data.nbytes for p in unet.params() + temb.params())
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tr._run_diffusion_loop(items, unet, temb, 50, 3, 1e-3, Rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base - moments < 2.0 * graph
 
 
 # -- sampling --------------------------------------------------------------
