@@ -40,6 +40,7 @@ thread (or asyncio task) that opened it and no other.
 
 import contextlib
 import contextvars
+import math
 
 import numpy as np
 
@@ -525,3 +526,25 @@ class Adam:
     def zero_grad(self):
         for p in self._params:
             p.grad = None
+
+    def minimize(self, loss_of, steps):
+        """`steps` optimizer steps on the scalar loss Var `loss_of(step)`
+        builds; returns the per-step loss values.
+
+        Each step runs zero_grad -> forward -> backward -> step and drops its
+        graph before the next forward builds its own. A non-finite loss
+        raises DataError naming the step before backward() or step() runs,
+        so the parameters keep the values the previous step left.
+        """
+        losses = []
+        for i in range(steps):
+            self.zero_grad()
+            loss = loss_of(i)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise DataError(f"step {i}: loss is {value}")
+            loss.backward()
+            self.step()
+            losses.append(value)
+            del loss  # the step's graph goes before the next forward
+        return losses

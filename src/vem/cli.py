@@ -203,8 +203,8 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
-    pairs = _corpus_pairs(args.corpus)
     cfg = TrainConfig(seed=args.seed, widths=args.widths, T=args.t_steps)
+    pairs = _corpus_pairs(args.corpus)
     if args.steps is not None:
         cfg.aligner_steps = cfg.diffusion_steps = cfg.adapter_steps = args.steps
     os.makedirs(args.out_dir, exist_ok=True)

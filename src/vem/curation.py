@@ -15,7 +15,8 @@ import numpy as np
 from .audiofeat import HOP, N_FFT, SAMPLE_RATE, Waveform, estimate_snr
 from .beatdet import MIN_ENVELOPE_S
 from .errors import DataError
-from .parsing import Storyboard, VideoAnnotation, toy_text_embed, toy_visual_embed
+from .parsing import (Storyboard, VideoAnnotation, toy_text_embed, toy_visual_embed,
+                      write_storyboard_channels)
 from .rng import Rng
 from .timeline import DEFAULT_FPS, TimestampSet
 
@@ -137,12 +138,7 @@ def synth_item(item_rng, cfg):
             ff[0, idx - 1] += 0.4
         if idx + 1 < n_frames:
             ff[0, idx + 1] += 0.4
-    frame_t = (np.arange(n_frames) + 0.5) / DEFAULT_FPS
-    for j, sb in enumerate(sbs):
-        inside = (frame_t >= sb.start_s) & (frame_t < sb.end_s)
-        ff[1, inside] = (frame_t[inside] - sb.start_s) / sb.duration_s
-        ff[2, inside] = (j + 1) / n_sb
-    ff[3] = frame_t / duration
+    write_storyboard_channels(ff, sbs, duration)
 
     ann = VideoAnnotation(
         video_id=f"synth_{int(item_rng.integers(0, 1 << 31, 1)[0]):08x}",

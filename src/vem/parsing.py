@@ -33,7 +33,8 @@ from .container import load_tensors, save_tensors
 from .errors import ManifestError
 from .timeline import DEFAULT_FPS, TimestampSet
 
-FEATURE_DIM = 64
+FEATURE_DIM = 64  # width of the toy text and visual embeddings
+TIME_HIDDEN = 32  # hidden width of the TimeEmbedder MLP
 MAX_DURATION_S = 3600.0  # longest clip a manifest may declare: 1.8 MB of frame features
 
 
@@ -77,32 +78,31 @@ def _fnv1a64(s):
     return h
 
 
-def toy_text_embed(text, dim=FEATURE_DIM):
-    """Bag-of-tokens hash embedding: each token adds +-1 to one of `dim`
-    buckets (bucket and sign from a fixed 64-bit FNV-1a hash), then the
-    vector is L2-normalized. Token order does not matter; empty text maps
-    to the zero vector.
+def toy_text_embed(text):
+    """Bag-of-tokens hash embedding: each token adds +-1 to one of
+    FEATURE_DIM buckets (bucket and sign from a fixed 64-bit FNV-1a hash),
+    then the vector is L2-normalized. Token order does not matter; empty text
+    maps to the zero vector.
     """
-    if dim < 8:
-        raise ValueError(f"embedding dim must be >= 8, got {dim}")
-    out = np.zeros(dim, dtype=np.float32)
+    out = np.zeros(FEATURE_DIM, dtype=np.float32)
     for tok in text.lower().split():
         h = _fnv1a64(tok)
         sign = 1.0 if (h >> 63) == 0 else -1.0
-        out[h % dim] += sign
+        out[h % FEATURE_DIM] += sign
     norm = float(np.linalg.norm(out))
     return out / norm if norm > 0 else out
 
 
-def toy_visual_embed(text, dim=FEATURE_DIM):
+def toy_visual_embed(text):
     """Visual-channel stand-in: same hash embedder under a namespace prefix,
     so "sunset" as imagery and "sunset" as caption text get distinct vectors.
     """
-    return toy_text_embed(" ".join("vis:" + t for t in text.lower().split()), dim)
+    return toy_text_embed(" ".join("vis:" + t for t in text.lower().split()))
 
 
 class TimeEmbedder(ag.Module):
-    """Two-layer MLP from a scalar time in seconds to a `dim` vector.
+    """Two-layer MLP, TIME_HIDDEN wide, from a scalar time in seconds to a
+    `dim` vector.
 
     Input is scaled by 1/30 so clip-scale times stay inside tanh's linear
     region. With all-zero weights every time maps to the output bias.
@@ -110,14 +110,15 @@ class TimeEmbedder(ag.Module):
 
     INPUT_SCALE = 1.0 / 30.0
 
-    def __init__(self, dim=FEATURE_DIM, hidden=32, rng=None):
+    def __init__(self, dim=FEATURE_DIM, rng=None):
         if rng is None:
-            self.w1 = ag.param(np.zeros((1, hidden), dtype=np.float32))
-            self.w2 = ag.param(np.zeros((hidden, dim), dtype=np.float32))
+            self.w1 = ag.param(np.zeros((1, TIME_HIDDEN), dtype=np.float32))
+            self.w2 = ag.param(np.zeros((TIME_HIDDEN, dim), dtype=np.float32))
         else:
-            self.w1 = ag.param(rng.gaussian((1, hidden)).astype(np.float32))
-            self.w2 = ag.param((rng.gaussian((hidden, dim)) / np.sqrt(hidden)).astype(np.float32))
-        self.b1 = ag.param(np.zeros(hidden, dtype=np.float32))
+            self.w1 = ag.param(rng.gaussian((1, TIME_HIDDEN)).astype(np.float32))
+            self.w2 = ag.param((rng.gaussian((TIME_HIDDEN, dim)) / np.sqrt(TIME_HIDDEN))
+                               .astype(np.float32))
+        self.b1 = ag.param(np.zeros(TIME_HIDDEN, dtype=np.float32))
         self.b2 = ag.param(np.zeros(dim, dtype=np.float32))
         self.dim = dim
 
@@ -277,8 +278,8 @@ def build_frame_features(ann):
     alone; `load_manifest` fills it in when the sidecar has no frame_features.
 
     Channel 0 carries a transition impulse smeared over one frame each side;
-    channels 1-3 encode storyboard phase/index and clip position so the
-    matrix is not degenerate; the rest stay zero.
+    channels 1-3 are `write_storyboard_channels`' so the matrix is not
+    degenerate; the rest stay zero.
     """
     n = int(np.ceil(ann.duration_s * DEFAULT_FPS))
     out = np.zeros((8, n), dtype=np.float32)
@@ -289,10 +290,20 @@ def build_frame_features(ann):
             out[0, idx - 1] = max(out[0, idx - 1], 0.5)
         if idx + 1 < n:
             out[0, idx + 1] = max(out[0, idx + 1], 0.5)
-    times = (np.arange(n) + 0.5) / DEFAULT_FPS
-    for i, s in enumerate(ann.storyboards):
+    write_storyboard_channels(out, ann.storyboards, ann.duration_s)
+    return out
+
+
+def write_storyboard_channels(out, storyboards, duration_s):
+    """Overwrite channels 1-3 of a (channels, frames) matrix at DEFAULT_FPS,
+    sampled at frame centres: the phase inside each storyboard (0 at its
+    start, rising to 1 at its end), the storyboard's index (i + 1) / count,
+    and the position in the clip, t / duration. Frames outside every
+    storyboard keep their channel 1 and 2 values.
+    """
+    times = (np.arange(out.shape[1]) + 0.5) / DEFAULT_FPS
+    for i, s in enumerate(storyboards):
         inside = (times >= s.start_s) & (times < s.end_s)
         out[1, inside] = (times[inside] - s.start_s) / s.duration_s
-        out[2, inside] = (i + 1) / max(len(ann.storyboards), 1)
-    out[3] = times / max(ann.duration_s, 1e-9)
-    return out
+        out[2, inside] = (i + 1) / len(storyboards)
+    out[3] = times / max(duration_s, 1e-9)

@@ -1,17 +1,17 @@
 """Transition-beat aligner and the zero-initialized modulation adapter.
 
 The aligner is a small temporal-conv net over per-frame feature vectors
-(16 fps): two kernel-5 convolutions to a hidden width, then a kernel-1 head
-to one logit per frame. It trains with BCE against intersection labels
-(frames where a visual transition coincides with a music beat). Its
-penultimate activations, interpolated to latent resolution, are what the
-adapter consumes.
+(16 fps): two kernel-5 convolutions to ALIGNER_HIDDEN channels, then a
+kernel-1 head to one logit per frame. It trains with BCE against
+intersection labels (frames where a visual transition coincides with a
+music beat). Its penultimate activations, interpolated to latent
+resolution, are what the adapter consumes.
 
-The adapter maps those activations through two zero-initialized linear
-layers to per-frame scale and shift, applied as z + gamma*z + beta. Zero
-init makes a freshly attached adapter an exact no-op, so bolting it onto a
-trained diffusion model cannot disturb it until fine-tuning moves the
-weights.
+The adapter maps those ALIGNER_HIDDEN-wide activations through two
+zero-initialized linear layers to per-frame scale and shift, applied as
+z + gamma*z + beta. Zero init makes a freshly attached adapter an exact
+no-op, so bolting it onto a trained diffusion model cannot disturb it until
+fine-tuning moves the weights.
 """
 
 import functools
@@ -32,16 +32,15 @@ class AlignerNet(ag.Module):
     """Per-frame transition-beat classifier; without an `rng` every weight
     starts at zero (no draws)."""
 
-    def __init__(self, feat_dim, hidden=ALIGNER_HIDDEN, rng=None):
+    def __init__(self, feat_dim, rng=None):
         self.feat_dim = feat_dim
-        self.hidden = hidden
-        self.conv1 = ag.Conv1d(feat_dim, hidden, 5, rng, padding=2)
-        self.conv2 = ag.Conv1d(hidden, hidden, 5, rng, padding=2)
-        self.head = ag.Conv1d(hidden, 1, 1, rng)
+        self.conv1 = ag.Conv1d(feat_dim, ALIGNER_HIDDEN, 5, rng, padding=2)
+        self.conv2 = ag.Conv1d(ALIGNER_HIDDEN, ALIGNER_HIDDEN, 5, rng, padding=2)
+        self.head = ag.Conv1d(ALIGNER_HIDDEN, 1, 1, rng)
 
     def forward(self, frame_features):
         """(feat_dim, frames) features -> (penultimate activations, time-major
-        (frames, hidden), and logits (frames,))."""
+        (frames, ALIGNER_HIDDEN), and logits (frames,))."""
         x = np.asarray(frame_features)
         if x.ndim != 2 or x.shape[0] != self.feat_dim:
             raise DataError(f"expected ({self.feat_dim}, frames) features, got {x.shape}")
@@ -75,23 +74,18 @@ def train_aligner(dataset, steps, seed):
         if feats.shape[1] != len(labels):
             raise DataError(f"features cover {feats.shape[1]} frames, labels {len(labels)}")
     net = AlignerNet(feat_dim, rng=Rng(seed).fork(1))
-    opt = ag.Adam(net.params(), lr=ALIGNER_LR)
-    losses = []
-    for _ in range(steps):
-        opt.zero_grad()
+
+    def loss_of(_):
         terms = (aligner_loss(net, feats, labels) for feats, labels in dataset)
-        loss = functools.reduce(operator.add, terms) * (1.0 / len(dataset))
-        loss.backward()
-        opt.step()
-        losses.append(float(loss.data))
-        del loss  # the step's graph goes before the next forward
-    return net, losses
+        return functools.reduce(operator.add, terms) * (1.0 / len(dataset))
+
+    return net, ag.Adam(net.params(), lr=ALIGNER_LR).minimize(loss_of, steps)
 
 
 def aligner_features(net, frame_features, latent_len):
     """Penultimate activations resampled to the latent clock, as a constant
-    (latent_len, hidden) array (the aligner is frozen wherever these are
-    consumed).
+    (latent_len, ALIGNER_HIDDEN) array (the aligner is frozen wherever these
+    are consumed).
     """
     with ag.no_grad():
         pen, _ = net.forward(frame_features)
@@ -100,21 +94,23 @@ def aligner_features(net, frame_features, latent_len):
 
 class AdapterParams(ag.Module):
     """Two zero-initialized per-frame linear maps (kernel-1 convolutions)
-    from aligner hidden width to latent channels, emitting gamma and beta.
+    from the ALIGNER_HIDDEN aligner features to latent channels, emitting
+    gamma and beta.
     """
 
-    def __init__(self, hidden, channels):
-        self.gamma_w = ag.param(np.zeros((hidden, channels), dtype=np.float32))
+    def __init__(self, channels):
+        self.gamma_w = ag.param(np.zeros((ALIGNER_HIDDEN, channels), dtype=np.float32))
         self.gamma_b = ag.param(np.zeros(channels, dtype=np.float32))
-        self.beta_w = ag.param(np.zeros((hidden, channels), dtype=np.float32))
+        self.beta_w = ag.param(np.zeros((ALIGNER_HIDDEN, channels), dtype=np.float32))
         self.beta_b = ag.param(np.zeros(channels, dtype=np.float32))
 
 
 def apply_adapter(z, feats, p):
     """Per-frame modulation z + gamma*z + beta.
 
-    Time-major: z is an (L, channels) Var or array, feats an (L, hidden)
-    array. gamma/beta come from p's linear maps applied at each frame.
+    Time-major: z is an (L, channels) Var or array, feats an
+    (L, ALIGNER_HIDDEN) array. gamma/beta come from p's linear maps applied
+    at each frame.
     """
     z = ag.as_var(z)
     feats = np.asarray(feats)

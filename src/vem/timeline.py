@@ -52,6 +52,10 @@ def from_timestamps(ts):
 def match_count(a, b, tol_s):
     """One-to-one greedy matching count: sweep `a` ascending, consume the
     earliest unmatched element of `b` within +-tol_s.
+
+    "Within" is |x - y| <= tol_s as rounded in float64, the same test on
+    both sides of x; `x - tol_s` as a bound rounds differently and admits
+    pairs a hair outside the tolerance.
     """
     if not tol_s > 0:
         raise DataError(f"tolerance must be positive, got {tol_s}")
@@ -59,9 +63,9 @@ def match_count(a, b, tol_s):
     j = 0
     bt = b.times_s
     for x in a.times_s:
-        while j < len(bt) and bt[j] < x - tol_s:
+        while j < len(bt) and x - bt[j] > tol_s:
             j += 1
-        if j < len(bt) and bt[j] <= x + tol_s:
+        if j < len(bt) and bt[j] - x <= tol_s:
             count += 1
             j += 1
     return count

@@ -9,8 +9,11 @@ the encoder levels, and fine-tunes the denoiser jointly with them.
 A run varies only in `TrainConfig`: the seed, the denoiser widths, the
 schedule length T and each stage's step count. Everything else is a
 constant of the code that uses it: the learning rates (here and in
-`tbalign`), the beta endpoints (`diffusion`), and the time-embedding,
-step-embedding and aligner widths (the constructors' defaults).
+`tbalign`), the beta endpoints (`diffusion`), and the module sizes:
+`parsing.FEATURE_DIM` and `parsing.TIME_HIDDEN` for the condition
+embedders, `tunet.TEMB_DIM` for the step embedding, and
+`tbalign.ALIGNER_HIDDEN` for the aligner and its adapters. Every stage
+runs its optimizer steps through `autograd.Adam.minimize`.
 
 Checkpoints are tensor-container files with a JSON metadata header. An
 aligner's meta holds its stage tag, `feat_dim` and `seed`. A diffusion
@@ -57,6 +60,11 @@ class TrainConfig:
     # every optimizer step draws one noise/timestep sample; a class constant,
     # not a field, for the benchmark's per-step clock that reads it
     diffusion_draws = adapter_draws = 1
+
+    def __post_init__(self):
+        # refused here, before a stage reads and encodes its corpus
+        if not 1 <= self.T <= MAX_T:
+            raise DataError(f"need 1 <= T <= {MAX_T}, got {self.T}")
 
 
 def intersection_labels(ann, wav):
@@ -105,20 +113,14 @@ def _prepare_latents(corpus, stats=None, aligner=None):
 
 
 def _run_diffusion_loop(items, unet, temb, T, steps, lr, rng):
-    """One optimizer step per noise/timestep draw, cycling the corpus. Each
-    step's graph is dropped before the next forward builds its own."""
-    opt = ag.Adam(unet.params() + temb.params(), lr=lr)
-    losses = []
-    for step in range(steps):
-        opt.zero_grad()
+    """One optimizer step per noise/timestep draw, cycling the corpus."""
+
+    def loss_of(step):
         ann, z0, mask, afeats = items[step % len(items)]
-        loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, T,
+        return training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, T,
                              aligner_feats=afeats)
-        loss.backward()
-        opt.step()
-        losses.append(float(loss.data))
-        del loss
-    return losses
+
+    return ag.Adam(unet.params() + temb.params(), lr=lr).minimize(loss_of, steps)
 
 
 def train_stage_diffusion(corpus, cfg):
@@ -150,7 +152,7 @@ def train_stage_adapter(corpus, cfg, aligner, unet, temb, meta):
     # keep the standardization the base model was trained with
     items, _, _ = _prepare_latents(corpus, (meta["latent_mean"], meta["latent_std"]), aligner)
     if unet.adapters is None:
-        unet.attach_adapters(aligner.hidden)
+        unet.attach_adapters()
     master = Rng(cfg.seed + 1)
     losses = _run_diffusion_loop(items, unet, temb, cfg.T, cfg.adapter_steps, ADAPTER_LR,
                                  master.fork(3))

@@ -7,10 +7,11 @@ act on the last (channel) axis, convolutions run along axis 0, and skips
 concatenate on axis 1.
 
 Encoder and decoder levels are the same `Level`: residual block (with the
-diffusion-step embedding injected) -> plain self-attention transformer block
--> storyboard-guided cross-attention block. Encoder levels may first pass
-through the modulation adapter, fed the time-major (L, hidden) aligner
-features resampled to the level's length. Levels are bridged by stride-2
+TEMB_DIM-wide diffusion-step embedding injected) -> plain self-attention
+transformer block -> storyboard-guided cross-attention block. Encoder levels
+may first pass through the modulation adapter, fed the time-major
+(L, tbalign.ALIGNER_HIDDEN) aligner features resampled to the level's
+length. Levels are bridged by stride-2
 convolutions down and repeat+conv up, with channel-concat skips. The
 conditions arrive as the (6N, D) token Var of `sgcatt.assemble_conditions`
 and the base-resolution `StoryboardMask`; `sgcatt.level_masks` OR-pools the
@@ -32,7 +33,9 @@ from . import autograd as ag
 from .errors import DataError
 from .numcore import linear_interp
 from .sgcatt import attention_logits, level_masks, sg_cross_attention
-from .tbalign import ALIGNER_HIDDEN, AdapterParams, apply_adapter
+from .tbalign import AdapterParams, apply_adapter
+
+TEMB_DIM = 128  # width of the diffusion-step embedding and its MLP
 
 
 def sinusoidal_step_embedding(t, dim):
@@ -55,10 +58,10 @@ class ChannelNorm(ag.Module):
 
 
 class ResBlock(ag.Module):
-    def __init__(self, c_in, c_out, temb_dim, rng):
+    def __init__(self, c_in, c_out, rng):
         self.norm1 = ChannelNorm(c_in)
         self.conv1 = ag.Conv1d(c_in, c_out, 3, rng, padding=1)
-        self.temb_proj = ag.Linear(temb_dim, c_out, rng)
+        self.temb_proj = ag.Linear(TEMB_DIM, c_out, rng)
         self.norm2 = ChannelNorm(c_out)
         self.conv2 = ag.Conv1d(c_out, c_out, 3, rng, padding=1)
         self.skip = None if c_in == c_out else ag.Conv1d(c_in, c_out, 1, rng)
@@ -120,8 +123,8 @@ class Level(ag.Module):
     """Encoder levels keep their width (c_in == c_out); decoder levels take
     the upsampled path concatenated with the skip (c_in == 2 * c_out)."""
 
-    def __init__(self, c_in, c_out, cond_dim, temb_dim, rng):
-        self.res = ResBlock(c_in, c_out, temb_dim, rng)
+    def __init__(self, c_in, c_out, cond_dim, rng):
+        self.res = ResBlock(c_in, c_out, rng)
         self.selfattn = SelfAttnBlock(c_out, rng)
         self.sgc = SGCAttBlock(c_out, cond_dim, rng)
 
@@ -134,26 +137,23 @@ class Level(ag.Module):
 class TUNet(ag.Module):
     """Denoiser: eps prediction from (z_t, step, condition tokens, mask)."""
 
-    def __init__(self, in_channels, cond_dim, widths, temb_dim=128, rng=None):
-        if temb_dim % 2:
-            raise ValueError(f"temb_dim must be even (sin/cos pairs), got {temb_dim}")
+    def __init__(self, in_channels, cond_dim, widths, rng=None):
         self.in_channels = in_channels
         self.cond_dim = cond_dim
         self.widths = tuple(widths)
-        self.temb_dim = temb_dim
         self.levels = len(self.widths)
 
         # one forked stream per block; without an rng every weight starts at zero
         r = (None if rng is None else rng.fork(i) for i in itertools.count())
-        self.temb_lin1 = ag.Linear(temb_dim, temb_dim, next(r))
-        self.temb_lin2 = ag.Linear(temb_dim, temb_dim, next(r))
+        self.temb_lin1 = ag.Linear(TEMB_DIM, TEMB_DIM, next(r))
+        self.temb_lin2 = ag.Linear(TEMB_DIM, TEMB_DIM, next(r))
         self.in_conv = ag.Conv1d(in_channels, self.widths[0], 3, next(r), padding=1)
-        self.enc = [Level(w, w, cond_dim, temb_dim, next(r)) for w in self.widths]
+        self.enc = [Level(w, w, cond_dim, next(r)) for w in self.widths]
         self.down = [ag.Conv1d(self.widths[i], self.widths[i + 1], 3, next(r), stride=2, padding=1)
                      for i in range(self.levels - 1)]
         self.up = [ag.Conv1d(self.widths[i + 1], self.widths[i], 3, next(r), padding=1)
                    for i in reversed(range(self.levels - 1))]
-        self.dec = [Level(2 * self.widths[i], self.widths[i], cond_dim, temb_dim, next(r))
+        self.dec = [Level(2 * self.widths[i], self.widths[i], cond_dim, next(r))
                     for i in reversed(range(self.levels - 1))]
         self.out_norm = ChannelNorm(self.widths[0])
         # zero-initialized (no rng): an untrained net predicts zero noise
@@ -163,11 +163,11 @@ class TUNet(ag.Module):
         # near-identity maps high-noise steps need once trunk width drops
         # below the latent channel count, and training stalls near loss 1
         self.res_proj = ag.Conv1d(in_channels, in_channels, 1, None)
-        self.res_gate = ag.Linear(temb_dim, in_channels, None)
+        self.res_gate = ag.Linear(TEMB_DIM, in_channels, None)
         self.adapters = None  # set by attach_adapters for the fine-tune stage
 
-    def attach_adapters(self, aligner_hidden=ALIGNER_HIDDEN):
-        self.adapters = [AdapterParams(aligner_hidden, w) for w in self.widths]
+    def attach_adapters(self):
+        self.adapters = [AdapterParams(w) for w in self.widths]
 
     def __call__(self, z, step, tokens, base_mask, aligner_feats=None):
         z = ag.as_var(z)
@@ -188,7 +188,7 @@ class TUNet(ag.Module):
         z_in = x
         masks = level_masks(base_mask, padded, self.levels)
 
-        temb = ag.Var(sinusoidal_step_embedding(step, self.temb_dim).astype(z.data.dtype))
+        temb = ag.Var(sinusoidal_step_embedding(step, TEMB_DIM).astype(z.data.dtype))
         temb = self.temb_lin2(self.temb_lin1(temb).silu())
         temb_act = temb.silu()  # computed once, shared by every ResBlock
 

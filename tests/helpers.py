@@ -85,7 +85,7 @@ def click_track(bpm, duration_s=30.0, seed=0, click_amp=0.8, noise_amp=5e-4,
 
 
 def make_annotation(duration_s=10.0, bounds=(0.0, 4.0, 10.0), transitions=(4.0,),
-                    video_id="fixture", feature_dim=64):
+                    video_id="fixture"):
     """Hand-built annotation with storyboards between consecutive bounds."""
     boards = []
     for i in range(len(bounds) - 1):
@@ -93,13 +93,13 @@ def make_annotation(duration_s=10.0, bounds=(0.0, 4.0, 10.0), transitions=(4.0,)
         text = f"scene {i} of {video_id}"
         boards.append(Storyboard(
             start_s=start, duration_s=end - start, text=text,
-            text_feat=toy_text_embed(text, feature_dim),
-            visual_feat=toy_visual_embed(text, feature_dim)))
+            text_feat=toy_text_embed(text),
+            visual_feat=toy_visual_embed(text)))
     ann = VideoAnnotation(
         video_id=video_id, duration_s=duration_s,
         global_caption=f"caption for {video_id}",
-        caption_feat=toy_text_embed(f"caption for {video_id}", feature_dim),
-        emotion_tags=["fixture"], tag_feat=toy_text_embed("fixture", feature_dim),
+        caption_feat=toy_text_embed(f"caption for {video_id}"),
+        emotion_tags=["fixture"], tag_feat=toy_text_embed("fixture"),
         storyboards=boards,
         transitions=TimestampSet(sorted(transitions), duration_s),
         frame_features=None)

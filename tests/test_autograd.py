@@ -7,9 +7,10 @@ from scipy.special import expit
 
 from vem import autograd as ag
 from vem.diffusion import LATENT_CHANNELS
+from vem.errors import DataError
 from vem.parsing import FEATURE_DIM
 from vem.rng import Rng
-from vem.tbalign import AlignerNet
+from vem.tbalign import ALIGNER_HIDDEN, AlignerNet
 from vem.training import TrainConfig
 from vem.tunet import TUNet
 
@@ -297,12 +298,13 @@ def _mixed_loss(seed):
     concat, repeat2, transpose and tanh, with one activation feeding
     several nodes. Returns (loss, leaves)."""
     r = Rng(seed)
-    net = AlignerNet(4, hidden=6, rng=r.fork(1))
+    net = AlignerNet(4, rng=r.fork(1))
     feats, labels = r.gaussian((4, 12)), (r.uniform(12) > 0.5).astype(np.float64)
     with_dtype(net, np.float64)
     h, logits = net.forward(feats)
-    w, b = ag.param(r.gaussian((6, 6))), ag.param(r.gaussian(6))
-    g, beta = ag.param(r.gaussian(6)), ag.param(r.gaussian(6))
+    n = ALIGNER_HIDDEN
+    w, b = ag.param(r.gaussian((n, n))), ag.param(r.gaussian(n))
+    g, beta = ag.param(r.gaussian(n)), ag.param(r.gaussian(n))
     y = ag.linear(h, w, b).layer_norm(g, beta)
     att = (y.matmul(h.transpose())).softmax().matmul(h)
     mix = ag.concat([att, y[np.array([0, 0, 3])]], axis=0).repeat2().tanh()
@@ -516,6 +518,46 @@ def test_adam_skips_param_without_grad():
     np.testing.assert_array_equal(b.data, b_data)
     np.testing.assert_array_equal(opt._m[1], b_m)
     np.testing.assert_array_equal(opt._v[1], b_v)
+
+
+def _quadratic_loss(v):
+    return lambda step: square_sum(v - np.array([1.0, 2.0], dtype=np.float32)) * (1.0 + step)
+
+
+def test_minimize_matches_the_hand_written_loop():
+    a, b = (ag.param(np.array([5.0, -3.0], dtype=np.float32)) for _ in range(2))
+    opt = ag.Adam([a], lr=0.1)
+    losses = []
+    for step in range(20):
+        opt.zero_grad()
+        loss = _quadratic_loss(a)(step)
+        loss.backward()
+        opt.step()
+        losses.append(float(loss.data))
+    assert ag.Adam([b], lr=0.1).minimize(_quadratic_loss(b), 20) == losses
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_minimize_refuses_a_non_finite_loss_before_touching_weights(bad):
+    """A non-finite loss raises DataError naming its step; the weights and
+    moments keep exactly what the last finite step left."""
+    v = ag.param(np.array([5.0, -3.0], dtype=np.float32))
+    opt = ag.Adam([v], lr=0.1)
+    before = {}
+
+    def loss_of(step):
+        if step < 3:
+            return _quadratic_loss(v)(step)
+        before.update(p=v.data.tobytes(), m=opt._m[0].tobytes(), v=opt._v[0].tobytes(), t=opt.t)
+        return square_sum(v) * bad
+
+    with pytest.raises(DataError, match=f"step 3: loss is {bad}"):
+        opt.minimize(loss_of, 6)
+    assert before["t"] == opt.t == 3
+    assert (v.data.tobytes(), opt._m[0].tobytes(), opt._v[0].tobytes()) == \
+        (before["p"], before["m"], before["v"])
+    assert v.grad is None
 
 
 SCALAR_OPS = {

@@ -11,10 +11,11 @@ from vem import cli
 from vem.audiofeat import SAMPLE_RATE, Waveform, save_wav
 from vem.container import load_tensors, save_tensors
 from vem.curation import MIN_SYNTH_S
+from vem.diffusion import MAX_T
 from vem.parsing import build_frame_features, load_manifest
 from vem.rng import Rng
-from vem.tbalign import AlignerNet
-from vem.training import TrainConfig, save_aligner
+from vem.tbalign import ALIGNER_HIDDEN
+from vem.tunet import TEMB_DIM
 
 
 def run(argv, out_dir):
@@ -321,12 +322,37 @@ def test_sample_deeply_nested_json_exits_3(tmp_path, corpus_dir, trained_dir, ca
     assert capsys.readouterr().err.startswith("error: data: ")
 
 
+def _narrowed(src, dst, width, to):
+    """Copy checkpoint `src` to `dst` with every axis of size `width` cut to
+    `to`: the file a net built at that other width would have written."""
+    tensors, meta = load_tensors(src)
+    save_tensors(dst, {k: v[tuple(slice(to) if n == width else slice(None) for n in v.shape)]
+                       for k, v in tensors.items()}, meta)
+
+
 def test_sample_other_width_aligner_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
-    save_aligner(tmp_path / "a4.vemt", AlignerNet(8, hidden=4), TrainConfig())
+    _narrowed(trained_dir / "aligner.vemt", tmp_path / "a4.vemt", ALIGNER_HIDDEN, 4)
     rc = run(["sample", str(trained_dir / "adapter.vemt"), str(corpus_dir / "item_000.json"),
               "--steps", "2", "--aligner", str(tmp_path / "a4.vemt")], tmp_path)
     assert rc == 3
     assert "shape mismatch for conv1.w" in capsys.readouterr().err
+
+
+def test_sample_other_step_embedding_width_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
+    _narrowed(trained_dir / "diffusion.vemt", tmp_path / "t64.vemt", TEMB_DIM, 64)
+    rc = run(["sample", str(tmp_path / "t64.vemt"), str(corpus_dir / "item_000.json"),
+              "--steps", "2"], tmp_path)
+    assert rc == 3
+    assert "shape mismatch for temb_lin1.w" in capsys.readouterr().err
+
+
+def test_train_refuses_t_before_reading_the_corpus(tmp_path, capsys):
+    """A schedule past MAX_T is refused where the config is built, before
+    the corpus is read: a missing corpus directory is not what fails."""
+    rc = run(["train", "--stage", "diffusion", "--corpus", str(tmp_path / "no-such-dir"),
+              "--t-steps", str(MAX_T + 1)], tmp_path)
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: data: need 1 <= T <= {MAX_T}, got {MAX_T + 1}\n"
 
 
 def test_train_adapter_zero_latent_std_exits_3(tmp_path, corpus_dir, trained_dir, capsys):

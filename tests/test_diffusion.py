@@ -108,7 +108,7 @@ def toy_setup(dtype=np.float32, seed=5):
     z0 = r.gaussian((2, 8)).astype(dtype)
     cond = ag.Var(r.gaussian((6, 5)).astype(dtype))
     mask = StoryboardMask(np.ones((8, 6), dtype=np.uint8))
-    net = with_dtype(tn.TUNet(2, 5, widths=(4,), temb_dim=8, rng=Rng(7)), dtype)
+    net = with_dtype(tn.TUNet(2, 5, widths=(4,), rng=Rng(7)), dtype)
     return z0, cond, mask, net
 
 
@@ -195,7 +195,7 @@ class CountingNet(tn.TUNet):
 
 def test_sample_calls_model_once_per_step():
     _, cond, mask, _ = toy_setup()
-    net = CountingNet(2, 5, widths=(4,), temb_dim=8, rng=Rng(7))
+    net = CountingNet(2, 5, widths=(4,), rng=Rng(7))
     T = 100
     CountingNet.calls = 0
     df.sample(net, cond, mask, (2, 8), 9, Rng(0), T)

@@ -26,6 +26,7 @@ times = st.lists(st.floats(0.0, 29.0, allow_nan=False, width=32), max_size=10)
 
 @settings(max_examples=60, deadline=None)
 @given(times, times, st.floats(1e-3, 2.0, allow_nan=False))
+@example([1.0], [0.999], 0.001)  # |1.0 - 0.999| rounds to just above 0.001
 def test_match_count_is_maximum_matching(a, b, tol):
     a = sorted(set(round(x, 4) for x in a))
     b = sorted(set(round(x, 4) for x in b))

@@ -141,12 +141,21 @@ def _calls(tree):
     return out
 
 
+# defaulted parameters that only tests pass, each with the reason it stays
+PASSED_BY_TESTS_ONLY = {
+    # the console script calls main() with no argument; argv is how a test
+    # drives the CLI in-process
+    "cli.main(argv)",
+}
+
+
 def test_defaulted_parameters_are_passed():
     """Every defaulted parameter of a public `vem` function or method is
-    passed, by keyword or by position, by some call in the package, the
-    benchmark or the tests; a default nothing overrides is a constant dressed
-    as a knob, and belongs in the code that uses it."""
-    paths = [p for d in ("src", "bench", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
+    passed, by keyword or by position, by some call in the package or the
+    benchmark (its own checks included); a default that only `tests/`
+    overrides is a constant dressed as a knob, and belongs in the code that
+    uses it. PASSED_BY_TESTS_ONLY names the exceptions."""
+    paths = [p for d in ("src", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
     calls = [c for p in paths for c in _calls(ast.parse(p.read_text(encoding="utf-8")))]
     never = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -158,7 +167,8 @@ def test_defaulted_parameters_are_passed():
                 elif name == called:
                     seen |= keywords | set(positional[:n_args])
             never += [f"{path.stem}.{qual}({p})" for p in defaulted if p not in seen]
-    assert not never, f"defaulted parameters nothing passes: {never}"
+    unexplained = sorted(set(never) - PASSED_BY_TESTS_ONLY)
+    assert not unexplained, f"defaulted parameters only tests pass: {unexplained}"
 
 
 def _all_signatures(tree):

@@ -12,7 +12,7 @@ from helpers import assemble_conditions_loop, make_annotation, with_dtype
 
 
 def tokens_for(ann, seed=0):
-    emb = TimeEmbedder(dim=64, hidden=16, rng=Rng(seed))
+    emb = TimeEmbedder(dim=64, rng=Rng(seed))
     return sg.assemble_conditions(ann, emb)
 
 
@@ -30,7 +30,7 @@ def test_spans_grouped_in_order():
     """Rows 6i..6i+5 are storyboard i's block: caption, tags, text, visual,
     start embedding, duration embedding."""
     ann = make_annotation(bounds=(0.0, 3.0, 6.0, 10.0), transitions=(3.0, 6.0))
-    emb = TimeEmbedder(dim=64, hidden=16, rng=Rng(0))
+    emb = TimeEmbedder(dim=64, rng=Rng(0))
     toks = sg.assemble_conditions(ann, emb).data
     for i, sb in enumerate(ann.storyboards):
         block = toks[6 * i:6 * i + 6]
@@ -52,7 +52,7 @@ def test_global_tokens_repeat_across_storyboards():
 
 def test_assemble_rejects_dim_mismatch():
     ann = make_annotation()
-    emb = TimeEmbedder(dim=32, hidden=8, rng=Rng(0))
+    emb = TimeEmbedder(dim=32, rng=Rng(0))
     with pytest.raises(DataError):
         sg.assemble_conditions(ann, emb)
 
@@ -68,7 +68,7 @@ def test_assemble_rejects_storyboard_feature_width(field):
 
 def test_time_tokens_carry_gradient():
     ann = make_annotation()
-    emb = TimeEmbedder(dim=64, hidden=16, rng=Rng(1))
+    emb = TimeEmbedder(dim=64, rng=Rng(1))
     toks = sg.assemble_conditions(ann, emb)
     (toks * toks).sum().backward()
     assert emb.w2.grad is not None and np.abs(emb.w2.grad).max() > 0
@@ -80,7 +80,7 @@ def test_tokens_and_gradients_match_loop_oracle(dtype):
     weight = ag.Var(Rng(3).gaussian((24, 64)).astype(dtype))
     grads = []
     for assemble in (sg.assemble_conditions, assemble_conditions_loop):
-        emb = with_dtype(TimeEmbedder(dim=64, hidden=16, rng=Rng(2)), dtype)
+        emb = with_dtype(TimeEmbedder(dim=64, rng=Rng(2)), dtype)
         toks = assemble(ann, emb)
         (toks * weight).sum().backward()
         grads.append((toks.data, [(name, p.grad) for name, p in emb.named_params()]))
@@ -213,7 +213,7 @@ def test_attention_shape_errors():
 def test_locality_perturbation():
     # non-overlapping storyboards: j's features cannot leak into i's rows
     ann = make_annotation(duration_s=8.0, bounds=(0.0, 4.0, 8.0), transitions=(4.0,))
-    emb = TimeEmbedder(dim=64, hidden=16, rng=Rng(2))
+    emb = TimeEmbedder(dim=64, rng=Rng(2))
     base = sg.assemble_conditions(ann, emb)
     mask = sg.build_mask(ann, latent_len_for_duration(8.0))
     cut = int(np.ceil(4.0 * LATENT_FPS))   # first row of storyboard 1
@@ -230,7 +230,7 @@ def test_locality_perturbation():
 
 def test_global_feature_reaches_everywhere():
     ann = make_annotation(duration_s=8.0, bounds=(0.0, 4.0, 8.0), transitions=(4.0,))
-    emb = TimeEmbedder(dim=64, hidden=16, rng=Rng(2))
+    emb = TimeEmbedder(dim=64, rng=Rng(2))
     base = sg.assemble_conditions(ann, emb)
     mask = sg.build_mask(ann, latent_len_for_duration(8.0))
     q = Rng(6).gaussian((mask.grid.shape[0], 64))

@@ -24,20 +24,20 @@ def toy_dataset(n_items=2, frames=48, feat_dim=6, seed=0):
 
 
 def test_forward_shapes():
-    net = tb.AlignerNet(6, hidden=4, rng=Rng(0))
+    net = tb.AlignerNet(6, rng=Rng(0))
     pen, logits = net.forward(np.zeros((6, 20), dtype=np.float32))
-    assert pen.shape == (20, 4)  # time-major
+    assert pen.shape == (20, tb.ALIGNER_HIDDEN)  # time-major
     assert logits.shape == (20,)
 
 
 def test_forward_rejects_wrong_dim():
-    net = tb.AlignerNet(6, hidden=4, rng=Rng(0))
+    net = tb.AlignerNet(6, rng=Rng(0))
     with pytest.raises(DataError):
         net.forward(np.zeros((5, 20)))
 
 
 def test_aligner_gradients_match_fd():
-    net = with_dtype(tb.AlignerNet(3, hidden=4, rng=Rng(5)), np.float64)
+    net = with_dtype(tb.AlignerNet(3, rng=Rng(5)), np.float64)
     feats = Rng(6).gaussian((3, 7))
     labels = (Rng(7).uniform(7) > 0.5).astype(np.float64)
     tb.aligner_loss(net, feats, labels).backward()
@@ -82,7 +82,7 @@ def test_training_rejects_bad_datasets():
 
 
 def test_aligner_features_identity_length():
-    net = tb.AlignerNet(4, hidden=5, rng=Rng(3))
+    net = tb.AlignerNet(4, rng=Rng(3))
     feats = Rng(8).gaussian((4, 12))
     pen, _ = net.forward(feats)
     out = tb.aligner_features(net, feats, 12)
@@ -90,26 +90,26 @@ def test_aligner_features_identity_length():
 
 
 def test_aligner_features_interp_oracle():
-    net = tb.AlignerNet(4, hidden=5, rng=Rng(3))
+    net = tb.AlignerNet(4, rng=Rng(3))
     feats = Rng(8).gaussian((4, 12))
     pen, _ = net.forward(feats)
     out = tb.aligner_features(net, feats, 6)
     ref = linear_interp(pen.data.astype(np.float64), 6)
     np.testing.assert_allclose(out, ref, atol=1e-6)
-    assert out.shape == (6, 5)
+    assert out.shape == (6, tb.ALIGNER_HIDDEN)
 
 
 def test_aligner_features_constant_rows():
     class Fixed(tb.AlignerNet):
         def forward(self, ff):
             import vem.autograd as ag
-            pen = ag.Var(np.full((ff.shape[1], self.hidden), 2.5, dtype=np.float32))
+            pen = ag.Var(np.full((ff.shape[1], tb.ALIGNER_HIDDEN), 2.5, dtype=np.float32))
             return pen, ag.Var(np.zeros(ff.shape[1], dtype=np.float32))
 
-    net = Fixed(4, hidden=3, rng=Rng(0))
+    net = Fixed(4, rng=Rng(0))
     for latent_len in (5, 12, 31):
         out = tb.aligner_features(net, np.zeros((4, 12), dtype=np.float32), latent_len)
-        assert out.shape == (latent_len, 3)
+        assert out.shape == (latent_len, tb.ALIGNER_HIDDEN)
         np.testing.assert_allclose(out, 2.5, atol=1e-6)
 
 
@@ -117,38 +117,38 @@ def test_aligner_features_constant_rows():
 
 
 def test_adapter_zero_init_is_exact_noop():
-    p = tb.AdapterParams(hidden=5, channels=3)
+    p = tb.AdapterParams(channels=3)
     z = Rng(9).gaussian((3, 8)).astype(np.float32).T
-    feats = Rng(10).gaussian((5, 8)).astype(np.float32).T
+    feats = Rng(10).gaussian((tb.ALIGNER_HIDDEN, 8)).astype(np.float32).T
     out = tb.apply_adapter(z, feats, p).data
     assert (out == z).all()
 
 
 def test_adapter_forced_gamma_one_doubles():
-    p = tb.AdapterParams(hidden=2, channels=3)
+    p = tb.AdapterParams(channels=3)
     p.gamma_b.data = np.ones(3, dtype=np.float32)
     z = Rng(9).gaussian((3, 6)).astype(np.float32).T
-    feats = np.zeros((6, 2), dtype=np.float32)
+    feats = np.zeros((6, tb.ALIGNER_HIDDEN), dtype=np.float32)
     np.testing.assert_allclose(tb.apply_adapter(z, feats, p).data, 2 * z, atol=1e-6)
 
 
 def test_adapter_forced_gamma_minus_one_zeroes():
-    p = tb.AdapterParams(hidden=2, channels=3)
+    p = tb.AdapterParams(channels=3)
     p.gamma_b.data = -np.ones(3, dtype=np.float32)
     z = Rng(9).gaussian((3, 6)).astype(np.float32).T
-    feats = np.zeros((6, 2), dtype=np.float32)
+    feats = np.zeros((6, tb.ALIGNER_HIDDEN), dtype=np.float32)
     np.testing.assert_allclose(tb.apply_adapter(z, feats, p).data, 0.0, atol=1e-6)
 
 
 def test_adapter_rejects_length_mismatch():
-    p = tb.AdapterParams(hidden=2, channels=3)
+    p = tb.AdapterParams(channels=3)
     with pytest.raises(DataError):
-        tb.apply_adapter(np.zeros((3, 6)), np.zeros((2, 5)), p)
+        tb.apply_adapter(np.zeros((6, 3)), np.zeros((5, tb.ALIGNER_HIDDEN)), p)
 
 
 def test_adapter_beta_adds():
-    p = tb.AdapterParams(hidden=2, channels=2)
-    p.beta_w.data = np.ones((2, 2), dtype=np.float32)
+    p = tb.AdapterParams(channels=2)
+    p.beta_w.data = np.ones((tb.ALIGNER_HIDDEN, 2), dtype=np.float32)
     z = np.zeros((4, 2), dtype=np.float32)
-    feats = np.ones((4, 2), dtype=np.float32)
-    np.testing.assert_allclose(tb.apply_adapter(z, feats, p).data, 2.0, atol=1e-6)
+    feats = np.ones((4, tb.ALIGNER_HIDDEN), dtype=np.float32)
+    np.testing.assert_allclose(tb.apply_adapter(z, feats, p).data, tb.ALIGNER_HIDDEN, atol=1e-6)

@@ -113,7 +113,7 @@ def test_stage_adapter_attaches_and_trains(corpus):
     unet, temb, meta, _ = tr.train_stage_diffusion(corpus, cfg)
     unet, temb, meta, losses = tr.train_stage_adapter(corpus, cfg, aligner, unet, temb, meta)
     assert meta["stage"] == "adapter"
-    assert unet.adapters[0].gamma_w.shape[0] == aligner.hidden == ALIGNER_HIDDEN
+    assert unet.adapters[0].gamma_w.shape[0] == aligner.head.w.shape[1] == ALIGNER_HIDDEN
     assert len(losses) == 6 and all(np.isfinite(losses))
 
 
@@ -264,10 +264,10 @@ def test_training_loss_tapes_only_float32(corpus):
     ann, wav = corpus[0]
     z0 = latent_encode(logmel(wav)).values.astype(np.float32)
     mask = build_mask(ann, z0.shape[1])
-    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), temb_dim=16, rng=Rng(1))
-    unet.attach_adapters(6)
-    temb = TimeEmbedder(len(ann.caption_feat), hidden=8, rng=Rng(2))
-    feats = Rng(3).gaussian((40, 6)).astype(np.float32)
+    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), rng=Rng(1))
+    unet.attach_adapters()
+    temb = TimeEmbedder(len(ann.caption_feat), rng=Rng(2))
+    feats = Rng(3).gaussian((40, ALIGNER_HIDDEN)).astype(np.float32)
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
                          50, aligner_feats=feats)
     loss.backward()
@@ -289,14 +289,14 @@ def _stage_c_loss(ann, wav, dtype):
     `dtype`, with every zero-initialized weight moved off zero."""
     z0 = latent_encode(logmel(wav)).values.astype(dtype)
     mask = build_mask(ann, z0.shape[1])
-    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), temb_dim=16, rng=Rng(1))
-    unet.attach_adapters(6)
+    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), rng=Rng(1))
+    unet.attach_adapters()
     with_dtype(unet, dtype)
-    temb = with_dtype(TimeEmbedder(len(ann.caption_feat), hidden=8, rng=Rng(2)), dtype)
+    temb = with_dtype(TimeEmbedder(len(ann.caption_feat), rng=Rng(2)), dtype)
     r = Rng(5)
     for p in unet.params() + temb.params():
         p.data = p.data + (0.05 * r.gaussian(p.shape)).astype(dtype)
-    feats = Rng(3).gaussian((40, 6)).astype(dtype)
+    feats = Rng(3).gaussian((40, ALIGNER_HIDDEN)).astype(dtype)
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
                          50, aligner_feats=feats)
     loss.backward()

@@ -7,6 +7,7 @@ from vem import tunet as tn
 from vem.errors import DataError
 from vem.rng import Rng
 from vem.sgcatt import StoryboardMask, sg_cross_attention
+from vem.tbalign import ALIGNER_HIDDEN
 
 
 def make_inputs(channels=6, length=12, n_tok=6, cond_dim=10, seed=0):
@@ -18,7 +19,7 @@ def make_inputs(channels=6, length=12, n_tok=6, cond_dim=10, seed=0):
 
 
 def make_net(channels=6, cond_dim=10, widths=(8, 12), seed=1):
-    return tn.TUNet(channels, cond_dim, widths=widths, temb_dim=16, rng=Rng(seed))
+    return tn.TUNet(channels, cond_dim, widths=widths, rng=Rng(seed))
 
 
 # -- step embedding --------------------------------------------------------
@@ -31,11 +32,6 @@ def test_sinusoidal_embedding_basics():
     np.testing.assert_allclose(e0[4:], 1.0, atol=1e-7)   # cos(0)
     e1 = tn.sinusoidal_step_embedding(17, 8)
     assert np.abs(e1 - e0).max() > 0.1
-
-
-def test_odd_temb_dim_is_rejected():
-    with pytest.raises(ValueError):
-        tn.TUNet(240, 64, widths=(8,), temb_dim=5)
 
 
 # -- shape contract --------------------------------------------------------
@@ -134,8 +130,8 @@ def test_fresh_adapter_is_exact_noop():
     net = make_net()
     _nudge_from_zero(net)
     before = net(z, 8, cond, mask).data.copy()
-    net.attach_adapters(aligner_hidden=5)
-    feats = Rng(9).gaussian((12, 5)).astype(np.float32)  # (L, hidden)
+    net.attach_adapters()
+    feats = Rng(9).gaussian((12, ALIGNER_HIDDEN)).astype(np.float32)
     after = net(z, 8, cond, mask, aligner_feats=feats).data
     np.testing.assert_array_equal(before, after)
 
@@ -144,9 +140,9 @@ def test_trained_adapter_changes_output():
     z, cond, mask = make_inputs()
     net = make_net()
     _nudge_from_zero(net)
-    net.attach_adapters(aligner_hidden=5)
+    net.attach_adapters()
     net.adapters[0].beta_b.data = np.full_like(net.adapters[0].beta_b.data, 0.3)
-    feats = Rng(9).gaussian((12, 5)).astype(np.float32)  # (L, hidden)
+    feats = Rng(9).gaussian((12, ALIGNER_HIDDEN)).astype(np.float32)
     with_feats = net(z, 8, cond, mask, aligner_feats=feats).data
     without = net(z, 8, cond, mask).data
     assert np.abs(with_feats - without).max() > 1e-6
@@ -154,11 +150,11 @@ def test_trained_adapter_changes_output():
 
 def test_adapter_state_round_trips():
     net = make_net()
-    net.attach_adapters(aligner_hidden=5)
+    net.attach_adapters()
     net.adapters[0].gamma_b.data = np.full_like(net.adapters[0].gamma_b.data, 0.5)
     state = net.state_dict()
     other = make_net(seed=99)
-    other.attach_adapters(aligner_hidden=5)
+    other.attach_adapters()
     other.load_state_dict(state)
     np.testing.assert_array_equal(other.adapters[0].gamma_b.data,
                                   net.adapters[0].gamma_b.data)
@@ -187,7 +183,7 @@ def test_gradcheck_sampled_parameters():
     z = r.gaussian((3, 6))
     cond = ag.Var(r.gaussian((6, 5)))
     mask = StoryboardMask(np.ones((6, 6), dtype=np.uint8))
-    net = with_dtype(tn.TUNet(3, 5, widths=(4, 6), temb_dim=8, rng=Rng(2)), np.float64)
+    net = with_dtype(tn.TUNet(3, 5, widths=(4, 6), rng=Rng(2)), np.float64)
     net.out_conv.w.data = net.out_conv.w.data + 0.05
     net.res_proj.w.data = net.res_proj.w.data + 0.05
     target = r.gaussian((3, 6))
