@@ -36,7 +36,6 @@ import threading
 import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.signal import firwin
 
 from .errors import DataError
 
@@ -236,6 +235,8 @@ def _resample_plan(up, down):
 
 def _design_plan(up, down):
     """Design the FIR of a reduced rate pair and lay out its `_ResamplePlan`."""
+    from scipy.signal import firwin  # imported here: it is most of `import vem`
+
     m = max(up, down)
     h = firwin(80 * m + 1, 0.97 / m, window=("kaiser", 7.0)) * up
     half = (len(h) - 1) // 2

@@ -25,13 +25,24 @@ The layer primitives are fused, one tape node each: `linear` (x @ w + b),
 `Var.silu`. A gradient that already has its operand's shape is handed on
 as the same array, not copied, so one array may be the `.grad` of several
 nodes: no backward closure may write into its incoming `g`, and `_accum`
-never adds in place.
+adds in place only into a gradient slot (below), which no other node holds.
+
+`Adam` packs its parameters into one flat arena: each parameter's `.data`
+becomes a reshaped view of its slice of one buffer, and its gradient slot
+(`_gslot`) a view of the same slice of a second buffer. The kernels that
+produce weight gradients (`linear` and `conv1d` w and b, `layer_norm` gain
+and bias) write the first gradient of a step straight into the slot with
+`out=` (`_grad_buffer`), so a step's gradients are gathered by the time
+backward() returns, and `Adam.step` walks the arena in cache-sized chunks.
+Modules, `state_dict` and checkpoints see ordinary arrays; code that must
+change a parameter writes into `p.data[...]`, as `load_state_dict` does.
 
 The kernels a training step spends its time in keep their passes few:
 `conv1d` builds its im2col columns with one strided slice write per tap
 and no padded copy of the input, `layer_norm` takes its row means (forward
 and backward) as GEMVs against a 1/n vector, and `Adam` keeps its moments
-pre-scaled so a step is ten in-place passes with one temporary.
+pre-scaled so a step is ten in-place passes per chunk with one scratch
+chunk.
 
 `no_grad()` disables taping wholesale; sampling loops run inside it so the
 graph never grows. The switch is a context variable, so it holds for the
@@ -43,6 +54,7 @@ import contextvars
 import math
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 
 from .errors import DataError
 
@@ -104,7 +116,7 @@ def _node(data, parents, backward):
 class Var:
     """Array node on the autodiff tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_gslot")
     __array_priority__ = 100  # keep numpy from hijacking ndarray (op) Var
 
     def __init__(self, data, requires_grad=False):
@@ -113,6 +125,7 @@ class Var:
         self.requires_grad = bool(requires_grad) and _grad_enabled.get()
         self._backward = None
         self._prev = ()
+        self._gslot = None   # this leaf's view into an Adam gradient arena
 
     # -- graph plumbing ----------------------------------------------------
 
@@ -126,10 +139,29 @@ class Var:
 
     def _accum(self, grad):
         grad = np.asarray(grad, dtype=self.data.dtype)
+        slot = self._gslot
         if self.grad is None:
-            self.grad = grad.copy() if grad.base is not None else grad
+            if slot is None:
+                self.grad = grad.copy() if grad.base is not None else grad
+            else:
+                if grad is not slot:
+                    slot[...] = grad
+                self.grad = slot
+        elif self.grad is slot:
+            slot += grad
         else:
             self.grad = self.grad + grad
+
+    def _grad_buffer(self, dtype):
+        """An array of this Var's shape for a kernel that computes in
+        `dtype` to write a gradient into with `out=` before handing it to
+        `_accum`: the gradient slot while no gradient has arrived this step
+        and the dtypes agree, so the write is the whole accumulation, else a
+        fresh array."""
+        slot = self._gslot
+        if self.grad is None and slot is not None and slot.dtype == dtype:
+            return slot
+        return np.empty(self.shape, dtype)
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into the `.grad` of every leaf behind
@@ -179,6 +211,11 @@ class Var:
     def __mul__(self, other):
         other = as_var(other, self)
         def back(g):
+            if other is self:  # a square: both terms are one product, made once
+                ga = g * self.data
+                self._accum(ga)
+                self._accum(ga)
+                return
             self.requires_grad and self._accum(_unbroadcast(g * other.data, self.shape))
             other.requires_grad and other._accum(_unbroadcast(g * self.data, other.shape))
         return _node(self.data * other.data, (self, other), back)
@@ -293,8 +330,10 @@ class Var:
         xhat *= inv
         def back(g):
             g2 = g.reshape(-1, n)
-            gain.requires_grad and gain._accum(np.einsum("ri,ri->i", g2, xhat.reshape(-1, n)))
-            bias.requires_grad and bias._accum(g2.sum(axis=0))
+            if gain.requires_grad:
+                gain._accum(np.einsum("ri,ri->i", g2, xhat.reshape(-1, n),
+                                      out=gain._grad_buffer(g.dtype)))
+            bias.requires_grad and bias._accum(np.sum(g2, axis=0, out=bias._grad_buffer(g.dtype)))
             if self.requires_grad:
                 gh = g * gain.data
                 gx = ((gh * xhat) @ mean_w)[..., None]
@@ -364,9 +403,11 @@ def conv1d(x, w, b=None, stride=1, padding=0):
 
     def back(g):
         if w.requires_grad:
-            w._accum((g.T @ cols).reshape(w.shape))
+            gw = w._grad_buffer(g.dtype)
+            np.matmul(g.T, cols, out=gw.reshape(cout, cin * k))
+            w._accum(gw)
         if b is not None and b.requires_grad:
-            b._accum(g.sum(axis=0))
+            b._accum(np.sum(g, axis=0, out=b._grad_buffer(g.dtype)))
         if x.requires_grad:
             gcols = (g @ wm).reshape(lout, cin, k)
             gx = np.zeros_like(x.data)
@@ -384,8 +425,15 @@ def linear(x, w, b):
     out += b.data
     def back(g):
         x.requires_grad and x._accum(g @ w.data.T)
-        w.requires_grad and w._accum(np.outer(x.data, g) if x.ndim == 1 else x.data.T @ g)
-        b.requires_grad and b._accum(g if g.ndim == 1 else g.sum(axis=0))
+        if w.requires_grad:
+            gw = w._grad_buffer(g.dtype)
+            if x.ndim == 1:
+                np.outer(x.data, g, out=gw)
+            else:
+                np.matmul(x.data.T, g, out=gw)
+            w._accum(gw)
+        if b.requires_grad:
+            b._accum(g if g.ndim == 1 else np.sum(g, axis=0, out=b._grad_buffer(g.dtype)))
     return _node(out, (x, w, b), back)
 
 
@@ -438,7 +486,7 @@ class Module:
             arr = np.asarray(state[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:
                 raise DataError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data = arr.copy()
+            p.data[...] = arr   # in place: an Adam built over p steps this array
 
 
 def param(data):
@@ -478,36 +526,131 @@ class Conv1d(Module):
 class Adam:
     """Adam (Kingma & Ba 2015, arXiv:1412.6980) with bias correction.
 
-    The moments live beside the param list, one pair per parameter in the
-    parameter's own dtype, kept pre-scaled: `_m` holds m / (1 - b1) and `_v`
-    holds v / (1 - b2), so each update is m~ = b1 m~ + g, v~ = b2 v~ + g^2
-    with no multiply of g. The bias corrections c1 = 1 - b1^t and
-    c2 = 1 - b2^t and both scales fold into two scalars,
+    The moments are kept pre-scaled, in the parameters' dtype: `_m` holds
+    m / (1 - b1) and `_v` holds v / (1 - b2), so each update is
+    m~ = b1 m~ + g, v~ = b2 v~ + g^2 with no multiply of g. The bias
+    corrections c1 = 1 - b1^t and c2 = 1 - b2^t and both scales fold into
+    two scalars,
 
         k = sqrt((1 - b2) / c2),  s = lr (1 - b1) / (c1 k),  eps~ = eps / k,
         p -= s * m~ / (sqrt(v~) + eps~),
 
     which is p -= (lr / c1) m / (sqrt(v / c2) + eps) rearranged: ten in-place
-    passes and one temporary per parameter. Hyperparameters are Python
-    floats, so a float32 parameter is stepped in float32 throughout. A
-    parameter whose grad is None is skipped: its data, m~ and v~ stay as
-    they are.
+    passes and one scratch array. Hyperparameters are Python floats, so a
+    float32 parameter is stepped in float32 throughout.
+
+    The arena. When every parameter is float32, or every one float64, the
+    constructor packs them in list order into one flat buffer and rebinds
+    each `.data` to a reshaped view of its slice. Gradients, m~ and v~ get
+    three more flat buffers laid out alike: the gradient views are the
+    parameters' `_gslot`s, which the weight-gradient kernels write into,
+    and `_m` / `_v` hold the moment views. `step` walks the four buffers
+    CHUNK elements at a time, so each chunk takes all ten passes while it is
+    in cache, with BLAS scal/axpy for the scale and add passes. Every
+    element sees the same operations in the same order as in a
+    per-parameter step, so the result is bit-identical. A `.grad` that is a
+    separate array (one set by hand, say) is copied into its slot first.
+
+    Only the parameters hold views into the arena (`.data`, `.grad`,
+    `_gslot`); `state_dict` hands out copies, and a new value goes into
+    `p.data[...]`. A new Adam over a parameter first releases the older
+    arena's gradient slot (and a `.grad` that is that slot), then moves the
+    data into its own arena.
+
+    A step where some `.grad` is None, or some `.data` is no longer its
+    arena view, runs the ten passes parameter by parameter instead, and
+    skips a parameter whose grad is None: its data, m~ and v~ stay as they
+    are. A list of mixed dtypes gets no arena and always steps that way. A
+    parameter listed twice raises ValueError.
+
+    `params` is a list of Vars, or a dict naming them (as
+    `Module.named_params` does) so that `minimize` can name a parameter
+    whose gradient is not finite.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults; only lr varies
+    CHUNK = 1 << 15  # elements per chunk of the arena walk
 
     def __init__(self, params, lr=1e-3):
-        self._params = list(params)
+        named = (list(params.items()) if isinstance(params, dict)
+                 else [(f"parameter {i}", p) for i, p in enumerate(params)])
+        self._names = [name for name, _ in named]
+        self._params = [p for _, p in named]
+        if len({id(p) for p in self._params}) != len(self._params):
+            raise ValueError("Adam: a parameter is listed twice")
         self.lr = lr
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self._params]
-        self._v = [np.zeros_like(p.data) for p in self._params]
+        for p in self._params:  # free an older arena's gradients before allocating
+            if p.grad is p._gslot:
+                p.grad = None
+            p._gslot = None
+        dtypes = {p.data.dtype for p in self._params} or {np.dtype(np.float32)}
+        dtype = dtypes.pop()
+        if dtypes or dtype not in (np.float32, np.float64):
+            self._arena = None
+            self._m = [np.zeros_like(p.data) for p in self._params]
+            self._v = [np.zeros_like(p.data) for p in self._params]
+            return
+        self._scal, self._axpy = get_blas_funcs(("scal", "axpy"), dtype=dtype)
+        ends = np.cumsum([p.data.size for p in self._params]).tolist()
+        n = ends[-1] if ends else 0
+
+        def views(buf):
+            return [buf[e - p.data.size:e].reshape(p.shape) for p, e in zip(self._params, ends)]
+
+        data = np.empty(n, dtype)
+        self._data_views = views(data)
+        for p, view in zip(self._params, self._data_views):
+            view[...] = p.data
+            p.data = view
+        grads = np.zeros(n, dtype)
+        for p, view in zip(self._params, views(grads)):
+            p._gslot = view
+        m, v = np.zeros(n, dtype), np.zeros(n, dtype)
+        self._m, self._v = views(m), views(v)
+        self._arena = (data, grads, m, v)
+
+    def _gather(self):
+        """True when the arena can take this step whole: every `.data` is
+        still its arena view and every `.grad` is set. A `.grad` that is a
+        separate array is copied into its slot on the way."""
+        if self._arena is None:
+            return False
+        for p, view in zip(self._params, self._data_views):
+            g = p.grad
+            if p.data is not view or g is None:
+                return False
+            if g is not p._gslot:
+                p._gslot[...] = g
+                p.grad = p._gslot
+        return True
 
     def step(self):
         self.t += 1
         k = ((1 - self.b2) / (1 - self.b2 ** self.t)) ** 0.5
         scale = self.lr * (1 - self.b1) / ((1 - self.b1 ** self.t) * k)
         eps = self.eps / k
+        if self._gather():
+            # the ten passes of the per-parameter loop below, chunk by chunk;
+            # the scale and add passes are BLAS scal and axpy (a = +-1), which
+            # round as numpy does (a fused axpy(d, p, a=-scale) would not)
+            scal, axpy = self._scal, self._axpy
+            data, grads, m, v = self._arena
+            scratch = np.empty(min(data.size, self.CHUNK), data.dtype)
+            for a in range(0, data.size, self.CHUNK):
+                b = min(a + self.CHUNK, data.size)
+                p, g, mc, vc, d = data[a:b], grads[a:b], m[a:b], v[a:b], scratch[:b - a]
+                scal(self.b1, mc)
+                axpy(g, mc)
+                scal(self.b2, vc)
+                np.multiply(g, g, out=d)
+                axpy(d, vc)
+                np.sqrt(vc, out=d)
+                d += eps
+                np.divide(mc, d, out=d)
+                scal(scale, d)
+                axpy(d, p, a=-1.0)
+            return
         for p, m, v in zip(self._params, self._m, self._v):
             g = p.grad
             if g is None:
@@ -533,8 +676,10 @@ class Adam:
 
         Each step runs zero_grad -> forward -> backward -> step and drops its
         graph before the next forward builds its own. A non-finite loss
-        raises DataError naming the step before backward() or step() runs,
-        so the parameters keep the values the previous step left.
+        raises DataError naming the step before backward() runs, and a
+        non-finite gradient raises DataError naming the step and the
+        parameter before step() runs, so the parameters, the moments and
+        `t` keep the values the previous step left.
         """
         losses = []
         for i in range(steps):
@@ -544,7 +689,21 @@ class Adam:
             if not math.isfinite(value):
                 raise DataError(f"step {i}: loss is {value}")
             loss.backward()
+            self._check_gradients(i)
             self.step()
             losses.append(value)
             del loss  # the step's graph goes before the next forward
         return losses
+
+    def _check_gradients(self, step):
+        """Raise DataError naming the first parameter whose gradient is not
+        finite. Over a gathered arena one dot product clears the usual case;
+        the per-parameter scan runs only when it is not finite (a sum that
+        overflowed on finite entries passes) or there is no arena."""
+        if self._gather():
+            grads = self._arena[1]
+            if math.isfinite(float(np.dot(grads, grads))):
+                return
+        for name, p in zip(self._names, self._params):
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise DataError(f"step {step}: gradient of {name} is not finite")

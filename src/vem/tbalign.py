@@ -79,7 +79,7 @@ def train_aligner(dataset, steps, seed):
         terms = (aligner_loss(net, feats, labels) for feats, labels in dataset)
         return functools.reduce(operator.add, terms) * (1.0 / len(dataset))
 
-    return net, ag.Adam(net.params(), lr=ALIGNER_LR).minimize(loss_of, steps)
+    return net, ag.Adam(dict(net.named_params()), lr=ALIGNER_LR).minimize(loss_of, steps)
 
 
 def aligner_features(net, frame_features, latent_len):

@@ -120,7 +120,8 @@ def _run_diffusion_loop(items, unet, temb, T, steps, lr, rng):
         return training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, T,
                              aligner_feats=afeats)
 
-    return ag.Adam(unet.params() + temb.params(), lr=lr).minimize(loss_of, steps)
+    params = dict(unet.named_params("unet") + temb.named_params("time_embedder"))
+    return ag.Adam(params, lr=lr).minimize(loss_of, steps)
 
 
 def train_stage_diffusion(corpus, cfg):

@@ -300,3 +300,55 @@ def use_unfused_ops(monkeypatch):
     monkeypatch.setattr(ag, "linear", linear_unfused)
     monkeypatch.setattr(ag.Var, "layer_norm", layer_norm_unfused)
     monkeypatch.setattr(ag.Var, "silu", silu_expit)
+
+
+class AdamPerArray:
+    """`ag.Adam` as it ran before the flat arena: one pre-scaled moment pair
+    per parameter array and the ten in-place passes run array by array,
+    with no gradient check in `minimize`. The oracle the arena must match
+    bit for bit; it takes a list of Vars or a dict naming them, as
+    `ag.Adam` does, so it can stand in for it."""
+
+    b1, b2, eps = ag.Adam.b1, ag.Adam.b2, ag.Adam.eps
+
+    def __init__(self, params, lr=1e-3):
+        self._params = list(params.values() if isinstance(params, dict) else params)
+        self.lr = lr
+        self.t = 0
+        self._m = [np.zeros_like(p.data) for p in self._params]
+        self._v = [np.zeros_like(p.data) for p in self._params]
+
+    def step(self):
+        self.t += 1
+        k = ((1 - self.b2) / (1 - self.b2 ** self.t)) ** 0.5
+        scale = self.lr * (1 - self.b1) / ((1 - self.b1 ** self.t) * k)
+        eps = self.eps / k
+        for p, m, v in zip(self._params, self._m, self._v):
+            g = p.grad
+            if g is None:
+                continue
+            m *= self.b1
+            m += g
+            v *= self.b2
+            d = np.multiply(g, g)
+            v += d
+            np.sqrt(v, out=d)
+            d += eps
+            np.divide(m, d, out=d)
+            d *= scale
+            p.data -= d
+
+    def zero_grad(self):
+        for p in self._params:
+            p.grad = None
+
+    def minimize(self, loss_of, steps):
+        losses = []
+        for i in range(steps):
+            self.zero_grad()
+            loss = loss_of(i)
+            loss.backward()
+            self.step()
+            losses.append(float(loss.data))
+            del loss
+        return losses

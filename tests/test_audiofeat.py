@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -451,3 +454,18 @@ def test_snr_equal_noise_fails_gate():
 def test_snr_wall_to_wall_tone_near_zero():
     snr = af.estimate_snr(af.Waveform(sine(440, 2.0), SR))
     assert abs(snr) < 1.0
+
+
+def test_import_vem_does_not_load_scipy_signal():
+    """`scipy.signal` is most of the time `import vem` took; only a
+    resampler design needs it, and `_design_plan` imports it there."""
+    code = "\n".join([
+        "import sys", "import numpy as np", "import vem, vem.cli",
+        "loaded = 'scipy.signal' in sys.modules",
+        "vem.resample(vem.Waveform(np.zeros(441, np.float32), 44100), 16000)",
+        "print(loaded, 'scipy.signal' in sys.modules)"])
+    src = os.path.dirname(os.path.dirname(af.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == ["False", "True"]
+

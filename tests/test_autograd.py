@@ -2,7 +2,8 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import backward_retaining, conv1d_window_view, tape_nodes, with_dtype
+from helpers import (AdamPerArray, backward_retaining, conv1d_window_view, tape_nodes,
+                     with_dtype)
 from scipy.special import expit
 
 from vem import autograd as ag
@@ -558,6 +559,141 @@ def test_minimize_refuses_a_non_finite_loss_before_touching_weights(bad):
     assert (v.data.tobytes(), opt._m[0].tobytes(), opt._v[0].tobytes()) == \
         (before["p"], before["m"], before["v"])
     assert v.grad is None
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_minimize_refuses_a_non_finite_gradient_before_touching_weights(bad):
+    """A finite loss whose backward yields a non-finite gradient raises
+    DataError naming the step and the parameter; the weights, moments and
+    `t` keep exactly what the last good step left."""
+    u = ag.param(np.zeros(2, dtype=np.float32))
+    v = ag.param(np.array([5.0, -3.0], dtype=np.float32))
+    opt = ag.Adam({"u": u, "v": v}, lr=0.1)
+    big = np.float32(3e38)
+    before = {}
+
+    def loss_of(step):
+        both = (u + v).sum() * 0.0  # every parameter gets a gradient; u stays 0
+        if step < 3:
+            return _quadratic_loss(v)(step) + both
+        before.update(data=[p.data.tobytes() for p in (u, v)], t=opt.t,
+                      m=[a.tobytes() for a in opt._m], v=[a.tobytes() for a in opt._v])
+        # a zero loss: d/du = 10 * 3e38 overflows to inf, and d/dv = 0 * inf is nan
+        return ((u if bad == "inf" else v * 0.0) * big).sum() * 10.0 + both
+
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DataError, match=f"step 3: gradient of {'u' if bad == 'inf' else 'v'} "
+                                           "is not finite"):
+        opt.minimize(loss_of, 6)
+    assert before["t"] == opt.t == 3
+    assert [p.data.tobytes() for p in (u, v)] == before["data"]
+    assert [a.tobytes() for a in opt._m] == before["m"]
+    assert [a.tobytes() for a in opt._v] == before["v"]
+
+
+def test_minimize_steps_on_when_only_the_gradient_square_sum_overflows():
+    """Finite gradients whose float32 sum of squares overflows still step."""
+    v = ag.param(np.array([5.0, -3.0, 1.0, 2.0], dtype=np.float32))
+    opt = ag.Adam([v], lr=0.1)
+    with np.errstate(over="ignore"):
+        opt.minimize(lambda step: (v * np.float32(1e19)).sum(), 1)
+        assert np.isinf(np.dot(v.grad, v.grad))
+    assert opt.t == 1
+    np.testing.assert_allclose(v.data, [4.9, -3.1, 0.9, 1.9], rtol=1e-6)
+
+
+# -- the flat arena against the per-array oracle -------------------------------
+
+
+def _twin_params(shapes, dtypes, seed=0):
+    """The same initial parameters twice: for `ag.Adam` and for the oracle."""
+    r = Rng(seed)
+    init = [r.gaussian(s).astype(d) for s, d in zip(shapes, dtypes)]
+    return [ag.param(a.copy()) for a in init], [ag.param(a.copy()) for a in init]
+
+
+def _assert_same_adam_state(opt, ref):
+    """Byte-equal parameters, m~ and v~, and the same step count."""
+    assert opt.t == ref.t
+    for name, a, b in (("data", [p.data for p in opt._params], [p.data for p in ref._params]),
+                       ("m", opt._m, ref._m), ("v", opt._v, ref._v)):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+SHAPES = [(3, 4), (5,), (2, 3, 2), (1,)]
+
+
+@pytest.mark.parametrize("dtypes", [
+    [np.float32] * 4, [np.float64] * 4, [np.float32, np.float64, np.float32, np.float64],
+], ids=["float32", "float64", "mixed"])
+def test_arena_matches_the_per_array_oracle_with_a_grad_none_step(dtypes, monkeypatch):
+    """Hand-set gradients (copied into their slots), chunk edges inside
+    parameters (CHUNK = 7 over sizes 12, 5, 12, 1), a step where one
+    `.grad` is None (that parameter keeps data and moments), and the
+    per-parameter steps a mixed-dtype list always takes."""
+    monkeypatch.setattr(ag.Adam, "CHUNK", 7)
+    ps, qs = _twin_params(SHAPES, dtypes)
+    opt, ref = ag.Adam(ps, lr=0.05), AdamPerArray(qs, lr=0.05)
+    assert (opt._arena is None) == (len(set(dtypes)) > 1)
+    r = Rng(1)
+    for step in range(6):
+        for p, q, d in zip(ps, qs, dtypes):
+            g = r.gaussian(p.shape).astype(d)
+            p.grad, q.grad = g.copy(), g.copy()
+        if step == 3:
+            ps[2].grad = qs[2].grad = None
+        opt.step()
+        ref.step()
+        _assert_same_adam_state(opt, ref)
+
+
+def test_arena_rejects_a_parameter_listed_twice():
+    a, b = ag.param(np.ones(2, dtype=np.float32)), ag.param(np.ones(3, dtype=np.float32))
+    with pytest.raises(ValueError, match="twice"):
+        ag.Adam([a, b, a])
+    with pytest.raises(ValueError, match="twice"):
+        ag.Adam({"a": a, "b": b, "a2": a})
+
+
+def test_arena_steps_weights_loaded_after_it_was_built():
+    """`load_state_dict` writes into the arena views, so the optimizer built
+    before the load steps the loaded weights, as the oracle does."""
+    net, ref_net = TwoLayer(Rng(5)), TwoLayer(Rng(5))
+    opt, ref = ag.Adam(net.params(), lr=0.01), AdamPerArray(ref_net.params(), lr=0.01)
+    state = TwoLayer(Rng(9)).state_dict()
+    net.load_state_dict(state)
+    ref_net.load_state_dict(state)
+    assert all(np.shares_memory(p.data, opt._arena[0]) for p in net.params())
+    x = Rng(1).gaussian((3, 4)).astype(np.float32)
+    for o, n in ((opt, net), (ref, ref_net)):
+        o.minimize(lambda step, n=n: square_sum(n(ag.Var(x))), 5)
+    _assert_same_adam_state(opt, ref)
+    assert net.state_dict().keys() == state.keys()
+    assert all(not np.array_equal(net.state_dict()[k], state[k]) for k in state)
+
+
+def test_a_new_adam_releases_the_old_arena_and_takes_the_data_over():
+    """The second optimizer frees the first one's gradient slots (and the
+    `.grad` that was a slot) before allocating, then holds every parameter
+    in its own arena; the first one, stepped again, still steps the data
+    the parameters hold."""
+    net = TwoLayer(Rng(5))
+    x = Rng(1).gaussian((3, 4)).astype(np.float32)
+    first = ag.Adam(net.params(), lr=0.01)
+    first.minimize(lambda step: square_sum(net(ag.Var(x))), 2)
+    assert all(p.grad is p._gslot for p in net.params())
+    values = [p.data.copy() for p in net.params()]
+    second = ag.Adam(net.params(), lr=0.01)
+    for p, val in zip(net.params(), values):
+        assert p.grad is None
+        assert np.shares_memory(p.data, second._arena[0])
+        assert np.shares_memory(p._gslot, second._arena[1])
+        np.testing.assert_array_equal(p.data, val)
+    second.minimize(lambda step: square_sum(net(ag.Var(x))), 1)
+    moved = [p.data.copy() for p in net.params()]
+    first.step()  # falls back to per-parameter steps on the data the params hold
+    assert all(not np.array_equal(p.data, m) for p, m in zip(net.params(), moved))
 
 
 SCALAR_OPS = {

@@ -2,7 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import click_track, make_annotation, tape_nodes, use_unfused_ops, with_dtype
+from helpers import (AdamPerArray, click_track, make_annotation, tape_nodes, use_unfused_ops,
+                     with_dtype)
 
 from vem import autograd as ag
 from vem import curation as cu
@@ -363,6 +364,83 @@ def test_diffusion_loop_holds_one_graph_at_a_time(corpus):
     finally:
         tracemalloc.stop()
     assert peak - base - moments < 2.0 * graph
+
+
+# -- the Adam arena against the per-array oracle ----------------------------
+
+
+def _stage_c_model(items):
+    """A small TUNet with adapters and its time embedder, named as the
+    training loop names them, and the loop's loss over `items`."""
+    ann, z0 = items[0][:2]
+    unet = TUNet(z0.shape[0], len(ann.caption_feat), (8, 12), rng=Rng(1))
+    unet.attach_adapters()
+    temb = TimeEmbedder(len(ann.caption_feat), rng=Rng(2))
+    rng = Rng(3)
+
+    def loss_of(step):
+        ann, z0, mask, afeats = items[step % len(items)]
+        return training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, 50,
+                             aligner_feats=afeats)
+
+    return dict(unet.named_params("unet") + temb.named_params("time_embedder")), loss_of
+
+
+def test_arena_adam_matches_the_per_array_oracle_on_a_tunet_with_adapters(corpus, monkeypatch):
+    """Five minimize steps: the losses, and the parameters, m~ and v~
+    byte for byte, equal the per-array oracle's, with chunk edges that fall
+    inside parameters and every step taken over the whole arena."""
+    chunk = 4099
+    monkeypatch.setattr(ag.Adam, "CHUNK", chunk)
+    aligner = AlignerNet(corpus[0][0].frame_features.shape[0], rng=Rng(0))
+    items, _, _ = tr._prepare_latents(corpus, aligner=aligner)
+    params, loss_of = _stage_c_model(items)
+    ends = np.cumsum([p.data.size for p in params.values()])
+    starts = ends - [p.data.size for p in params.values()]
+    edges = np.arange(chunk, ends[-1], chunk)
+    assert sum(((starts < e) & (e < ends)).any() for e in edges) > 5
+
+    opt = ag.Adam(params, lr=1e-3)
+    arena_steps = []
+    gather = opt._gather
+    monkeypatch.setattr(opt, "_gather", lambda: arena_steps.append(gather()) or arena_steps[-1])
+    losses = opt.minimize(loss_of, 5)
+    assert arena_steps == [True] * 10   # the gradient check and the step, every step
+
+    ref_params, ref_loss_of = _stage_c_model(items)
+    ref = AdamPerArray(ref_params, lr=1e-3)
+    assert ref.minimize(ref_loss_of, 5) == losses
+    assert opt.t == ref.t == 5
+    for name, p, q, m, mq, v, vq in zip(params, params.values(), ref_params.values(),
+                                        opt._m, ref._m, opt._v, ref._v):
+        assert p.data.tobytes() == q.data.tobytes(), name
+        assert (m.tobytes(), v.tobytes()) == (mq.tobytes(), vq.tobytes()), name
+
+
+def test_stage_b_then_stage_c_match_the_per_array_oracle(corpus, monkeypatch):
+    """Stage B's arena, then stage C's new Adam over the same modules plus
+    the adapters: the same losses and checkpoint tensors as the oracle, and
+    afterwards every parameter sits in stage C's arena alone."""
+    cfg = tiny_cfg(widths=(8, 12), diffusion_steps=3, adapter_steps=3)
+    aligner = AlignerNet(corpus[0][0].frame_features.shape[0], rng=Rng(0))
+
+    def run():
+        unet, temb, meta, b_losses = tr.train_stage_diffusion(corpus, cfg)
+        unet, temb, meta, c_losses = tr.train_stage_adapter(corpus, cfg, aligner, unet, temb, meta)
+        return unet, temb, b_losses + c_losses
+
+    unet, temb, losses = run()
+    params = unet.params() + temb.params()
+    assert len({id(p.data.base) for p in params}) == 1
+    assert len({id(p._gslot.base) for p in params}) == 1
+    assert not any(np.shares_memory(p.data, p._gslot) for p in params)
+    monkeypatch.setattr(ag, "Adam", AdamPerArray)
+    ref_unet, ref_temb, ref_losses = run()
+    assert losses == ref_losses
+    for mod, ref_mod in ((unet, ref_unet), (temb, ref_temb)):
+        got, want = mod.state_dict(), ref_mod.state_dict()
+        assert got.keys() == want.keys()
+        assert all(got[k].tobytes() == want[k].tobytes() for k in got)
 
 
 # -- sampling --------------------------------------------------------------
