@@ -259,13 +259,11 @@ class Var:
         return _node(self.data.T, (self,), back)
 
     def __getitem__(self, idx):
-        basic = all(isinstance(i, (int, slice)) for i in (idx if isinstance(idx, tuple) else (idx,)))
+        if not all(isinstance(i, (int, slice)) for i in (idx if isinstance(idx, tuple) else (idx,))):
+            raise TypeError(f"Var takes int and slice indices, got {idx!r}")
         def back(g):
             full = np.zeros_like(self.data)
-            if basic:  # each element picked at most once
-                full[idx] = g
-            else:
-                np.add.at(full, idx, g)
+            full[idx] = g  # a basic index picks each element at most once
             self._accum(full)
         return _node(self.data[idx], (self,), back)
 
@@ -438,11 +436,11 @@ def linear(x, w, b):
 
 
 def bce_with_logits(logits, targets):
-    """Elementwise binary cross-entropy on raw logits, the stable form:
-    max(x,0) - x*z + log1p(exp(-|x|)). Gradient is sigmoid(x) - z.
+    """Elementwise binary cross-entropy of raw logits x against an array of
+    targets z, stable: max(x,0) - x*z + log1p(exp(-|x|)); gradient sigmoid(x) - z.
     """
     logits = as_var(logits)
-    t = np.asarray(targets.data if isinstance(targets, Var) else targets)
+    t = np.asarray(targets)
     x = logits.data
     out = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     def back(g):
@@ -469,9 +467,6 @@ class Module:
                     if isinstance(item, Module):
                         out.extend(item.named_params(f"{name}.{i}"))
         return out
-
-    def params(self):
-        return [p for _, p in self.named_params()]
 
     def state_dict(self):
         return {name: p.data.copy() for name, p in self.named_params()}
@@ -539,17 +534,16 @@ class Adam:
     passes and one scratch array. Hyperparameters are Python floats, so a
     float32 parameter is stepped in float32 throughout.
 
-    The arena. When every parameter is float32, or every one float64, the
-    constructor packs them in list order into one flat buffer and rebinds
-    each `.data` to a reshaped view of its slice. Gradients, m~ and v~ get
-    three more flat buffers laid out alike: the gradient views are the
-    parameters' `_gslot`s, which the weight-gradient kernels write into,
-    and `_m` / `_v` hold the moment views. `step` walks the four buffers
-    CHUNK elements at a time, so each chunk takes all ten passes while it is
-    in cache, with BLAS scal/axpy for the scale and add passes. Every
-    element sees the same operations in the same order as in a
-    per-parameter step, so the result is bit-identical. A `.grad` that is a
-    separate array (one set by hand, say) is copied into its slot first.
+    The arena. The constructor packs the parameters in dict order into one
+    flat buffer and rebinds each `.data` to a reshaped view of its slice.
+    Gradients, m~ and v~ get three more flat buffers laid out alike: the
+    gradient views are the parameters' `_gslot`s, which the weight-gradient
+    kernels write into, and `_m` / `_v` hold the moment views. `step` walks
+    the four buffers CHUNK elements at a time, so each chunk takes all ten
+    passes while it is in cache, with BLAS scal/axpy for the scale and add
+    passes. Every element sees the same operations in the same order as in
+    a per-parameter step, so the result is bit-identical to one. A `.grad`
+    set by hand is copied into its slot first.
 
     Only the parameters hold views into the arena (`.data`, `.grad`,
     `_gslot`); `state_dict` hands out copies, and a new value goes into
@@ -557,40 +551,32 @@ class Adam:
     arena's gradient slot (and a `.grad` that is that slot), then moves the
     data into its own arena.
 
-    A step where some `.grad` is None, or some `.data` is no longer its
-    arena view, runs the ten passes parameter by parameter instead, and
-    skips a parameter whose grad is None: its data, m~ and v~ stay as they
-    are. A list of mixed dtypes gets no arena and always steps that way. A
-    parameter listed twice raises ValueError.
-
-    `params` is a list of Vars, or a dict naming them (as
-    `Module.named_params` does) so that `minimize` can name a parameter
-    whose gradient is not finite.
+    `params` is a dict naming the parameters, as `Module.named_params` does,
+    so that an error can name the parameter at fault. They share one dtype,
+    float32 or float64: mixed or other dtypes, or a parameter listed twice,
+    raise ValueError. A step where some `.grad` is None, or some `.data` is
+    no longer its arena view (a newer Adam took the parameter over), raises
+    ValueError naming the parameter before the data, the moments or `t`
+    move.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults; only lr varies
     CHUNK = 1 << 15  # elements per chunk of the arena walk
 
     def __init__(self, params, lr=1e-3):
-        named = (list(params.items()) if isinstance(params, dict)
-                 else [(f"parameter {i}", p) for i, p in enumerate(params)])
-        self._names = [name for name, _ in named]
-        self._params = [p for _, p in named]
+        self._names, self._params = list(params), list(params.values())
         if len({id(p) for p in self._params}) != len(self._params):
             raise ValueError("Adam: a parameter is listed twice")
+        dtypes = {p.data.dtype.name for p in self._params} or {"float32"}
+        if len(dtypes) > 1 or not dtypes <= {"float32", "float64"}:
+            raise ValueError(f"Adam needs one dtype, float32 or float64, got {sorted(dtypes)}")
+        dtype = np.dtype(dtypes.pop())
         self.lr = lr
         self.t = 0
         for p in self._params:  # free an older arena's gradients before allocating
             if p.grad is p._gslot:
                 p.grad = None
             p._gslot = None
-        dtypes = {p.data.dtype for p in self._params} or {np.dtype(np.float32)}
-        dtype = dtypes.pop()
-        if dtypes or dtype not in (np.float32, np.float64):
-            self._arena = None
-            self._m = [np.zeros_like(p.data) for p in self._params]
-            self._v = [np.zeros_like(p.data) for p in self._params]
-            return
         self._scal, self._axpy = get_blas_funcs(("scal", "axpy"), dtype=dtype)
         ends = np.cumsum([p.data.size for p in self._params]).tolist()
         n = ends[-1] if ends else 0
@@ -611,60 +597,44 @@ class Adam:
         self._arena = (data, grads, m, v)
 
     def _gather(self):
-        """True when the arena can take this step whole: every `.data` is
-        still its arena view and every `.grad` is set. A `.grad` that is a
-        separate array is copied into its slot on the way."""
-        if self._arena is None:
-            return False
-        for p, view in zip(self._params, self._data_views):
+        """Copy each `.grad` that is a separate array into its slot; raise
+        ValueError naming a parameter whose `.data` left the arena or whose
+        `.grad` is None."""
+        for name, p, view in zip(self._names, self._params, self._data_views):
             g = p.grad
-            if p.data is not view or g is None:
-                return False
+            if p.data is not view:
+                raise ValueError(f"Adam: {name} is no longer held in this optimizer's arena")
+            if g is None:
+                raise ValueError(f"Adam: {name} has no gradient")
             if g is not p._gslot:
                 p._gslot[...] = g
                 p.grad = p._gslot
-        return True
 
     def step(self):
+        self._gather()
         self.t += 1
         k = ((1 - self.b2) / (1 - self.b2 ** self.t)) ** 0.5
         scale = self.lr * (1 - self.b1) / ((1 - self.b1 ** self.t) * k)
         eps = self.eps / k
-        if self._gather():
-            # the ten passes of the per-parameter loop below, chunk by chunk;
-            # the scale and add passes are BLAS scal and axpy (a = +-1), which
-            # round as numpy does (a fused axpy(d, p, a=-scale) would not)
-            scal, axpy = self._scal, self._axpy
-            data, grads, m, v = self._arena
-            scratch = np.empty(min(data.size, self.CHUNK), data.dtype)
-            for a in range(0, data.size, self.CHUNK):
-                b = min(a + self.CHUNK, data.size)
-                p, g, mc, vc, d = data[a:b], grads[a:b], m[a:b], v[a:b], scratch[:b - a]
-                scal(self.b1, mc)
-                axpy(g, mc)
-                scal(self.b2, vc)
-                np.multiply(g, g, out=d)
-                axpy(d, vc)
-                np.sqrt(vc, out=d)
-                d += eps
-                np.divide(mc, d, out=d)
-                scal(scale, d)
-                axpy(d, p, a=-1.0)
-            return
-        for p, m, v in zip(self._params, self._m, self._v):
-            g = p.grad
-            if g is None:
-                continue
-            m *= self.b1
-            m += g
-            v *= self.b2
-            d = np.multiply(g, g)
-            v += d
-            np.sqrt(v, out=d)
+        # the ten passes, chunk by chunk; the scale and add passes are BLAS
+        # scal and axpy (a = +-1), which round as numpy's in-place *= and +=
+        # do (a fused axpy(d, p, a=-scale) would not)
+        scal, axpy = self._scal, self._axpy
+        data, grads, m, v = self._arena
+        scratch = np.empty(min(data.size, self.CHUNK), data.dtype)
+        for a in range(0, data.size, self.CHUNK):
+            b = min(a + self.CHUNK, data.size)
+            p, g, mc, vc, d = data[a:b], grads[a:b], m[a:b], v[a:b], scratch[:b - a]
+            scal(self.b1, mc)
+            axpy(g, mc)
+            scal(self.b2, vc)
+            np.multiply(g, g, out=d)
+            axpy(d, vc)
+            np.sqrt(vc, out=d)
             d += eps
-            np.divide(m, d, out=d)
-            d *= scale
-            p.data -= d
+            np.divide(mc, d, out=d)
+            scal(scale, d)
+            axpy(d, p, a=-1.0)
 
     def zero_grad(self):
         for p in self._params:
@@ -697,13 +667,13 @@ class Adam:
 
     def _check_gradients(self, step):
         """Raise DataError naming the first parameter whose gradient is not
-        finite. Over a gathered arena one dot product clears the usual case;
-        the per-parameter scan runs only when it is not finite (a sum that
-        overflowed on finite entries passes) or there is no arena."""
-        if self._gather():
-            grads = self._arena[1]
-            if math.isfinite(float(np.dot(grads, grads))):
-                return
+        finite. One dot product over the gathered gradients clears the
+        usual case; the per-parameter scan runs only when it is not finite
+        (a sum that overflowed on finite entries passes)."""
+        self._gather()
+        grads = self._arena[1]
+        if math.isfinite(float(np.dot(grads, grads))):
+            return
         for name, p in zip(self._names, self._params):
-            if p.grad is not None and not np.isfinite(p.grad).all():
+            if not np.isfinite(p.grad).all():
                 raise DataError(f"step {step}: gradient of {name} is not finite")

@@ -45,6 +45,8 @@ def _as_matrix(x, name):
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise DataError(f"{name} must be a 2-D (samples, dim) matrix, got shape {m.shape}")
+    if not m.shape[0] or not np.isfinite(m).all():
+        raise DataError(f"{name} needs at least one row and only finite entries")
     return m
 
 

@@ -13,10 +13,15 @@ from vem.parsing import (Storyboard, VideoAnnotation, build_frame_features,
 from vem.timeline import TimestampSet
 
 
+def params_of(*modules):
+    """Every parameter Var of `modules`, in `named_params` order."""
+    return [p for m in modules for _, p in m.named_params()]
+
+
 def with_dtype(module, dtype):
     """`module` with every parameter cast to `dtype`, in place: modules build
     float32 parameters, and gradient checks run the same graphs in float64."""
-    for p in module.params():
+    for p in params_of(module):
         p.data = p.data.astype(dtype)
     return module
 
@@ -306,13 +311,13 @@ class AdamPerArray:
     """`ag.Adam` as it ran before the flat arena: one pre-scaled moment pair
     per parameter array and the ten in-place passes run array by array,
     with no gradient check in `minimize`. The oracle the arena must match
-    bit for bit; it takes a list of Vars or a dict naming them, as
-    `ag.Adam` does, so it can stand in for it."""
+    bit for bit; it takes a dict naming the Vars, as `ag.Adam` does, so it
+    can stand in for it."""
 
     b1, b2, eps = ag.Adam.b1, ag.Adam.b2, ag.Adam.eps
 
     def __init__(self, params, lr=1e-3):
-        self._params = list(params.values() if isinstance(params, dict) else params)
+        self._params = list(params.values())
         self.lr = lr
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self._params]
@@ -325,8 +330,6 @@ class AdamPerArray:
         eps = self.eps / k
         for p, m, v in zip(self._params, self._m, self._v):
             g = p.grad
-            if g is None:
-                continue
             m *= self.b1
             m += g
             v *= self.b2

@@ -2,8 +2,8 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import (AdamPerArray, backward_retaining, conv1d_window_view, tape_nodes,
-                     with_dtype)
+from helpers import (AdamPerArray, backward_retaining, conv1d_window_view, params_of,
+                     tape_nodes, with_dtype)
 from scipy.special import expit
 
 from vem import autograd as ag
@@ -127,17 +127,18 @@ def test_silu_float32_matches_expit_reference():
 
 
 def test_getitem_backward_slice_int_and_repeated_fancy_index():
-    """Each picked element's gradient lands on its source; a row picked twice
-    gets the sum of both."""
-    for idx in [slice(1, 3), 2, (slice(None), 1), (3, slice(0, 2)), np.array([0, 0, 2])]:
+    """Each picked element's gradient lands on its source and the rest stay
+    zero; an index array, which could pick a row twice, raises TypeError."""
+    for idx in [slice(1, 3), 2, (slice(None), 1), (3, slice(0, 2))]:
         v = ag.param(np.zeros((4, 3)))
         picked = v[idx]
         w = np.arange(1.0, picked.data.size + 1).reshape(picked.shape)
         (picked * w).sum().backward()
         want = np.zeros((4, 3))
-        np.add.at(want, idx, w)
+        want[idx] = w
         np.testing.assert_array_equal(v.grad, want)
-    np.testing.assert_array_equal(want[0], [5.0, 7.0, 9.0])  # rows 0 and 1 of w
+    with pytest.raises(TypeError, match="int and slice"):
+        ag.param(np.zeros((4, 3)))[np.array([0, 0, 2])]
 
 
 def test_shared_gradient_fans_out_through_fused_ops():
@@ -295,7 +296,7 @@ def test_grad_accumulates_on_reuse():
 
 def _mixed_loss(seed):
     """A scalar over every kind of node: an aligner's BCE (conv1d, silu,
-    reshape) plus linear, layer norm, softmax, matmul, a fancy index,
+    reshape) plus linear, layer norm, softmax, matmul, a slice,
     concat, repeat2, transpose and tanh, with one activation feeding
     several nodes. Returns (loss, leaves)."""
     r = Rng(seed)
@@ -308,9 +309,9 @@ def _mixed_loss(seed):
     g, beta = ag.param(r.gaussian(n)), ag.param(r.gaussian(n))
     y = ag.linear(h, w, b).layer_norm(g, beta)
     att = (y.matmul(h.transpose())).softmax().matmul(h)
-    mix = ag.concat([att, y[np.array([0, 0, 3])]], axis=0).repeat2().tanh()
+    mix = ag.concat([att, y[1:3]], axis=0).repeat2().tanh()
     loss = ag.bce_with_logits(logits, labels).mean() + (mix * mix).mean() + h.sum() * 0.01
-    return loss, net.params() + [w, b, g, beta]
+    return loss, params_of(net) + [w, b, g, beta]
 
 
 def test_backward_frees_interior_closures_and_grads():
@@ -395,7 +396,9 @@ def test_no_grad_holds_only_in_its_own_thread():
 
 
 def test_getitem_scatter():
-    check(lambda a: square_sum(a[np.array([0, 0, 2])]), (4, 3))
+    check(lambda a: square_sum(a[1:3]) + square_sum(a[(slice(None), 2)]), (4, 3))
+    with pytest.raises(TypeError):
+        ag.param(np.ones((4, 3)))[[0, 0, 2]]
 
 
 class TwoLayer(ag.Module):
@@ -430,7 +433,7 @@ def test_load_state_dict_rejects_mismatch():
 
 def test_params_are_float32():
     net = TwoLayer(Rng(5))
-    assert all(p.data.dtype == np.float32 for p in net.params())
+    assert all(p.data.dtype == np.float32 for p in params_of(net))
 
 
 def test_zero_init_layers():
@@ -441,7 +444,7 @@ def test_zero_init_layers():
 
 def test_adam_minimizes_quadratic():
     v = ag.param(np.array([5.0, -3.0]))
-    opt = ag.Adam([v], lr=0.1)
+    opt = ag.Adam({"v": v}, lr=0.1)
     for _ in range(300):
         opt.zero_grad()
         square_sum(v - np.array([1.0, 2.0])).backward()
@@ -464,7 +467,7 @@ def _adam_reference(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_moments_take_param_dtype(dtype):
     v = ag.param(np.ones(3, dtype=dtype))
-    opt = ag.Adam([v])
+    opt = ag.Adam({"v": v})
     v.grad = np.full(3, 0.5, dtype=dtype)
     opt.step()
     assert v.data.dtype == dtype
@@ -476,7 +479,7 @@ def test_adam_float32_matches_float64_reference():
     p0 = rng.gaussian((4, 5)).astype(np.float32)
     grads = [rng.gaussian((4, 5)).astype(np.float32) for _ in range(50)]
     v = ag.param(p0.copy())
-    opt = ag.Adam([v], lr=1e-2)
+    opt = ag.Adam({"v": v}, lr=1e-2)
     for g in grads:
         v.grad = g.copy()
         opt.step()
@@ -497,28 +500,12 @@ def test_adam_long_run_matches_float64_reference_across_gradient_scales(dtype, d
     p0 = (1.0 + 2 * drift + 0.1 * rng.gaussian((7, 6))).astype(dtype)
     grads = [((rng.gaussian((7, 6)) + drift) * scales).astype(dtype) for _ in range(3000)]
     v = ag.param(p0.copy())
-    opt = ag.Adam([v], lr=1e-3)
+    opt = ag.Adam({"v": v}, lr=1e-3)
     for g in grads:
         v.grad = g.copy()
         opt.step()
     assert v.data.dtype == dtype
     np.testing.assert_allclose(v.data, _adam_reference(p0, grads, lr=1e-3), rtol=1e-5)
-
-
-def test_adam_skips_param_without_grad():
-    a = ag.param(np.ones(2, dtype=np.float32))
-    b = ag.param(np.ones(2, dtype=np.float32))
-    opt = ag.Adam([a, b], lr=0.1)
-    a.grad = b.grad = np.ones(2, dtype=np.float32)
-    opt.step()
-    b_data, b_m, b_v = b.data.copy(), opt._m[1].copy(), opt._v[1].copy()
-    a_data = a.data.copy()
-    a.grad, b.grad = np.ones(2, dtype=np.float32), None
-    opt.step()
-    assert not np.array_equal(a.data, a_data)
-    np.testing.assert_array_equal(b.data, b_data)
-    np.testing.assert_array_equal(opt._m[1], b_m)
-    np.testing.assert_array_equal(opt._v[1], b_v)
 
 
 def _quadratic_loss(v):
@@ -527,7 +514,7 @@ def _quadratic_loss(v):
 
 def test_minimize_matches_the_hand_written_loop():
     a, b = (ag.param(np.array([5.0, -3.0], dtype=np.float32)) for _ in range(2))
-    opt = ag.Adam([a], lr=0.1)
+    opt = ag.Adam({"a": a}, lr=0.1)
     losses = []
     for step in range(20):
         opt.zero_grad()
@@ -535,7 +522,7 @@ def test_minimize_matches_the_hand_written_loop():
         loss.backward()
         opt.step()
         losses.append(float(loss.data))
-    assert ag.Adam([b], lr=0.1).minimize(_quadratic_loss(b), 20) == losses
+    assert ag.Adam({"b": b}, lr=0.1).minimize(_quadratic_loss(b), 20) == losses
     assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -544,7 +531,7 @@ def test_minimize_refuses_a_non_finite_loss_before_touching_weights(bad):
     """A non-finite loss raises DataError naming its step; the weights and
     moments keep exactly what the last finite step left."""
     v = ag.param(np.array([5.0, -3.0], dtype=np.float32))
-    opt = ag.Adam([v], lr=0.1)
+    opt = ag.Adam({"v": v}, lr=0.1)
     before = {}
 
     def loss_of(step):
@@ -594,7 +581,7 @@ def test_minimize_refuses_a_non_finite_gradient_before_touching_weights(bad):
 def test_minimize_steps_on_when_only_the_gradient_square_sum_overflows():
     """Finite gradients whose float32 sum of squares overflows still step."""
     v = ag.param(np.array([5.0, -3.0, 1.0, 2.0], dtype=np.float32))
-    opt = ag.Adam([v], lr=0.1)
+    opt = ag.Adam({"v": v}, lr=0.1)
     with np.errstate(over="ignore"):
         opt.minimize(lambda step: (v * np.float32(1e19)).sum(), 1)
         assert np.isinf(np.dot(v.grad, v.grad))
@@ -605,11 +592,13 @@ def test_minimize_steps_on_when_only_the_gradient_square_sum_overflows():
 # -- the flat arena against the per-array oracle -------------------------------
 
 
-def _twin_params(shapes, dtypes, seed=0):
-    """The same initial parameters twice: for `ag.Adam` and for the oracle."""
+def _twin_params(shapes, dtype, seed=0):
+    """The same initial parameters twice, named: for `ag.Adam` and for the
+    oracle."""
     r = Rng(seed)
-    init = [r.gaussian(s).astype(d) for s, d in zip(shapes, dtypes)]
-    return [ag.param(a.copy()) for a in init], [ag.param(a.copy()) for a in init]
+    init = {f"p{i}": r.gaussian(s).astype(dtype) for i, s in enumerate(shapes)}
+    return ({k: ag.param(a.copy()) for k, a in init.items()},
+            {k: ag.param(a.copy()) for k, a in init.items()})
 
 
 def _assert_same_adam_state(opt, ref):
@@ -624,34 +613,56 @@ def _assert_same_adam_state(opt, ref):
 SHAPES = [(3, 4), (5,), (2, 3, 2), (1,)]
 
 
-@pytest.mark.parametrize("dtypes", [
-    [np.float32] * 4, [np.float64] * 4, [np.float32, np.float64, np.float32, np.float64],
-], ids=["float32", "float64", "mixed"])
-def test_arena_matches_the_per_array_oracle_with_a_grad_none_step(dtypes, monkeypatch):
-    """Hand-set gradients (copied into their slots), chunk edges inside
-    parameters (CHUNK = 7 over sizes 12, 5, 12, 1), a step where one
-    `.grad` is None (that parameter keeps data and moments), and the
-    per-parameter steps a mixed-dtype list always takes."""
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_arena_matches_the_per_array_oracle_with_hand_set_grads(dtype, monkeypatch):
+    """Hand-set gradients (copied into their slots) and chunk edges inside
+    parameters (CHUNK = 7 over sizes 12, 5, 12, 1)."""
     monkeypatch.setattr(ag.Adam, "CHUNK", 7)
-    ps, qs = _twin_params(SHAPES, dtypes)
+    ps, qs = _twin_params(SHAPES, dtype)
     opt, ref = ag.Adam(ps, lr=0.05), AdamPerArray(qs, lr=0.05)
-    assert (opt._arena is None) == (len(set(dtypes)) > 1)
     r = Rng(1)
-    for step in range(6):
-        for p, q, d in zip(ps, qs, dtypes):
-            g = r.gaussian(p.shape).astype(d)
+    for _ in range(6):
+        for p, q in zip(ps.values(), qs.values()):
+            g = r.gaussian(p.shape).astype(dtype)
             p.grad, q.grad = g.copy(), g.copy()
-        if step == 3:
-            ps[2].grad = qs[2].grad = None
         opt.step()
         ref.step()
         _assert_same_adam_state(opt, ref)
 
 
+def _adam_state(opt):
+    return ([p.data.tobytes() for p in opt._params], [a.tobytes() for a in opt._m],
+            [a.tobytes() for a in opt._v], opt.t)
+
+
+def test_a_step_with_a_missing_gradient_raises_and_moves_nothing():
+    """One `.grad` None: ValueError naming that parameter, and the data,
+    m~, v~ and `t` stay byte-equal to what the last step left."""
+    ps, _ = _twin_params(SHAPES, np.float32)
+    opt = ag.Adam(ps, lr=0.05)
+    r = Rng(1)
+    for p in ps.values():
+        p.grad = r.gaussian(p.shape).astype(np.float32)
+    opt.step()
+    before = _adam_state(opt)
+    for p in ps.values():
+        p.grad = r.gaussian(p.shape).astype(np.float32)
+    ps["p2"].grad = None
+    with pytest.raises(ValueError, match="p2 has no gradient"):
+        opt.step()
+    assert _adam_state(opt) == before
+
+
+def test_adam_refuses_mixed_dtypes():
+    ps = {"a": ag.param(np.ones(2, dtype=np.float32)), "b": ag.param(np.ones(2))}
+    with pytest.raises(ValueError, match="one dtype"):
+        ag.Adam(ps)
+    with pytest.raises(ValueError, match="one dtype"):
+        ag.Adam({"i": ag.param(np.arange(3))})
+
+
 def test_arena_rejects_a_parameter_listed_twice():
     a, b = ag.param(np.ones(2, dtype=np.float32)), ag.param(np.ones(3, dtype=np.float32))
-    with pytest.raises(ValueError, match="twice"):
-        ag.Adam([a, b, a])
     with pytest.raises(ValueError, match="twice"):
         ag.Adam({"a": a, "b": b, "a2": a})
 
@@ -660,11 +671,12 @@ def test_arena_steps_weights_loaded_after_it_was_built():
     """`load_state_dict` writes into the arena views, so the optimizer built
     before the load steps the loaded weights, as the oracle does."""
     net, ref_net = TwoLayer(Rng(5)), TwoLayer(Rng(5))
-    opt, ref = ag.Adam(net.params(), lr=0.01), AdamPerArray(ref_net.params(), lr=0.01)
+    opt = ag.Adam(dict(net.named_params()), lr=0.01)
+    ref = AdamPerArray(dict(ref_net.named_params()), lr=0.01)
     state = TwoLayer(Rng(9)).state_dict()
     net.load_state_dict(state)
     ref_net.load_state_dict(state)
-    assert all(np.shares_memory(p.data, opt._arena[0]) for p in net.params())
+    assert all(np.shares_memory(p.data, opt._arena[0]) for p in params_of(net))
     x = Rng(1).gaussian((3, 4)).astype(np.float32)
     for o, n in ((opt, net), (ref, ref_net)):
         o.minimize(lambda step, n=n: square_sum(n(ag.Var(x))), 5)
@@ -676,24 +688,27 @@ def test_arena_steps_weights_loaded_after_it_was_built():
 def test_a_new_adam_releases_the_old_arena_and_takes_the_data_over():
     """The second optimizer frees the first one's gradient slots (and the
     `.grad` that was a slot) before allocating, then holds every parameter
-    in its own arena; the first one, stepped again, still steps the data
-    the parameters hold."""
+    in its own arena; the first one, stepped again, raises ValueError and
+    moves nothing."""
     net = TwoLayer(Rng(5))
     x = Rng(1).gaussian((3, 4)).astype(np.float32)
-    first = ag.Adam(net.params(), lr=0.01)
+    first = ag.Adam(dict(net.named_params()), lr=0.01)
     first.minimize(lambda step: square_sum(net(ag.Var(x))), 2)
-    assert all(p.grad is p._gslot for p in net.params())
-    values = [p.data.copy() for p in net.params()]
-    second = ag.Adam(net.params(), lr=0.01)
-    for p, val in zip(net.params(), values):
+    assert all(p.grad is p._gslot for p in params_of(net))
+    values = [p.data.copy() for p in params_of(net)]
+    second = ag.Adam(dict(net.named_params()), lr=0.01)
+    for p, val in zip(params_of(net), values):
         assert p.grad is None
         assert np.shares_memory(p.data, second._arena[0])
         assert np.shares_memory(p._gslot, second._arena[1])
         np.testing.assert_array_equal(p.data, val)
     second.minimize(lambda step: square_sum(net(ag.Var(x))), 1)
-    moved = [p.data.copy() for p in net.params()]
-    first.step()  # falls back to per-parameter steps on the data the params hold
-    assert all(not np.array_equal(p.data, m) for p, m in zip(net.params(), moved))
+    moved = [p.data.tobytes() for p in params_of(net)]
+    before = _adam_state(first)
+    with pytest.raises(ValueError, match="fc1.w is no longer held in this optimizer's arena"):
+        first.step()
+    assert [p.data.tobytes() for p in params_of(net)] == moved
+    assert _adam_state(first) == before
 
 
 SCALAR_OPS = {

@@ -439,3 +439,34 @@ def test_eval_distributional_metrics(tmp_path):
 def test_eval_distributional_requires_containers(tmp_path):
     os.makedirs(tmp_path / "empty")
     assert run(["eval", str(tmp_path / "empty"), "--metrics", "fad"], tmp_path) == 3
+
+
+def _probs(rows):
+    raw = Rng(6).uniform(4 * rows).reshape(rows, 4) + 1e-3
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def _with_nan(a):
+    a[1, 2] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("metric,entry,value", [
+    ("fad", "embeddings", _with_nan(Rng(7).gaussian((30, 5)))),
+    ("is", "probs", _with_nan(_probs(10))),
+    ("kld", "probs", _with_nan(_probs(10))),
+    ("is", "probs", _probs(0)),
+    ("kld", "probs", _probs(0)),
+], ids=["fad-nan", "is-nan", "kld-nan", "is-no-rows", "kld-no-rows"])
+def test_eval_refuses_non_finite_or_empty_rows(tmp_path, metric, entry, value):
+    """A NaN entry or a matrix of zero rows is a DataError (exit 3), not a
+    scipy traceback or a `nan` in metrics.csv."""
+    for side in "ab":
+        save_tensors(tmp_path / f"{side}.vemt", {entry: value})
+    os.makedirs(tmp_path / "empty")
+    rc = run(["eval", str(tmp_path / "empty"), "--metrics", metric,
+              "--emb-a", str(tmp_path / "a.vemt"), "--emb-b", str(tmp_path / "b.vemt")],
+             tmp_path)
+    assert rc == 3
+    out = tmp_path / "metrics.csv"
+    assert not out.exists() or "nan" not in out.read_text(encoding="utf-8")

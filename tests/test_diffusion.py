@@ -160,7 +160,7 @@ def test_training_loss_decreases_under_adam():
                         for k in range(20)])
 
     before = eval_mean()
-    opt = ag.Adam(net.params(), lr=3e-3)
+    opt = ag.Adam(dict(net.named_params()), lr=3e-3)
     for step in range(150):
         opt.zero_grad()
         loss = df.training_loss(net, z0, cond, mask, Rng(step), T)

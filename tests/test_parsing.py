@@ -9,7 +9,7 @@ from vem.container import save_tensors
 from vem.errors import ManifestError
 from vem.rng import Rng
 
-from helpers import make_annotation, with_dtype
+from helpers import make_annotation, params_of, with_dtype
 
 
 def manifest_doc(**overrides):
@@ -86,7 +86,7 @@ def test_time_embedder_gradients():
 
     loss_of(emb).backward()
     eps = 1e-6
-    for p in emb.params():
+    for p in params_of(emb):
         g = p.grad
         flat = p.data.ravel()
         num = np.zeros_like(flat)
@@ -104,7 +104,7 @@ def test_time_embedder_gradients():
 
 def test_time_embedder_distinguishes_times_after_training():
     emb = ps.TimeEmbedder(dim=8, rng=Rng(1))
-    opt = ag.Adam(emb.params(), lr=1e-2)
+    opt = ag.Adam(dict(emb.named_params()), lr=1e-2)
     want3 = np.ones(8, dtype=np.float32)
     want30 = -np.ones(8, dtype=np.float32)
     for _ in range(100):

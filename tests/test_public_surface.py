@@ -1,6 +1,7 @@
-"""Every public module-level function and class in `vem` has a caller
-outside the test suite: another `vem` module, its own module, or the
-benchmark. A name only tests reach is dead weight in the package."""
+"""Every public module-level function and class in `vem`, and every public
+method and property of its public classes, has a caller outside the test
+suite: another `vem` module, its own module, or the benchmark. A name only
+tests reach is dead weight in the package."""
 
 import ast
 import re
@@ -15,19 +16,37 @@ def _public_defs(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
 
 
+def _public_methods(tree):
+    """(class, method) of each public method and property of a module's
+    public classes."""
+    return [(node.name, f.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for f in node.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+
+
 def test_public_names_have_non_test_callers():
+    """A module-level name is used when its word appears twice in its own
+    module or once in another module or the benchmark; a method or property
+    when some `x.name` in the package or the benchmark reads it."""
     modules = {p: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"}
-    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py")))
+    bench_paths = sorted((ROOT / "bench").glob("*.py"))
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in bench_paths)
+    trees = {p: ast.parse(text) for p, text in modules.items()}
+    reads = set().union(*(_attribute_reads(t, True) for t in trees.values()),
+                        *(_attribute_reads(ast.parse(p.read_text(encoding="utf-8")), True)
+                          for p in bench_paths))
     unused = []
     for path, text in modules.items():
-        for name in _public_defs(ast.parse(text)):
+        for name in _public_defs(trees[path]):
             word = re.compile(rf"\b{re.escape(name)}\b")
             if len(word.findall(text)) > 1 or word.search(bench):
                 continue
             if any(word.search(other) for p, other in modules.items() if p != path):
                 continue
             unused.append(f"{path.stem}.{name}")
+        unused += [f"{path.stem}.{cls}.{name}" for cls, name in _public_methods(trees[path])
+                   if name not in reads]
     assert not unused, f"public names with no caller outside tests: {unused}"
 
 

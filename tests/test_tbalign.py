@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import with_dtype
+from helpers import params_of, with_dtype
 from vem import tbalign as tb
 from vem.errors import DataError
 from vem.numcore import linear_interp
@@ -45,7 +45,7 @@ def test_aligner_gradients_match_fd():
     tb.aligner_loss(net, feats, labels).backward()
     eps = 1e-6
     pick = Rng(8)
-    for p in net.params():
+    for p in params_of(net):
         flat, grad = p.data.ravel(), p.grad.ravel()
         idxs = set(pick.integers(0, flat.size, 6).tolist()) | {int(np.abs(grad).argmax())}
         num = {}
@@ -67,7 +67,7 @@ def test_training_learns_and_is_deterministic():
     net2, losses2 = tb.train_aligner(data, 150, seed=4)
     assert losses1[-1] < 0.3 * losses1[0]
     assert losses1 == losses2
-    for a, b in zip(net1.params(), net2.params()):
+    for a, b in zip(params_of(net1), params_of(net2)):
         np.testing.assert_array_equal(a.data, b.data)
 
 
