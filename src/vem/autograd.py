@@ -230,16 +230,12 @@ class Var:
 
     def matmul(self, other):
         other = as_var(other)
-        if self.ndim == 1 or other.ndim == 1:
-            raise ValueError("Var.matmul needs operands of two or more axes; use linear()")
+        if self.ndim != 2 or other.ndim != 2:
+            raise ValueError("Var.matmul needs two 2-D operands; use linear() for a vector")
         a, b = self.data, other.data
         def back(g):
-            if self.requires_grad:
-                ga = g @ np.swapaxes(b, -1, -2)
-                self._accum(_unbroadcast(ga, self.shape))
-            if other.requires_grad:
-                gb = np.swapaxes(a, -1, -2) @ g
-                other._accum(_unbroadcast(gb, other.shape))
+            self.requires_grad and self._accum(g @ b.T)
+            other.requires_grad and other._accum(a.T @ g)
         return _node(a @ b, (self, other), back)
 
     __matmul__ = matmul
@@ -359,9 +355,9 @@ def concat(vars_, axis=0):
     return _node(np.concatenate([v.data for v in vars_], axis=axis), vars_, back)
 
 
-def conv1d(x, w, b=None, stride=1, padding=0):
-    """1-D convolution (cross-correlation) over time: x (L, Cin), w (Cout, Cin, K)
-    -> (Lout, Cout).
+def conv1d(x, w, b, stride=1, padding=0):
+    """1-D convolution (cross-correlation) over time plus a bias: x (L, Cin),
+    w (Cout, Cin, K), b (Cout,) -> (Lout, Cout).
 
     im2col formulation: the columns are a (Lout, Cin, K) array, cin-major
     like w, so both passes are single matmuls against w's own layout. It is
@@ -371,7 +367,7 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     slice of the column gradient straight into an unpadded input gradient
     (col2im), in tap order.
     """
-    x, w = as_var(x), as_var(w)
+    x, w, b = as_var(x), as_var(w), as_var(b)
     length, cin = x.shape
     cout, cin_w, k = w.shape
     if cin != cin_w:
@@ -394,17 +390,14 @@ def conv1d(x, w, b=None, stride=1, padding=0):
         cols[lo:hi, :, j] = x.data[rows]
     cols = cols.reshape(lout, cin * k)
     wm = w.data.reshape(cout, cin * k)
-    out = cols @ wm.T
-    if b is not None:
-        b = as_var(b)
-        out = out + b.data
+    out = cols @ wm.T + b.data
 
     def back(g):
         if w.requires_grad:
             gw = w._grad_buffer(g.dtype)
             np.matmul(g.T, cols, out=gw.reshape(cout, cin * k))
             w._accum(gw)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._accum(np.sum(g, axis=0, out=b._grad_buffer(g.dtype)))
         if x.requires_grad:
             gcols = (g @ wm).reshape(lout, cin, k)
@@ -413,7 +406,7 @@ def conv1d(x, w, b=None, stride=1, padding=0):
                 gx[rows] += gcols[lo:hi, :, j]
             x._accum(gx)
 
-    return _node(out, (x, w) + ((b,) if b is not None else ()), back)
+    return _node(out, (x, w, b), back)
 
 
 def linear(x, w, b):
@@ -452,13 +445,15 @@ def bce_with_logits(logits, targets):
 
 
 class Module:
-    """Base for parameterized blocks; discovers Params by attribute walk."""
+    """Base for parameterized blocks. Parameters are found by an attribute
+    walk: every `Var` attribute is one, whatever its `requires_grad`, so a
+    frozen parameter stays in `state_dict` and the checkpoint."""
 
     def named_params(self, prefix=""):
         out = []
         for key, val in vars(self).items():
             name = f"{prefix}{key}" if not prefix else f"{prefix}.{key}"
-            if isinstance(val, Var) and val.requires_grad:
+            if isinstance(val, Var):
                 out.append((name, val))
             elif isinstance(val, Module):
                 out.extend(val.named_params(name))

@@ -15,18 +15,19 @@ embedders, `tunet.TEMB_DIM` for the step embedding, and
 `tbalign.ALIGNER_HIDDEN` for the aligner and its adapters. Every stage
 runs its optimizer steps through `autograd.Adam.minimize`.
 
-Checkpoints are tensor-container files with a JSON metadata header. An
-aligner's meta holds its stage tag, `feat_dim` and `seed`. A diffusion
-model's holds the stage tag ("diffusion" or "adapter"), `T`, `widths`,
-`cond_dim` and the corpus latent standardization `latent_mean` /
-`latent_std`; loading rebuilds the exact model from these and ignores any
-other key. Each size in the meta must match the stored tensors, and `T`
-must not exceed `diffusion.MAX_T`, before any module is built from them.
-Diffusion operates on standardized latents, so samples are de-standardized
-before decoding.
+Checkpoints are tensor-container files with a JSON metadata header, and a
+checkpoint is its tensors: every module size is read off a stored weight
+shape, checked before any module is built, and the meta holds only what
+the tensors cannot say. An aligner's meta holds its stage tag and `seed`.
+A diffusion model's holds the stage tag ("diffusion" or "adapter"), `T`,
+which must not exceed `diffusion.MAX_T`, and the corpus latent
+standardization `latent_mean` / `latent_std`. Loading ignores any other
+key, such as the sizes older writers stored. Diffusion operates on
+standardized latents, so samples are de-standardized before decoding.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 
@@ -136,8 +137,7 @@ def train_stage_diffusion(corpus, cfg):
     temb = TimeEmbedder(dim, rng=master.fork(2))
     losses = _run_diffusion_loop(items, unet, temb, cfg.T, cfg.diffusion_steps, DIFFUSION_LR,
                                  master.fork(3))
-    meta = {"stage": "diffusion", "T": cfg.T, "widths": list(unet.widths), "cond_dim": dim,
-            "latent_mean": mean, "latent_std": std}
+    meta = {"stage": "diffusion", "T": cfg.T, "latent_mean": mean, "latent_std": std}
     return unet, temb, meta, losses
 
 
@@ -172,47 +172,38 @@ def three_stage_train(corpus, cfg):
 # -- checkpoints -----------------------------------------------------------
 
 
-def _positive_int(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v > 0
-
-
-def _check_meta(path, meta, ints, floats=()):
-    """Reject checkpoint metadata that cannot rebuild the model it describes."""
-    for key in ints:
-        if not _positive_int(meta.get(key)):
-            raise DataError(f"{path}: meta {key!r} must be a positive int, got {meta.get(key)!r}")
-    for key in floats:
+def _check_meta(path, meta):
+    """Reject diffusion metadata that cannot drive the model it goes with."""
+    T = meta.get("T")
+    if type(T) is not int or not 1 <= T <= MAX_T:  # exact type: a JSON true is a bool
+        raise DataError(f"{path}: meta 'T' must be an int in [1, {MAX_T}], got {T!r}")
+    for key in ("latent_mean", "latent_std"):
         v = meta.get(key)
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+        # a Python float's range, compared exactly: NaN, inf and ints past it fail
+        if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
             raise DataError(f"{path}: meta {key!r} must be a finite number, got {v!r}")
+    if meta["latent_std"] <= 0:
+        raise DataError(f"{path}: meta 'latent_std' must be positive, got {meta['latent_std']!r}")
 
 
-def _stored_dim(path, tensors, key, axis):
-    """Axis `axis` of the stored tensor `key`: what a meta size is checked
-    against before any module is built from it."""
+def _stored_shape(path, tensors, key, rank):
+    """The shape of the stored tensor `key`, which must have `rank` non-zero
+    axes: a module size is read off it before anything is built."""
     t = tensors.get(key)
-    if t is None or t.ndim <= axis:
-        raise DataError(f"{path}: tensor {key!r} is missing or has too few axes")
-    return t.shape[axis]
-
-
-def _check_meta_dim(path, meta, key, stored):
-    if meta[key] != stored:
-        raise DataError(f"{path}: meta {key!r} is {meta[key]!r}, the stored tensors hold {stored!r}")
+    if t is None or t.ndim != rank or not t.size:
+        raise DataError(f"{path}: tensor {key!r} is missing, not {rank}-D, or empty")
+    return t.shape
 
 
 def save_aligner(path, net, cfg):
-    save_tensors(path, net.state_dict(), {"stage": "aligner", "feat_dim": net.feat_dim,
-                                          "seed": cfg.seed})
+    save_tensors(path, net.state_dict(), {"stage": "aligner", "seed": cfg.seed})
 
 
 def load_aligner(path):
     tensors, meta = load_tensors(path)
     if meta.get("stage") != "aligner":
         raise StageOrderError(f"{path} is not an aligner checkpoint (stage={meta.get('stage')!r})")
-    _check_meta(path, meta, ("feat_dim",))
-    _check_meta_dim(path, meta, "feat_dim", _stored_dim(path, tensors, "conv1.w", 1))
-    net = AlignerNet(meta["feat_dim"])
+    net = AlignerNet(_stored_shape(path, tensors, "conv1.w", 3)[1])
     net.load_state_dict(tensors)
     return net, meta
 
@@ -227,28 +218,26 @@ def load_diffusion(path):
     tensors, meta = load_tensors(path)
     if meta.get("stage") not in ("diffusion", "adapter"):
         raise StageOrderError(f"{path} is not a diffusion checkpoint (stage={meta.get('stage')!r})")
-    _check_meta(path, meta, ("cond_dim", "T"), ("latent_mean", "latent_std"))
-    if meta["latent_std"] <= 0:
-        raise DataError(f"{path}: meta 'latent_std' must be positive, got {meta['latent_std']!r}")
-    widths = meta.get("widths")
-    if not isinstance(widths, list) or not widths or not all(map(_positive_int, widths)):
-        raise DataError(f"{path}: meta 'widths' must be a non-empty list of positive ints, "
-                        f"got {widths!r}")
-    if meta["T"] > MAX_T:
-        raise DataError(f"{path}: meta 'T' must be at most {MAX_T}, got {meta['T']!r}")
-    # every size a module is built with must match the file, so that the
-    # allocations are bounded by what was stored
-    stored = [_stored_dim(path, tensors, "unet.in_conv.w", 0)]
-    while f"unet.down.{len(stored) - 1}.w" in tensors:
-        stored.append(_stored_dim(path, tensors, f"unet.down.{len(stored) - 1}.w", 0))
-    _check_meta_dim(path, meta, "widths", stored)
-    _check_meta_dim(path, meta, "cond_dim", _stored_dim(path, tensors, "time_embedder.w2", 1))
-    unet = TUNet(LATENT_CHANNELS, meta["cond_dim"], widths)
+    _check_meta(path, meta)
+    # a level's width is the side of its square self-attention query map, and
+    # every level's condition-key map must be (cond_dim, width): these are a
+    # level's largest weights, so the model built is bounded by the bytes stored
+    cond_dim = _stored_shape(path, tensors, "unet.enc.0.sgc.wk.w", 2)[0]
+    widths = []
+    while not widths or f"unet.enc.{len(widths)}.selfattn.wq.w" in tensors:
+        level = f"unet.enc.{len(widths)}"
+        width = _stored_shape(path, tensors, f"{level}.selfattn.wq.w", 2)[0]
+        for key, want in ((f"{level}.selfattn.wq.w", (width, width)),
+                          (f"{level}.sgc.wk.w", (cond_dim, width))):
+            if _stored_shape(path, tensors, key, 2) != want:
+                raise DataError(f"{path}: tensor {key!r} must be {want}, got {tensors[key].shape}")
+        widths.append(width)
+    unet = TUNet(LATENT_CHANNELS, cond_dim, widths)
     if meta["stage"] == "adapter":
         unet.attach_adapters()
     unet.load_state_dict({k[len("unet."):]: v for k, v in tensors.items()
                           if k.startswith("unet.")})
-    temb = TimeEmbedder(meta["cond_dim"])
+    temb = TimeEmbedder(cond_dim)
     temb.load_state_dict({k[len("time_embedder."):]: v for k, v in tensors.items()
                           if k.startswith("time_embedder.")})
     return unet, temb, meta
@@ -262,7 +251,8 @@ def sample_mel(unet, temb, meta, ann, steps, seed, aligner=None, conditioned=Tru
 
     conditioned=False is the ablation baseline: all-zero condition tokens,
     an all-ones mask (no storyboard structure reaches the model), and no
-    aligner features.
+    aligner features. A de-standardized latent that is not finite raises
+    DataError.
     """
     length = latent_len_for_duration(ann.duration_s)
     if conditioned:
@@ -277,8 +267,12 @@ def sample_mel(unet, temb, meta, ann, steps, seed, aligner=None, conditioned=Tru
         afeats = aligner_features(aligner, ann.frame_features, length)
     z = sample(unet, tokens, mask, (unet.in_channels, length), steps, Rng(seed), int(meta["T"]),
                aligner_feats=afeats)
-    z = z * float(meta["latent_std"]) + float(meta["latent_mean"])
-    return latent_decode(Latent(z.astype(np.float32)))
+    with np.errstate(over="ignore"):
+        z = (z * float(meta["latent_std"]) + float(meta["latent_mean"])).astype(np.float32)
+    if not np.isfinite(z).all():
+        raise DataError("sampled latent is not finite: the checkpoint's weights or its "
+                        "latent_mean / latent_std overflow")
+    return latent_decode(Latent(z))
 
 
 def generation_tb_iou(mel, ann):

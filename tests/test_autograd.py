@@ -70,10 +70,10 @@ def test_matmul_2d():
 
 
 def test_matmul_rejects_1d_operands():
-    """A vector times a matrix is `linear`'s job; `Var.matmul` takes stacks of
-    matrices only, broadcasting the stack axes."""
-    check(lambda a, b: (a @ b).sum(), (2, 3, 4), (4, 2))
-    for shapes in [((4,), (4, 3)), ((3, 4), (4,)), ((5,), (5,))]:
+    """A vector times a matrix is `linear`'s job; `Var.matmul` takes two
+    matrices only, and a stack of them is refused too."""
+    for shapes in [((4,), (4, 3)), ((3, 4), (4,)), ((5,), (5,)), ((2, 3, 4), (4, 2)),
+                   ((3, 4), (2, 4, 3))]:
         with pytest.raises(ValueError):
             ag.param(np.ones(shapes[0])) @ ag.param(np.ones(shapes[1]))
 
@@ -159,7 +159,7 @@ def test_shared_gradient_fans_out_through_fused_ops():
 
 def test_conv1d_rejects_channel_mismatch():
     with pytest.raises(ValueError, match="channel"):
-        ag.conv1d(ag.Var(np.ones((8, 3))), ag.Var(np.ones((4, 2, 3))))
+        ag.conv1d(ag.Var(np.ones((8, 3))), ag.Var(np.ones((4, 2, 3))), ag.Var(np.zeros(4)))
 
 
 def test_concat():
@@ -255,7 +255,7 @@ def test_conv1d_byte_equal_to_window_view_at_edge_lengths(length, k, stride, pad
 
 def test_conv1d_rejects_input_shorter_than_kernel():
     with pytest.raises(ValueError, match="shorter than the kernel"):
-        ag.conv1d(ag.Var(np.ones((2, 3))), ag.Var(np.ones((4, 3, 5))))
+        ag.conv1d(ag.Var(np.ones((2, 3))), ag.Var(np.ones((4, 3, 5))), ag.Var(np.zeros(4)))
 
 
 def test_repeat2_duplicates_rows_in_order():

@@ -275,36 +275,100 @@ def test_sample_adapter_checkpoint_needs_aligner(tmp_path, corpus_dir, trained_d
     assert rc == 0
 
 
-def test_sample_bad_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_dir):
-    tensors, meta = load_tensors(trained_dir / "diffusion.vemt")
-    save_tensors(tmp_path / "bad.vemt", tensors, dict(meta, widths=[]))
-    rc = run(["sample", str(tmp_path / "bad.vemt"), str(corpus_dir / "item_000.json"),
-              "--steps", "2"], tmp_path)
+def _edited(src, dst, edit_tensors=None, **meta_update):
+    """Copy checkpoint `src` to `dst`, with `edit_tensors` applied to its
+    tensors and `meta_update` to its meta."""
+    tensors, meta = load_tensors(src)
+    if edit_tensors is not None:
+        edit_tensors(tensors)
+    save_tensors(dst, tensors, dict(meta, **meta_update))
+    return str(dst)
+
+
+def test_sample_non_square_attention_weight_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
+    ckpt = _edited(trained_dir / "diffusion.vemt", tmp_path / "bad.vemt",
+                   lambda t: t.update({"unet.enc.0.selfattn.wq.w": np.zeros((8, 9))}))
+    rc = run(["sample", ckpt, str(corpus_dir / "item_000.json"), "--steps", "2"], tmp_path)
     assert rc == 3
+    assert "'unet.enc.0.selfattn.wq.w' must be (8, 8)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [{"widths": [8, 2_000_000]}, {"T": 10**12},
-                                 {"cond_dim": 10**12}], ids=["widths", "T", "cond-dim"])
+@pytest.mark.parametrize("bad,tensor,err", [
+    ({"T": 10**12}, None, "'T' must be"),
+    ({"widths": [64]}, ("unet.in_conv.w", (64, 240, 3)), "shape mismatch for in_conv.w"),
+    ({"cond_dim": 5000}, ("time_embedder.w2", (32, 5000)), "shape mismatch for w2"),
+], ids=["T", "widths", "cond-dim"])
 def test_sample_oversized_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_dir, capsys,
-                                                  bad):
-    """Sizes in the meta that the stored tensors do not hold, and a schedule
-    past MAX_T, are refused before anything is allocated from them (each of
-    these would ask for TiBs)."""
-    tensors, meta = load_tensors(trained_dir / "diffusion.vemt")
-    save_tensors(tmp_path / "big.vemt", tensors, dict(meta, **bad))
-    rc = run(["sample", str(tmp_path / "big.vemt"), str(corpus_dir / "item_000.json"),
-              "--steps", "2"], tmp_path)
+                                                  bad, tensor, err):
+    """A schedule past MAX_T is refused, and an oversized size in the meta
+    sizes nothing, even when one tensor agrees with it: every size is read off
+    each level's largest weights, so the widened tensor is refused by name
+    before anything is allocated at its size."""
+    edit = None if tensor is None else lambda t: t.update({tensor[0]: np.zeros(tensor[1])})
+    ckpt = _edited(trained_dir / "diffusion.vemt", tmp_path / "big.vemt", edit, **bad)
+    rc = run(["sample", ckpt, str(corpus_dir / "item_000.json"), "--steps", "2"], tmp_path)
     assert rc == 3
-    assert capsys.readouterr().err.startswith("error: data: ")
+    out = capsys.readouterr().err
+    assert out.startswith("error: data: ") and err in out
 
 
-def test_sample_oversized_aligner_feat_dim_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
-    tensors, meta = load_tensors(trained_dir / "aligner.vemt")
-    save_tensors(tmp_path / "big.vemt", tensors, dict(meta, feat_dim=10**9))
+def test_sample_aligner_without_conv1_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
+    aligner = _edited(trained_dir / "aligner.vemt", tmp_path / "a.vemt",
+                      lambda t: t.pop("conv1.w"), feat_dim=10**9)
     rc = run(["sample", str(trained_dir / "adapter.vemt"), str(corpus_dir / "item_000.json"),
-              "--steps", "2", "--aligner", str(tmp_path / "big.vemt")], tmp_path)
+              "--steps", "2", "--aligner", aligner], tmp_path)
     assert rc == 3
-    assert "'feat_dim'" in capsys.readouterr().err
+    assert "tensor 'conv1.w' is missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,meta_update", [
+    (None, {"latent_mean": 1e308}),
+    (lambda t: t["unet.out_conv.b"].__setitem__(0, np.nan), {}),
+], ids=["latent-mean-1e308", "nan-out-conv-bias"])
+def test_sample_non_finite_latent_exits_3(tmp_path, corpus_dir, trained_dir, capsys, edit,
+                                          meta_update):
+    """A checkpoint whose sampled latent overflows or turns NaN writes no
+    spectrogram."""
+    ckpt = _edited(trained_dir / "diffusion.vemt", tmp_path / "d.vemt", edit, **meta_update)
+    rc = run(["sample", ckpt, str(corpus_dir / "item_000.json"), "--steps", "2"], tmp_path)
+    assert rc == 3
+    assert "sampled latent is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "item_000.gen.mel.vemt").exists()
+
+
+_MISSING = object()
+_BOUNDARY_VALUES = {"missing": _MISSING, "true": True, "nan": float("nan"), "inf": float("inf"),
+                    "-inf": float("-inf"), "0": 0, "-1": -1, "2**63": 2**63, "2**64": 2**64,
+                    "10**400": 10**400, "1e308": 1e308, "x": "x", "[]": [], "{}": {}}
+
+
+@pytest.mark.parametrize("value", _BOUNDARY_VALUES)
+@pytest.mark.parametrize("ckpt,key", [("diffusion", "stage"), ("diffusion", "T"),
+                                      ("diffusion", "latent_mean"), ("diffusion", "latent_std"),
+                                      ("aligner", "stage"), ("aligner", "seed")])
+def test_sample_checkpoint_meta_boundary_values(tmp_path, corpus_dir, trained_dir, capsys, ckpt,
+                                                key, value):
+    """Each meta key a checkpoint keeps, missing or set to a boundary value of
+    each JSON kind: `vem sample` samples a finite spectrogram, or exits 3
+    (4 for a stage tag) with one error line and no traceback. The aligner
+    goes in through --aligner beside an adapter checkpoint."""
+    value = _BOUNDARY_VALUES[value]
+    tensors, meta = load_tensors(trained_dir / f"{ckpt}.vemt")
+    meta.pop(key) if value is _MISSING else meta.update({key: value})
+    save_tensors(tmp_path / "ckpt.vemt", tensors, meta)
+    argv = ["sample", str(tmp_path / "ckpt.vemt"), str(corpus_dir / "item_000.json"),
+            "--steps", "1"]
+    if ckpt == "aligner":
+        argv[1:2] = [str(trained_dir / "adapter.vemt")]
+        argv += ["--aligner", str(tmp_path / "ckpt.vemt")]
+    rc = run(argv, tmp_path)
+    err = capsys.readouterr().err
+    assert rc in ((0, 3, 4) if key == "stage" else (0, 3)), err
+    if rc == 0:
+        mel, _ = load_tensors(tmp_path / "item_000.gen.mel.vemt")
+        assert np.isfinite(mel["mel"]).all()
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("nested", ["ckpt", "manifest"])

@@ -9,7 +9,7 @@ from vem import autograd as ag
 from vem import curation as cu
 from vem import training as tr
 from vem.audiofeat import SAMPLE_RATE, Waveform, logmel
-from vem.diffusion import latent_encode, training_loss
+from vem.diffusion import LATENT_CHANNELS, latent_encode, training_loss
 from vem.parsing import TimeEmbedder
 from vem.sgcatt import assemble_conditions, build_mask
 from vem.tunet import TUNet
@@ -83,7 +83,7 @@ def test_stage_aligner_empty_corpus():
 def test_stage_diffusion_outputs(stage_b):
     unet, temb, meta, losses = stage_b
     assert len(losses) == 12 and all(np.isfinite(losses))
-    assert set(meta) == {"stage", "T", "widths", "cond_dim", "latent_mean", "latent_std"}
+    assert set(meta) == {"stage", "T", "latent_mean", "latent_std"}
     assert meta["stage"] == "diffusion"
     assert meta["latent_std"] > 0
     assert unet.adapters is None
@@ -135,7 +135,8 @@ def test_aligner_checkpoint_round_trip(tmp_path, corpus):
     path = tmp_path / "aligner.vemt"
     tr.save_aligner(path, net, cfg)
     loaded, meta = tr.load_aligner(path)
-    assert meta == {"stage": "aligner", "feat_dim": net.feat_dim, "seed": 0}
+    assert meta == {"stage": "aligner", "seed": 0}
+    assert loaded.feat_dim == net.feat_dim
     for (na, pa), (nb, pb) in zip(net.named_params(), loaded.named_params()):
         assert na == nb
         np.testing.assert_array_equal(pa.data, pb.data)
@@ -146,8 +147,8 @@ def test_diffusion_checkpoint_round_trip(tmp_path, stage_b):
     path = tmp_path / "diff.vemt"
     tr.save_diffusion(path, unet, temb, meta)
     u2, t2, m2 = tr.load_diffusion(path)
-    assert m2["stage"] == "diffusion"
-    assert m2["widths"] == list(unet.widths)
+    assert m2 == meta
+    assert (u2.widths, u2.cond_dim, t2.dim) == (unet.widths, unet.cond_dim, temb.dim)
     for (na, pa), (nb, pb) in zip(unet.named_params(), u2.named_params()):
         assert na == nb
         np.testing.assert_array_equal(pa.data, pb.data)
@@ -186,14 +187,12 @@ def _without(key):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda meta: meta.update(widths=[16]),
-    lambda meta: meta.update(widths=[]),
-    lambda meta: meta.update(widths="ab"),
-    _without("cond_dim"),
     lambda meta: meta.update(latent_std=0.0),
     lambda meta: meta.update(latent_std=-1.0),
-], ids=["widths-vs-weights", "empty-widths", "string-widths", "missing-cond-dim",
-        "zero-latent-std", "negative-latent-std"])
+    lambda meta: meta.update(latent_mean=10**400),
+    lambda meta: meta.update(T=True),
+    _without("T"),
+], ids=["zero-latent-std", "negative-latent-std", "latent-mean-past-float", "bool-T", "missing-T"])
 def test_load_diffusion_rejects_bad_meta(tmp_path, stage_b, edit):
     unet, temb, meta, _ = stage_b
     meta = dict(meta)
@@ -204,27 +203,100 @@ def test_load_diffusion_rejects_bad_meta(tmp_path, stage_b, edit):
         tr.load_diffusion(path)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda meta: meta.update(feat_dim="x"),
-    _without("feat_dim"),
-], ids=["string-feat-dim", "missing-feat-dim"])
-def test_load_aligner_rejects_bad_meta(tmp_path, edit):
+def _save_edited(path, src, edit, **meta_update):
+    """Copy checkpoint `src` to `path` with `edit` applied to its tensors and
+    `meta_update` to its meta."""
+    tensors, meta = load_tensors(src)
+    edit(tensors)
+    save_tensors(path, tensors, dict(meta, **meta_update))
+
+
+@pytest.fixture(scope="module")
+def two_level_ckpt(tmp_path_factory, corpus):
+    unet, temb, meta, _ = tr.train_stage_diffusion(corpus, tiny_cfg(widths=(8, 12),
+                                                                    diffusion_steps=1))
+    path = tmp_path_factory.mktemp("ckpt") / "d.vemt"
+    tr.save_diffusion(path, unet, temb, meta)
+    return path
+
+
+@pytest.mark.parametrize("edit,names", [
+    (lambda t: t.update({"unet.enc.1.selfattn.wq.w": np.zeros((12, 13))}), "enc.1.selfattn.wq.w"),
+    (lambda t: t.update({"unet.enc.0.selfattn.wq.w": np.zeros((0, 0))}), "enc.0.selfattn.wq.w"),
+    (lambda t: t.update({"unet.enc.0.selfattn.wq.w": np.zeros(64)}), "enc.0.selfattn.wq.w"),
+    (lambda t: t.pop("unet.enc.0.selfattn.wq.w"), "enc.0.selfattn.wq.w"),
+    (lambda t: t.pop("unet.enc.0.sgc.wk.w"), "enc.0.sgc.wk.w"),
+    (lambda t: t.update({"unet.enc.0.sgc.wk.w": np.zeros((64, 9))}), "enc.0.sgc.wk.w"),
+    (lambda t: t.update({"unet.enc.1.sgc.wk.w": np.zeros((1000, 12))}), "enc.1.sgc.wk.w"),
+    (lambda t: t.pop("unet.enc.1.sgc.wk.w"), "enc.1.sgc.wk.w"),
+], ids=["non-square-wq", "empty-wq", "1d-wq", "missing-wq", "missing-wk", "wk-vs-width",
+        "wk-vs-cond-dim", "missing-level-1-wk"])
+def test_load_diffusion_rejects_bad_size_tensors(tmp_path, two_level_ckpt, edit, names):
+    """A tensor a size is read off that is missing, of the wrong rank, empty,
+    not square, or unlike its level's other sizes is refused by name before
+    any module is built."""
+    _save_edited(tmp_path / "d.vemt", two_level_ckpt, edit)
+    with pytest.raises(DataError, match=names):
+        tr.load_diffusion(tmp_path / "d.vemt")
+
+
+def test_load_diffusion_sizes_the_model_by_its_largest_weights(tmp_path, two_level_ckpt,
+                                                               monkeypatch):
+    """An in_conv.w 1500 wide, with meta widths to match, builds no 1500-wide
+    model: the widths come off the square self-attention weights, and
+    load_state_dict then refuses in_conv.w."""
+    def edit(t):
+        t["unet.in_conv.w"] = np.zeros((1500, LATENT_CHANNELS, 3))
+    _save_edited(tmp_path / "d.vemt", two_level_ckpt, edit, widths=[1500, 12], cond_dim=64)
+    built = []
+
+    def recording_tunet(in_channels, cond_dim, widths):
+        built.append(tuple(widths))
+        if max(widths) > 12:
+            raise AssertionError(f"built a TUNet of widths {widths}")
+        return TUNet(in_channels, cond_dim, widths)
+
+    monkeypatch.setattr(tr, "TUNet", recording_tunet)
+    with pytest.raises(DataError, match="shape mismatch for in_conv.w"):
+        tr.load_diffusion(tmp_path / "d.vemt")
+    assert built == [(8, 12)]
+
+
+@pytest.mark.parametrize("edit", [lambda t: t.pop("conv1.w"),
+                                  lambda t: t.update({"conv1.w": np.zeros((32, 8))})],
+                         ids=["missing", "2d"])
+def test_load_aligner_rejects_bad_conv1_w(tmp_path, edit):
     path = tmp_path / "a.vemt"
     tr.save_aligner(path, AlignerNet(8), tiny_cfg())
-    tensors, meta = load_tensors(path)
-    edit(meta)
-    save_tensors(path, tensors, meta)
-    with pytest.raises(DataError):
+    _save_edited(path, path, edit)
+    with pytest.raises(DataError, match="conv1.w"):
         tr.load_aligner(path)
+
+
+def test_frozen_parameter_stays_in_the_checkpoint(tmp_path, stage_b):
+    """Parameters are found by type, not by `requires_grad`: a TUNet weight
+    with the flag cleared is still in state_dict and survives a save/load."""
+    unet, temb, meta, _ = stage_b
+    unet.in_conv.w.requires_grad = False
+    try:
+        assert "in_conv.w" in unet.state_dict()
+        path = tmp_path / "d.vemt"
+        tr.save_diffusion(path, unet, temb, meta)
+    finally:
+        unet.in_conv.w.requires_grad = True
+    loaded, _, _ = tr.load_diffusion(path)
+    assert loaded.in_conv.w.data.tobytes() == unet.in_conv.w.data.tobytes()
 
 
 def test_load_diffusion_ignores_dropped_meta_keys(tmp_path, stage_b, corpus):
     """A checkpoint whose meta still carries the keys older writers stored
-    (schedule endpoints, embedding widths, channel counts) loads to the same
-    model and samples the same bytes as one with today's six keys."""
+    (schedule endpoints, embedding widths, channel counts and the model
+    sizes, here all wrong) loads to the same model and samples the same bytes
+    as one with today's four keys; so does an aligner with a stale feat_dim."""
     unet, temb, meta, _ = stage_b
     old = dict(meta, beta_start=1e-4, beta_end=0.02, temb_dim=128, in_channels=240,
-               feature_dim=meta["cond_dim"], time_hidden=32, aligner_hidden=None)
+               feature_dim=7, time_hidden=32, aligner_hidden=None, widths=[9, 10],
+               cond_dim=10**12)
     new_path, old_path = tmp_path / "new.vemt", tmp_path / "old.vemt"
     tr.save_diffusion(new_path, unet, temb, meta)
     tr.save_diffusion(old_path, unet, temb, old)
@@ -241,6 +313,11 @@ def test_load_diffusion_ignores_dropped_meta_keys(tmp_path, stage_b, corpus):
         mel_new = tr.sample_mel(u_new, t_new, meta, ann, 3, 5, conditioned=conditioned)
         mel_old = tr.sample_mel(u_old, t_old, m_old, ann, 3, 5, conditioned=conditioned)
         assert mel_new.values.tobytes() == mel_old.values.tobytes()
+    apath = tmp_path / "a.vemt"
+    save_tensors(apath, AlignerNet(8, rng=Rng(1)).state_dict(),
+                 {"stage": "aligner", "feat_dim": 10**9, "seed": 0})
+    aligner, _ = tr.load_aligner(apath)
+    assert aligner.feat_dim == 8
 
 
 def test_load_diffusion_builds_no_random_init(tmp_path, stage_b, monkeypatch):
