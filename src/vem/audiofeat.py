@@ -46,6 +46,7 @@ N_MELS = 60
 FMIN = 0.0
 FMAX = 8000.0
 LOG_FLOOR = 1e-5
+MAX_DURATION_S = 3600.0  # longest clip a WAV or a manifest may hold: 1.8 MB of frame features
 
 
 @dataclasses.dataclass
@@ -90,7 +91,9 @@ def load_wav(path):
     WAVE_FORMAT_EXTENSIBLE files carry the codec in their sub-format GUID.
 
     PCM16 scaling divides by 32768, so -32768 lands exactly on -1.0. A
-    trailing partial sample in the data chunk is dropped.
+    trailing partial sample in the data chunk is dropped. Audio longer than
+    MAX_DURATION_S is refused here, before a header rate of a few Hz could
+    make the resampler build gigabytes from a small file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -130,7 +133,11 @@ def load_wav(path):
         raise DataError("zero channels")
     if channels > 1:
         x = x[: (len(x) // channels) * channels].reshape(-1, channels).mean(axis=1)
-    return Waveform(x, rate)
+    w = Waveform(x, rate)
+    if len(x) > rate * MAX_DURATION_S:
+        raise DataError(f"{len(x)} samples at {rate} Hz last {w.duration_s:.0f} s, "
+                        f"longer than {MAX_DURATION_S:.0f} s")
+    return w
 
 
 def save_wav(path, w):
@@ -394,7 +401,7 @@ def _overlap_add(frames):
     return out.reshape(-1)
 
 
-def griffin_lim(m, iters=60):
+def griffin_lim(m, iters):
     """Waveform from a log-mel matrix by iterative phase reconstruction.
 
     Mel amplitudes are mapped back to linear-frequency magnitudes through the

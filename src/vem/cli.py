@@ -4,9 +4,14 @@ Subcommands cover the whole pipeline: feature extraction (features, beats),
 corpus work (synth, curate), the three training stages (train --stage),
 generation (sample), metric reports (eval), and the inference-step sweep
 (sweep-steps). Every run echoes its configuration to
-<out-dir>/run_config.json; figures-grade outputs are CSV files.
+<out-dir>/run_config.json, which no command reads as a manifest; a command
+computes every output before it writes any, and figures-grade outputs are
+CSV files. Option defaults are read from the code that owns them, and
+`train` takes --widths and --t-steps for --stage diffusion only: stage C
+reads both off the checkpoint it tunes.
 
-Exit codes: 0 ok, 2 usage (argparse), 3 data error, 4 stage-order error.
+Exit codes: 0 ok, 2 usage (argparse, or a train flag its stage ignores),
+3 data error, 4 stage-order error.
 """
 
 import argparse
@@ -24,7 +29,8 @@ from .curation import CurationRule, SynthConfig, gate, synth_corpus
 from .errors import DataError, StageOrderError
 from .evalsuite import StoryboardScores, frechet_distance, inception_score, mean_kld, tw_score
 from .parsing import load_manifest, save_manifest
-from .timeline import TimestampSet, beats_iou, save_events_json, transitions_beats_iou
+from .timeline import (DEFAULT_TOL_S, TimestampSet, beats_iou, save_events_json,
+                       transitions_beats_iou)
 from .training import (TrainConfig, generation_tb_iou, load_aligner, load_diffusion,
                        sample_mel, save_aligner, save_diffusion, train_stage_adapter,
                        train_stage_aligner, train_stage_diffusion)
@@ -65,23 +71,31 @@ def build_parser():
 
     q = sub.add_parser("curate", help="quality-gate a corpus directory of manifest+wav pairs")
     q.add_argument("corpus")
-    q.add_argument("--min-snr-db", type=float, default=20.0)
-    q.add_argument("--max-duration-s", type=float, default=120.0)
-    q.add_argument("--max-shots", type=_positive_int, default=20)
+    q.add_argument("--min-snr-db", type=float, default=CurationRule.min_snr_db,
+                   help="lowest SNR that passes (default %(default)s dB)")
+    q.add_argument("--max-duration-s", type=float, default=CurationRule.max_duration_s,
+                   help="longest clip that passes (default %(default)s s)")
+    q.add_argument("--max-shots", type=_positive_int, default=CurationRule.max_shots,
+                   help="most shots that pass (default %(default)s)")
 
     q = sub.add_parser("synth", help="generate a synthetic paired corpus")
     q.add_argument("--n", type=_positive_int, required=True, help="number of pairs")
-    q.add_argument("--dur-min", type=float, default=10.0)
-    q.add_argument("--dur-max", type=float, default=16.0)
+    dur_min, dur_max = SynthConfig.duration_range_s
+    q.add_argument("--dur-min", type=float, default=dur_min,
+                   help="shortest clip (default %(default)s s)")
+    q.add_argument("--dur-max", type=float, default=dur_max,
+                   help="longest clip (default %(default)s s)")
 
     q = sub.add_parser("train", help="run one training stage on a corpus directory")
     q.add_argument("--stage", choices=("aligner", "diffusion", "adapter"), required=True)
     q.add_argument("--corpus", required=True)
     q.add_argument("--steps", type=_positive_int,
                    help="override the stage's default step count")
-    q.add_argument("--widths", type=_positive_ints, default=(64, 128, 256),
-                   help="denoiser channel widths, comma list (default 64,128,256)")
-    q.add_argument("--t-steps", type=_positive_int, default=1000, help="diffusion schedule length")
+    q.add_argument("--widths", type=_positive_ints,
+                   help="denoiser channel widths, comma list; --stage diffusion only "
+                        f"(default {','.join(map(str, TrainConfig.widths))})")
+    q.add_argument("--t-steps", type=_positive_int,
+                   help=f"diffusion schedule length; --stage diffusion only (default {TrainConfig.T})")
 
     q = sub.add_parser("sample", help="generate music for a manifest from a checkpoint")
     q.add_argument("ckpt")
@@ -99,7 +113,8 @@ def build_parser():
                    help="comma list from b_iou,tb_iou,tw,fad,is,kld")
     q.add_argument("--emb-a", help="tensor container with 'embeddings'/'probs' (set A)")
     q.add_argument("--emb-b", help="tensor container with 'embeddings'/'probs' (set B)")
-    q.add_argument("--tol-s", type=float, default=0.5, help="matching tolerance (default 0.5)")
+    q.add_argument("--tol-s", type=float, default=DEFAULT_TOL_S,
+                   help="matching tolerance (default %(default)s s)")
 
     q = sub.add_parser("sweep-steps", help="sample at several step counts, report errors")
     q.add_argument("ckpt")
@@ -111,10 +126,13 @@ def build_parser():
     return p
 
 
+_RUN_CONFIG = "run_config.json"
+
+
 def _echo_config(args):
     os.makedirs(args.out_dir, exist_ok=True)
     doc = {k: v for k, v in vars(args).items()}
-    with open(os.path.join(args.out_dir, "run_config.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out_dir, _RUN_CONFIG), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, default=str)
 
 
@@ -124,9 +142,10 @@ def _load_wav_16k(path):
 
 
 def _manifest_names(directory):
-    """Sorted manifest file names in a directory (beat-event files excluded)."""
+    """Sorted manifest file names in a directory (beat-event files and the
+    run_config.json a vem run echoes there excluded)."""
     names = sorted(f for f in os.listdir(directory) if f.endswith(".json")
-                   and not f.endswith(".beats.json"))
+                   and not f.endswith(".beats.json") and f != _RUN_CONFIG)
     if not names:
         raise DataError(f"no manifests found in {directory}")
     return names
@@ -203,7 +222,9 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
-    cfg = TrainConfig(seed=args.seed, widths=args.widths, T=args.t_steps)
+    # main() refuses --widths and --t-steps for every stage but diffusion
+    cfg = TrainConfig(seed=args.seed, widths=args.widths or TrainConfig.widths,
+                      T=args.t_steps or TrainConfig.T)
     pairs = _corpus_pairs(args.corpus)
     if args.steps is not None:
         cfg.aligner_steps = cfg.diffusion_steps = cfg.adapter_steps = args.steps
@@ -255,14 +276,15 @@ def _cmd_sample(args):
     ann = load_manifest(args.manifest)
     mel = sample_mel(unet, temb, meta, ann, steps, args.seed, aligner=aligner,
                      conditioned=not args.unconditional)
+    wav = griffin_lim(mel, iters=40) if args.wav_out else None  # may refuse: before any write
     stem = os.path.splitext(os.path.basename(args.manifest))[0]
     out = os.path.join(args.out_dir, f"{stem}.gen.mel.vemt")
     save_tensors(out, {"mel": mel.values},
                  {"hop": mel.hop, "sample_rate_hz": mel.sample_rate_hz, "n_mels": mel.n_mels,
                   "steps": steps, "seed": args.seed})
     line = f"sampled {mel.values.shape[0]} windows ({steps} steps) -> {out}"
-    if args.wav_out:
-        save_wav(args.wav_out, griffin_lim(mel, iters=40))
+    if wav is not None:
+        save_wav(args.wav_out, wav)
         line += f" + {args.wav_out}"
     print(line)
     return 0
@@ -373,7 +395,14 @@ _BODIES = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.cmd == "train" and args.stage != "diffusion":
+        ignored = [flag for flag, value in (("--widths", args.widths), ("--t-steps", args.t_steps))
+                   if value is not None]
+        if ignored:
+            parser.error(f"--stage {args.stage} does not take {' or '.join(ignored)}: they size "
+                         "and schedule the denoiser, which only --stage diffusion builds")
     try:
         _echo_config(args)
         return _BODIES[args.cmd](args)

@@ -29,13 +29,13 @@ import sys
 import numpy as np
 
 from . import autograd as ag
+from .audiofeat import MAX_DURATION_S
 from .container import load_tensors, save_tensors
 from .errors import ManifestError
 from .timeline import DEFAULT_FPS, TimestampSet
 
 FEATURE_DIM = 64  # width of the toy text and visual embeddings
 TIME_HIDDEN = 32  # hidden width of the TimeEmbedder MLP
-MAX_DURATION_S = 3600.0  # longest clip a manifest may declare: 1.8 MB of frame features
 
 
 @dataclasses.dataclass

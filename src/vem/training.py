@@ -7,13 +7,17 @@ excluded. Stage C freezes the aligner, bolts zero-initialized adapters onto
 the encoder levels, and fine-tunes the denoiser jointly with them.
 
 A run varies only in `TrainConfig`: the seed, the denoiser widths, the
-schedule length T and each stage's step count. Everything else is a
-constant of the code that uses it: the learning rates (here and in
-`tbalign`), the beta endpoints (`diffusion`), and the module sizes:
-`parsing.FEATURE_DIM` and `parsing.TIME_HIDDEN` for the condition
-embedders, `tunet.TEMB_DIM` for the step embedding, and
-`tbalign.ALIGNER_HIDDEN` for the aligner and its adapters. Every stage
-runs its optimizer steps through `autograd.Adam.minimize`.
+schedule length T and each stage's step count. Each setting has one owner:
+stage B builds the denoiser at `cfg.widths` and trains it on `cfg.T`, and
+from then on the checkpoint owns both. Stage C and the sampler read the
+sizes off its tensors and T off its meta, so stage C takes only its seed
+and step count from `cfg`. Everything else is a constant of the code that
+uses it: the learning rates (here and in `tbalign`), the beta endpoints
+(`diffusion`), and the module sizes: `parsing.FEATURE_DIM` and
+`parsing.TIME_HIDDEN` for the condition embedders, `tunet.TEMB_DIM` for the
+step embedding, and `tbalign.ALIGNER_HIDDEN` for the aligner and its
+adapters. Every stage runs its optimizer steps through
+`autograd.Adam.minimize`.
 
 Checkpoints are tensor-container files with a JSON metadata header, and a
 checkpoint is its tensors: every module size is read off a stored weight
@@ -144,20 +148,24 @@ def train_stage_diffusion(corpus, cfg):
 def train_stage_adapter(corpus, cfg, aligner, unet, temb, meta):
     """Stage C: attach zero-init adapters, freeze the aligner, fine-tune.
 
-    Mutates unet/temb in place; returns (unet, temb, meta, losses).
+    The model is tuned on the schedule and the latent standardization its
+    checkpoint `meta` holds, which the sampler runs later; `cfg` supplies
+    only the seed and `adapter_steps`. Mutates unet/temb in place; returns
+    (unet, temb, meta, losses), the meta a fresh {stage, T, latent_mean,
+    latent_std}.
     """
     if not corpus:
         raise DataError("empty corpus")
     if meta.get("stage") not in ("diffusion", "adapter"):
         raise StageOrderError(f"adapter stage needs a diffusion checkpoint, got {meta.get('stage')!r}")
-    # keep the standardization the base model was trained with
-    items, _, _ = _prepare_latents(corpus, (meta["latent_mean"], meta["latent_std"]), aligner)
+    T, mean, std = meta["T"], meta["latent_mean"], meta["latent_std"]
+    items, _, _ = _prepare_latents(corpus, (mean, std), aligner)
     if unet.adapters is None:
         unet.attach_adapters()
     master = Rng(cfg.seed + 1)
-    losses = _run_diffusion_loop(items, unet, temb, cfg.T, cfg.adapter_steps, ADAPTER_LR,
+    losses = _run_diffusion_loop(items, unet, temb, T, cfg.adapter_steps, ADAPTER_LR,
                                  master.fork(3))
-    return unet, temb, dict(meta, stage="adapter"), losses
+    return unet, temb, {"stage": "adapter", "T": T, "latent_mean": mean, "latent_std": std}, losses
 
 
 def three_stage_train(corpus, cfg):

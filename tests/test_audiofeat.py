@@ -123,6 +123,21 @@ def test_load_wav_rejects_short_fmt_chunk(tmp_path):
         af.load_wav(p)
 
 
+@pytest.mark.parametrize("rate", [1, 2, 3, 7, 8])
+def test_load_wav_refuses_audio_past_longest_clip(tmp_path, rate):
+    """A 12 s clip whose header claims a rate of a few Hz lasts hours; it is
+    refused on load, before resampling to 16 kHz would build gigabytes (2.88
+    GiB for the log-mel input at 8 Hz). The bound is exact in samples."""
+    n = 193_088
+    p = tmp_path / "slow.wav"
+    af.save_wav(p, af.Waveform(np.zeros(n, dtype=np.float32), rate))
+    with pytest.raises(DataError, match=f"{n} samples at {rate} Hz"):
+        af.load_wav(p)
+    limit = int(rate * af.MAX_DURATION_S)
+    af.save_wav(p, af.Waveform(np.zeros(limit, dtype=np.float32), rate))
+    assert af.load_wav(p).duration_s == af.MAX_DURATION_S
+
+
 def test_load_wav_extensible_matches_plain_pcm(tmp_path):
     import struct
     pcm = (np.arange(-40, 40, dtype="<i2") * 409).tobytes()

@@ -8,7 +8,7 @@ import pytest
 from helpers import click_track
 
 from vem import cli
-from vem.audiofeat import SAMPLE_RATE, Waveform, save_wav
+from vem.audiofeat import MAX_DURATION_S, SAMPLE_RATE, Waveform, resample, save_wav
 from vem.container import load_tensors, save_tensors
 from vem.curation import MIN_SYNTH_S
 from vem.diffusion import MAX_T
@@ -38,13 +38,13 @@ def corpus_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory, corpus_dir):
-    """All three stages trained at toy size through the CLI."""
+    """All three stages trained at toy size through the CLI; the sizes and
+    the schedule go to the diffusion stage, which alone takes them."""
     out = tmp_path_factory.mktemp("cli_train")
     common = ["--out-dir", str(out), "--seed", "3"]
-    base = ["train", "--corpus", str(corpus_dir), "--widths", "8",
-            "--t-steps", "50", "--steps", "6"]
+    base = ["train", "--corpus", str(corpus_dir), "--steps", "6"]
     assert cli.main(common + base + ["--stage", "aligner"]) == 0
-    assert cli.main(common + base + ["--stage", "diffusion"]) == 0
+    assert cli.main(common + base + ["--stage", "diffusion", "--widths", "8", "--t-steps", "50"]) == 0
     assert cli.main(common + base + ["--stage", "adapter"]) == 0
     return out
 
@@ -99,9 +99,23 @@ def test_directory_as_input_exits_3(tmp_path, trained_dir, capsys, argv):
 
 
 def test_stage_order_violation_exits_4(tmp_path, corpus_dir):
-    rc = run(["train", "--stage", "adapter", "--corpus", str(corpus_dir),
-              "--steps", "2", "--widths", "8", "--t-steps", "50"], tmp_path)
+    rc = run(["train", "--stage", "adapter", "--corpus", str(corpus_dir), "--steps", "2"], tmp_path)
     assert rc == 4
+
+
+@pytest.mark.parametrize("flag,value", [("--widths", "8"), ("--t-steps", "50")])
+@pytest.mark.parametrize("stage", ["aligner", "adapter"])
+def test_train_refuses_size_flags_a_stage_would_ignore(tmp_path, capsys, stage, flag, value):
+    """Only the diffusion stage builds the denoiser, so only it takes its
+    widths and schedule: any other stage refuses them as a usage error,
+    naming the flag, before it reads the corpus (which does not exist here)
+    or writes anything."""
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--stage", stage, "--corpus", str(tmp_path / "no-such-dir"), flag, value],
+            tmp_path / "out")
+    assert exc.value.code == 2
+    assert f"--stage {stage} does not take {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -130,6 +144,20 @@ def test_run_config_echo(tmp_path):
     assert doc["cmd"] == "beats" and "seed" in doc
 
 
+@pytest.mark.parametrize("argv", [
+    lambda d: ["curate", d],
+    lambda d: ["eval", d],
+    lambda d: ["train", "--stage", "aligner", "--corpus", d, "--steps", "1"],
+], ids=["curate", "eval", "train"])
+def test_run_config_is_not_read_as_a_manifest(tmp_path, corpus_dir, argv):
+    """With --out-dir on the corpus itself, the run_config.json each command
+    echoes there first is not taken for a manifest."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    assert run(argv(str(corpus)), corpus) == 0
+    assert (corpus / "run_config.json").exists()
+
+
 # -- features / beats ------------------------------------------------------
 
 
@@ -151,6 +179,49 @@ def test_features_huge_header_rate_exits_3(tmp_path, capsys):
     path.write_bytes(bytes(raw))
     assert run(["features", str(path)], tmp_path) == 3
     assert "2^17" in capsys.readouterr().err
+
+
+# (offset, width in bytes) of each fmt and data chunk header field save_wav writes
+_WAV_HEADER_FIELDS = {"fmt-size": (16, 4), "format": (20, 2), "channels": (22, 2),
+                      "rate": (24, 4), "byte-rate": (28, 4), "block-align": (32, 2),
+                      "bits": (34, 2), "data-size": (40, 4)}
+_WAV_HEADER_VALUES = [0, 1, 2, 3, 7, 8, 15, 16, 17, 24, 32, 1000, 44100, 65535, 2**31 - 1,
+                      2**32 - 1]
+
+
+@pytest.fixture(scope="module")
+def clip_wav_bytes(tmp_path_factory):
+    """A 7.5 s noise clip as save_wav writes it."""
+    path = tmp_path_factory.mktemp("clip") / "clip.wav"
+    save_wav(path, Waveform(0.1 * Rng(4).gaussian(120_000), SAMPLE_RATE))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("field,value", [
+    (field, v) for field, (_, width) in _WAV_HEADER_FIELDS.items()
+    for v in _WAV_HEADER_VALUES if v < 2 ** (8 * width)])
+def test_features_wav_header_boundary_values(tmp_path, monkeypatch, capsys, clip_wav_bytes,
+                                             field, value):
+    """Each fmt/data header field of a 7.5 s clip set to a boundary value:
+    `vem features` writes a mel or exits 3 with one error line. A rate of
+    32 Hz or less makes the clip last past MAX_DURATION_S, which is refused
+    before the resampler would build it (gigabytes at a few Hz)."""
+    path = tmp_path / "clip.wav"
+    offset, width = _WAV_HEADER_FIELDS[field]
+    raw = bytearray(clip_wav_bytes)
+    raw[offset:offset + width] = value.to_bytes(width, "little")
+    path.write_bytes(bytes(raw))
+
+    def bounded_resample(w, target_hz):
+        assert w.duration_s <= MAX_DURATION_S, f"resampling {w.duration_s:.0f} s of audio"
+        return resample(w, target_hz)
+
+    monkeypatch.setattr(cli, "resample", bounded_resample)
+    rc = run(["features", str(path)], tmp_path)
+    err = capsys.readouterr().err
+    assert rc in (0, 3), err
+    if rc == 3:
+        assert err.startswith("error: data: ") and err.count("\n") == 1, err
 
 
 def test_beats_writes_events_json(tmp_path):
@@ -312,6 +383,20 @@ def test_sample_oversized_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_
     assert out.startswith("error: data: ") and err in out
 
 
+def test_sample_wav_out_refused_leaves_no_partial_write(tmp_path, corpus_dir, trained_dir,
+                                                         capsys):
+    """A finite spectrogram too large for the vocoder to invert (meta
+    latent_std 2**63) exits 3 before either output is written."""
+    ckpt = _edited(trained_dir / "diffusion.vemt", tmp_path / "d.vemt", latent_std=2**63)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(["sample", ckpt, str(corpus_dir / "item_000.json"), "--steps", "2",
+                  "--wav-out", str(tmp_path / "gen.wav")], tmp_path)
+    assert rc == 3
+    assert "non-finite samples" in capsys.readouterr().err
+    assert not (tmp_path / "item_000.gen.mel.vemt").exists()
+    assert not (tmp_path / "gen.wav").exists()
+
+
 def test_sample_aligner_without_conv1_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
     aligner = _edited(trained_dir / "aligner.vemt", tmp_path / "a.vemt",
                       lambda t: t.pop("conv1.w"), feat_dim=10**9)
@@ -425,8 +510,8 @@ def test_train_adapter_zero_latent_std_exits_3(tmp_path, corpus_dir, trained_dir
     tensors, meta = load_tensors(trained_dir / "diffusion.vemt")
     save_tensors(tmp_path / "diffusion.vemt", tensors, dict(meta, latent_std=0.0))
     shutil.copy(trained_dir / "aligner.vemt", tmp_path / "aligner.vemt")
-    rc = run(["train", "--corpus", str(corpus_dir), "--widths", "8", "--t-steps", "50",
-              "--steps", "2", "--stage", "adapter"], tmp_path)
+    rc = run(["train", "--corpus", str(corpus_dir), "--steps", "2", "--stage", "adapter"],
+             tmp_path)
     assert rc == 3
     assert "'latent_std' must be positive" in capsys.readouterr().err
     assert not (tmp_path / "adapter.vemt").exists()

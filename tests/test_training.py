@@ -118,6 +118,37 @@ def test_stage_adapter_attaches_and_trains(corpus):
     assert len(losses) == 6 and all(np.isfinite(losses))
 
 
+def test_stage_adapter_tunes_the_schedule_its_checkpoint_holds(corpus, monkeypatch):
+    """Stage C trains on the T its checkpoint holds, the one the sampler will
+    run, not on the config's."""
+    aligner = AlignerNet(corpus[0][0].frame_features.shape[0], rng=Rng(0))
+    unet, temb, meta, _ = tr.train_stage_diffusion(corpus, tiny_cfg(T=50, diffusion_steps=1))
+    seen = []
+
+    def recording_loss(*args, **kwargs):
+        seen.append(args[5])
+        return training_loss(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "training_loss", recording_loss)
+    _, _, meta, _ = tr.train_stage_adapter(corpus, tiny_cfg(T=1000, adapter_steps=2), aligner,
+                                           unet, temb, meta)
+    assert seen == [50, 50] and meta["T"] == 50
+
+
+def test_stage_adapter_writes_a_fresh_meta(corpus, tmp_path):
+    """A diffusion checkpoint that carries keys an older writer stored
+    yields the four-key adapter meta: nothing is copied over."""
+    aligner = AlignerNet(corpus[0][0].frame_features.shape[0], rng=Rng(0))
+    unet, temb, meta, _ = tr.train_stage_diffusion(corpus, tiny_cfg(diffusion_steps=1))
+    tr.save_diffusion(tmp_path / "diffusion.vemt", unet, temb,
+                      dict(meta, widths=[8], cond_dim=64, feat_dim=10))
+    unet, temb, old = tr.load_diffusion(tmp_path / "diffusion.vemt")
+    _, _, new, _ = tr.train_stage_adapter(corpus, tiny_cfg(adapter_steps=1), aligner, unet, temb,
+                                          old)
+    assert new == {"stage": "adapter", "T": old["T"], "latent_mean": old["latent_mean"],
+                   "latent_std": old["latent_std"]}
+
+
 def test_three_stage_train_bundle(corpus):
     cfg = tiny_cfg(aligner_steps=10, diffusion_steps=4, adapter_steps=4)
     out = tr.three_stage_train(corpus, cfg)
