@@ -12,7 +12,7 @@ from .beatdet import beats_within, detect_beats, estimate_tempo, spectral_flux, 
 from .curation import CurationRule, SynthConfig, gate, synth_corpus
 from .diffusion import (Latent, latent_decode, latent_encode, make_schedule, q_sample, sample,
                         training_loss)
-from .errors import DataError, ManifestError, StageOrderError
+from .errors import DataError, StageOrderError
 from .evalsuite import (StoryboardScores, frechet_distance, inception_score, mean_kld,
                         tw_score)
 from .parsing import (Storyboard, TimeEmbedder, VideoAnnotation, load_manifest,

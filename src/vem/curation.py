@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .audiofeat import HOP, N_FFT, SAMPLE_RATE, Waveform, estimate_snr
+from .audiofeat import HOP, MAX_DURATION_S, N_FFT, SAMPLE_RATE, Waveform, estimate_snr
 from .beatdet import MIN_ENVELOPE_S
 from .errors import DataError
 from .parsing import (Storyboard, VideoAnnotation, toy_text_embed, toy_visual_embed,
@@ -61,8 +61,9 @@ class SynthConfig:
 
     def __post_init__(self):
         lo, hi = self.duration_range_s
-        if not lo <= hi < np.inf:
-            raise DataError(f"duration range [{lo}, {hi}] must be finite and ordered")
+        if not lo <= hi <= MAX_DURATION_S:  # a longer clip is one no reader takes
+            raise DataError(f"duration range [{lo}, {hi}] must be ordered and end by "
+                            f"{MAX_DURATION_S:g} s")
         if lo < MIN_SYNTH_S:
             raise DataError(f"clips must last at least {MIN_SYNTH_S:g} s for beat tracking, "
                             f"got {lo}")

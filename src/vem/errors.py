@@ -9,13 +9,5 @@ class DataError(ValueError):
     """Malformed or inconsistent input data (files, manifests, shapes)."""
 
 
-class ManifestError(DataError):
-    """Annotation manifest rejected; the message names the offending field."""
-
-    def __init__(self, field, message):
-        self.field = field
-        super().__init__(f"{field}: {message}")
-
-
 class StageOrderError(RuntimeError):
     """A training stage was requested before its prerequisites exist."""

@@ -31,7 +31,7 @@ import numpy as np
 from . import autograd as ag
 from .audiofeat import MAX_DURATION_S
 from .container import load_tensors, save_tensors
-from .errors import ManifestError
+from .errors import DataError
 from .timeline import DEFAULT_FPS, TimestampSet
 
 FEATURE_DIM = 64  # width of the toy text and visual embeddings
@@ -111,25 +111,17 @@ class TimeEmbedder(ag.Module):
     INPUT_SCALE = 1.0 / 30.0
 
     def __init__(self, dim=FEATURE_DIM, rng=None):
-        if rng is None:
-            self.w1 = ag.param(np.zeros((1, TIME_HIDDEN), dtype=np.float32))
-            self.w2 = ag.param(np.zeros((TIME_HIDDEN, dim), dtype=np.float32))
-        else:
-            self.w1 = ag.param(rng.gaussian((1, TIME_HIDDEN)).astype(np.float32))
-            self.w2 = ag.param((rng.gaussian((TIME_HIDDEN, dim)) / np.sqrt(TIME_HIDDEN))
-                               .astype(np.float32))
-        self.b1 = ag.param(np.zeros(TIME_HIDDEN, dtype=np.float32))
-        self.b2 = ag.param(np.zeros(dim, dtype=np.float32))
+        self.lin1 = ag.Linear(1, TIME_HIDDEN, rng)
+        self.lin2 = ag.Linear(TIME_HIDDEN, dim, rng)
         self.dim = dim
 
     def embed(self, times):
         """times: scalar or sequence of seconds -> (n, dim) Var."""
-        arr = np.atleast_1d(np.asarray(times, dtype=self.w1.data.dtype))
+        arr = np.atleast_1d(np.asarray(times, dtype=self.lin1.w.data.dtype))
         if np.any(arr < 0):
             raise ValueError(f"time must be non-negative, got {arr.min()}")
         x = ag.Var(arr[:, None] * self.INPUT_SCALE)
-        h = ag.linear(x, self.w1, self.b1).tanh()
-        return ag.linear(h, self.w2, self.b2)
+        return self.lin2(self.lin1(x).tanh())
 
 
 # -- manifest I/O ----------------------------------------------------------
@@ -137,53 +129,56 @@ class TimeEmbedder(ag.Module):
 
 def _require(doc, field, path):
     if not isinstance(doc, dict):
-        raise ManifestError(path.rstrip(".") or "(document)", "must be a JSON object")
+        raise DataError(f"{path.rstrip('.') or '(document)'}: must be a JSON object")
     if field not in doc:
-        raise ManifestError(f"{path}{field}", "missing")
+        raise DataError(f"{path}{field}: missing")
     return doc[field]
 
 
-def _finite(x):
-    """A JSON number that converts to a finite float (bool, NaN, inf and huge ints fail)."""
+def finite_number(x):
+    """A JSON number that converts to a finite float (bool, NaN, inf and huge
+    ints fail): the one rule for numbers read from a manifest or a
+    checkpoint's meta."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _number(doc, field, path):
     val = _require(doc, field, path)
-    if not _finite(val):
-        raise ManifestError(f"{path}{field}", f"must be a finite number, got {val!r}")
+    if not finite_number(val):
+        raise DataError(f"{path}{field}: must be a finite number, got {val!r}")
     return val
 
 
 def load_manifest(path):
     """Read and validate a manifest; attach features from the sidecar or the
-    toy embedders. Raises ManifestError naming the offending field.
+    toy embedders. Raises DataError whose message starts with the offending
+    field.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ManifestError("(document)", f"invalid JSON: {exc}") from exc
+            raise DataError(f"(document): invalid JSON: {exc}") from exc
 
     video_id = str(_require(doc, "video_id", ""))
     duration = _number(doc, "duration_s", "")
     if not 0 < duration <= MAX_DURATION_S:
-        raise ManifestError("duration_s", f"must be in (0, {MAX_DURATION_S}], got {duration!r}")
+        raise DataError(f"duration_s: must be in (0, {MAX_DURATION_S}], got {duration!r}")
     glob = _require(doc, "global", "")
     caption = str(_require(glob, "caption", "global."))
     tags = _require(glob, "tags", "global.")
     if not isinstance(tags, list):
-        raise ManifestError("global.tags", "must be a list")
+        raise DataError("global.tags: must be a list")
 
     sidecar = {}
     if doc.get("features"):
         fpath = doc["features"]
         if not isinstance(fpath, str):
-            raise ManifestError("features", f"must be a sidecar path, got {fpath!r}")
+            raise DataError(f"features: must be a sidecar path, got {fpath!r}")
         if not os.path.isabs(fpath):
             fpath = os.path.join(os.path.dirname(os.path.abspath(path)), fpath)
         if not os.path.exists(fpath):
-            raise ManifestError("features", f"sidecar not found: {fpath}")
+            raise DataError(f"features: sidecar not found: {fpath}")
         sidecar, _ = load_tensors(fpath)
 
     def feat(key, fallback, ndim=1):
@@ -191,8 +186,8 @@ def load_manifest(path):
             return fallback()
         v = sidecar[key]
         if v.ndim != ndim or v.size == 0 or not np.isfinite(v).all():
-            raise ManifestError(key, f"must be a non-empty finite {ndim}-D array, "
-                                     f"got shape {v.shape}")
+            raise DataError(f"{key}: must be a non-empty finite {ndim}-D array, "
+                            f"got shape {v.shape}")
         return v
 
     caption_feat = feat("caption_feat", lambda: toy_text_embed(caption))
@@ -200,7 +195,7 @@ def load_manifest(path):
 
     raw_sbs = _require(doc, "storyboards", "")
     if not isinstance(raw_sbs, list) or not raw_sbs:
-        raise ManifestError("storyboards", "must be a non-empty list")
+        raise DataError("storyboards: must be a non-empty list")
     sbs = []
     prev_end = -np.inf
     for i, sb in enumerate(raw_sbs):
@@ -209,13 +204,12 @@ def load_manifest(path):
         dur = _number(sb, "duration_s", where)
         text = str(_require(sb, "text", where))
         if dur <= 0:
-            raise ManifestError(f"{where}duration_s", f"must be positive, got {dur}")
+            raise DataError(f"{where}duration_s: must be positive, got {dur}")
         if start < 0 or start + dur > duration + 1e-9:
-            raise ManifestError(f"{where}start_s",
-                                f"span [{start}, {start + dur}] outside [0, {duration}]")
+            raise DataError(f"{where}start_s: span [{start}, {start + dur}] "
+                            f"outside [0, {duration}]")
         if start < prev_end - 1e-9:
-            raise ManifestError(f"{where}start_s",
-                                f"overlaps previous storyboard ending at {prev_end}")
+            raise DataError(f"{where}start_s: overlaps previous storyboard ending at {prev_end}")
         prev_end = start + dur
         sbs.append(Storyboard(
             start_s=float(start), duration_s=float(dur), text=text,
@@ -227,14 +221,14 @@ def load_manifest(path):
     dims.update(len(s.text_feat) for s in sbs)
     dims.update(len(s.visual_feat) for s in sbs)
     if len(dims) != 1:
-        raise ManifestError("features", f"inconsistent feature dims {sorted(dims)}")
+        raise DataError(f"features: inconsistent feature dims {sorted(dims)}")
 
     raw_tr = _require(doc, "transitions_s", "")
-    if not isinstance(raw_tr, list) or not all(_finite(t) for t in raw_tr):
-        raise ManifestError("transitions_s", "must be a list of finite numbers")
+    if not isinstance(raw_tr, list) or not all(finite_number(t) for t in raw_tr):
+        raise DataError("transitions_s: must be a list of finite numbers")
     tr = sorted(float(t) for t in raw_tr)
     if tr and (tr[0] < 0 or tr[-1] > duration):
-        raise ManifestError("transitions_s", f"values outside [0, {duration}]")
+        raise DataError(f"transitions_s: values outside [0, {duration}]")
 
     ann = VideoAnnotation(
         video_id=video_id, duration_s=float(duration),

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import autograd as ag
 from .errors import DataError
-from .numcore import linear_interp
 from .rng import Rng
 
 ALIGNER_HIDDEN = 32
@@ -38,7 +37,7 @@ class AlignerNet(ag.Module):
         self.conv2 = ag.Conv1d(ALIGNER_HIDDEN, ALIGNER_HIDDEN, 5, rng, padding=2)
         self.head = ag.Conv1d(ALIGNER_HIDDEN, 1, 1, rng)
 
-    def forward(self, frame_features):
+    def __call__(self, frame_features):
         """(feat_dim, frames) features -> (penultimate activations, time-major
         (frames, ALIGNER_HIDDEN), and logits (frames,))."""
         x = np.asarray(frame_features)
@@ -52,7 +51,7 @@ class AlignerNet(ag.Module):
 
 def aligner_loss(net, frame_features, label_frames):
     """Mean BCE over frames, computed from logits in the stable form."""
-    _, logits = net.forward(frame_features)
+    _, logits = net(frame_features)
     labels = np.asarray(label_frames, dtype=logits.data.dtype)
     if labels.shape != logits.shape:
         raise DataError(f"label length {labels.shape} != logit length {logits.shape}")
@@ -82,13 +81,36 @@ def train_aligner(dataset, steps, seed):
     return net, ag.Adam(dict(net.named_params()), lr=ALIGNER_LR).minimize(loss_of, steps)
 
 
+def linear_interp(values, num_out):
+    """Resample an array along axis 0 (time-major: (length, ...)) to
+    `num_out` rows.
+
+    Endpoint-preserving: output positions are spread over [0, n_in - 1], so
+    the first and last input rows survive exactly. A length-1 input is
+    broadcast.
+    """
+    values = np.asarray(values)
+    n_in = values.shape[0]
+    num_out = int(num_out)
+    if num_out < 1:
+        raise ValueError("num_out must be >= 1")
+    if n_in == 1:
+        return np.repeat(values, num_out, axis=0)
+    pos = np.linspace(0.0, n_in - 1.0, num_out)
+    lo = np.floor(pos).astype(int)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = (pos - lo).astype(values.dtype if values.dtype.kind == "f" else np.float64)
+    frac = frac.reshape((num_out,) + (1,) * (values.ndim - 1))
+    return values[lo] * (1.0 - frac) + values[hi] * frac
+
+
 def aligner_features(net, frame_features, latent_len):
     """Penultimate activations resampled to the latent clock, as a constant
     (latent_len, ALIGNER_HIDDEN) array (the aligner is frozen wherever these
     are consumed).
     """
     with ag.no_grad():
-        pen, _ = net.forward(frame_features)
+        pen, _ = net(frame_features)
     return linear_interp(pen.data.astype(np.float64), latent_len).astype(np.float32)
 
 
@@ -99,10 +121,8 @@ class AdapterParams(ag.Module):
     """
 
     def __init__(self, channels):
-        self.gamma_w = ag.param(np.zeros((ALIGNER_HIDDEN, channels), dtype=np.float32))
-        self.gamma_b = ag.param(np.zeros(channels, dtype=np.float32))
-        self.beta_w = ag.param(np.zeros((ALIGNER_HIDDEN, channels), dtype=np.float32))
-        self.beta_b = ag.param(np.zeros(channels, dtype=np.float32))
+        self.gamma = ag.Linear(ALIGNER_HIDDEN, channels, None)
+        self.beta = ag.Linear(ALIGNER_HIDDEN, channels, None)
 
 
 def apply_adapter(z, feats, p):
@@ -116,7 +136,7 @@ def apply_adapter(z, feats, p):
     feats = np.asarray(feats)
     if feats.shape[0] != z.shape[0]:
         raise DataError(f"adapter features cover {feats.shape[0]} frames, latent has {z.shape[0]}")
-    ft = ag.Var(feats.astype(p.gamma_w.data.dtype))
-    gamma = ag.linear(ft, p.gamma_w, p.gamma_b)         # (L, channels)
-    beta = ag.linear(ft, p.beta_w, p.beta_b)
+    ft = ag.Var(feats.astype(p.gamma.w.data.dtype))
+    gamma = p.gamma(ft)                                 # (L, channels)
+    beta = p.beta(ft)
     return z + gamma * z + beta

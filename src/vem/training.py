@@ -31,7 +31,6 @@ standardized latents, so samples are de-standardized before decoding.
 """
 
 import dataclasses
-import sys
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .container import load_tensors, save_tensors
 from .diffusion import (LATENT_CHANNELS, MAX_T, Latent, latent_decode, latent_encode,
                         latent_len_for_duration, sample, training_loss)
 from .errors import DataError, StageOrderError
-from .parsing import TimeEmbedder
+from .parsing import TimeEmbedder, finite_number
 from .rng import Rng
 from .sgcatt import TOKENS_PER_STORYBOARD, StoryboardMask, assemble_conditions, build_mask
 from .tbalign import AlignerNet, aligner_features, train_aligner
@@ -187,8 +186,7 @@ def _check_meta(path, meta):
         raise DataError(f"{path}: meta 'T' must be an int in [1, {MAX_T}], got {T!r}")
     for key in ("latent_mean", "latent_std"):
         v = meta.get(key)
-        # a Python float's range, compared exactly: NaN, inf and ints past it fail
-        if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        if not finite_number(v):
             raise DataError(f"{path}: meta {key!r} must be a finite number, got {v!r}")
     if meta["latent_std"] <= 0:
         raise DataError(f"{path}: meta 'latent_std' must be positive, got {meta['latent_std']!r}")

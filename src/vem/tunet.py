@@ -31,11 +31,14 @@ import numpy as np
 
 from . import autograd as ag
 from .errors import DataError
-from .numcore import linear_interp
 from .sgcatt import attention_logits, level_masks, sg_cross_attention
-from .tbalign import AdapterParams, apply_adapter
+from .tbalign import AdapterParams, apply_adapter, linear_interp
 
 TEMB_DIM = 128  # width of the diffusion-step embedding and its MLP
+# longest latent a forward takes: self-attention holds an L x L matrix per
+# level, 64 MiB in float32 at 4096 frames (262 s), while CurationRule's
+# longest clip (120 s) is 1,875 frames
+MAX_LATENT_LEN = 4096
 
 
 def sinusoidal_step_embedding(t, dim):
@@ -174,6 +177,8 @@ class TUNet(ag.Module):
         if z.ndim != 2 or z.shape[0] != self.in_channels:
             raise DataError(f"latent shape {z.shape} != ({self.in_channels}, L)")
         length = z.shape[1]
+        if length > MAX_LATENT_LEN:
+            raise DataError(f"latent length {length} exceeds {MAX_LATENT_LEN} frames")
         if base_mask.grid.shape[0] != length:
             raise DataError(f"mask rows {base_mask.grid.shape[0]} != latent length {length}")
         if tokens.shape[1] != self.cond_dim:

@@ -303,7 +303,7 @@ def _mixed_loss(seed):
     net = AlignerNet(4, rng=r.fork(1))
     feats, labels = r.gaussian((4, 12)), (r.uniform(12) > 0.5).astype(np.float64)
     with_dtype(net, np.float64)
-    h, logits = net.forward(feats)
+    h, logits = net(feats)
     n = ALIGNER_HIDDEN
     w, b = ag.param(r.gaussian((n, n))), ag.param(r.gaussian(n))
     g, beta = ag.param(r.gaussian(n)), ag.param(r.gaussian(n))

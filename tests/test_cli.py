@@ -2,6 +2,9 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from helpers import click_track
 from vem import cli
 from vem.audiofeat import MAX_DURATION_S, SAMPLE_RATE, Waveform, resample, save_wav
 from vem.container import load_tensors, save_tensors
-from vem.curation import MIN_SYNTH_S
+from vem.curation import MIN_SYNTH_S, CurationRule
 from vem.diffusion import MAX_T
 from vem.parsing import build_frame_features, load_manifest
 from vem.rng import Rng
@@ -367,7 +370,7 @@ def test_sample_non_square_attention_weight_exits_3(tmp_path, corpus_dir, traine
 @pytest.mark.parametrize("bad,tensor,err", [
     ({"T": 10**12}, None, "'T' must be"),
     ({"widths": [64]}, ("unet.in_conv.w", (64, 240, 3)), "shape mismatch for in_conv.w"),
-    ({"cond_dim": 5000}, ("time_embedder.w2", (32, 5000)), "shape mismatch for w2"),
+    ({"cond_dim": 5000}, ("time_embedder.lin2.w", (32, 5000)), "shape mismatch for lin2.w"),
 ], ids=["T", "widths", "cond-dim"])
 def test_sample_oversized_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_dir, capsys,
                                                   bad, tensor, err):
@@ -469,6 +472,43 @@ def test_sample_deeply_nested_json_exits_3(tmp_path, corpus_dir, trained_dir, ca
     rc = run(["sample", str(ckpt), str(manifest), "--steps", "2"], tmp_path)
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: data: ")
+
+
+def _one_shot_manifest(path, duration_s):
+    path.write_text(json.dumps({
+        "video_id": "long", "duration_s": duration_s,
+        "global": {"caption": "one long take", "tags": ["calm"]},
+        "storyboards": [{"start_s": 0.0, "duration_s": duration_s, "text": "one shot"}],
+        "transitions_s": []}))
+    return str(path)
+
+
+def test_sample_overlong_latent_exits_3_under_memory_limit(tmp_path, trained_dir):
+    """A valid 3000 s manifest needs a 46,875-frame latent, whose attention
+    matrix alone is 8.2 GiB: under a 2.5 GB address-space limit `vem sample`
+    exits 3 with one error line, not with a MemoryError traceback."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))\n"
+            "from vem import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["--out-dir", str(tmp_path), "sample", str(trained_dir / "diffusion.vemt"),
+            _one_shot_manifest(tmp_path / "long.json", 3000.0), "--steps", "1"]
+    proc = subprocess.run([sys.executable, "-c", code] + argv, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: data: latent length 46875 exceeds")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_sample_longest_curated_clip(tmp_path, trained_dir):
+    manifest = _one_shot_manifest(tmp_path / "long.json", CurationRule().max_duration_s)
+    rc = run(["sample", str(trained_dir / "diffusion.vemt"), manifest, "--steps", "1"], tmp_path)
+    assert rc == 0
+    # 1,875 latent frames of 4 mel windows each
+    assert load_tensors(tmp_path / "long.gen.mel.vemt")[0]["mel"].shape[0] == 7500
 
 
 def _narrowed(src, dst, width, to):

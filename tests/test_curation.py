@@ -5,7 +5,7 @@ import pytest
 from helpers import make_annotation
 
 from vem import curation as cu
-from vem.audiofeat import SAMPLE_RATE, Waveform, logmel
+from vem.audiofeat import MAX_DURATION_S, SAMPLE_RATE, Waveform, logmel
 from vem.beatdet import beats_within
 from vem.errors import DataError
 from vem.parsing import load_manifest, save_manifest
@@ -102,6 +102,16 @@ def test_synth_corpus_deterministic():
 def test_synth_corpus_needs_positive_n():
     with pytest.raises(DataError):
         cu.synth_corpus(0, seed=1)
+
+
+@pytest.mark.parametrize("hi", [MAX_DURATION_S + 100, 1e15])
+def test_synth_config_refuses_clips_no_reader_takes(hi):
+    """A clip past MAX_DURATION_S is one `load_wav` and `load_manifest`
+    refuse, and synthesizing it ran out of memory or for hours: the config
+    refuses it before a sample is drawn, and admits the bound itself."""
+    with pytest.raises(DataError, match="must be ordered and end by"):
+        cu.SynthConfig(duration_range_s=(10.0, hi))
+    cu.SynthConfig(duration_range_s=(10.0, MAX_DURATION_S))
 
 
 def test_shortest_synth_clip_keeps_beat_tracking():

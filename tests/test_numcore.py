@@ -1,11 +1,16 @@
+"""The small numeric kernels, each against hand-evaluated values: softmax
+and layer norm (`autograd`), `sqrtm_psd` and `frechet_gaussian`
+(`evalsuite`), and `linear_interp` (`tbalign`)."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vem.autograd import Var
-from vem.numcore import frechet_gaussian, linear_interp, sqrtm_psd
+from vem.evalsuite import frechet_gaussian, sqrtm_psd
 from vem.rng import Rng
+from vem.tbalign import linear_interp
 
 
 def softmax(x):

@@ -6,7 +6,7 @@ import pytest
 from vem import autograd as ag
 from vem import parsing as ps
 from vem.container import save_tensors
-from vem.errors import ManifestError
+from vem.errors import DataError
 from vem.rng import Rng
 
 from helpers import make_annotation, params_of, with_dtype
@@ -64,9 +64,30 @@ def test_visual_embed_differs_from_text():
 
 def test_time_embedder_zero_init_gives_bias():
     emb = ps.TimeEmbedder(dim=16)
-    emb.b2.data = np.arange(16, dtype=np.float32)
+    emb.lin2.b.data = np.arange(16, dtype=np.float32)
     np.testing.assert_allclose(emb.embed([0.0]).data[0], np.arange(16), atol=1e-7)
     np.testing.assert_allclose(emb.embed([7.5]).data[0], np.arange(16), atol=1e-7)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_time_embedder_matches_hand_rolled_oracle(seed):
+    """The two Linears draw and scale as the hand-rolled MLP they replaced:
+    w1 ~ N(0, 1), then w2 ~ N(0, 1) / sqrt(TIME_HIDDEN) from the same
+    stream, zero biases and tanh between. Weights and outputs agree bit for
+    bit."""
+    r = Rng(seed)
+    w1 = r.gaussian((1, ps.TIME_HIDDEN)).astype(np.float32)
+    w2 = (r.gaussian((ps.TIME_HIDDEN, ps.FEATURE_DIM)) / np.sqrt(ps.TIME_HIDDEN)).astype(np.float32)
+    b1 = np.zeros(ps.TIME_HIDDEN, dtype=np.float32)
+    b2 = np.zeros(ps.FEATURE_DIM, dtype=np.float32)
+    emb = ps.TimeEmbedder(rng=Rng(seed))
+    for got, want in ((emb.lin1.w, w1), (emb.lin1.b, b1), (emb.lin2.w, w2), (emb.lin2.b, b2)):
+        assert got.data.dtype == want.dtype and got.data.tobytes() == want.tobytes()
+    times = [0.0, 0.4, 3.5, 12.25, 119.0]
+    x = ag.Var(np.asarray(times, dtype=np.float32)[:, None] * ps.TimeEmbedder.INPUT_SCALE)
+    want = ag.linear(ag.linear(x, w1, b1).tanh(), w2, b2).data
+    got = emb.embed(times).data
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_time_embedder_rejects_negative():
@@ -149,21 +170,21 @@ def test_overlap_rejected(tmp_path):
         {"start_s": 0.0, "duration_s": 5.0, "text": "a"},
         {"start_s": 4.0, "duration_s": 4.0, "text": "b"},
     ])
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(DataError) as err:
         ps.load_manifest(write_doc(tmp_path, doc))
     assert "storyboards[1]" in str(err.value)
 
 
 def test_storyboard_not_an_object_rejected(tmp_path):
     doc = manifest_doc(storyboards=[3])
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(DataError) as err:
         ps.load_manifest(write_doc(tmp_path, doc))
     assert "storyboards[0]" in str(err.value)
 
 
 def test_string_start_rejected(tmp_path):
     doc = manifest_doc(storyboards=[{"start_s": "0", "duration_s": 10.0, "text": "a"}])
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(DataError) as err:
         ps.load_manifest(write_doc(tmp_path, doc))
     assert "storyboards[0].start_s" in str(err.value)
 
@@ -180,21 +201,21 @@ def test_string_start_rejected(tmp_path):
 def test_boolean_number_rejected(tmp_path, field, doc):
     """JSON true and false are not numbers, though Python counts a bool as
     an int: each of these documents would otherwise load, as 1 or 0."""
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(DataError) as err:
         ps.load_manifest(write_doc(tmp_path, doc))
-    assert err.value.field == field
+    assert str(err.value).startswith(f"{field}: ")
 
 
 def test_span_outside_duration_rejected(tmp_path):
     doc = manifest_doc(storyboards=[{"start_s": 8.0, "duration_s": 5.0, "text": "a"}])
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataError):
         ps.load_manifest(write_doc(tmp_path, doc))
 
 
 def test_missing_field_named(tmp_path):
     doc = manifest_doc()
     del doc["duration_s"]
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(DataError) as err:
         ps.load_manifest(write_doc(tmp_path, doc))
     assert "duration_s" in str(err.value)
 
@@ -202,7 +223,7 @@ def test_missing_field_named(tmp_path):
 def test_missing_nested_field_named(tmp_path):
     doc = manifest_doc()
     del doc["global"]["caption"]
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(DataError) as err:
         ps.load_manifest(write_doc(tmp_path, doc))
     assert "caption" in str(err.value)
 
@@ -210,26 +231,26 @@ def test_missing_nested_field_named(tmp_path):
 def test_invalid_json_rejected(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataError):
         ps.load_manifest(p)
 
 
 def test_deeply_nested_json_rejected(tmp_path):
     p = tmp_path / "nested.json"
     p.write_text("[" * 200_000)
-    with pytest.raises(ManifestError, match="invalid JSON"):
+    with pytest.raises(DataError, match="invalid JSON"):
         ps.load_manifest(p)
 
 
 def test_transition_outside_duration_rejected(tmp_path):
     doc = manifest_doc(transitions_s=[12.0])
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataError):
         ps.load_manifest(write_doc(tmp_path, doc))
 
 
 def test_missing_sidecar_rejected(tmp_path):
     doc = manifest_doc(features="nope.vemt")
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(DataError) as err:
         ps.load_manifest(write_doc(tmp_path, doc))
     assert "sidecar" in str(err.value)
 
@@ -269,7 +290,7 @@ def test_inconsistent_sidecar_dims_rejected(tmp_path):
     doc = manifest_doc(features="side.vemt")
     save_tensors(tmp_path / "side.vemt",
                  {"caption_feat": np.zeros(32, dtype=np.float32)})
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(DataError) as err:
         ps.load_manifest(write_doc(tmp_path, doc))
     assert "dims" in str(err.value)
 
@@ -283,9 +304,9 @@ def test_inconsistent_sidecar_dims_rejected(tmp_path):
 def test_malformed_sidecar_feature_named(tmp_path, key, value):
     doc = manifest_doc(features="side.vemt")
     save_tensors(tmp_path / "side.vemt", {key: np.asarray(value)})
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(DataError) as err:
         ps.load_manifest(write_doc(tmp_path, doc))
-    assert err.value.field == key
+    assert str(err.value).startswith(f"{key}: ")
 
 
 # -- frame features --------------------------------------------------------

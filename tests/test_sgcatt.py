@@ -71,7 +71,7 @@ def test_time_tokens_carry_gradient():
     emb = TimeEmbedder(dim=64, rng=Rng(1))
     toks = sg.assemble_conditions(ann, emb)
     (toks * toks).sum().backward()
-    assert emb.w2.grad is not None and np.abs(emb.w2.grad).max() > 0
+    assert emb.lin2.w.grad is not None and np.abs(emb.lin2.w.grad).max() > 0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

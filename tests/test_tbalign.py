@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import params_of, with_dtype
+from vem import autograd as ag
 from vem import tbalign as tb
 from vem.errors import DataError
-from vem.numcore import linear_interp
 from vem.rng import Rng
 
 
@@ -25,7 +25,7 @@ def toy_dataset(n_items=2, frames=48, feat_dim=6, seed=0):
 
 def test_forward_shapes():
     net = tb.AlignerNet(6, rng=Rng(0))
-    pen, logits = net.forward(np.zeros((6, 20), dtype=np.float32))
+    pen, logits = net(np.zeros((6, 20), dtype=np.float32))
     assert pen.shape == (20, tb.ALIGNER_HIDDEN)  # time-major
     assert logits.shape == (20,)
 
@@ -33,7 +33,7 @@ def test_forward_shapes():
 def test_forward_rejects_wrong_dim():
     net = tb.AlignerNet(6, rng=Rng(0))
     with pytest.raises(DataError):
-        net.forward(np.zeros((5, 20)))
+        net(np.zeros((5, 20)))
 
 
 def test_aligner_gradients_match_fd():
@@ -88,7 +88,7 @@ def test_training_rejects_bad_datasets():
 def test_aligner_features_identity_length():
     net = tb.AlignerNet(4, rng=Rng(3))
     feats = Rng(8).gaussian((4, 12))
-    pen, _ = net.forward(feats)
+    pen, _ = net(feats)
     out = tb.aligner_features(net, feats, 12)
     np.testing.assert_allclose(out, pen.data, atol=1e-6)
 
@@ -96,16 +96,16 @@ def test_aligner_features_identity_length():
 def test_aligner_features_interp_oracle():
     net = tb.AlignerNet(4, rng=Rng(3))
     feats = Rng(8).gaussian((4, 12))
-    pen, _ = net.forward(feats)
+    pen, _ = net(feats)
     out = tb.aligner_features(net, feats, 6)
-    ref = linear_interp(pen.data.astype(np.float64), 6)
+    ref = tb.linear_interp(pen.data.astype(np.float64), 6)
     np.testing.assert_allclose(out, ref, atol=1e-6)
     assert out.shape == (6, tb.ALIGNER_HIDDEN)
 
 
 def test_aligner_features_constant_rows():
     class Fixed(tb.AlignerNet):
-        def forward(self, ff):
+        def __call__(self, ff):
             import vem.autograd as ag
             pen = ag.Var(np.full((ff.shape[1], tb.ALIGNER_HIDDEN), 2.5, dtype=np.float32))
             return pen, ag.Var(np.zeros(ff.shape[1], dtype=np.float32))
@@ -128,9 +128,31 @@ def test_adapter_zero_init_is_exact_noop():
     assert (out == z).all()
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_adapter_matches_hand_rolled_oracle(seed):
+    """The gamma and beta Linears start as the four zero arrays they
+    replaced, and with trained weights loaded, `apply_adapter` computes
+    z + (f @ gw + gb) * z + (f @ bw + bb) bit for bit."""
+    channels, frames, hidden = 5, 9, tb.ALIGNER_HIDDEN
+    p = tb.AdapterParams(channels)
+    for lin in (p.gamma, p.beta):
+        assert lin.w.data.shape == (hidden, channels) and lin.b.data.shape == (channels,)
+        assert not lin.w.data.any() and not lin.b.data.any()
+    r = Rng(seed)
+    gw, gb, bw, bb = (r.gaussian(shape).astype(np.float32)
+                      for shape in ((hidden, channels), (channels,)) * 2)
+    p.load_state_dict({"gamma.w": gw, "gamma.b": gb, "beta.w": bw, "beta.b": bb})
+    z = ag.Var(r.gaussian((frames, channels)).astype(np.float32))
+    feats = r.gaussian((frames, hidden)).astype(np.float32)
+    ft = ag.Var(feats)
+    want = (z + ag.linear(ft, gw, gb) * z + ag.linear(ft, bw, bb)).data
+    got = tb.apply_adapter(z, feats, p).data
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_adapter_forced_gamma_one_doubles():
     p = tb.AdapterParams(channels=3)
-    p.gamma_b.data = np.ones(3, dtype=np.float32)
+    p.gamma.b.data = np.ones(3, dtype=np.float32)
     z = Rng(9).gaussian((3, 6)).astype(np.float32).T
     feats = np.zeros((6, tb.ALIGNER_HIDDEN), dtype=np.float32)
     np.testing.assert_allclose(tb.apply_adapter(z, feats, p).data, 2 * z, atol=1e-6)
@@ -138,7 +160,7 @@ def test_adapter_forced_gamma_one_doubles():
 
 def test_adapter_forced_gamma_minus_one_zeroes():
     p = tb.AdapterParams(channels=3)
-    p.gamma_b.data = -np.ones(3, dtype=np.float32)
+    p.gamma.b.data = -np.ones(3, dtype=np.float32)
     z = Rng(9).gaussian((3, 6)).astype(np.float32).T
     feats = np.zeros((6, tb.ALIGNER_HIDDEN), dtype=np.float32)
     np.testing.assert_allclose(tb.apply_adapter(z, feats, p).data, 0.0, atol=1e-6)
@@ -152,7 +174,7 @@ def test_adapter_rejects_length_mismatch():
 
 def test_adapter_beta_adds():
     p = tb.AdapterParams(channels=2)
-    p.beta_w.data = np.ones((tb.ALIGNER_HIDDEN, 2), dtype=np.float32)
+    p.beta.w.data = np.ones((tb.ALIGNER_HIDDEN, 2), dtype=np.float32)
     z = np.zeros((4, 2), dtype=np.float32)
     feats = np.ones((4, tb.ALIGNER_HIDDEN), dtype=np.float32)
     np.testing.assert_allclose(tb.apply_adapter(z, feats, p).data, tb.ALIGNER_HIDDEN, atol=1e-6)

@@ -114,7 +114,7 @@ def test_stage_adapter_attaches_and_trains(corpus):
     unet, temb, meta, _ = tr.train_stage_diffusion(corpus, cfg)
     unet, temb, meta, losses = tr.train_stage_adapter(corpus, cfg, aligner, unet, temb, meta)
     assert meta["stage"] == "adapter"
-    assert unet.adapters[0].gamma_w.shape[0] == aligner.head.w.shape[1] == ALIGNER_HIDDEN
+    assert unet.adapters[0].gamma.w.shape[0] == aligner.head.w.shape[1] == ALIGNER_HIDDEN
     assert len(losses) == 6 and all(np.isfinite(losses))
 
 
@@ -195,8 +195,8 @@ def test_adapter_checkpoint_restores_adapters(tmp_path, corpus):
     u2, _, m2 = tr.load_diffusion(path)
     assert m2["stage"] == "adapter"
     assert u2.adapters is not None
-    np.testing.assert_array_equal(u2.adapters[0].gamma_w.data,
-                                  out["unet"].adapters[0].gamma_w.data)
+    np.testing.assert_array_equal(u2.adapters[0].gamma.w.data,
+                                  out["unet"].adapters[0].gamma.w.data)
 
 
 def test_checkpoint_kind_guards(tmp_path, corpus, stage_b):

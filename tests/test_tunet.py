@@ -4,6 +4,8 @@ import pytest
 from helpers import with_dtype
 from vem import autograd as ag
 from vem import tunet as tn
+from vem.curation import CurationRule
+from vem.diffusion import latent_len_for_duration
 from vem.errors import DataError
 from vem.rng import Rng
 from vem.sgcatt import StoryboardMask, sg_cross_attention
@@ -60,6 +62,18 @@ def test_input_validation():
         net(z[:, :10], 1, cond, mask)  # mask rows disagree
     with pytest.raises(DataError):
         net(z, 1, ag.Var(np.zeros((6, 5), dtype=np.float32)), mask)
+
+
+def test_latent_past_bound_refused():
+    """Self-attention holds an L x L matrix per level, so a latent longer
+    than MAX_LATENT_LEN is refused before any padding; the longest clip
+    CurationRule admits still fits."""
+    assert latent_len_for_duration(CurationRule().max_duration_s) <= tn.MAX_LATENT_LEN
+    _, cond, _ = make_inputs()
+    n = tn.MAX_LATENT_LEN + 1
+    mask = StoryboardMask(np.ones((n, 6), dtype=np.uint8))
+    with pytest.raises(DataError, match="latent length"):
+        make_net()(np.zeros((6, n), dtype=np.float32), 1, cond, mask)
 
 
 # -- level masks -----------------------------------------------------------
@@ -141,7 +155,7 @@ def test_trained_adapter_changes_output():
     net = make_net()
     _nudge_from_zero(net)
     net.attach_adapters()
-    net.adapters[0].beta_b.data = np.full_like(net.adapters[0].beta_b.data, 0.3)
+    net.adapters[0].beta.b.data = np.full_like(net.adapters[0].beta.b.data, 0.3)
     feats = Rng(9).gaussian((12, ALIGNER_HIDDEN)).astype(np.float32)
     with_feats = net(z, 8, cond, mask, aligner_feats=feats).data
     without = net(z, 8, cond, mask).data
@@ -151,13 +165,13 @@ def test_trained_adapter_changes_output():
 def test_adapter_state_round_trips():
     net = make_net()
     net.attach_adapters()
-    net.adapters[0].gamma_b.data = np.full_like(net.adapters[0].gamma_b.data, 0.5)
+    net.adapters[0].gamma.b.data = np.full_like(net.adapters[0].gamma.b.data, 0.5)
     state = net.state_dict()
     other = make_net(seed=99)
     other.attach_adapters()
     other.load_state_dict(state)
-    np.testing.assert_array_equal(other.adapters[0].gamma_b.data,
-                                  net.adapters[0].gamma_b.data)
+    np.testing.assert_array_equal(other.adapters[0].gamma.b.data,
+                                  net.adapters[0].gamma.b.data)
 
 
 # -- gradients -------------------------------------------------------------
