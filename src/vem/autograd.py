@@ -471,7 +471,8 @@ class Module:
         missing = sorted(set(mine) - set(state))
         extra = sorted(set(state) - set(mine))
         if missing or extra:
-            raise DataError(f"state mismatch: missing={missing[:4]} extra={extra[:4]}")
+            raise DataError(f"state mismatch: {len(missing)} missing {missing[:4]}, "
+                            f"{len(extra)} extra {extra[:4]}")
         for name, p in mine.items():
             arr = np.asarray(state[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:

@@ -131,9 +131,8 @@ _RUN_CONFIG = "run_config.json"
 
 def _echo_config(args):
     os.makedirs(args.out_dir, exist_ok=True)
-    doc = {k: v for k, v in vars(args).items()}
     with open(os.path.join(args.out_dir, _RUN_CONFIG), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, default=str)
+        json.dump(vars(args), fh, indent=1, default=str)
 
 
 def _load_wav_16k(path):
@@ -222,12 +221,11 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
-    # main() refuses --widths and --t-steps for every stage but diffusion
+    # main() filled in every setting its stage reads and refused the others
     cfg = TrainConfig(seed=args.seed, widths=args.widths or TrainConfig.widths,
-                      T=args.t_steps or TrainConfig.T)
+                      T=args.t_steps or TrainConfig.T, aligner_steps=args.steps,
+                      diffusion_steps=args.steps, adapter_steps=args.steps)
     pairs = _corpus_pairs(args.corpus)
-    if args.steps is not None:
-        cfg.aligner_steps = cfg.diffusion_steps = cfg.adapter_steps = args.steps
     os.makedirs(args.out_dir, exist_ok=True)
     aligner_path = os.path.join(args.out_dir, "aligner.vemt")
     diffusion_path = os.path.join(args.out_dir, "diffusion.vemt")
@@ -397,12 +395,17 @@ _BODIES = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cmd == "train" and args.stage != "diffusion":
+    if args.cmd == "train":
         ignored = [flag for flag, value in (("--widths", args.widths), ("--t-steps", args.t_steps))
                    if value is not None]
-        if ignored:
+        if ignored and args.stage != "diffusion":
             parser.error(f"--stage {args.stage} does not take {' or '.join(ignored)}: they size "
                          "and schedule the denoiser, which only --stage diffusion builds")
+        # filled in here, so the echoed run config says what a default run used
+        args.steps = args.steps or getattr(TrainConfig, f"{args.stage}_steps")
+        if args.stage == "diffusion":
+            args.widths = args.widths or TrainConfig.widths
+            args.t_steps = args.t_steps or TrainConfig.T
     try:
         _echo_config(args)
         return _BODIES[args.cmd](args)

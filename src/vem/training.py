@@ -28,6 +28,11 @@ which must not exceed `diffusion.MAX_T`, and the corpus latent
 standardization `latent_mean` / `latent_std`. Loading ignores any other
 key, such as the sizes older writers stored. Diffusion operates on
 standardized latents, so samples are de-standardized before decoding.
+
+A diffusion checkpoint's tensor names have one owner, the module tree
+`_DiffusionModel`: Adam's parameter names, `save_diffusion` and
+`load_diffusion` all read them off it, so a missing or stray tensor is
+refused by its full name. `bench/checks._model_state` spells the same names.
 """
 
 import dataclasses
@@ -95,6 +100,14 @@ def train_stage_aligner(corpus, cfg):
 # -- stages B and C --------------------------------------------------------
 
 
+class _DiffusionModel(ag.Module):
+    """The tree that names a diffusion checkpoint's `unet.*` and `time_embedder.*`."""
+
+    def __init__(self, unet, temb):
+        self.unet = unet
+        self.time_embedder = temb
+
+
 def _prepare_latents(corpus, stats=None, aligner=None):
     """Encode every waveform; returns (items, mean, std). Each item is an
     (ann, z0, mask, afeats) tuple: the latent standardized by `stats` =
@@ -124,8 +137,7 @@ def _run_diffusion_loop(items, unet, temb, T, steps, lr, rng):
         return training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, T,
                              aligner_feats=afeats)
 
-    params = dict(unet.named_params("unet") + temb.named_params("time_embedder"))
-    return ag.Adam(params, lr=lr).minimize(loss_of, steps)
+    return ag.Adam(dict(_DiffusionModel(unet, temb).named_params()), lr=lr).minimize(loss_of, steps)
 
 
 def train_stage_diffusion(corpus, cfg):
@@ -215,9 +227,7 @@ def load_aligner(path):
 
 
 def save_diffusion(path, unet, temb, meta):
-    tensors = {f"unet.{k}": v for k, v in unet.state_dict().items()}
-    tensors.update({f"time_embedder.{k}": v for k, v in temb.state_dict().items()})
-    save_tensors(path, tensors, meta)
+    save_tensors(path, _DiffusionModel(unet, temb).state_dict(), meta)
 
 
 def load_diffusion(path):
@@ -241,11 +251,8 @@ def load_diffusion(path):
     unet = TUNet(LATENT_CHANNELS, cond_dim, widths)
     if meta["stage"] == "adapter":
         unet.attach_adapters()
-    unet.load_state_dict({k[len("unet."):]: v for k, v in tensors.items()
-                          if k.startswith("unet.")})
     temb = TimeEmbedder(cond_dim)
-    temb.load_state_dict({k[len("time_embedder."):]: v for k, v in tensors.items()
-                          if k.startswith("time_embedder.")})
+    _DiffusionModel(unet, temb).load_state_dict(tensors)
     return unet, temb, meta
 
 

@@ -477,7 +477,7 @@ def test_import_vem_does_not_load_scipy_signal():
     code = "\n".join([
         "import sys", "import numpy as np", "import vem, vem.cli",
         "loaded = 'scipy.signal' in sys.modules",
-        "vem.resample(vem.Waveform(np.zeros(441, np.float32), 44100), 16000)",
+        "vem.audiofeat.resample(vem.audiofeat.Waveform(np.zeros(441, np.float32), 44100), 16000)",
         "print(loaded, 'scipy.signal' in sys.modules)"])
     src = os.path.dirname(os.path.dirname(af.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,9 +16,11 @@ from vem.audiofeat import MAX_DURATION_S, SAMPLE_RATE, Waveform, resample, save_
 from vem.container import load_tensors, save_tensors
 from vem.curation import MIN_SYNTH_S, CurationRule
 from vem.diffusion import MAX_T
+from vem.errors import DataError
 from vem.parsing import build_frame_features, load_manifest
 from vem.rng import Rng
 from vem.tbalign import ALIGNER_HIDDEN
+from vem.training import TrainConfig
 from vem.tunet import TEMB_DIM
 
 
@@ -145,6 +148,32 @@ def test_run_config_echo(tmp_path):
     run(["beats", str(tmp_path / "nope.wav")], tmp_path)   # fails late, echoes first
     doc = json.load(open(tmp_path / "run_config.json", encoding="utf-8"))
     assert doc["cmd"] == "beats" and "seed" in doc
+
+
+@pytest.mark.parametrize("stage", ["aligner", "diffusion", "adapter"])
+def test_train_run_config_is_the_config_the_stage_ran(tmp_path, corpus_dir, trained_dir,
+                                                      monkeypatch, stage):
+    """A default `train` echoes the step count, and for --stage diffusion the
+    widths and T, that its stage received; the stage is stubbed, so no
+    default-length run happens."""
+    for name in ("aligner.vemt", "diffusion.vemt"):
+        shutil.copy(trained_dir / name, tmp_path / name)
+    received = []
+
+    def stub(pairs, cfg, *rest):
+        received.append(cfg)
+        raise DataError("stubbed stage")
+
+    monkeypatch.setattr(cli, f"train_stage_{stage}", stub)
+    assert run(["train", "--stage", stage, "--corpus", str(corpus_dir)], tmp_path) == 3
+    cfg, = received
+    doc = json.load(open(tmp_path / "run_config.json", encoding="utf-8"))
+    ran = {"seed": cfg.seed, "steps": getattr(cfg, f"{stage}_steps"), "widths": None,
+           "t_steps": None}
+    if stage == "diffusion":
+        ran.update(widths=list(cfg.widths), t_steps=cfg.T)
+    assert {k: doc[k] for k in ran} == ran
+    assert doc["steps"] == getattr(TrainConfig, f"{stage}_steps")
 
 
 @pytest.mark.parametrize("argv", [
@@ -367,10 +396,38 @@ def test_sample_non_square_attention_weight_exits_3(tmp_path, corpus_dir, traine
     assert "'unet.enc.0.selfattn.wq.w' must be (8, 8)" in capsys.readouterr().err
 
 
+def _old_key_names(t):
+    """Rename to the keys stored before the time embedder and the adapters
+    were built from `Linear`: `time_embedder.w1`, `adapters.<i>.gamma_w`, ..."""
+    for key in list(t):
+        old = re.sub(r"^time_embedder\.lin(\d)\.([wb])$", r"time_embedder.\2\1", key)
+        t[re.sub(r"(\.adapters\.\d+\.\w+)\.([wb])$", r"\1_\2", old)] = t.pop(key)
+
+
+@pytest.mark.parametrize("edit,err", [
+    (lambda t: t.update({"junk": np.zeros(3), "unet_typo.in_conv.w": t["unet.in_conv.w"]}),
+     "0 missing [], 2 extra ['junk', 'unet_typo.in_conv.w']"),
+    (_old_key_names,
+     "8 missing ['time_embedder.lin1.b', 'time_embedder.lin1.w', 'time_embedder.lin2.b', "
+     "'time_embedder.lin2.w'], 8 extra ['time_embedder.b1', 'time_embedder.b2', "
+     "'time_embedder.w1', 'time_embedder.w2']"),
+], ids=["stray-tensor", "old-key-names"])
+def test_sample_checkpoint_with_other_tensor_names_exits_3(tmp_path, corpus_dir, trained_dir,
+                                                           capsys, edit, err):
+    """Every stored tensor belongs to the model: one outside it, under a
+    misspelt prefix or under an old name is refused instead of ignored, with
+    counts of what is missing and extra and the first names in full."""
+    ckpt = _edited(trained_dir / "adapter.vemt", tmp_path / "names.vemt", edit)
+    rc = run(["sample", ckpt, str(corpus_dir / "item_000.json"), "--steps", "2"], tmp_path)
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: data: state mismatch: {err}\n"
+
+
 @pytest.mark.parametrize("bad,tensor,err", [
     ({"T": 10**12}, None, "'T' must be"),
-    ({"widths": [64]}, ("unet.in_conv.w", (64, 240, 3)), "shape mismatch for in_conv.w"),
-    ({"cond_dim": 5000}, ("time_embedder.lin2.w", (32, 5000)), "shape mismatch for lin2.w"),
+    ({"widths": [64]}, ("unet.in_conv.w", (64, 240, 3)), "shape mismatch for unet.in_conv.w"),
+    ({"cond_dim": 5000}, ("time_embedder.lin2.w", (32, 5000)),
+     "shape mismatch for time_embedder.lin2.w"),
 ], ids=["T", "widths", "cond-dim"])
 def test_sample_oversized_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_dir, capsys,
                                                   bad, tensor, err):
@@ -532,7 +589,7 @@ def test_sample_other_step_embedding_width_exits_3(tmp_path, corpus_dir, trained
     rc = run(["sample", str(tmp_path / "t64.vemt"), str(corpus_dir / "item_000.json"),
               "--steps", "2"], tmp_path)
     assert rc == 3
-    assert "shape mismatch for temb_lin1.w" in capsys.readouterr().err
+    assert "shape mismatch for unet.temb_lin1.w" in capsys.readouterr().err
 
 
 def test_train_refuses_t_before_reading_the_corpus(tmp_path, capsys):

@@ -257,3 +257,16 @@ def test_no_parameter_always_gets_the_same_constant():
             fixed += [f"{path.stem}.{qual}({param})" for param, values in passed.items()
                       if len(values) >= 2 and len(set(values)) == 1 and values[0] is not None]
     assert not fixed, f"parameters every caller passes the same constant: {fixed}"
+
+
+def test_package_init_re_exports_nothing():
+    """`vem/__init__.py` binds only its submodules and `__version__`: a
+    second name for a function or class is a second import path to keep in
+    step with the first."""
+    submodules = {p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = _module_constants(tree) | {
+        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    bound |= {a.asname or a.name for node in tree.body
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert bound - submodules == {"__version__"}, f"names besides the submodules: {bound}"

@@ -288,9 +288,35 @@ def test_load_diffusion_sizes_the_model_by_its_largest_weights(tmp_path, two_lev
         return TUNet(in_channels, cond_dim, widths)
 
     monkeypatch.setattr(tr, "TUNet", recording_tunet)
-    with pytest.raises(DataError, match="shape mismatch for in_conv.w"):
+    with pytest.raises(DataError, match=r"shape mismatch for unet\.in_conv\.w"):
         tr.load_diffusion(tmp_path / "d.vemt")
     assert built == [(8, 12)]
+
+
+def _old_time_embedder_keys(t):
+    for i in (1, 2):
+        for p in ("w", "b"):
+            t[f"time_embedder.{p}{i}"] = t.pop(f"time_embedder.lin{i}.{p}")
+
+
+@pytest.mark.parametrize("edit,err", [
+    (lambda t: t.update({"junk": np.zeros(3), "unet_typo.in_conv.w": t["unet.in_conv.w"]}),
+     "0 missing [], 2 extra ['junk', 'unet_typo.in_conv.w']"),
+    (_old_time_embedder_keys,
+     "4 missing ['time_embedder.lin1.b', 'time_embedder.lin1.w', 'time_embedder.lin2.b', "
+     "'time_embedder.lin2.w'], 4 extra ['time_embedder.b1', 'time_embedder.b2', "
+     "'time_embedder.w1', 'time_embedder.w2']"),
+], ids=["stray-tensor", "old-time-embedder-keys"])
+def test_load_diffusion_refuses_tensors_the_model_does_not_name(tmp_path, two_level_ckpt, edit,
+                                                                err):
+    """A tensor outside the model, under a misspelt prefix, or a time
+    embedder stored under its pre-`Linear` names (`w1`, `b1`, ...) is
+    refused: the loader ignores no tensor, counts both sides and names
+    every key in full."""
+    _save_edited(tmp_path / "d.vemt", two_level_ckpt, edit)
+    with pytest.raises(DataError) as exc:
+        tr.load_diffusion(tmp_path / "d.vemt")
+    assert str(exc.value) == f"state mismatch: {err}"
 
 
 @pytest.mark.parametrize("edit", [lambda t: t.pop("conv1.w"),
@@ -491,7 +517,7 @@ def _stage_c_model(items):
         return training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, 50,
                              aligner_feats=afeats)
 
-    return dict(unet.named_params("unet") + temb.named_params("time_embedder")), loss_of
+    return dict(tr._DiffusionModel(unet, temb).named_params()), loss_of
 
 
 def test_arena_adam_matches_the_per_array_oracle_on_a_tunet_with_adapters(corpus, monkeypatch):
