@@ -231,7 +231,7 @@ class Var:
     def matmul(self, other):
         other = as_var(other)
         if self.ndim != 2 or other.ndim != 2:
-            raise ValueError("Var.matmul needs two 2-D operands; use linear() for a vector")
+            raise ValueError("Var.matmul needs two 2-D operands")
         a, b = self.data, other.data
         def back(g):
             self.requires_grad and self._accum(g @ b.T)
@@ -410,21 +410,18 @@ def conv1d(x, w, b, stride=1, padding=0):
 
 
 def linear(x, w, b):
-    """x @ w + b as one node: x (N, n_in) or (n_in,), w (n_in, n_out), b (n_out,)."""
+    """x @ w + b as one node: x (N, n_in), w (n_in, n_out), b (n_out,)."""
     x, w, b = as_var(x), as_var(w), as_var(b)
+    if x.ndim != 2:
+        raise ValueError(f"linear needs a 2-D (N, n_in) input, got shape {x.shape}")
     out = x.data @ w.data
     out += b.data
     def back(g):
         x.requires_grad and x._accum(g @ w.data.T)
         if w.requires_grad:
-            gw = w._grad_buffer(g.dtype)
-            if x.ndim == 1:
-                np.outer(x.data, g, out=gw)
-            else:
-                np.matmul(x.data.T, g, out=gw)
-            w._accum(gw)
+            w._accum(np.matmul(x.data.T, g, out=w._grad_buffer(g.dtype)))
         if b.requires_grad:
-            b._accum(g if g.ndim == 1 else np.sum(g, axis=0, out=b._grad_buffer(g.dtype)))
+            b._accum(np.sum(g, axis=0, out=b._grad_buffer(g.dtype)))
     return _node(out, (x, w, b), back)
 
 

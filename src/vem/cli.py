@@ -289,10 +289,11 @@ def _cmd_sample(args):
 
 
 def _storyboard_tw(ann, gen_beats, tol_s):
+    transitions, beats = np.asarray(ann.transitions.times_s), np.asarray(gen_beats.times_s)
     scores, durs = [], []
     for sb in ann.storyboards:
-        tv = [t for t in ann.transitions.times_s if sb.start_s <= t < sb.end_s]
-        bm = [b for b in gen_beats.times_s if sb.start_s <= b < sb.end_s]
+        tv = transitions[sb.covers(transitions)]
+        bm = beats[sb.covers(beats)]
         scores.append(transitions_beats_iou(TimestampSet(tv, ann.duration_s),
                                             TimestampSet(bm, ann.duration_s), tol_s))
         durs.append(sb.duration_s)
@@ -334,10 +335,11 @@ def _cmd_eval(args):
 
     corpus_metrics = [m for m in metrics if m in ("fad", "is", "kld")]
     if corpus_metrics:
-        if not (args.emb_a and args.emb_b):
-            raise DataError("fad/is/kld need --emb-a and --emb-b tensor containers")
+        needs_b = "fad" in corpus_metrics or "kld" in corpus_metrics
+        if not (args.emb_a and (args.emb_b or not needs_b)):
+            raise DataError("fad/is/kld need an --emb-a tensor container, fad/kld an --emb-b too")
         ta, _ = load_tensors(args.emb_a)
-        tb, _ = load_tensors(args.emb_b)
+        tb = load_tensors(args.emb_b)[0] if needs_b else None
         for m in corpus_metrics:
             if m == "fad":
                 val = frechet_distance(_entry(ta, "embeddings", args.emb_a),

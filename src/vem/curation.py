@@ -18,7 +18,7 @@ from .errors import DataError
 from .parsing import (Storyboard, VideoAnnotation, toy_text_embed, toy_visual_embed,
                       write_storyboard_channels)
 from .rng import Rng
-from .timeline import DEFAULT_FPS, TimestampSet
+from .timeline import TimestampSet, from_timestamps
 
 
 @dataclasses.dataclass
@@ -93,6 +93,7 @@ def synth_item(item_rng, cfg):
     while t < duration - 0.05:
         beats.append(t)
         t += period
+    transitions = TimestampSet(beats, duration)
 
     n_sb = int(item_rng.integers(STORYBOARD_RANGE[0], STORYBOARD_RANGE[1] + 1, 1)[0])
     bounds = [0.0]
@@ -116,7 +117,7 @@ def synth_item(item_rng, cfg):
     audio = NOISE_AMP * item_rng.normal(n_samp)
     for sb in sbs:
         root = _ROOTS[int(item_rng.integers(0, len(_ROOTS), 1)[0])]
-        seg = (ts >= sb.start_s) & (ts < sb.end_s)
+        seg = sb.covers(ts)
         tt = ts[seg] - sb.start_s
         env = 0.5 * (1.0 - np.cos(2.0 * np.pi * AM_RATE_HZ * tt))
         audio[seg] += BED_AMP * env * (
@@ -129,16 +130,13 @@ def synth_item(item_rng, cfg):
         audio[i0:i1] += burst[:i1 - i0]
     audio = np.clip(audio, -1.0, 1.0)
 
-    n_frames = int(np.ceil(duration * DEFAULT_FPS))
-    ff = np.zeros((FEATURE_CHANNELS, n_frames), dtype=np.float32)
+    hits = from_timestamps(transitions).astype(np.float32)
+    ff = np.zeros((FEATURE_CHANNELS, len(hits)), dtype=np.float32)
     ff += 0.02 * item_rng.normal(ff.size).reshape(ff.shape).astype(np.float32)
-    for b in beats:
-        idx = int(np.floor(b * DEFAULT_FPS))
-        ff[0, idx] += 1.0
-        if idx > 0:
-            ff[0, idx - 1] += 0.4
-        if idx + 1 < n_frames:
-            ff[0, idx + 1] += 0.4
+    # beats lie at least 6 frames apart (140 BPM at 16 fps), so no frame takes two terms
+    ff[0] += hits
+    ff[0, 1:] += 0.4 * hits[:-1]
+    ff[0, :-1] += 0.4 * hits[1:]
     write_storyboard_channels(ff, sbs, duration)
 
     ann = VideoAnnotation(
@@ -146,7 +144,7 @@ def synth_item(item_rng, cfg):
         duration_s=duration,
         global_caption=caption, caption_feat=toy_text_embed(caption),
         emotion_tags=tags, tag_feat=toy_text_embed(" ".join(tags)),
-        storyboards=sbs, transitions=TimestampSet(beats, duration),
+        storyboards=sbs, transitions=transitions,
         frame_features=ff)
     return ann, Waveform(audio.astype(np.float32), SAMPLE_RATE)
 

@@ -18,7 +18,8 @@ Manifest schema (exact keys):
 
 Sidecar entries: "caption_feat", "tag_feat", "storyboard.{i}.text_feat",
 "storyboard.{i}.visual_feat", "frame_features" (channels x frames at 16 fps).
-Each entry is optional; a missing one is synthesized.
+Each entry is optional; a missing one is synthesized. "frame_features" must
+have ceil(duration_s * 16) frames, the length of `timeline.from_timestamps`.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ from . import autograd as ag
 from .audiofeat import MAX_DURATION_S
 from .container import load_tensors, save_tensors
 from .errors import DataError
-from .timeline import DEFAULT_FPS, TimestampSet
+from .timeline import DEFAULT_FPS, TimestampSet, from_timestamps
 
 FEATURE_DIM = 64  # width of the toy text and visual embeddings
 TIME_HIDDEN = 32  # hidden width of the TimeEmbedder MLP
@@ -49,6 +50,10 @@ class Storyboard:
     @property
     def end_s(self):
         return self.start_s + self.duration_s
+
+    def covers(self, times):
+        """Which of an array of times fall in the half-open span [start, end)."""
+        return (times >= self.start_s) & (times < self.end_s)
 
 
 @dataclasses.dataclass
@@ -238,6 +243,9 @@ def load_manifest(path):
         frame_features=None,
     )
     ann.frame_features = feat("frame_features", lambda: build_frame_features(ann), ndim=2)
+    have, frames = ann.frame_features.shape[1], len(from_timestamps(ann.transitions))
+    if have != frames:
+        raise DataError(f"frame_features: {have} frames, but a {duration:g} s clip has {frames}")
     return ann
 
 
@@ -275,15 +283,11 @@ def build_frame_features(ann):
     channels 1-3 are `write_storyboard_channels`' so the matrix is not
     degenerate; the rest stay zero.
     """
-    n = int(np.ceil(ann.duration_s * DEFAULT_FPS))
-    out = np.zeros((8, n), dtype=np.float32)
-    for t in ann.transitions.times_s:
-        idx = min(int(np.floor(t * DEFAULT_FPS)), n - 1)
-        out[0, idx] = 1.0
-        if idx > 0:
-            out[0, idx - 1] = max(out[0, idx - 1], 0.5)
-        if idx + 1 < n:
-            out[0, idx + 1] = max(out[0, idx + 1], 0.5)
+    hits = from_timestamps(ann.transitions)
+    out = np.zeros((8, len(hits)), dtype=np.float32)
+    out[0] = hits
+    np.maximum(out[0, 1:], 0.5 * hits[:-1], out=out[0, 1:])
+    np.maximum(out[0, :-1], 0.5 * hits[1:], out=out[0, :-1])
     write_storyboard_channels(out, ann.storyboards, ann.duration_s)
     return out
 
@@ -297,7 +301,7 @@ def write_storyboard_channels(out, storyboards, duration_s):
     """
     times = (np.arange(out.shape[1]) + 0.5) / DEFAULT_FPS
     for i, s in enumerate(storyboards):
-        inside = (times >= s.start_s) & (times < s.end_s)
+        inside = s.covers(times)
         out[1, inside] = (times[inside] - s.start_s) / s.duration_s
         out[2, inside] = (i + 1) / len(storyboards)
     out[3] = times / max(duration_s, 1e-9)

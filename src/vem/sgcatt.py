@@ -79,8 +79,7 @@ def build_mask(ann, latent_len):
     times = np.arange(latent_len) / LATENT_FPS
     grid = np.zeros((latent_len, len(ann.storyboards) * TOKENS_PER_STORYBOARD), dtype=np.uint8)
     for i, sb in enumerate(ann.storyboards):
-        rows = (times >= sb.start_s) & (times < sb.end_s)
-        grid[rows, i * TOKENS_PER_STORYBOARD:(i + 1) * TOKENS_PER_STORYBOARD] = 1
+        grid[sb.covers(times), i * TOKENS_PER_STORYBOARD:(i + 1) * TOKENS_PER_STORYBOARD] = 1
     return StoryboardMask(grid)
 
 

@@ -2,11 +2,12 @@
 
 Events live as continuous timestamps for as long as possible and are only
 rasterized (frame = floor(t * fps), a uint8 0/1 array) at the last step, so
-sub-frame offsets survive until the timelines are compared. Matching between
-two timestamp sets is greedy ascending one-to-one within a symmetric
-tolerance; on sorted inputs with interval constraints this attains the
-maximum matching, which the test suite cross-checks against a brute-force
-bipartite oracle.
+sub-frame offsets survive until the timelines are compared. That raster,
+`from_timestamps`, is the one 16 fps raster: it sizes and indexes every frame
+matrix in `vem`. Matching between two timestamp sets is greedy ascending
+one-to-one within a symmetric tolerance; on sorted inputs with interval
+constraints this attains the maximum matching, which the test suite
+cross-checks against a brute-force bipartite oracle.
 """
 
 import dataclasses

@@ -89,11 +89,7 @@ def train_stage_aligner(corpus, cfg):
     """corpus: list of (VideoAnnotation, Waveform). Returns (net, losses)."""
     if not corpus:
         raise DataError("empty corpus")
-    dataset = []
-    for ann, wav in corpus:
-        labels = intersection_labels(ann, wav)
-        n = min(ann.frame_features.shape[1], len(labels))
-        dataset.append((ann.frame_features[:, :n], labels[:n]))
+    dataset = [(ann.frame_features, intersection_labels(ann, wav)) for ann, wav in corpus]
     return train_aligner(dataset, cfg.aligner_steps, cfg.seed)
 
 

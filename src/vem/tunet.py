@@ -193,7 +193,7 @@ class TUNet(ag.Module):
         z_in = x
         masks = level_masks(base_mask, padded, self.levels)
 
-        temb = ag.Var(sinusoidal_step_embedding(step, TEMB_DIM).astype(z.data.dtype))
+        temb = ag.Var(sinusoidal_step_embedding(step, TEMB_DIM)[None].astype(z.data.dtype))
         temb = self.temb_lin2(self.temb_lin1(temb).silu())
         temb_act = temb.silu()  # computed once, shared by every ResBlock
 

@@ -10,7 +10,7 @@ from vem import beatdet as bd
 from vem.audiofeat import SAMPLE_RATE, Waveform
 from vem.parsing import (Storyboard, VideoAnnotation, build_frame_features,
                          toy_text_embed, toy_visual_embed)
-from vem.timeline import TimestampSet
+from vem.timeline import DEFAULT_FPS, TimestampSet
 
 
 def params_of(*modules):
@@ -110,6 +110,37 @@ def make_annotation(duration_s=10.0, bounds=(0.0, 4.0, 10.0), transitions=(4.0,)
         frame_features=None)
     ann.frame_features = build_frame_features(ann)
     return ann
+
+
+def frame_impulses_loop(ann):
+    """Reference channel 0 of `build_frame_features`: per transition, a 1.0
+    at frame floor(t * 16) (the clip end on the last frame) and a 0.5 on each
+    neighbour that holds less."""
+    n = int(np.ceil(ann.duration_s * DEFAULT_FPS))
+    out = np.zeros(n, dtype=np.float32)
+    for t in ann.transitions.times_s:
+        idx = min(int(np.floor(t * DEFAULT_FPS)), n - 1)
+        out[idx] = 1.0
+        if idx > 0:
+            out[idx - 1] = max(out[idx - 1], 0.5)
+        if idx + 1 < n:
+            out[idx + 1] = max(out[idx + 1], 0.5)
+    return out
+
+
+def synth_impulses_loop(noise, beats):
+    """Reference channel 0 of `curation.synth_item`: onto a float32 noise row,
+    per beat, add 1.0 at frame floor(t * 16) and 0.4 on each neighbour."""
+    out = noise.copy()
+    n = len(out)
+    for b in beats:
+        idx = int(np.floor(b * DEFAULT_FPS))
+        out[idx] += 1.0
+        if idx > 0:
+            out[idx - 1] += 0.4
+        if idx + 1 < n:
+            out[idx + 1] += 0.4
+    return out
 
 
 def assemble_conditions_loop(ann, time_emb):

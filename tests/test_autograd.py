@@ -98,8 +98,11 @@ def test_softmax_layernorm():
 
 
 def test_linear_gradcheck_2d_and_1d():
+    """The (N, n_in) form is the only one; a vector input is refused."""
     check(lambda x, w, b: square_sum(ag.linear(x, w, b)), (3, 4), (4, 2), (2,))
-    check(lambda x, w, b: square_sum(ag.linear(x, w, b)), (4,), (4, 2), (2,))
+    rng = Rng(5)
+    with pytest.raises(ValueError, match=r"2-D \(N, n_in\) input, got shape \(4,\)"):
+        ag.linear(rng.gaussian((4,)), rng.gaussian((4, 2)), rng.gaussian((2,)))
 
 
 def test_linear_is_one_node_matching_matmul_plus_bias():

@@ -340,6 +340,27 @@ def test_train_without_frame_features(tmp_path, corpus_dir):
     assert (tmp_path / "out" / "aligner.vemt").exists()
 
 
+def test_train_on_sidecars_cut_short_exits_3(tmp_path, capsys):
+    """A sidecar whose frame_features cover the first 40 frames (2.5 s) of a
+    10-12 s clip is refused when it is read, before stage A could train on
+    the cut or stage C stretch it over the whole clip."""
+    assert cli.main(["--out-dir", str(tmp_path), "--seed", "3", "synth", "--n", "2",
+                     "--dur-min", "10", "--dur-max", "12"]) == 0
+    corpus = tmp_path / "corpus"
+    need = load_manifest(corpus / "item_000.json").frame_features.shape[1]
+    for side in corpus.glob("*.feat.vemt"):
+        tensors, meta = load_tensors(side)
+        tensors["frame_features"] = tensors["frame_features"][:, :40]
+        save_tensors(side, tensors, meta)
+    capsys.readouterr()
+    assert run(["train", "--stage", "aligner", "--corpus", str(corpus), "--steps", "2"],
+               tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(rf"error: data: frame_features: 40 frames, .* has {need}\n", err)
+    assert not (tmp_path / "out" / "aligner.vemt").exists()
+
+
 def test_train_artifacts(trained_dir):
     for name in ("aligner.vemt", "diffusion.vemt", "adapter.vemt",
                  "train_aligner_loss.csv", "train_diffusion_loss.csv",
@@ -685,6 +706,18 @@ def test_eval_distributional_metrics(tmp_path):
 def test_eval_distributional_requires_containers(tmp_path):
     os.makedirs(tmp_path / "empty")
     assert run(["eval", str(tmp_path / "empty"), "--metrics", "fad"], tmp_path) == 3
+
+
+def test_eval_needs_set_b_only_for_fad_and_kld(tmp_path):
+    """`is` scores set A alone; fad and kld compare two sets."""
+    save_tensors(tmp_path / "a.vemt", {"embeddings": Rng(6).gaussian((30, 5)), "probs": _probs(10)})
+    os.makedirs(tmp_path / "empty")
+    argv = ["eval", str(tmp_path / "empty"), "--emb-a", str(tmp_path / "a.vemt"), "--metrics"]
+    assert run(argv + ["is"], tmp_path) == 0
+    assert [r[1] for r in read_csv(tmp_path / "metrics.csv")[1:]] == ["is"]
+    for metrics in ("fad", "kld", "is,kld"):
+        assert run(argv + [metrics], tmp_path) == 3
+    assert run(["eval", str(tmp_path / "empty"), "--metrics", "is"], tmp_path) == 3
 
 
 def _probs(rows):

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from helpers import make_annotation
+from helpers import make_annotation, synth_impulses_loop
 
 from vem import curation as cu
 from vem.audiofeat import MAX_DURATION_S, SAMPLE_RATE, Waveform, logmel
@@ -154,6 +154,26 @@ def test_synth_item_output_is_pinned():
         h.update(repr((ann.video_id, ann.duration_s, ann.global_caption,
                        ann.emotion_tags)).encode())
     assert h.hexdigest() == "83f7ee1fe68173bf273120ef080ce9cc7f68b02ddf4dcc6afeb5ed3ce7ad6a22"
+
+
+@pytest.mark.parametrize("seed,duration_range_s", [
+    (0, (10.0, 16.0)), (7, (10.0, 16.0)), (3, (12.0, 12.0)), (5, (cu.MIN_SYNTH_S, cu.MIN_SYNTH_S)),
+], ids=["seed0", "seed7", "12s", "shortest"])
+def test_synth_impulses_match_the_per_beat_loop(monkeypatch, seed, duration_range_s):
+    """Channel 0 of a synthetic clip, built from the one 16 fps raster, is
+    bit-identical to the per-beat loop it replaced, run on the same noise
+    draw (recorded as `synth_item` makes it)."""
+    draws = []
+    normal = Rng.normal
+    monkeypatch.setattr(Rng, "normal", lambda self, n: draws.append(normal(self, n)) or draws[-1])
+    ann, _ = cu.synth_item(Rng(seed), cu.SynthConfig(duration_range_s))
+    ff = ann.frame_features
+    (draw,) = [d for d in draws if d.size == ff.size]
+    noise = np.zeros(ff.shape, dtype=np.float32)
+    noise += 0.02 * draw.reshape(ff.shape).astype(np.float32)
+    want = synth_impulses_loop(noise[0], ann.transitions.times_s)
+    assert ff[0].tobytes() == want.tobytes()
+    assert ff[4:].tobytes() == noise[4:].tobytes()
 
 
 def test_synth_manifests_survive_strict_loading(tmp_path):

@@ -9,7 +9,7 @@ from vem.container import save_tensors
 from vem.errors import DataError
 from vem.rng import Rng
 
-from helpers import make_annotation, params_of, with_dtype
+from helpers import frame_impulses_loop, make_annotation, params_of, with_dtype
 
 
 def manifest_doc(**overrides):
@@ -319,3 +319,47 @@ def test_build_frame_features_shape_and_impulses():
     assert ff[0, 64] == 1.0  # floor(4.0 * 16)
     assert ff[0, 63] == 0.5 and ff[0, 65] == 0.5
     assert ff[0].sum() == 2.0  # one impulse plus its shoulders
+
+
+@pytest.mark.parametrize("transitions", [
+    (4.0, 4.0625), (4.0, 4.03), (0.0,), (10.0,), (), (0.0, 0.0625, 5.0, 5.01, 9.99, 10.0),
+], ids=["adjacent-frames", "one-frame", "at-zero", "at-clip-end", "none", "mixed"])
+def test_frame_impulses_match_the_per_event_loop(transitions):
+    """Channel 0, built from the one 16 fps raster, is bit-identical to the
+    per-transition loop it replaced."""
+    ann = make_annotation(transitions=transitions)
+    got = ps.build_frame_features(ann)[0]
+    want = frame_impulses_loop(ann)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_storyboard_covers_its_start_but_not_its_end():
+    sb = make_annotation(bounds=(0.0, 2.0, 3.5, 10.0)).storyboards[1]
+    times = np.array([np.nextafter(2.0, 0.0), 2.0, 3.0, np.nextafter(3.5, 0.0), 3.5, 4.0])
+    assert sb.covers(times).tolist() == [False, True, True, True, False, False]
+
+
+@pytest.mark.parametrize("duration,frames", [
+    (10.0, 1), (10.0, 159), (10.0, 161), (10.0, 320), (10.03, 160), (10.03, 162),
+])
+def test_sidecar_frame_count_off_the_raster_refused(tmp_path, duration, frames):
+    """A sidecar's frame_features must have exactly ceil(duration * 16)
+    frames; the error names the field and both counts."""
+    doc = manifest_doc(duration_s=duration, features="side.vemt")
+    save_tensors(tmp_path / "side.vemt",
+                 {"frame_features": np.zeros((8, frames), dtype=np.float32)})
+    with pytest.raises(DataError) as err:
+        ps.load_manifest(write_doc(tmp_path, doc))
+    msg = str(err.value)
+    assert msg.startswith("frame_features: ")
+    expected = int(np.ceil(duration * 16))
+    assert f"{frames} frames" in msg and msg.endswith(f"has {expected}")
+
+
+@pytest.mark.parametrize("duration,frames", [(10.0, 160), (10.03, 161)])
+def test_sidecar_frame_count_on_the_raster_loads(tmp_path, duration, frames):
+    doc = manifest_doc(duration_s=duration, features="side.vemt")
+    ff = Rng(2).gaussian((8, frames)).astype(np.float32)
+    save_tensors(tmp_path / "side.vemt", {"frame_features": ff})
+    ann = ps.load_manifest(write_doc(tmp_path, doc))
+    np.testing.assert_array_equal(ann.frame_features, ff)

@@ -270,3 +270,28 @@ def test_package_init_re_exports_nothing():
     bound |= {a.asname or a.name for node in tree.body
               if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
     assert bound - submodules == {"__version__"}, f"names besides the submodules: {bound}"
+
+
+def _rasterizes_at_fps(node):
+    """Whether `node` is an `np.floor`/`np.ceil` call on an expression that
+    names DEFAULT_FPS."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr in ("floor", "ceil") \
+        and any(getattr(n, "id", getattr(n, "attr", None)) == "DEFAULT_FPS"
+                for arg in node.args for n in ast.walk(arg))
+
+
+def test_timeline_rules_have_one_owner():
+    """Only `timeline.from_timestamps` turns a time into a 16 fps frame, and
+    only `parsing` (where `Storyboard.covers` lives) reads a storyboard's
+    end: a module that floors or ceils a DEFAULT_FPS product, or tests a
+    time against `.end_s`, restates a rule the rest of `vem` must agree on."""
+    restated = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        if path.name != "timeline.py" and any(map(_rasterizes_at_fps, nodes)):
+            restated.append(f"{path.stem}: floor/ceil of a DEFAULT_FPS product")
+        if path.name != "parsing.py" and any(
+                isinstance(n, ast.Attribute) and n.attr == "end_s" for n in nodes):
+            restated.append(f"{path.stem}: reads .end_s")
+    assert not restated, f"timeline rules restated outside their owner: {restated}"
