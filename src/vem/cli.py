@@ -4,11 +4,17 @@ Subcommands cover the whole pipeline: feature extraction (features, beats),
 corpus work (synth, curate), the three training stages (train --stage),
 generation (sample), metric reports (eval), and the inference-step sweep
 (sweep-steps). Every run echoes its configuration to
-<out-dir>/run_config.json, which no command reads as a manifest; a command
-computes every output before it writes any, and figures-grade outputs are
-CSV files. Option defaults are read from the code that owns them, and
-`train` takes --widths and --t-steps for --stage diffusion only: stage C
-reads both off the checkpoint it tunes.
+<out-dir>/run_config.json; a command computes every output before it writes
+any, and figures-grade outputs are CSV files. Option defaults are read from
+the code that owns them, and `train` takes --widths and --t-steps for
+--stage diffusion only: stage C reads both off the checkpoint it tunes.
+
+`curate`, `train` and `eval` read a corpus directory through one reader.
+Every `<stem>.json` in it is a manifest, except `*.beats.json` event files
+and `run_config.json`. Each manifest needs its `<stem>.wav`, and the
+manifest's `duration_s` must agree with the WAV's length to within one
+16 fps frame; otherwise the command exits 3. A generated `<stem>.gen.wav`
+beside them is not a corpus file: `eval` reads it when present, unchecked.
 
 Exit codes: 0 ok, 2 usage (argparse, or a train flag its stage ignores),
 3 data error, 4 stage-order error.
@@ -29,7 +35,7 @@ from .curation import CurationRule, SynthConfig, gate, synth_corpus
 from .errors import DataError, StageOrderError
 from .evalsuite import StoryboardScores, frechet_distance, inception_score, mean_kld, tw_score
 from .parsing import load_manifest, save_manifest
-from .timeline import (DEFAULT_TOL_S, TimestampSet, beats_iou, save_events_json,
+from .timeline import (DEFAULT_FPS, DEFAULT_TOL_S, TimestampSet, beats_iou, save_events_json,
                        transitions_beats_iou)
 from .training import (TrainConfig, generation_tb_iou, load_aligner, load_diffusion,
                        sample_mel, save_aligner, save_diffusion, train_stage_adapter,
@@ -49,6 +55,34 @@ def _positive_int(text):
 def _positive_ints(text):
     """argparse type: a comma list of ints >= 1."""
     return tuple(_positive_int(x) for x in text.split(","))
+
+
+def _storyboard_tw(ann, gen_beats, tol_s):
+    """TW: the TB-IoU of the transitions and generated beats inside each
+    storyboard, weighted by the storyboards' durations."""
+    def inside(ts, sb):
+        times = np.asarray(ts.times_s)
+        return TimestampSet(times[sb.covers(times)], ann.duration_s)
+
+    scores = [transitions_beats_iou(inside(ann.transitions, sb), inside(gen_beats, sb), tol_s)
+              for sb in ann.storyboards]
+    return tw_score(StoryboardScores(scores, [sb.duration_s for sb in ann.storyboards],
+                                     ann.duration_s))
+
+
+# per-clip metrics: (annotation, reference beats, generated beats, tol_s) -> score
+_CLIP_METRICS = {
+    "b_iou": lambda ann, ref, gen, tol_s: beats_iou(ref, gen, tol_s),
+    "tb_iou": lambda ann, ref, gen, tol_s: transitions_beats_iou(ann.transitions, gen, tol_s),
+    "tw": lambda ann, ref, gen, tol_s: _storyboard_tw(ann, gen, tol_s),
+}
+# corpus metrics: (container entry, function, whether it compares set A with set B)
+_CORPUS_METRICS = {
+    "fad": ("embeddings", frechet_distance, True),
+    "is": ("probs", inception_score, False),
+    "kld": ("probs", mean_kld, True),
+}
+_METRIC_NAMES = [*_CLIP_METRICS, *_CORPUS_METRICS]
 
 
 def build_parser():
@@ -110,7 +144,7 @@ def build_parser():
     q = sub.add_parser("eval", help="metric CSV for a directory of manifest/ref/gen files")
     q.add_argument("dir")
     q.add_argument("--metrics", default="b_iou,tb_iou",
-                   help="comma list from b_iou,tb_iou,tw,fad,is,kld")
+                   help=f"comma list from {','.join(_METRIC_NAMES)}")
     q.add_argument("--emb-a", help="tensor container with 'embeddings'/'probs' (set A)")
     q.add_argument("--emb-b", help="tensor container with 'embeddings'/'probs' (set B)")
     q.add_argument("--tol-s", type=float, default=DEFAULT_TOL_S,
@@ -140,71 +174,70 @@ def _load_wav_16k(path):
     return w if w.sample_rate_hz == SAMPLE_RATE else resample(w, SAMPLE_RATE)
 
 
-def _manifest_names(directory):
-    """Sorted manifest file names in a directory (beat-event files and the
-    run_config.json a vem run echoes there excluded)."""
-    names = sorted(f for f in os.listdir(directory) if f.endswith(".json")
-                   and not f.endswith(".beats.json") and f != _RUN_CONFIG)
-    if not names:
-        raise DataError(f"no manifests found in {directory}")
-    return names
+def _stem(path):
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def _corpus_pairs(corpus_dir):
-    pairs = []
-    for name in _manifest_names(corpus_dir):
+    """Yield (annotation, 16 kHz waveform, stem) per manifest of a corpus
+    directory, in name order, by the rules the module docstring states."""
+    names = sorted(f for f in os.listdir(corpus_dir) if f.endswith(".json")
+                   and not f.endswith(".beats.json") and f != _RUN_CONFIG)
+    if not names:
+        raise DataError(f"no manifests found in {corpus_dir}")
+    for name in names:
         stem = name[:-5]
         wav_path = os.path.join(corpus_dir, stem + ".wav")
         if not os.path.exists(wav_path):
             raise DataError(f"manifest {name} has no paired {stem}.wav")
         ann = load_manifest(os.path.join(corpus_dir, name))
-        pairs.append((ann, _load_wav_16k(wav_path)))
-    return pairs
+        wav = _load_wav_16k(wav_path)
+        if abs(ann.duration_s - wav.duration_s) > 1.0 / DEFAULT_FPS:
+            raise DataError(f"manifest {name} gives duration_s {ann.duration_s:g} s, but "
+                            f"{stem}.wav lasts {wav.duration_s:g} s")
+        yield ann, wav, stem
 
 
-def _write_csv(path, header, rows):
+def _write_csv(out_dir, name, header, rows):
+    path = os.path.join(out_dir, name)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
+    return path
+
+
+def _save_mel(path, mel, **meta):
+    meta = {"hop": mel.hop, "sample_rate_hz": mel.sample_rate_hz, "n_mels": mel.n_mels, **meta}
+    save_tensors(path, {"mel": mel.values}, meta)
 
 
 # -- subcommand bodies -----------------------------------------------------
 
 
 def _cmd_features(args):
-    w = _load_wav_16k(args.wav)
-    mel = logmel(w)
-    stem = os.path.splitext(os.path.basename(args.wav))[0]
-    out = args.mel_out or os.path.join(args.out_dir, stem + ".mel.vemt")
-    save_tensors(out, {"mel": mel.values},
-                 {"hop": mel.hop, "sample_rate_hz": mel.sample_rate_hz, "n_mels": mel.n_mels})
+    mel = logmel(_load_wav_16k(args.wav))
+    out = args.mel_out or os.path.join(args.out_dir, _stem(args.wav) + ".mel.vemt")
+    _save_mel(out, mel)
     print(f"mel {mel.values.shape[0]}x{mel.values.shape[1]} -> {out}")
-    return 0
 
 
 def _cmd_beats(args):
     w = _load_wav_16k(args.wav)
     beats, bpm = detect_beats(logmel(w))
-    stem = os.path.splitext(os.path.basename(args.wav))[0]
-    out = args.json_out or os.path.join(args.out_dir, stem + ".beats.json")
-    save_events_json(out, TimestampSet([b for b in beats if b <= w.duration_s], w.duration_s))
+    out = args.json_out or os.path.join(args.out_dir, _stem(args.wav) + ".beats.json")
+    save_events_json(out, TimestampSet(beats, w.duration_s))
     print(f"{len(beats)} beats at {bpm:.1f} BPM -> {out}")
-    return 0
 
 
 def _cmd_curate(args):
     rules = CurationRule(min_snr_db=args.min_snr_db, max_duration_s=args.max_duration_s,
                          max_shots=args.max_shots)
     rows = []
-    for ann, wav in _corpus_pairs(args.corpus):
+    for ann, wav, _ in _corpus_pairs(args.corpus):
         passed, reasons = gate((ann, wav), rules)
         rows.append([ann.video_id, "pass" if passed else "fail", "; ".join(reasons)])
-    out = os.path.join(args.out_dir, "curation.csv")
-    _write_csv(out, ["video_id", "status", "reasons"], rows)
+    out = _write_csv(args.out_dir, "curation.csv", ["video_id", "status", "reasons"], rows)
     kept = sum(1 for r in rows if r[1] == "pass")
     print(f"{kept}/{len(rows)} pass -> {out}")
-    return 0
 
 
 def _cmd_synth(args):
@@ -217,7 +250,6 @@ def _cmd_synth(args):
         save_manifest(stem + ".json", ann)
         save_wav(stem + ".wav", wav)
     print(f"{len(corpus)} pairs -> {corpus_dir}")
-    return 0
 
 
 def _cmd_train(args):
@@ -225,151 +257,98 @@ def _cmd_train(args):
     cfg = TrainConfig(seed=args.seed, widths=args.widths or TrainConfig.widths,
                       T=args.t_steps or TrainConfig.T, aligner_steps=args.steps,
                       diffusion_steps=args.steps, adapter_steps=args.steps)
-    pairs = _corpus_pairs(args.corpus)
-    os.makedirs(args.out_dir, exist_ok=True)
-    aligner_path = os.path.join(args.out_dir, "aligner.vemt")
-    diffusion_path = os.path.join(args.out_dir, "diffusion.vemt")
-    adapter_path = os.path.join(args.out_dir, "adapter.vemt")
-
+    pairs = [(ann, wav) for ann, wav, _ in _corpus_pairs(args.corpus)]
+    ckpt = {stage: os.path.join(args.out_dir, f"{stage}.vemt")
+            for stage in ("aligner", "diffusion", "adapter")}
     if args.stage == "aligner":
         net, losses = train_stage_aligner(pairs, cfg)
-        save_aligner(aligner_path, net, cfg)
-        out, ckpt = losses, aligner_path
+        save_aligner(ckpt["aligner"], net, cfg)
     elif args.stage == "diffusion":
         unet, temb, meta, losses = train_stage_diffusion(pairs, cfg)
-        save_diffusion(diffusion_path, unet, temb, meta)
-        out, ckpt = losses, diffusion_path
+        save_diffusion(ckpt["diffusion"], unet, temb, meta)
     else:
-        if not os.path.exists(aligner_path):
-            raise StageOrderError("adapter stage needs aligner.vemt (run --stage aligner first)")
-        if not os.path.exists(diffusion_path):
-            raise StageOrderError("adapter stage needs diffusion.vemt (run --stage diffusion first)")
-        aligner, _ = load_aligner(aligner_path)
-        unet, temb, meta = load_diffusion(diffusion_path)
-        unet, temb, meta, losses = train_stage_adapter(pairs, cfg, aligner, unet, temb, meta)
-        save_diffusion(adapter_path, unet, temb, meta)
-        out, ckpt = losses, adapter_path
+        for stage in ("aligner", "diffusion"):
+            if not os.path.exists(ckpt[stage]):
+                raise StageOrderError(f"adapter stage needs {stage}.vemt "
+                                      f"(run --stage {stage} first)")
+        aligner, _ = load_aligner(ckpt["aligner"])
+        unet, temb, meta, losses = train_stage_adapter(pairs, cfg, aligner,
+                                                       *load_diffusion(ckpt["diffusion"]))
+        save_diffusion(ckpt["adapter"], unet, temb, meta)
 
-    _write_csv(os.path.join(args.out_dir, f"train_{args.stage}_loss.csv"),
-               ["step", "loss"], [[i, f"{v:.6f}"] for i, v in enumerate(out)])
-    print(f"stage {args.stage}: {len(out)} steps, final loss {out[-1]:.4f} -> {ckpt}")
-    return 0
+    _write_csv(args.out_dir, f"train_{args.stage}_loss.csv", ["step", "loss"],
+               [[i, f"{v:.6f}"] for i, v in enumerate(losses)])
+    print(f"stage {args.stage}: {len(losses)} steps, final loss {losses[-1]:.4f} "
+          f"-> {ckpt[args.stage]}")
 
 
-def _load_sampler(args):
+def _load_sampler(args, conditioned):
+    """What `sample` and `sweep-steps` read: the checkpoint, the aligner its
+    adapters need when conditioned, and the manifest."""
     unet, temb, meta = load_diffusion(args.ckpt)
     aligner = None
-    if unet.adapters is not None and not getattr(args, "unconditional", False):
+    if unet.adapters is not None and conditioned:
         path = args.aligner or os.path.join(os.path.dirname(os.path.abspath(args.ckpt)),
                                             "aligner.vemt")
         if not os.path.exists(path):
             raise StageOrderError(f"checkpoint carries adapters but no aligner found at {path}")
         aligner, _ = load_aligner(path)
-    return unet, temb, meta, aligner
+    return unet, temb, meta, aligner, load_manifest(args.manifest)
 
 
 def _cmd_sample(args):
-    unet, temb, meta, aligner = _load_sampler(args)
+    unet, temb, meta, aligner, ann = _load_sampler(args, not args.unconditional)
     steps = args.steps or min(200, int(meta["T"]))
-    ann = load_manifest(args.manifest)
     mel = sample_mel(unet, temb, meta, ann, steps, args.seed, aligner=aligner,
                      conditioned=not args.unconditional)
     wav = griffin_lim(mel, iters=40) if args.wav_out else None  # may refuse: before any write
-    stem = os.path.splitext(os.path.basename(args.manifest))[0]
-    out = os.path.join(args.out_dir, f"{stem}.gen.mel.vemt")
-    save_tensors(out, {"mel": mel.values},
-                 {"hop": mel.hop, "sample_rate_hz": mel.sample_rate_hz, "n_mels": mel.n_mels,
-                  "steps": steps, "seed": args.seed})
-    line = f"sampled {mel.values.shape[0]} windows ({steps} steps) -> {out}"
-    if wav is not None:
+    out = os.path.join(args.out_dir, f"{_stem(args.manifest)}.gen.mel.vemt")
+    _save_mel(out, mel, steps=steps, seed=args.seed)
+    if args.wav_out:
         save_wav(args.wav_out, wav)
-        line += f" + {args.wav_out}"
-    print(line)
-    return 0
-
-
-def _storyboard_tw(ann, gen_beats, tol_s):
-    transitions, beats = np.asarray(ann.transitions.times_s), np.asarray(gen_beats.times_s)
-    scores, durs = [], []
-    for sb in ann.storyboards:
-        tv = transitions[sb.covers(transitions)]
-        bm = beats[sb.covers(beats)]
-        scores.append(transitions_beats_iou(TimestampSet(tv, ann.duration_s),
-                                            TimestampSet(bm, ann.duration_s), tol_s))
-        durs.append(sb.duration_s)
-    return tw_score(StoryboardScores(scores, durs, ann.duration_s))
+    print(f"sampled {mel.values.shape[0]} windows ({steps} steps) -> {out}"
+          + (f" + {args.wav_out}" if args.wav_out else ""))
 
 
 def _cmd_eval(args):
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    known = {"b_iou", "tb_iou", "tw", "fad", "is", "kld"}
-    bad = [m for m in metrics if m not in known]
+    bad = [m for m in metrics if m not in _METRIC_NAMES]
     if bad:
-        raise DataError(f"unknown metrics {bad}; choose from {sorted(known)}")
-    per_file = [m for m in metrics if m in ("b_iou", "tb_iou", "tw")]
+        raise DataError(f"unknown metrics {bad}; choose from {sorted(_METRIC_NAMES)}")
+    per_clip = [m for m in metrics if m in _CLIP_METRICS]
     rows = []
-
-    def one(name):
-        stem = name[:-5]
-        ann = load_manifest(os.path.join(args.dir, stem + ".json"))
-        ref_path = os.path.join(args.dir, stem + ".wav")
+    for ann, wav, stem in _corpus_pairs(args.dir) if per_clip else ():
         gen_path = os.path.join(args.dir, stem + ".gen.wav")
-        if not os.path.exists(ref_path):
-            raise DataError(f"{stem}.json has no reference {stem}.wav")
-        ref_beats = _beats_of(ref_path)
-        gen_beats = _beats_of(gen_path) if os.path.exists(gen_path) else ref_beats
-        out = []
-        for m in per_file:
-            if m == "b_iou":
-                val = beats_iou(ref_beats, gen_beats, args.tol_s)
-            elif m == "tb_iou":
-                val = transitions_beats_iou(ann.transitions, gen_beats, args.tol_s)
-            else:
-                val = _storyboard_tw(ann, gen_beats, args.tol_s)
-            out.append([ann.video_id, m, f"{val:.4f}"])
-        return out
+        ref = _beats_of(wav)
+        gen = _beats_of(_load_wav_16k(gen_path)) if os.path.exists(gen_path) else ref
+        rows += [[ann.video_id, m, f"{_CLIP_METRICS[m](ann, ref, gen, args.tol_s):.4f}"]
+                 for m in per_clip]
 
-    if per_file:
-        for name in _manifest_names(args.dir):
-            rows.extend(one(name))
-
-    corpus_metrics = [m for m in metrics if m in ("fad", "is", "kld")]
-    if corpus_metrics:
-        needs_b = "fad" in corpus_metrics or "kld" in corpus_metrics
+    per_corpus = [m for m in metrics if m in _CORPUS_METRICS]
+    if per_corpus:
+        needs_b = any(_CORPUS_METRICS[m][2] for m in per_corpus)
         if not (args.emb_a and (args.emb_b or not needs_b)):
             raise DataError("fad/is/kld need an --emb-a tensor container, fad/kld an --emb-b too")
-        ta, _ = load_tensors(args.emb_a)
-        tb = load_tensors(args.emb_b)[0] if needs_b else None
-        for m in corpus_metrics:
-            if m == "fad":
-                val = frechet_distance(_entry(ta, "embeddings", args.emb_a),
-                                       _entry(tb, "embeddings", args.emb_b))
-            elif m == "is":
-                val = inception_score(_entry(ta, "probs", args.emb_a))
-            else:
-                val = mean_kld(_entry(ta, "probs", args.emb_a), _entry(tb, "probs", args.emb_b))
-            rows.append(["(corpus)", m, f"{val:.4f}"])
+        containers = [(path, load_tensors(path)[0])
+                      for path in ([args.emb_a, args.emb_b] if needs_b else [args.emb_a])]
+        for m in per_corpus:
+            key, fn, two_sets = _CORPUS_METRICS[m]
+            sets = containers if two_sets else containers[:1]
+            for path, tensors in sets:
+                if key not in tensors:
+                    raise DataError(f"{path} has no {key!r} entry")
+            rows.append(["(corpus)", m, f"{fn(*(tensors[key] for _, tensors in sets)):.4f}"])
 
-    out = os.path.join(args.out_dir, "metrics.csv")
-    _write_csv(out, ["video_id", "metric", "value"], rows)
+    out = _write_csv(args.out_dir, "metrics.csv", ["video_id", "metric", "value"], rows)
     print(f"{len(rows)} metric rows -> {out}")
-    return 0
 
 
-def _entry(tensors, key, path):
-    if key not in tensors:
-        raise DataError(f"{path} has no {key!r} entry")
-    return tensors[key]
-
-
-def _beats_of(path):
-    wav = _load_wav_16k(path)
+def _beats_of(wav):
     return beats_within(logmel(wav), wav.duration_s)
 
 
 def _cmd_sweep(args):
-    unet, temb, meta, aligner = _load_sampler(args)
-    ann = load_manifest(args.manifest)
+    unet, temb, meta, aligner, ann = _load_sampler(args, True)
     ref_mel = logmel(_load_wav_16k(args.ref_wav)) if args.ref_wav else None
     rows = []
     for steps in args.steps or sorted({min(s, int(meta["T"])) for s in (1, 50, 200)}):
@@ -381,10 +360,8 @@ def _cmd_sweep(args):
             err = float(np.mean(np.abs(mel.values)))
         tb = generation_tb_iou(mel, ann)
         rows.append([steps, f"{err:.6f}", f"{tb:.4f}"])
-    out = os.path.join(args.out_dir, "sweep_steps.csv")
-    _write_csv(out, ["steps", "recon_error", "tb_iou"], rows)
+    out = _write_csv(args.out_dir, "sweep_steps.csv", ["steps", "recon_error", "tb_iou"], rows)
     print(f"{len(rows)} sweep rows -> {out}")
-    return 0
 
 
 _BODIES = {
@@ -410,13 +387,14 @@ def main(argv=None):
             args.t_steps = args.t_steps or TrainConfig.T
     try:
         _echo_config(args)
-        return _BODIES[args.cmd](args)
+        _BODIES[args.cmd](args)
     except StageOrderError as exc:
         print(f"error: stage-order: {exc}", file=sys.stderr)
         return 4
     except (DataError, OSError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -21,6 +21,11 @@ from .rng import Rng
 from .timeline import TimestampSet, from_timestamps
 
 
+# the onset envelope of an n-sample clip spans n - (N_FFT - HOP) samples, so
+# this is the shortest clip whose beats stage A can track
+MIN_SYNTH_S = MIN_ENVELOPE_S + (N_FFT - HOP) / SAMPLE_RATE
+
+
 @dataclasses.dataclass
 class CurationRule:
     min_snr_db: float = 20.0
@@ -33,26 +38,28 @@ class CurationRule:
 
 
 def gate(pair, rules=None):
-    """Quality gate; returns (passed, reasons). All failing reasons listed."""
+    """Quality gate; returns (passed, reasons). All failing reasons listed.
+
+    A clip shorter than MIN_SYNTH_S fails on duration, since stage A cannot
+    track its beats, and gets no SNR estimate.
+    """
     rules = rules or CurationRule()
     ann, wav = pair
     reasons = []
-    snr = estimate_snr(wav)
-    if snr < rules.min_snr_db:
-        reasons.append(f"snr: {snr:.1f} dB below {rules.min_snr_db:.0f} dB")
+    if wav.duration_s < MIN_SYNTH_S:
+        reasons.append(f"duration: {wav.duration_s:.1f} s under {MIN_SYNTH_S:g} s")
+    else:
+        snr = estimate_snr(wav)
+        if snr < rules.min_snr_db:
+            reasons.append(f"snr: {snr:.1f} dB below {rules.min_snr_db:.0f} dB")
     if ann.duration_s > rules.max_duration_s:
         reasons.append(f"duration: {ann.duration_s:.1f} s exceeds {rules.max_duration_s:.0f} s")
-    if ann.shot_count > rules.max_shots:
-        reasons.append(f"shots: {ann.shot_count} exceeds {rules.max_shots}")
+    if len(ann.storyboards) > rules.max_shots:
+        reasons.append(f"shots: {len(ann.storyboards)} exceeds {rules.max_shots}")
     return (not reasons), reasons
 
 
 # -- synthetic corpus ------------------------------------------------------
-
-
-# the onset envelope of an n-sample clip spans n - (N_FFT - HOP) samples, so
-# this is the shortest clip whose beats stage A can track
-MIN_SYNTH_S = MIN_ENVELOPE_S + (N_FFT - HOP) / SAMPLE_RATE
 
 
 @dataclasses.dataclass

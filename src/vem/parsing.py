@@ -68,10 +68,6 @@ class VideoAnnotation:
     transitions: TimestampSet
     frame_features: np.ndarray  # (channels, frames) float32 at 16 fps
 
-    @property
-    def shot_count(self):
-        return len(self.storyboards)
-
 
 # -- toy embedders ---------------------------------------------------------
 

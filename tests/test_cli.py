@@ -12,7 +12,7 @@ import pytest
 from helpers import click_track
 
 from vem import cli
-from vem.audiofeat import MAX_DURATION_S, SAMPLE_RATE, Waveform, resample, save_wav
+from vem.audiofeat import MAX_DURATION_S, SAMPLE_RATE, Waveform, load_wav, resample, save_wav
 from vem.container import load_tensors, save_tensors
 from vem.curation import MIN_SYNTH_S, CurationRule
 from vem.diffusion import MAX_T
@@ -67,6 +67,22 @@ def test_top_level_help_matches_golden(capsys, monkeypatch):
     want = open(os.path.join(os.path.dirname(__file__), "data", "cli_help.txt"),
                 encoding="utf-8").read()
     assert got == want
+
+
+def test_eval_metrics_help_lists_the_metric_tables(tmp_path, capsys):
+    """The --metrics help and the unknown-metric message name exactly the
+    per-clip and corpus tables' metrics."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, type(parser._subparsers._group_actions[0])))
+    metrics = next(a for a in subs.choices["eval"]._actions if "--metrics" in a.option_strings)
+    names = [*cli._CLIP_METRICS, *cli._CORPUS_METRICS]
+    assert names == ["b_iou", "tb_iou", "tw", "fad", "is", "kld"]
+    assert metrics.help == "comma list from " + ",".join(names)
+    os.makedirs(tmp_path / "empty")
+    assert run(["eval", str(tmp_path / "empty"), "--metrics", "bogus"], tmp_path) == 3
+    assert capsys.readouterr().err == (f"error: data: unknown metrics ['bogus']; "
+                                       f"choose from {sorted(names)}\n")
 
 
 def test_every_flag_appears_in_subcommand_help():
@@ -190,6 +206,33 @@ def test_run_config_is_not_read_as_a_manifest(tmp_path, corpus_dir, argv):
     assert (corpus / "run_config.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    lambda d: ["curate", d],
+    lambda d: ["train", "--stage", "aligner", "--corpus", d, "--steps", "1"],
+    lambda d: ["eval", d, "--metrics", "b_iou,tb_iou,tw"],
+], ids=["curate", "train", "eval"])
+def test_corpus_commands_read_through_one_reader(tmp_path, corpus_dir, monkeypatch, argv):
+    """curate, train and eval read a corpus through `_corpus_pairs` alone:
+    pointed at an empty directory, with a recorder in the reader's place
+    that serves the pairs of another corpus, each command consumes every
+    pair the recorder yields and nothing else."""
+    reader, calls, served = cli._corpus_pairs, [], []
+
+    def recorder(directory):
+        calls.append(directory)
+        for ann, wav, stem in reader(str(corpus_dir)):
+            served.append(ann.video_id)
+            yield ann, wav, stem
+
+    monkeypatch.setattr(cli, "_corpus_pairs", recorder)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run(argv(str(empty)), tmp_path / "out") == 0
+    assert calls == [str(empty)]
+    assert served == [load_manifest(corpus_dir / f"item_00{i}.json").video_id for i in (0, 1)]
+    assert sorted(os.listdir(empty)) == []
+
+
 # -- features / beats ------------------------------------------------------
 
 
@@ -299,6 +342,77 @@ def test_curate_huge_manifest_duration_exits_3(tmp_path, corpus_dir, capsys, dur
     (corpus / "item_000.json").write_text(json.dumps(dict(doc, duration_s=duration)))
     assert run(["curate", str(corpus)], tmp_path) == 3
     assert "duration_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("duration_s", [0.8, 3.0])
+def test_curate_fails_clips_too_short_for_beat_tracking(tmp_path, corpus_dir, duration_s):
+    """A 3 s clip fails on duration, where it used to pass and then stop
+    `train --stage aligner`; a 0.8 s one, too short for an SNR estimate,
+    used to stop all of `curate`."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    save_wav(corpus / "short.wav", click_track(120.0, duration_s=duration_s)[0])
+    _one_shot_manifest(corpus / "short.json", duration_s, video_id="short")
+    assert run(["curate", str(corpus)], tmp_path) == 0
+    rows = {r[0]: r[1:] for r in read_csv(tmp_path / "curation.csv")[1:]}
+    assert len(rows) == 3
+    assert rows["short"] == ["fail", f"duration: {duration_s:.1f} s under {MIN_SYNTH_S:g} s"]
+
+
+def _with_duration(corpus, stem, duration_s):
+    """Rewrite manifest `stem` of `corpus` to declare `duration_s`, with one
+    storyboard over it, the transitions inside it and no feature sidecar."""
+    path = corpus / f"{stem}.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.update(duration_s=duration_s,
+               storyboards=[{"start_s": 0.0, "duration_s": duration_s, "text": "one shot"}],
+               transitions_s=[t for t in doc["transitions_s"] if t <= duration_s])
+    del doc["features"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def short_manifest_corpus(tmp_path_factory):
+    """Two 10-12 s clips, the first declaring 5 s in its manifest."""
+    out = tmp_path_factory.mktemp("short_manifest")
+    assert cli.main(["--out-dir", str(out), "--seed", "3", "synth", "--n", "2",
+                     "--dur-min", "10", "--dur-max", "12"]) == 0
+    _with_duration(out / "corpus", "item_000", 5.0)
+    return out / "corpus"
+
+
+@pytest.mark.parametrize("argv,output", [
+    (["curate"], "curation.csv"),
+    (["train", "--stage", "aligner", "--steps", "2", "--corpus"], "train_aligner_loss.csv"),
+    (["train", "--stage", "diffusion", "--steps", "2", "--widths", "8", "--t-steps", "50",
+      "--corpus"], "train_diffusion_loss.csv"),
+    (["train", "--stage", "adapter", "--steps", "2", "--corpus"], "train_adapter_loss.csv"),
+    (["eval", "--metrics", "b_iou,tb_iou,tw"], "metrics.csv"),
+], ids=["curate", "train-aligner", "train-diffusion", "train-adapter", "eval"])
+def test_manifest_duration_disagreeing_with_wav_exits_3(tmp_path, trained_dir,
+                                                        short_manifest_corpus, capsys, argv,
+                                                        output):
+    """A manifest that declares 5 s beside a 10-12 s WAV is refused by the
+    corpus reader, which names both durations, before any output is
+    written. It used to be curated, trained on (stage C spread 80 aligner
+    frames over 167 latent frames) and scored without a word."""
+    for name in ("aligner.vemt", "diffusion.vemt"):
+        shutil.copy(trained_dir / name, tmp_path / name)
+    wav_s = load_wav(short_manifest_corpus / "item_000.wav").duration_s
+    assert run(argv + [str(short_manifest_corpus)], tmp_path) == 3
+    assert capsys.readouterr().err == ("error: data: manifest item_000.json gives duration_s "
+                                       f"5 s, but item_000.wav lasts {wav_s:g} s\n")
+    assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("delta_s,rc", [(0.06, 0), (-0.06, 0), (0.07, 3), (-0.07, 3)])
+def test_manifest_duration_agrees_with_wav_to_one_frame(tmp_path, corpus_dir, delta_s, rc):
+    """The reader takes a manifest whose duration is within one 16 fps
+    frame (0.0625 s) of its WAV's, and refuses one further off."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    _with_duration(corpus, "item_001", load_wav(corpus / "item_001.wav").duration_s + delta_s)
+    assert run(["curate", str(corpus)], tmp_path) == rc
 
 
 @pytest.mark.parametrize("argv", [
@@ -552,9 +666,9 @@ def test_sample_deeply_nested_json_exits_3(tmp_path, corpus_dir, trained_dir, ca
     assert capsys.readouterr().err.startswith("error: data: ")
 
 
-def _one_shot_manifest(path, duration_s):
+def _one_shot_manifest(path, duration_s, video_id="long"):
     path.write_text(json.dumps({
-        "video_id": "long", "duration_s": duration_s,
+        "video_id": video_id, "duration_s": duration_s,
         "global": {"caption": "one long take", "tags": ["calm"]},
         "storyboards": [{"start_s": 0.0, "duration_s": duration_s, "text": "one shot"}],
         "transitions_s": []}))

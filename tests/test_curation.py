@@ -69,6 +69,29 @@ def test_gate_lists_every_failing_reason():
     assert not passed and len(reasons) == 3
 
 
+@pytest.mark.parametrize("duration_s", [0.8, 3.0, cu.MIN_SYNTH_S - 1e-3])
+def test_gate_fails_clips_too_short_for_beat_tracking(monkeypatch, duration_s):
+    """A clip shorter than MIN_SYNTH_S fails on duration with no SNR
+    estimate: 3 s used to pass and then stop stage A, and 0.8 s is too short
+    for the estimate, which used to raise."""
+    def no_snr(w):
+        raise AssertionError("SNR estimated")
+
+    monkeypatch.setattr(cu, "estimate_snr", no_snr)
+    ann = make_annotation(duration_s, (0.0, duration_s), ())
+    wav = Waveform(quiet_wave().samples[:int(duration_s * SAMPLE_RATE)], SAMPLE_RATE)
+    passed, reasons = cu.gate((ann, wav))
+    assert not passed
+    assert reasons == [f"duration: {wav.duration_s:.1f} s under {cu.MIN_SYNTH_S:g} s"]
+
+
+def test_gate_estimates_snr_from_min_synth_s():
+    n = int(np.ceil(cu.MIN_SYNTH_S * SAMPLE_RATE))
+    ann = make_annotation(n / SAMPLE_RATE, (0.0, n / SAMPLE_RATE), ())
+    assert cu.gate((ann, Waveform(quiet_wave().samples[:n], SAMPLE_RATE))) == (True, [])
+    assert cu.gate((ann, Waveform(noisy_wave().samples[:n], SAMPLE_RATE)))[1][0].startswith("snr")
+
+
 def test_gate_monotone_in_thresholds():
     ann = make_annotation(30.0, (0.0, 10.0, 20.0, 30.0), (10.0, 20.0))
     wav = quiet_wave()

@@ -152,7 +152,7 @@ def test_time_embedder_smooth():
 def test_load_valid_manifest(tmp_path):
     ann = ps.load_manifest(write_doc(tmp_path, manifest_doc()))
     assert ann.video_id == "clip-1"
-    assert ann.shot_count == 2
+    assert len(ann.storyboards) == 2
     assert ann.storyboards[1].end_s == pytest.approx(10.0)
     assert ann.transitions.times_s == [4.0]
     assert ann.caption_feat.shape == (64,)
@@ -162,7 +162,7 @@ def test_load_valid_manifest(tmp_path):
 def test_single_storyboard_full_span(tmp_path):
     doc = manifest_doc(storyboards=[{"start_s": 0.0, "duration_s": 10.0, "text": "all"}])
     ann = ps.load_manifest(write_doc(tmp_path, doc))
-    assert ann.shot_count == 1
+    assert len(ann.storyboards) == 1
 
 
 def test_overlap_rejected(tmp_path):
@@ -266,7 +266,7 @@ def test_round_trip_structural_equality(tmp_path):
     assert back.global_caption == ann.global_caption
     assert back.emotion_tags == ann.emotion_tags
     assert back.transitions.times_s == ann.transitions.times_s
-    assert back.shot_count == ann.shot_count
+    assert len(back.storyboards) == len(ann.storyboards)
     for a, b in zip(ann.storyboards, back.storyboards):
         assert (a.start_s, a.duration_s, a.text) == (b.start_s, b.duration_s, b.text)
         np.testing.assert_array_equal(a.text_feat, b.text_feat)
