@@ -37,6 +37,7 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
+from .container import open_replacing
 from .errors import DataError
 
 SAMPLE_RATE = 16000
@@ -141,10 +142,10 @@ def load_wav(path):
 
 
 def save_wav(path, w):
-    """Write mono PCM16 little-endian."""
+    """Write mono PCM16 little-endian, through `container.open_replacing`."""
     x = np.clip(w.samples, -1.0, 1.0)
     pcm = np.round(x * 32767.0).astype("<i2").tobytes()
-    with open(path, "wb") as fh:
+    with open_replacing(path) as fh:
         fh.write(b"RIFF")
         fh.write(struct.pack("<I", 36 + len(pcm)))
         fh.write(b"WAVEfmt ")
@@ -163,6 +164,10 @@ def _frozen(a):
 
 _BLOCK = 16  # outputs per GEMM block of the resampler
 _CHUNK = 32768  # input samples one round of the resampler's GEMMs reads
+# most input samples one block of the resampler may read: a block's taps and
+# the index arrays that lay them out are _BLOCK rows of this window, 2 MB each
+# at the bound. 192 kHz to 16 kHz reads 1,141; sources up to about 2.7 MHz fit.
+MAX_RESAMPLE_WINDOW = 1 << 14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -240,6 +245,13 @@ def _resample_plan(up, down):
     return plan
 
 
+def _block_span(up, down):
+    """(most FIR taps any one phase uses, input samples the widest block of
+    `_BLOCK` consecutive outputs reads) of a reduced rate pair."""
+    ntaps = -(-(80 * max(up, down) + 1) // up)
+    return ntaps, ntaps + -(-(_BLOCK - 1) * down // up)
+
+
 def _design_plan(up, down):
     """Design the FIR of a reduced rate pair and lay out its `_ResamplePlan`."""
     from scipy.signal import firwin  # imported here: it is most of `import vem`
@@ -247,8 +259,7 @@ def _design_plan(up, down):
     m = max(up, down)
     h = firwin(80 * m + 1, 0.97 / m, window=("kaiser", 7.0)) * up
     half = (len(h) - 1) // 2
-    ntaps = -(-len(h) // up)  # most taps any one phase uses
-    widest = ntaps + -(-(_BLOCK - 1) * down // up)
+    ntaps, widest = _block_span(up, down)
     b = -(-widest // down)
     period = b * up
     blocks, shared = [], {}
@@ -285,8 +296,10 @@ def resample(w, target_hz):
     It runs as a polyphase GEMM (`_ResamplePlan`): blocks of 16 consecutive
     outputs per period, each one float64 matrix product of a strided view of
     the input windows with that block's taps, over chunks of rows that stay
-    in cache. A plan of up to 8 MB is cached per reduced `(up, down)` pair; a
-    pair with a term above 2^17 would need gigabytes, and is refused.
+    in cache. A plan of up to 8 MB is cached per reduced `(up, down)` pair. A
+    pair with a term above 2^17, or whose blocks would read more than
+    MAX_RESAMPLE_WINDOW inputs, would need gigabytes, and is refused before
+    any filter or plan array is built.
     """
     if target_hz <= 0:
         raise DataError(f"target rate must be positive, got {target_hz}")
@@ -297,6 +310,10 @@ def resample(w, target_hz):
     up, down = dst // g, src // g
     if max(up, down) > 2 ** 17:
         raise DataError(f"{src} Hz to {dst} Hz reduces to {up}/{down}, a term above 2^17")
+    window = _block_span(up, down)[1]
+    if window > MAX_RESAMPLE_WINDOW:
+        raise DataError(f"{src} Hz to {dst} Hz reads {window} input samples per {_BLOCK} "
+                        f"outputs, above the resampler's {MAX_RESAMPLE_WINDOW}")
     want = round(len(w.samples) * target_hz / w.sample_rate_hz)
     return Waveform(_resample_plan(up, down)(w.samples, want), target_hz)
 

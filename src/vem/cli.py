@@ -303,9 +303,14 @@ def _cmd_sample(args):
                      conditioned=not args.unconditional)
     wav = griffin_lim(mel, iters=40) if args.wav_out else None  # may refuse: before any write
     out = os.path.join(args.out_dir, f"{_stem(args.manifest)}.gen.mel.vemt")
-    _save_mel(out, mel, steps=steps, seed=args.seed)
     if args.wav_out:
-        save_wav(args.wav_out, wav)
+        save_wav(args.wav_out, wav)  # first: a path it cannot write leaves no mel behind
+    try:
+        _save_mel(out, mel, steps=steps, seed=args.seed)
+    except BaseException:
+        if args.wav_out:
+            os.unlink(args.wav_out)
+        raise
     print(f"sampled {mel.values.shape[0]} windows ({steps} steps) -> {out}"
           + (f" + {args.wav_out}" if args.wav_out else ""))
 

@@ -18,6 +18,7 @@ Every length read from a file is checked against the bytes left in it before
 anything is read or allocated.
 """
 
+import contextlib
 import json
 import os
 import struct
@@ -29,38 +30,44 @@ from .errors import DataError
 _MAGIC = b"VEMT"
 
 
-def save_tensors(path, tensors, meta=None):
-    """Write a {name: array} dict; entries land sorted by name so equal
-    contents give byte-identical files regardless of insertion order.
-
-    The bytes go to a temporary file beside `path` that then replaces it, so
-    a save that fails part-way leaves an existing file as it was.
-    """
-    version = 2 if meta else 1
+@contextlib.contextmanager
+def open_replacing(path):
+    """A binary file whose bytes replace `path` when the block ends. They go
+    to a temporary file beside `path` first, so a write that fails part-way
+    leaves an existing file as it was and no new one behind."""
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "wb")
     try:
         with fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<B", version))
-            if version == 2:
-                blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-                fh.write(struct.pack("<I", len(blob)))
-                fh.write(blob)
-            for name in sorted(tensors):
-                arr = tensors[name]
-                arr = np.asarray(arr, dtype=np.float32)  # tobytes() emits C order
-                nb = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack("<I", arr.ndim))
-                for d in arr.shape:
-                    fh.write(struct.pack("<I", d))
-                fh.write(arr.tobytes())
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def save_tensors(path, tensors, meta=None):
+    """Write a {name: array} dict through `open_replacing`; entries land
+    sorted by name so equal contents give byte-identical files regardless of
+    insertion order."""
+    version = 2 if meta else 1
+    with open_replacing(path) as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<B", version))
+        if version == 2:
+            blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+        for name in sorted(tensors):
+            arr = tensors[name]
+            arr = np.asarray(arr, dtype=np.float32)  # tobytes() emits C order
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(nb)))
+            fh.write(nb)
+            fh.write(struct.pack("<I", arr.ndim))
+            for d in arr.shape:
+                fh.write(struct.pack("<I", d))
+            fh.write(arr.tobytes())
 
 
 def _read_exact(fh, n, what):

@@ -121,10 +121,7 @@ def _check_prob_rows(p, name):
 def inception_score(p):
     """exp(mean KL(p_m || mean_p)) over probability rows."""
     p = _check_prob_rows(p, "probabilities")
-    marginal = np.clip(p.mean(axis=0), 1e-10, None)
-    pc = np.clip(p, 1e-10, None)
-    kl = (p * (np.log(pc) - np.log(marginal))).sum(axis=1)
-    return float(np.exp(kl.mean()))
+    return float(np.exp(mean_kld(p, np.broadcast_to(p.mean(axis=0), p.shape))))
 
 
 def mean_kld(p, q):

@@ -6,6 +6,19 @@ Stage B trains the diffusion denoiser with storyboard conditioning, adapter
 excluded. Stage C freezes the aligner, bolts zero-initialized adapters onto
 the encoder levels, and fine-tunes the denoiser jointly with them.
 
+Stages B and C run one tuning path, `_tune`, and differ only in what they
+hand it. It encodes the corpus, standardizes it, builds each clip's inputs,
+runs `autograd.Adam.minimize` over the module tree `_DiffusionModel` and
+writes the stage's {stage, T, latent_mean, latent_std} meta. Stage B hands
+it a fresh denoiser, `cfg.T`, no standardization (the corpus's own scalar
+mean and std are used) and the stream `Rng(seed).fork(3)`. Stage C hands it
+the checkpoint's model with adapters attached, the checkpoint's T and
+standardization, the frozen aligner and `Rng(seed + 1).fork(3)`. Whether the
+net carries adapters sets the stage tag and the learning rate
+(DIFFUSION_LR or ADAPTER_LR). `_clip_inputs` is the one place a clip's
+storyboard mask and aligner features are built at a latent length, for
+tuning and for `sample_mel` alike.
+
 A run varies only in `TrainConfig`: the seed, the denoiser widths, the
 schedule length T and each stage's step count. Each setting has one owner:
 stage B builds the denoiser at `cfg.widths` and trains it on `cfg.T`, and
@@ -13,11 +26,11 @@ from then on the checkpoint owns both. Stage C and the sampler read the
 sizes off its tensors and T off its meta, so stage C takes only its seed
 and step count from `cfg`. Everything else is a constant of the code that
 uses it: the learning rates (here and in `tbalign`), the beta endpoints
-(`diffusion`), and the module sizes: `parsing.FEATURE_DIM` and
-`parsing.TIME_HIDDEN` for the condition embedders, `tunet.TEMB_DIM` for the
-step embedding, and `tbalign.ALIGNER_HIDDEN` for the aligner and its
-adapters. Every stage runs its optimizer steps through
-`autograd.Adam.minimize`.
+(`diffusion`), and the module sizes: `diffusion.LATENT_CHANNELS` for the
+denoiser's latent width, `parsing.FEATURE_DIM` and `parsing.TIME_HIDDEN`
+for the condition embedders, `tunet.TEMB_DIM` for the step embedding, and
+`tbalign.ALIGNER_HIDDEN` for the aligner and its adapters. Every stage runs
+its optimizer steps through `autograd.Adam.minimize`.
 
 Checkpoints are tensor-container files with a JSON metadata header, and a
 checkpoint is its tensors: every module size is read off a stored weight
@@ -104,52 +117,53 @@ class _DiffusionModel(ag.Module):
         self.time_embedder = temb
 
 
-def _prepare_latents(corpus, stats=None, aligner=None):
-    """Encode every waveform; returns (items, mean, std). Each item is an
-    (ann, z0, mask, afeats) tuple: the latent standardized by `stats` =
-    (mean, std), or by the corpus's own scalar mean and std when `stats` is
-    None; its storyboard mask; and the aligner's features on the latent
-    clock, None without an `aligner`."""
-    latents = [latent_encode(logmel(wav)).values for _, wav in corpus]
+def _clip_inputs(ann, length, aligner):
+    """A clip's storyboard mask at `length` latent frames, and its aligner's
+    features on the same clock (None without an `aligner`)."""
+    afeats = None if aligner is None else aligner_features(aligner, ann.frame_features, length)
+    return build_mask(ann, length), afeats
+
+
+def _tune(corpus, unet, temb, T, steps, rng, stats=None, aligner=None):
+    """The one tuning path of stages B and C: encode every waveform,
+    standardize it by `stats` = (mean, std), or by the corpus's own scalar
+    mean and std when `stats` is None, and run one Adam step per
+    noise/timestep draw, cycling the corpus. A net with adapters is stage C:
+    it tunes at ADAPTER_LR and is tagged "adapter". Returns (unet, temb,
+    meta, losses)."""
+    if not corpus:
+        raise DataError("empty corpus")
+    clips = [(ann, latent_encode(logmel(wav)).values) for ann, wav in corpus]
     if stats is None:
-        vals = np.concatenate([z.ravel() for z in latents]).astype(np.float64)
+        vals = np.concatenate([z.ravel() for _, z in clips]).astype(np.float64)
         stats = float(vals.mean()), float(vals.std())
+        del vals  # the loop holds only the standardized latents
         if stats[1] <= 0:
             raise DataError("degenerate corpus: zero latent variance")
     mean, std = stats
-    items = []
-    for (ann, _), z in zip(corpus, latents):
-        length = z.shape[1]
-        afeats = None if aligner is None else aligner_features(aligner, ann.frame_features, length)
-        items.append((ann, ((z - mean) / std).astype(np.float32), build_mask(ann, length), afeats))
-    return items, mean, std
-
-
-def _run_diffusion_loop(items, unet, temb, T, steps, lr, rng):
-    """One optimizer step per noise/timestep draw, cycling the corpus."""
+    clips = [(ann, ((z - mean) / std).astype(np.float32), *_clip_inputs(ann, z.shape[1], aligner))
+             for ann, z in clips]
 
     def loss_of(step):
-        ann, z0, mask, afeats = items[step % len(items)]
-        return training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, T,
-                             aligner_feats=afeats)
+        ann, z0, mask, afeats = clips[step % len(clips)]
+        return training_loss(unet, z0, assemble_conditions(ann, temb), mask, rng, T, afeats)
 
-    return ag.Adam(dict(_DiffusionModel(unet, temb).named_params()), lr=lr).minimize(loss_of, steps)
+    adapter = unet.adapters is not None
+    losses = ag.Adam(dict(_DiffusionModel(unet, temb).named_params()),
+                     lr=ADAPTER_LR if adapter else DIFFUSION_LR).minimize(loss_of, steps)
+    return unet, temb, {"stage": "adapter" if adapter else "diffusion", "T": T,
+                        "latent_mean": mean, "latent_std": std}, losses
 
 
 def train_stage_diffusion(corpus, cfg):
     """Stage B. Returns (unet, time embedder, meta, losses)."""
-    if not corpus:
+    if not corpus:  # the denoiser is sized off the first clip's features
         raise DataError("empty corpus")
-    items, mean, std = _prepare_latents(corpus)
     master = Rng(cfg.seed)
-    ann, z0 = items[0][:2]
-    dim = len(ann.caption_feat)
-    unet = TUNet(z0.shape[0], dim, cfg.widths, rng=master.fork(1))
+    dim = len(corpus[0][0].caption_feat)
+    unet = TUNet(dim, cfg.widths, rng=master.fork(1))
     temb = TimeEmbedder(dim, rng=master.fork(2))
-    losses = _run_diffusion_loop(items, unet, temb, cfg.T, cfg.diffusion_steps, DIFFUSION_LR,
-                                 master.fork(3))
-    meta = {"stage": "diffusion", "T": cfg.T, "latent_mean": mean, "latent_std": std}
-    return unet, temb, meta, losses
+    return _tune(corpus, unet, temb, cfg.T, cfg.diffusion_steps, master.fork(3))
 
 
 def train_stage_adapter(corpus, cfg, aligner, unet, temb, meta):
@@ -161,18 +175,12 @@ def train_stage_adapter(corpus, cfg, aligner, unet, temb, meta):
     (unet, temb, meta, losses), the meta a fresh {stage, T, latent_mean,
     latent_std}.
     """
-    if not corpus:
-        raise DataError("empty corpus")
     if meta.get("stage") not in ("diffusion", "adapter"):
         raise StageOrderError(f"adapter stage needs a diffusion checkpoint, got {meta.get('stage')!r}")
-    T, mean, std = meta["T"], meta["latent_mean"], meta["latent_std"]
-    items, _, _ = _prepare_latents(corpus, (mean, std), aligner)
     if unet.adapters is None:
         unet.attach_adapters()
-    master = Rng(cfg.seed + 1)
-    losses = _run_diffusion_loop(items, unet, temb, T, cfg.adapter_steps, ADAPTER_LR,
-                                 master.fork(3))
-    return unet, temb, {"stage": "adapter", "T": T, "latent_mean": mean, "latent_std": std}, losses
+    return _tune(corpus, unet, temb, meta["T"], cfg.adapter_steps, Rng(cfg.seed + 1).fork(3),
+                 (meta["latent_mean"], meta["latent_std"]), aligner)
 
 
 def three_stage_train(corpus, cfg):
@@ -244,7 +252,7 @@ def load_diffusion(path):
             if _stored_shape(path, tensors, key, 2) != want:
                 raise DataError(f"{path}: tensor {key!r} must be {want}, got {tensors[key].shape}")
         widths.append(width)
-    unet = TUNet(LATENT_CHANNELS, cond_dim, widths)
+    unet = TUNet(cond_dim, widths)
     if meta["stage"] == "adapter":
         unet.attach_adapters()
     temb = TimeEmbedder(cond_dim)
@@ -266,15 +274,12 @@ def sample_mel(unet, temb, meta, ann, steps, seed, aligner=None, conditioned=Tru
     length = latent_len_for_duration(ann.duration_s)
     if conditioned:
         tokens = assemble_conditions(ann, temb)
-        mask = build_mask(ann, length)
+        mask, afeats = _clip_inputs(ann, length, aligner if unet.adapters is not None else None)
     else:
         n_tok = TOKENS_PER_STORYBOARD * len(ann.storyboards)
         tokens = ag.Var(np.zeros((n_tok, unet.cond_dim), dtype=np.float32))
-        mask = StoryboardMask(np.ones((length, n_tok), dtype=np.uint8))
-    afeats = None
-    if conditioned and aligner is not None and unet.adapters is not None:
-        afeats = aligner_features(aligner, ann.frame_features, length)
-    z = sample(unet, tokens, mask, (unet.in_channels, length), steps, Rng(seed), int(meta["T"]),
+        mask, afeats = StoryboardMask(np.ones((length, n_tok), dtype=np.uint8)), None
+    z = sample(unet, tokens, mask, (LATENT_CHANNELS, length), steps, Rng(seed), int(meta["T"]),
                aligner_feats=afeats)
     with np.errstate(over="ignore"):
         z = (z * float(meta["latent_std"]) + float(meta["latent_mean"])).astype(np.float32)

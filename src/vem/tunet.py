@@ -1,10 +1,11 @@
 """Transformer-UNet denoiser over (channels, latent frames) tensors.
 
 `TUNet.__call__` takes and returns channel-major (C, L) arrays, the codec's
-layout. Inside, every activation is a time-major (L, C) Var: the latent is
-transposed once on entry and once on exit, layer norm and the linear maps
-act on the last (channel) axis, convolutions run along axis 0, and skips
-concatenate on axis 1.
+layout. The latent width C is the codec's `diffusion.LATENT_CHANNELS`: the
+denoiser has no channel count of its own. Inside, every activation is a
+time-major (L, C) Var: the latent is transposed once on entry and once on
+exit, layer norm and the linear maps act on the last (channel) axis,
+convolutions run along axis 0, and skips concatenate on axis 1.
 
 Encoder and decoder levels are the same `Level`: residual block (with the
 TEMB_DIM-wide diffusion-step embedding injected) -> plain self-attention
@@ -30,6 +31,7 @@ import itertools
 import numpy as np
 
 from . import autograd as ag
+from .diffusion import LATENT_CHANNELS
 from .errors import DataError
 from .sgcatt import attention_logits, level_masks, sg_cross_attention
 from .tbalign import AdapterParams, apply_adapter, linear_interp
@@ -140,8 +142,7 @@ class Level(ag.Module):
 class TUNet(ag.Module):
     """Denoiser: eps prediction from (z_t, step, condition tokens, mask)."""
 
-    def __init__(self, in_channels, cond_dim, widths, rng=None):
-        self.in_channels = in_channels
+    def __init__(self, cond_dim, widths, rng=None):
         self.cond_dim = cond_dim
         self.widths = tuple(widths)
         self.levels = len(self.widths)
@@ -150,7 +151,7 @@ class TUNet(ag.Module):
         r = (None if rng is None else rng.fork(i) for i in itertools.count())
         self.temb_lin1 = ag.Linear(TEMB_DIM, TEMB_DIM, next(r))
         self.temb_lin2 = ag.Linear(TEMB_DIM, TEMB_DIM, next(r))
-        self.in_conv = ag.Conv1d(in_channels, self.widths[0], 3, next(r), padding=1)
+        self.in_conv = ag.Conv1d(LATENT_CHANNELS, self.widths[0], 3, next(r), padding=1)
         self.enc = [Level(w, w, cond_dim, next(r)) for w in self.widths]
         self.down = [ag.Conv1d(self.widths[i], self.widths[i + 1], 3, next(r), stride=2, padding=1)
                      for i in range(self.levels - 1)]
@@ -160,13 +161,13 @@ class TUNet(ag.Module):
                     for i in reversed(range(self.levels - 1))]
         self.out_norm = ChannelNorm(self.widths[0])
         # zero-initialized (no rng): an untrained net predicts zero noise
-        self.out_conv = ag.Conv1d(self.widths[0], in_channels, 3, None, padding=1)
+        self.out_conv = ag.Conv1d(self.widths[0], LATENT_CHANNELS, 3, None, padding=1)
         # global 1x1 residual from the raw input latent, gated per channel by
         # the step embedding: without it the denoiser cannot express the
         # near-identity maps high-noise steps need once trunk width drops
         # below the latent channel count, and training stalls near loss 1
-        self.res_proj = ag.Conv1d(in_channels, in_channels, 1, None)
-        self.res_gate = ag.Linear(TEMB_DIM, in_channels, None)
+        self.res_proj = ag.Conv1d(LATENT_CHANNELS, LATENT_CHANNELS, 1, None)
+        self.res_gate = ag.Linear(TEMB_DIM, LATENT_CHANNELS, None)
         self.adapters = None  # set by attach_adapters for the fine-tune stage
 
     def attach_adapters(self):
@@ -174,8 +175,8 @@ class TUNet(ag.Module):
 
     def __call__(self, z, step, tokens, base_mask, aligner_feats=None):
         z = ag.as_var(z)
-        if z.ndim != 2 or z.shape[0] != self.in_channels:
-            raise DataError(f"latent shape {z.shape} != ({self.in_channels}, L)")
+        if z.ndim != 2 or z.shape[0] != LATENT_CHANNELS:
+            raise DataError(f"latent shape {z.shape} != ({LATENT_CHANNELS}, L)")
         length = z.shape[1]
         if length > MAX_LATENT_LEN:
             raise DataError(f"latent length {length} exceeds {MAX_LATENT_LEN} frames")
@@ -188,7 +189,7 @@ class TUNet(ag.Module):
         padded = ((length + mult - 1) // mult) * mult
         x = z.transpose()
         if padded != length:
-            pad = ag.Var(np.zeros((padded - length, self.in_channels), dtype=z.data.dtype))
+            pad = ag.Var(np.zeros((padded - length, LATENT_CHANNELS), dtype=z.data.dtype))
             x = ag.concat([x, pad], axis=0)
         z_in = x
         masks = level_masks(base_mask, padded, self.levels)

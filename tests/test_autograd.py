@@ -7,7 +7,6 @@ from helpers import (AdamPerArray, backward_retaining, conv1d_window_view, param
 from scipy.special import expit
 
 from vem import autograd as ag
-from vem.diffusion import LATENT_CHANNELS
 from vem.errors import DataError
 from vem.parsing import FEATURE_DIM
 from vem.rng import Rng
@@ -214,7 +213,7 @@ def _conv_layers(module):
 def _model_conv_configs():
     """(cin, cout, k, stride, padding) of each Conv1d of a default TUNet with
     adapters and of an AlignerNet."""
-    unet = TUNet(LATENT_CHANNELS, 8, TrainConfig().widths)
+    unet = TUNet(8, TrainConfig().widths)
     unet.attach_adapters()
     convs = list(_conv_layers(unet)) + list(_conv_layers(AlignerNet(FEATURE_DIM)))
     return sorted({(c.w.shape[1], c.w.shape[0], c.w.shape[2], c.stride, c.padding)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from helpers import click_track
 
-from vem import cli
-from vem.audiofeat import MAX_DURATION_S, SAMPLE_RATE, Waveform, load_wav, resample, save_wav
+from vem import audiofeat, cli
+from vem.audiofeat import (MAX_DURATION_S, MAX_RESAMPLE_WINDOW, SAMPLE_RATE, Waveform, load_wav,
+                           resample, save_wav)
 from vem.container import load_tensors, save_tensors
 from vem.curation import MIN_SYNTH_S, CurationRule
 from vem.diffusion import MAX_T
@@ -274,13 +275,18 @@ def clip_wav_bytes(tmp_path_factory):
 
 @pytest.mark.parametrize("field,value", [
     (field, v) for field, (_, width) in _WAV_HEADER_FIELDS.items()
-    for v in _WAV_HEADER_VALUES if v < 2 ** (8 * width)])
+    for v in _WAV_HEADER_VALUES if v < 2 ** (8 * width)]
+    # 16000 * 2^17 reduces to 1/131072: its resampler blocks would each read
+    # 12,451,841 inputs (1.5 GiB of plan arrays); 1,024,000 Hz reads 6,081
+    + [("rate", 2_097_152_000), ("rate", 1_024_000)])
 def test_features_wav_header_boundary_values(tmp_path, monkeypatch, capsys, clip_wav_bytes,
                                              field, value):
     """Each fmt/data header field of a 7.5 s clip set to a boundary value:
     `vem features` writes a mel or exits 3 with one error line. A rate of
     32 Hz or less makes the clip last past MAX_DURATION_S, which is refused
-    before the resampler would build it (gigabytes at a few Hz)."""
+    before the resampler would build it (gigabytes at a few Hz); a rate whose
+    resampler blocks would read more than MAX_RESAMPLE_WINDOW inputs is
+    refused before its plan is designed."""
     path = tmp_path / "clip.wav"
     offset, width = _WAV_HEADER_FIELDS[field]
     raw = bytearray(clip_wav_bytes)
@@ -291,7 +297,16 @@ def test_features_wav_header_boundary_values(tmp_path, monkeypatch, capsys, clip
         assert w.duration_s <= MAX_DURATION_S, f"resampling {w.duration_s:.0f} s of audio"
         return resample(w, target_hz)
 
+    design_plan = audiofeat._design_plan
+
+    def bounded_plan(up, down):
+        # the taps one phase uses, plus the inputs 15 more outputs step over
+        window = -(-(80 * max(up, down) + 1) // up) + -(-15 * down // up)
+        assert window <= MAX_RESAMPLE_WINDOW, f"designing a plan whose blocks read {window} inputs"
+        return design_plan(up, down)
+
     monkeypatch.setattr(cli, "resample", bounded_resample)
+    monkeypatch.setattr(audiofeat, "_design_plan", bounded_plan)
     rc = run(["features", str(path)], tmp_path)
     err = capsys.readouterr().err
     assert rc in (0, 3), err
@@ -579,9 +594,11 @@ def test_sample_oversized_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_
 
 
 def test_sample_wav_out_refused_leaves_no_partial_write(tmp_path, corpus_dir, trained_dir,
-                                                         capsys):
+                                                         capsys, monkeypatch):
     """A finite spectrogram too large for the vocoder to invert (meta
-    latent_std 2**63) exits 3 before either output is written."""
+    latent_std 2**63) exits 3 before either output is written; so does a
+    --wav-out in a directory that does not exist, and a mel that cannot be
+    written takes the written WAV with it."""
     ckpt = _edited(trained_dir / "diffusion.vemt", tmp_path / "d.vemt", latent_std=2**63)
     with np.errstate(over="ignore", invalid="ignore"):
         rc = run(["sample", ckpt, str(corpus_dir / "item_000.json"), "--steps", "2",
@@ -590,6 +607,23 @@ def test_sample_wav_out_refused_leaves_no_partial_write(tmp_path, corpus_dir, tr
     assert "non-finite samples" in capsys.readouterr().err
     assert not (tmp_path / "item_000.gen.mel.vemt").exists()
     assert not (tmp_path / "gen.wav").exists()
+
+    out = tmp_path / "out"
+    rc = run(["sample", str(trained_dir / "diffusion.vemt"), str(corpus_dir / "item_000.json"),
+              "--steps", "2", "--wav-out", str(tmp_path / "missing" / "gen.wav")], out)
+    assert rc == 3
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["run_config.json"]
+
+    def full_disk(*args, **kwargs):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "_save_mel", full_disk)
+    rc = run(["sample", str(trained_dir / "diffusion.vemt"), str(corpus_dir / "item_000.json"),
+              "--steps", "2", "--wav-out", str(out / "gen.wav")], out)
+    assert rc == 3
+    assert "No space left" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["run_config.json"]
 
 
 def test_sample_aligner_without_conv1_exits_3(tmp_path, corpus_dir, trained_dir, capsys):

@@ -9,6 +9,7 @@ from vem import autograd as ag
 from vem import curation as cu
 from vem import training as tr
 from vem.audiofeat import SAMPLE_RATE, Waveform, logmel
+from vem.beatdet import detect_beats
 from vem.diffusion import LATENT_CHANNELS, latent_encode, training_loss
 from vem.parsing import TimeEmbedder
 from vem.sgcatt import assemble_conditions, build_mask
@@ -17,7 +18,7 @@ from vem.errors import DataError, StageOrderError
 from vem.container import load_tensors, save_tensors
 from vem.rng import Rng
 from vem.tbalign import ALIGNER_HIDDEN, AlignerNet
-from vem.timeline import DEFAULT_FPS
+from vem.timeline import DEFAULT_FPS, TimestampSet
 
 
 def tiny_cfg(**kw):
@@ -50,6 +51,21 @@ def test_intersection_labels_structure(corpus):
     assert active <= tr_frames
     # transitions sit on real beats here, so a decent share intersects
     assert len(active) >= len(tr_frames) // 2
+
+
+def test_intersection_labels_drop_beats_past_a_short_manifest():
+    """The corpus reader takes a manifest up to 1/16 s shorter than its WAV.
+    An 8.451 s click track's last detected beat, 8.3918 s, lies past a
+    manifest of 8.389 s (62 ms short); beats_within drops it, where the
+    label raster would refuse a beat past the clip's end."""
+    wav, _ = click_track(100.0, duration_s=8.451)
+    ann = make_annotation(8.389, (0.0, 4.0, 8.389), (4.0,))
+    assert wav.duration_s - ann.duration_s <= 1.0 / DEFAULT_FPS
+    beats, _ = detect_beats(logmel(wav))
+    assert beats[-1] > ann.duration_s
+    with pytest.raises(DataError, match="timestamps must lie in"):
+        TimestampSet(beats, ann.duration_s)
+    assert len(tr.intersection_labels(ann, wav)) == 135
 
 
 # -- stage A ---------------------------------------------------------------
@@ -281,11 +297,11 @@ def test_load_diffusion_sizes_the_model_by_its_largest_weights(tmp_path, two_lev
     _save_edited(tmp_path / "d.vemt", two_level_ckpt, edit, widths=[1500, 12], cond_dim=64)
     built = []
 
-    def recording_tunet(in_channels, cond_dim, widths):
+    def recording_tunet(cond_dim, widths):
         built.append(tuple(widths))
         if max(widths) > 12:
             raise AssertionError(f"built a TUNet of widths {widths}")
-        return TUNet(in_channels, cond_dim, widths)
+        return TUNet(cond_dim, widths)
 
     monkeypatch.setattr(tr, "TUNet", recording_tunet)
     with pytest.raises(DataError, match=r"shape mismatch for unet\.in_conv\.w"):
@@ -399,7 +415,7 @@ def test_training_loss_tapes_only_float32(corpus):
     ann, wav = corpus[0]
     z0 = latent_encode(logmel(wav)).values.astype(np.float32)
     mask = build_mask(ann, z0.shape[1])
-    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), rng=Rng(1))
+    unet = TUNet(len(ann.caption_feat), widths=(8, 12), rng=Rng(1))
     unet.attach_adapters()
     temb = TimeEmbedder(len(ann.caption_feat), rng=Rng(2))
     feats = Rng(3).gaussian((40, ALIGNER_HIDDEN)).astype(np.float32)
@@ -424,7 +440,7 @@ def _stage_c_loss(ann, wav, dtype):
     `dtype`, with every zero-initialized weight moved off zero."""
     z0 = latent_encode(logmel(wav)).values.astype(dtype)
     mask = build_mask(ann, z0.shape[1])
-    unet = TUNet(z0.shape[0], len(ann.caption_feat), widths=(8, 12), rng=Rng(1))
+    unet = TUNet(len(ann.caption_feat), widths=(8, 12), rng=Rng(1))
     unet.attach_adapters()
     with_dtype(unet, dtype)
     temb = with_dtype(TimeEmbedder(len(ann.caption_feat), rng=Rng(2)), dtype)
@@ -469,34 +485,54 @@ def test_stage_b_loss_tape_size():
     ann, wav = cu.synth_corpus(1, seed=9, cfg=cu.SynthConfig(duration_range_s=(12.0, 12.0)))[0]
     z0 = latent_encode(logmel(wav)).values.astype(np.float32)
     mask = build_mask(ann, z0.shape[1])
-    unet = TUNet(z0.shape[0], len(ann.caption_feat), cfg.widths, rng=Rng(1))
+    unet = TUNet(len(ann.caption_feat), cfg.widths, rng=Rng(1))
     temb = TimeEmbedder(len(ann.caption_feat), rng=Rng(2))
     loss = training_loss(unet, z0, assemble_conditions(ann, temb), mask, Rng(4),
                          cfg.T)
     assert len(tape_nodes(loss)) <= 256
 
 
-def test_diffusion_loop_holds_one_graph_at_a_time(corpus):
+def _clip_items(corpus, aligner=None):
+    """(ann, z0, mask, aligner features) of each clip as the tuning path
+    builds them: the latent standardized by the corpus's scalar mean and std."""
+    latents = [latent_encode(logmel(wav)).values for _, wav in corpus]
+    vals = np.concatenate([z.ravel() for z in latents]).astype(np.float64)
+    mean, std = float(vals.mean()), float(vals.std())
+    return [(ann, ((z - mean) / std).astype(np.float32), *tr._clip_inputs(ann, z.shape[1], aligner))
+            for (ann, _), z in zip(corpus, latents)]
+
+
+def test_diffusion_loop_holds_one_graph_at_a_time(corpus, monkeypatch):
     """Backward frees each closure and interior gradient once it has run,
     and the loop drops a step's graph before the next forward: three steps
     peak, beyond the Adam moments, under two graphs' worth of activations.
     Measured 1.7 graphs; without the del of the loss 2.2, without the
-    freeing in backward 2.5, without both 3.4."""
-    items, _, _ = tr._prepare_latents(corpus)
-    ann, z0 = items[0][:2]
-    unet = TUNet(z0.shape[0], len(ann.caption_feat), (8, 16), rng=Rng(1))
+    freeing in backward 2.5, without both 3.4. The window opens when the
+    tuning path builds its Adam, once every clip is encoded."""
+    items = _clip_items(corpus)
+    ann = items[0][0]
+    unet = TUNet(len(ann.caption_feat), (8, 16), rng=Rng(1))
     temb = TimeEmbedder(len(ann.caption_feat), rng=Rng(2))
     graph = max(sum(n.data.nbytes for n in tape_nodes(training_loss(
                     unet, z, assemble_conditions(a, temb), m, Rng(3), 50, aligner_feats=f)))
                 for a, z, m, f in items)
     moments = 2 * sum(p.data.nbytes for p in params_of(unet, temb))
+    bases = []
+
+    class LoopAdam(ag.Adam):
+        def __init__(self, *args, **kwargs):
+            tracemalloc.reset_peak()
+            bases.append(tracemalloc.get_traced_memory()[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ag, "Adam", LoopAdam)
     tracemalloc.start()
     try:
-        base, _ = tracemalloc.get_traced_memory()
-        tr._run_diffusion_loop(items, unet, temb, 50, 3, 1e-3, Rng(3))
+        tr._tune(corpus, unet, temb, 50, 3, Rng(3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    (base,) = bases
     assert peak - base - moments < 2.0 * graph
 
 
@@ -506,8 +542,8 @@ def test_diffusion_loop_holds_one_graph_at_a_time(corpus):
 def _stage_c_model(items):
     """A small TUNet with adapters and its time embedder, named as the
     training loop names them, and the loop's loss over `items`."""
-    ann, z0 = items[0][:2]
-    unet = TUNet(z0.shape[0], len(ann.caption_feat), (8, 12), rng=Rng(1))
+    ann = items[0][0]
+    unet = TUNet(len(ann.caption_feat), (8, 12), rng=Rng(1))
     unet.attach_adapters()
     temb = TimeEmbedder(len(ann.caption_feat), rng=Rng(2))
     rng = Rng(3)
@@ -527,7 +563,7 @@ def test_arena_adam_matches_the_per_array_oracle_on_a_tunet_with_adapters(corpus
     chunk = 4099
     monkeypatch.setattr(ag.Adam, "CHUNK", chunk)
     aligner = AlignerNet(corpus[0][0].frame_features.shape[0], rng=Rng(0))
-    items, _, _ = tr._prepare_latents(corpus, aligner=aligner)
+    items = _clip_items(corpus, aligner)
     params, loss_of = _stage_c_model(items)
     ends = np.cumsum([p.data.size for p in params.values()])
     starts = ends - [p.data.size for p in params.values()]

@@ -5,23 +5,23 @@ from helpers import with_dtype
 from vem import autograd as ag
 from vem import tunet as tn
 from vem.curation import CurationRule
-from vem.diffusion import latent_len_for_duration
+from vem.diffusion import LATENT_CHANNELS, latent_len_for_duration
 from vem.errors import DataError
 from vem.rng import Rng
 from vem.sgcatt import StoryboardMask, sg_cross_attention
 from vem.tbalign import ALIGNER_HIDDEN
 
 
-def make_inputs(channels=6, length=12, n_tok=6, cond_dim=10, seed=0):
+def make_inputs(length=12, n_tok=6, cond_dim=10, seed=0):
     r = Rng(seed)
-    z = r.gaussian((channels, length)).astype(np.float32)
+    z = r.gaussian((LATENT_CHANNELS, length)).astype(np.float32)
     tokens = ag.Var(r.gaussian((n_tok, cond_dim)).astype(np.float32))
     mask = StoryboardMask(np.ones((length, n_tok), dtype=np.uint8))
     return z, tokens, mask
 
 
-def make_net(channels=6, cond_dim=10, widths=(8, 12), seed=1):
-    return tn.TUNet(channels, cond_dim, widths=widths, rng=Rng(seed))
+def make_net(cond_dim=10, widths=(8, 12), seed=1):
+    return tn.TUNet(cond_dim, widths=widths, rng=Rng(seed))
 
 
 # -- step embedding --------------------------------------------------------
@@ -44,7 +44,7 @@ def test_output_shape_matches_input(widths, length):
     z, cond, mask = make_inputs(length=length)
     net = make_net(widths=widths)
     out = net(z, 3, cond, mask)
-    assert out.shape == (6, length)
+    assert out.shape == (LATENT_CHANNELS, length)
 
 
 def test_fresh_net_predicts_zero():
@@ -73,7 +73,7 @@ def test_latent_past_bound_refused():
     n = tn.MAX_LATENT_LEN + 1
     mask = StoryboardMask(np.ones((n, 6), dtype=np.uint8))
     with pytest.raises(DataError, match="latent length"):
-        make_net()(np.zeros((6, n), dtype=np.float32), 1, cond, mask)
+        make_net()(np.zeros((LATENT_CHANNELS, n), dtype=np.float32), 1, cond, mask)
 
 
 # -- level masks -----------------------------------------------------------
@@ -181,7 +181,7 @@ def test_gradients_reach_all_parameter_groups():
     z, cond, mask = make_inputs()
     net = make_net()
     _nudge_from_zero(net)
-    target = Rng(5).gaussian((6, 12)).astype(np.float32)
+    target = Rng(5).gaussian((LATENT_CHANNELS, 12)).astype(np.float32)
     out = net(ag.Var(z), 4, cond, mask)
     d = out - target
     (d * d).mean().backward()
@@ -194,13 +194,13 @@ def test_gradients_reach_all_parameter_groups():
 
 def test_gradcheck_sampled_parameters():
     r = Rng(11)
-    z = r.gaussian((3, 6))
+    z = r.gaussian((LATENT_CHANNELS, 6))
     cond = ag.Var(r.gaussian((6, 5)))
     mask = StoryboardMask(np.ones((6, 6), dtype=np.uint8))
-    net = with_dtype(tn.TUNet(3, 5, widths=(4, 6), rng=Rng(2)), np.float64)
+    net = with_dtype(tn.TUNet(5, widths=(4, 6), rng=Rng(2)), np.float64)
     net.out_conv.w.data = net.out_conv.w.data + 0.05
     net.res_proj.w.data = net.res_proj.w.data + 0.05
-    target = r.gaussian((3, 6))
+    target = r.gaussian((LATENT_CHANNELS, 6))
 
     def loss():
         out = net(ag.Var(z), 7, cond, mask)
