@@ -32,8 +32,10 @@ becomes a reshaped view of its slice of one buffer, and its gradient slot
 (`_gslot`) a view of the same slice of a second buffer. The kernels that
 produce weight gradients (`linear` and `conv1d` w and b, `layer_norm` gain
 and bias) write the first gradient of a step straight into the slot with
-`out=` (`_grad_buffer`), so a step's gradients are gathered by the time
-backward() returns, and `Adam.step` walks the arena in cache-sized chunks.
+`out=` (`_grad_buffer`), so the gradients they make are in place by the
+time backward() returns. `Adam.step` is the one step path: it copies any
+other `.grad` into its slot, refuses a missing or non-finite gradient
+before anything moves, and walks the arena in cache-sized chunks.
 Modules, `state_dict` and checkpoints see ordinary arrays; code that must
 change a parameter writes into `p.data[...]`, as `load_state_dict` does.
 
@@ -547,10 +549,12 @@ class Adam:
     `params` is a dict naming the parameters, as `Module.named_params` does,
     so that an error can name the parameter at fault. They share one dtype,
     float32 or float64: mixed or other dtypes, or a parameter listed twice,
-    raise ValueError. A step where some `.grad` is None, or some `.data` is
-    no longer its arena view (a newer Adam took the parameter over), raises
-    ValueError naming the parameter before the data, the moments or `t`
-    move.
+    raise ValueError. `step` is the one place a gradient is gathered,
+    checked and applied. A step where some `.grad` is None, or some `.data`
+    is no longer its arena view (a newer Adam took the parameter over),
+    raises ValueError naming the parameter; one where some gradient is not
+    finite raises DataError naming the step (`t`) and the parameter. Both
+    come before the data, the moments or `t` move.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults; only lr varies
@@ -589,10 +593,10 @@ class Adam:
         self._m, self._v = views(m), views(v)
         self._arena = (data, grads, m, v)
 
-    def _gather(self):
-        """Copy each `.grad` that is a separate array into its slot; raise
-        ValueError naming a parameter whose `.data` left the arena or whose
-        `.grad` is None."""
+    def step(self):
+        """Gather, check and apply each parameter's `.grad` (see the class
+        docstring for what it refuses)."""
+        data, grads, m, v = self._arena
         for name, p, view in zip(self._names, self._params, self._data_views):
             g = p.grad
             if p.data is not view:
@@ -602,9 +606,12 @@ class Adam:
             if g is not p._gslot:
                 p._gslot[...] = g
                 p.grad = p._gslot
-
-    def step(self):
-        self._gather()
+        # one dot clears the usual case; the scan runs only when it is not
+        # finite (a square sum that overflowed on finite entries steps on)
+        if not math.isfinite(float(np.dot(grads, grads))):
+            for name, p in zip(self._names, self._params):
+                if not np.isfinite(p.grad).all():
+                    raise DataError(f"step {self.t}: gradient of {name} is not finite")
         self.t += 1
         k = ((1 - self.b2) / (1 - self.b2 ** self.t)) ** 0.5
         scale = self.lr * (1 - self.b1) / ((1 - self.b1 ** self.t) * k)
@@ -613,7 +620,6 @@ class Adam:
         # scal and axpy (a = +-1), which round as numpy's in-place *= and +=
         # do (a fused axpy(d, p, a=-scale) would not)
         scal, axpy = self._scal, self._axpy
-        data, grads, m, v = self._arena
         scratch = np.empty(min(data.size, self.CHUNK), data.dtype)
         for a in range(0, data.size, self.CHUNK):
             b = min(a + self.CHUNK, data.size)
@@ -639,10 +645,10 @@ class Adam:
 
         Each step runs zero_grad -> forward -> backward -> step and drops its
         graph before the next forward builds its own. A non-finite loss
-        raises DataError naming the step before backward() runs, and a
-        non-finite gradient raises DataError naming the step and the
-        parameter before step() runs, so the parameters, the moments and
-        `t` keep the values the previous step left.
+        raises DataError naming the step before backward() runs; `step()`
+        refuses a non-finite gradient. Either way the parameters, the
+        moments and `t` keep the values the previous step left. Steps are
+        counted by `t`, which is the loop index for a fresh Adam.
         """
         losses = []
         for i in range(steps):
@@ -650,23 +656,9 @@ class Adam:
             loss = loss_of(i)
             value = float(loss.data)
             if not math.isfinite(value):
-                raise DataError(f"step {i}: loss is {value}")
+                raise DataError(f"step {self.t}: loss is {value}")
             loss.backward()
-            self._check_gradients(i)
             self.step()
             losses.append(value)
             del loss  # the step's graph goes before the next forward
         return losses
-
-    def _check_gradients(self, step):
-        """Raise DataError naming the first parameter whose gradient is not
-        finite. One dot product over the gathered gradients clears the
-        usual case; the per-parameter scan runs only when it is not finite
-        (a sum that overflowed on finite entries passes)."""
-        self._gather()
-        grads = self._arena[1]
-        if math.isfinite(float(np.dot(grads, grads))):
-            return
-        for name, p in zip(self._names, self._params):
-            if not np.isfinite(p.grad).all():
-                raise DataError(f"step {step}: gradient of {name} is not finite")

@@ -655,6 +655,27 @@ def test_a_step_with_a_missing_gradient_raises_and_moves_nothing():
     assert _adam_state(opt) == before
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_direct_step_with_a_non_finite_gradient_raises_and_moves_nothing(bad):
+    """A hand-set `.grad` with one non-finite entry, stepped without
+    `minimize`: DataError naming the step and the parameter, and the data,
+    m~, v~ and `t` stay byte-equal to what the last step left."""
+    ps, _ = _twin_params(SHAPES, np.float32)
+    opt = ag.Adam(ps, lr=0.05)
+    r = Rng(1)
+    for _ in range(2):
+        for p in ps.values():
+            p.grad = r.gaussian(p.shape).astype(np.float32)
+        opt.step()
+    before = _adam_state(opt)
+    for p in ps.values():
+        p.grad = r.gaussian(p.shape).astype(np.float32)
+    ps["p2"].grad[1, 2, 0] = bad
+    with pytest.raises(DataError, match="step 2: gradient of p2 is not finite"):
+        opt.step()
+    assert _adam_state(opt) == before
+
+
 def test_adam_refuses_mixed_dtypes():
     ps = {"a": ag.param(np.ones(2, dtype=np.float32)), "b": ag.param(np.ones(2))}
     with pytest.raises(ValueError, match="one dtype"):

@@ -700,6 +700,68 @@ def test_sample_deeply_nested_json_exits_3(tmp_path, corpus_dir, trained_dir, ca
     assert capsys.readouterr().err.startswith("error: data: ")
 
 
+@pytest.fixture(scope="module")
+def short_clip(tmp_path_factory):
+    """One clip just long enough for beat tracking and its manifest, shared
+    by the manifest boundary table."""
+    out = tmp_path_factory.mktemp("short_clip")
+    wav, _ = click_track(120.0, duration_s=MIN_SYNTH_S + 0.5)
+    save_wav(out / "clip.wav", wav)
+    doc = {"video_id": "clip", "duration_s": wav.duration_s,
+           "global": {"caption": "one take", "tags": ["calm"]},
+           "storyboards": [{"start_s": 0.0, "duration_s": wav.duration_s, "text": "one shot"}],
+           "transitions_s": [1.0, 2.5]}
+    return out / "clip.wav", doc
+
+
+_DEEP = object()  # a value nested 100,000 lists deep
+_MANIFEST_VALUES = dict(_BOUNDARY_VALUES, deep=_DEEP)
+_MANIFEST_FIELDS = ["video_id", "duration_s", "global", "global.caption", "global.tags",
+                    "global.tags.0", "storyboards", "storyboards.0", "storyboards.0.start_s",
+                    "storyboards.0.duration_s", "storyboards.0.text", "transitions_s",
+                    "transitions_s.0", "features"]
+
+
+@pytest.mark.parametrize("value", _MANIFEST_VALUES)
+@pytest.mark.parametrize("field", _MANIFEST_FIELDS)
+def test_corpus_manifest_boundary_values(tmp_path, capsys, short_clip, field, value):
+    """Each manifest field, missing, set to a boundary value of each JSON
+    kind, or nested past the parser's depth: `vem curate` and `vem eval`
+    each write a report with one row per clip and finite metrics, or exit 3
+    with one error line, no traceback and no report."""
+    wav_path, doc = short_clip
+    doc = json.loads(json.dumps(doc))
+    *parents, key = (int(k) if k.isdigit() else k for k in field.split("."))
+    holder = doc
+    for k in parents:
+        holder = holder[k]
+    value = _MANIFEST_VALUES[value]
+    if value is _MISSING:
+        holder.pop(key) if isinstance(holder, list) else holder.pop(key, None)
+    else:
+        holder[key] = "\0deep" if value is _DEEP else value
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "clip.json").write_text(json.dumps(doc).replace('"\\u0000deep"',
+                                                              "[" * 100_000 + "]" * 100_000))
+    os.symlink(wav_path, corpus / "clip.wav")
+    for argv, report in ((["curate", str(corpus)], "curation.csv"),
+                         (["eval", str(corpus), "--metrics", "b_iou,tb_iou,tw"], "metrics.csv")):
+        rc = run(argv, tmp_path)
+        err = capsys.readouterr().err
+        assert rc in (0, 3), err
+        if rc == 3:
+            assert err.startswith("error: data: ") and err.count("\n") == 1, err
+            assert not (tmp_path / report).exists()
+            continue
+        rows = read_csv(tmp_path / report)[1:]
+        if argv[0] == "curate":
+            assert len(rows) == 1 and rows[0][1] in ("pass", "fail")
+        else:
+            assert [r[1] for r in rows] == ["b_iou", "tb_iou", "tw"]
+            assert all(np.isfinite(float(r[2])) for r in rows), rows
+
+
 def _one_shot_manifest(path, duration_s, video_id="long"):
     path.write_text(json.dumps({
         "video_id": video_id, "duration_s": duration_s,

@@ -506,9 +506,10 @@ def test_diffusion_loop_holds_one_graph_at_a_time(corpus, monkeypatch):
     """Backward frees each closure and interior gradient once it has run,
     and the loop drops a step's graph before the next forward: three steps
     peak, beyond the Adam moments, under two graphs' worth of activations.
-    Measured 1.7 graphs; without the del of the loss 2.2, without the
-    freeing in backward 2.5, without both 3.4. The window opens when the
-    tuning path builds its Adam, once every clip is encoded."""
+    Measured 1.92 graphs, so the bound leaves about 4% of headroom; without
+    the del of the loss 2.53, without the freeing in backward 2.61, without
+    both 3.72. The window opens when the tuning path builds its Adam, once
+    every clip is encoded."""
     items = _clip_items(corpus)
     ann = items[0][0]
     unet = TUNet(len(ann.caption_feat), (8, 16), rng=Rng(1))
