@@ -13,9 +13,13 @@ no whole-signal temporary is built; their constants are built once and
 cached read-only. `resample` is a polyphase FIR run as a blocked GEMM: one
 period of `up` outputs consumes `down` inputs, so a block of consecutive
 outputs reads the same input window `down` samples further on each period,
-and one BLAS call multiplies that window sequence by the block's taps. The
-STFT takes every HOP-th window of a `sliding_window_view`, a block of
-frames at a time; the Hann window and the filterbank are cached.
+and one BLAS call multiplies that window sequence by the block's taps. One
+rule admits a rate pair: its plan would hold at most MAX_PLAN_BYTES, checked
+before any filter is designed; every admitted plan is cached. 11,127, 22,254
+and 44,101 Hz, a few Hz off common rates, need filters of millions of taps
+and are refused. The STFT takes every HOP-th window of a
+`sliding_window_view`, a block of frames at a time; the Hann window and the
+filterbank are cached.
 
 The STFT and the mel projection run in float32 (the resampler and
 Griffin-Lim in float64): inputs are PCM16 or float32, and PCM16 quantization
@@ -31,7 +35,6 @@ import dataclasses
 import functools
 import math
 import struct
-import threading
 
 import numpy as np
 import scipy.fft
@@ -164,10 +167,9 @@ def _frozen(a):
 
 _BLOCK = 16  # outputs per GEMM block of the resampler
 _CHUNK = 32768  # input samples one round of the resampler's GEMMs reads
-# most input samples one block of the resampler may read: a block's taps and
-# the index arrays that lay them out are _BLOCK rows of this window, 2 MB each
-# at the bound. 192 kHz to 16 kHz reads 1,141; sources up to about 2.7 MHz fit.
-MAX_RESAMPLE_WINDOW = 1 << 14
+# most bytes the plan of one rate pair may hold; 16 plans are cached, so at most
+# 128 MiB stays pinned. Of the admitted source rates, 44,056 Hz holds the most: 4.0 MiB.
+MAX_PLAN_BYTES = 8 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,7 +195,6 @@ class _ResamplePlan:
     blocks: tuple  # (first output in the row, first input - lo, taps (width, outputs))
     lo: int  # first input row 0 reads; negative inputs are zeros
     width: int  # inputs one row's windows span
-    nbytes: int  # bytes the distinct tap arrays hold (blocks share them)
 
     def __call__(self, x, n_out):
         """The first `n_out` outputs for input `x`, as float32."""
@@ -222,45 +223,37 @@ class _ResamplePlan:
         return out.reshape(-1)[:n_out]
 
 
-_PLAN_CACHE_SIZE, _PLAN_CACHE_BYTES = 16, 8 << 20
-_plans, _plans_lock = {}, threading.Lock()  # (up, down) -> plan, least recently used first
-
-
-def _resample_plan(up, down):
-    """The `_ResamplePlan` of a reduced rate pair, from the cache or designed.
-
-    16 plans hold the ten common pairs (8, 11.025, 22.05, 24, 32, 44.1, 48
-    and 96 kHz to 16 kHz, 16 kHz to 44.1 and 48 kHz; 1.6 MB together, none
-    above 0.5 MB), so a mixed-rate dataset designs each FIR once. An odd
-    pair's plan is about its filter's size (44101 Hz to 16 kHz 34 MB), so a
-    plan above 8 MB is designed per call and never kept. One lock covers the
-    lookup, the design and the update: two threads never design a kept plan twice.
-    """
-    with _plans_lock:
-        plan = _plans.pop((up, down), None) or _design_plan(up, down)
-        if plan.nbytes <= _PLAN_CACHE_BYTES:
-            _plans[up, down] = plan
-            if len(_plans) > _PLAN_CACHE_SIZE:
-                del _plans[next(iter(_plans))]
-    return plan
-
-
 def _block_span(up, down):
     """(most FIR taps any one phase uses, input samples the widest block of
-    `_BLOCK` consecutive outputs reads) of a reduced rate pair."""
+    `_BLOCK` consecutive outputs reads, periods per GEMM row) of a reduced
+    rate pair."""
     ntaps = -(-(80 * max(up, down) + 1) // up)
-    return ntaps, ntaps + -(-(_BLOCK - 1) * down // up)
+    widest = ntaps + -(-(_BLOCK - 1) * down // up)
+    return ntaps, widest, -(-widest // down)
 
 
+def _plan_bytes(up, down):
+    """Bytes the `_ResamplePlan` of a reduced rate pair would hold at most,
+    from integers alone: its distinct block layouts times the widest window
+    times `_BLOCK` float64 columns. Full blocks start `_BLOCK` outputs apart,
+    so their phases repeat every up / gcd(up, _BLOCK) blocks; a short last
+    block is one layout more."""
+    _, widest, b = _block_span(up, down)
+    period = b * up
+    layouts = min(period // _BLOCK, up // math.gcd(up, _BLOCK)) + (period % _BLOCK > 0)
+    return layouts * widest * _BLOCK * 8
+
+
+@functools.lru_cache(maxsize=16)
 def _design_plan(up, down):
-    """Design the FIR of a reduced rate pair and lay out its `_ResamplePlan`."""
+    """Design the FIR of a reduced rate pair and lay out its `_ResamplePlan`;
+    the 16 most recently used plans are kept."""
     from scipy.signal import firwin  # imported here: it is most of `import vem`
 
     m = max(up, down)
     h = firwin(80 * m + 1, 0.97 / m, window=("kaiser", 7.0)) * up
     half = (len(h) - 1) // 2
-    ntaps, widest = _block_span(up, down)
-    b = -(-widest // down)
+    ntaps, _, b = _block_span(up, down)
     period = b * up
     blocks, shared = [], {}
     for first in range(0, period, _BLOCK):
@@ -281,7 +274,7 @@ def _design_plan(up, down):
     hi = max(start + taps.shape[0] for _, start, taps in blocks)
     return _ResamplePlan(period, b * down,
                          tuple((first, start - lo, taps) for first, start, taps in blocks),
-                         lo, hi - lo, sum(taps.nbytes for _, taps in shared.values()))
+                         lo, hi - lo)
 
 
 def resample(w, target_hz):
@@ -296,10 +289,12 @@ def resample(w, target_hz):
     It runs as a polyphase GEMM (`_ResamplePlan`): blocks of 16 consecutive
     outputs per period, each one float64 matrix product of a strided view of
     the input windows with that block's taps, over chunks of rows that stay
-    in cache. A plan of up to 8 MB is cached per reduced `(up, down)` pair. A
-    pair with a term above 2^17, or whose blocks would read more than
-    MAX_RESAMPLE_WINDOW inputs, would need gigabytes, and is refused before
-    any filter or plan array is built.
+    in cache. One rule admits a reduced `(up, down)` pair: its plan would hold
+    at most MAX_PLAN_BYTES, a bound `_plan_bytes` takes from integers before
+    any filter or plan array is built. Every admitted plan is cached. A pair
+    over the bound raises `DataError`: 11,127, 22,254 and 44,101 Hz to 16 kHz
+    (11.2, 8.1 and 32.0 MiB plans) are refused, as is any header rate that
+    would need gigabytes.
     """
     if target_hz <= 0:
         raise DataError(f"target rate must be positive, got {target_hz}")
@@ -308,14 +303,12 @@ def resample(w, target_hz):
     src, dst = int(w.sample_rate_hz), int(target_hz)
     g = math.gcd(dst, src)
     up, down = dst // g, src // g
-    if max(up, down) > 2 ** 17:
-        raise DataError(f"{src} Hz to {dst} Hz reduces to {up}/{down}, a term above 2^17")
-    window = _block_span(up, down)[1]
-    if window > MAX_RESAMPLE_WINDOW:
-        raise DataError(f"{src} Hz to {dst} Hz reads {window} input samples per {_BLOCK} "
-                        f"outputs, above the resampler's {MAX_RESAMPLE_WINDOW}")
+    size = _plan_bytes(up, down)
+    if size > MAX_PLAN_BYTES:
+        raise DataError(f"{src} Hz to {dst} Hz reduces to {up}/{down}, whose resampler plan would "
+                        f"hold up to {size / 2**20:,.1f} MiB, above {MAX_PLAN_BYTES >> 20} MiB")
     want = round(len(w.samples) * target_hz / w.sample_rate_hz)
-    return Waveform(_resample_plan(up, down)(w.samples, want), target_hz)
+    return Waveform(_design_plan(up, down)(w.samples, want), target_hz)
 
 
 # -- STFT / mel ------------------------------------------------------------

@@ -4,10 +4,11 @@ Subcommands cover the whole pipeline: feature extraction (features, beats),
 corpus work (synth, curate), the three training stages (train --stage),
 generation (sample), metric reports (eval), and the inference-step sweep
 (sweep-steps). Every run echoes its configuration to
-<out-dir>/run_config.json; a command computes every output before it writes
-any, and figures-grade outputs are CSV files. Option defaults are read from
-the code that owns them, and `train` takes --widths and --t-steps for
---stage diffusion only: stage C reads both off the checkpoint it tunes.
+<out-dir>/run_config.json (sample and sweep-steps again, with the step
+counts the checkpoint's T sets); a command computes every output before it
+writes any, and figures-grade outputs are CSV files. Option defaults are
+read from the code that owns them, and `train` takes --widths and --t-steps
+for --stage diffusion only: stage C reads both off the checkpoint it tunes.
 
 `curate`, `train` and `eval` read a corpus directory through one reader.
 Every `<stem>.json` in it is a manifest, except `*.beats.json` event files
@@ -298,7 +299,8 @@ def _load_sampler(args, conditioned):
 
 def _cmd_sample(args):
     unet, temb, meta, aligner, ann = _load_sampler(args, not args.unconditional)
-    steps = args.steps or min(200, int(meta["T"]))
+    steps = args.steps = args.steps or min(200, int(meta["T"]))
+    _echo_config(args)  # again: the checkpoint's T sets the default step count
     mel = sample_mel(unet, temb, meta, ann, steps, args.seed, aligner=aligner,
                      conditioned=not args.unconditional)
     wav = griffin_lim(mel, iters=40) if args.wav_out else None  # may refuse: before any write
@@ -354,9 +356,11 @@ def _beats_of(wav):
 
 def _cmd_sweep(args):
     unet, temb, meta, aligner, ann = _load_sampler(args, True)
+    args.steps = args.steps or sorted({min(s, int(meta["T"])) for s in (1, 50, 200)})
+    _echo_config(args)  # again: the checkpoint's T sets the default step counts
     ref_mel = logmel(_load_wav_16k(args.ref_wav)) if args.ref_wav else None
     rows = []
-    for steps in args.steps or sorted({min(s, int(meta["T"])) for s in (1, 50, 200)}):
+    for steps in args.steps:
         mel = sample_mel(unet, temb, meta, ann, steps, args.seed, aligner=aligner)
         if ref_mel is not None:
             n = min(mel.values.shape[0], ref_mel.values.shape[0])

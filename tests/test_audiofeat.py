@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -218,19 +219,65 @@ def test_resample_matches_resample_poly(src, dst):
         np.testing.assert_allclose(got, ref.astype(np.float32), rtol=0, atol=1e-7)
 
 
-def test_large_resample_plans_are_not_cached():
-    """44101 Hz reduces to 16000/44101, a 34 MB plan: it is designed per call,
-    never kept, and its output still matches the `resample_poly` oracle; a
-    22.05 kHz plan (0.3 MB) is still cached."""
-    up, down = 16000, 44101
-    x = (0.3 * Rng(17).gaussian(44101)).astype(np.float32)
-    got = af.resample(af.Waveform(x, 44101), SR).samples
-    assert (up, down) not in af._plans
-    taps = firwin(80 * down + 1, 0.97 / down, window=("kaiser", 7.0))
-    ref = resample_poly(x.astype(np.float64), up, down, window=taps)[:SR]
-    np.testing.assert_allclose(got, ref.astype(np.float32), rtol=0, atol=1e-7)
-    af.resample(af.Waveform(x[:22050], 22050), SR)
-    assert af._plans[320, 441].nbytes <= af._PLAN_CACHE_BYTES
+# Real-world source rates. A rate that is resampled maps to the SHA-256 of
+# its float32 output at 16 kHz, pinned so that a change to a plan's layout or
+# its GEMMs shows; None marks a rate whose plan is over MAX_PLAN_BYTES.
+SOURCE_RATES = {
+    8000: "213495b1574ef30022f02085df6d1e1d3a5d8ca78fe77aa354d9263933e3c6dc",
+    11025: "b5d012662c0dabf485af735c4863c6acc0accacfaf4beea5c9b18682eef4de7d",
+    11127: None,
+    22050: "0148ccba2caaae3a50ccf66c2f19d88c6e773e7079d04b1dcd6c243875795c1a",
+    22254: None,
+    24000: "5d154f1f06b102817d93c8affab100b93c9e1e4e33edf7f36717a256959632d3",
+    32000: "e68d38b83a048f81428a4f35663e2b253eb8d63571bd66a663468e0b091bde6c",
+    37800: "4720ba55148e0e32618180726f10ded49f1c137d6c1afe2b3704898689cbd44c",
+    44056: "35e9ddfb70fb800c927c573c5cd5b12a42569f08b9533bc74a1232e7a9f8e4e8",
+    44100: "c889a1524187829b305cece41772474169637f9f15d797a53e19d76a858e2fc4",
+    44101: None,
+    47952: "a6549b719ebc6ab7455fd88d73dba8e4091f2c7d0eeda7ef89a29768362029f9",
+    48000: "fd902e488a478412146853a329e3701b388369b89b9febac2b7d3c1781065a3c",
+    88200: "b604ff2e5df83dada925859b1d854b1211b2ddc958c371c5f66ef0ac9e2c33f4",
+    96000: "b923b90aa79399bf9dc50b5326e18af8bd6338cd90459c7aeb2fa2e237c97d71",
+    176400: "4dafe5f0021dab5999efb0c538ea33a37edf18b829a59fe0f3cd5fa0e891b052",
+    192000: "6454605fa8fcb5e67f5282a6e0ba815c327d1938f45c042492f474fd4e0241e8",
+    2_097_152_000: None,
+    4_294_967_291: None,
+}
+
+
+@pytest.mark.parametrize("src", SOURCE_RATES)
+def test_source_rates_are_resampled_once_or_refused(monkeypatch, src):
+    """A second of noise at each source rate either gives its pinned bytes,
+    matches the `resample_poly` oracle and designs its plan once over three
+    passes, or raises `DataError` naming the plan size, with no plan designed
+    and a tracemalloc peak under 1 MB."""
+    g = math.gcd(src, SR)
+    up, down = SR // g, src // g
+    if SOURCE_RATES[src] is None:
+        w = af.Waveform(np.zeros(4000, np.float32), src)
+
+        def no_design(*pair):
+            raise AssertionError(f"designed a plan for {pair}")
+
+        monkeypatch.setattr(af, "_design_plan", no_design)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"{up}/{down}, whose resampler plan would hold"):
+                af.resample(w, SR)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert af._plan_bytes(up, down) > af.MAX_PLAN_BYTES and peak < 1e6
+        return
+    x = (0.3 * Rng(src).gaussian(src + 11)).astype(np.float32)
+    af._design_plan.cache_clear()
+    outs = [af.resample(af.Waveform(x, src), SR).samples for _ in range(3)]
+    assert af._design_plan.cache_info()[:2] == (2, 1)  # (hits, misses)
+    assert hashlib.sha256(outs[0].tobytes()).hexdigest() == SOURCE_RATES[src]
+    assert all(np.array_equal(out, outs[0]) for out in outs)
+    taps = firwin(80 * max(up, down) + 1, 0.97 / max(up, down), window=("kaiser", 7.0))
+    ref = resample_poly(x.astype(np.float64), up, down, window=taps)[:len(outs[0])]
+    np.testing.assert_allclose(outs[0], ref.astype(np.float32), rtol=0, atol=1e-7)
 
 
 # -- stft / mel ------------------------------------------------------------
@@ -337,33 +384,32 @@ def test_mel_filterbank_returns_fresh_writable_array():
 
 
 def test_cached_constants_are_read_only_and_bounded():
-    plan = af._resample_plan(160, 441)
+    plan = af._design_plan(160, 441)
     cached = ([af._hann(np.float64), af._mel_fb(np.float64),
                af._hann(np.float32), af._mel_fb(np.float32)]
               + [taps for _, _, taps in plan.blocks])
     for a in cached:
         with pytest.raises(ValueError):
             a[0] = 1.0
-    for cache in (af._hann, af._mel_fb):
+    for cache in (af._hann, af._mel_fb, af._design_plan):
         assert 0 < cache.cache_info().maxsize <= 16
-    # 17 rates k kHz reduce to 17 small pairs: the least recently used goes
-    af._plans.clear()
-    for k in range(17, 34):
+    # 17 rates k kHz reduce to 17 small pairs: the least recently used goes,
+    # so resampling 17 kHz again designs its plan a second time
+    af._design_plan.cache_clear()
+    for k in list(range(17, 34)) + [17]:
         af.resample(af.Waveform(np.zeros(k * 100, np.float32), k * 1000), SR)
-    assert len(af._plans) == 16 and (16, 17) not in af._plans
+    assert af._design_plan.cache_info()[1:] == (18, 16, 16)  # (misses, maxsize, size)
 
 
-def test_mixed_rate_manifest_designs_each_filter_once(monkeypatch):
+def test_mixed_rate_manifest_designs_each_filter_once():
     """A dataset that cycles through the common source rates hits the plan
     cache on every clip after the first of each rate."""
     rates = [8000, 11025, 22050, 24000, 32000, 44100, 48000, 96000]
-    design, designed = af._design_plan, []
-    monkeypatch.setattr(af, "_design_plan", lambda *pair: designed.append(pair) or design(*pair))
-    af._plans.clear()
+    af._design_plan.cache_clear()
     for _ in range(3):
         for src in rates:
             af.resample(af.Waveform(np.zeros(src // 10, np.float32), src), SR)
-    assert len(designed) == len(rates)
+    assert af._design_plan.cache_info()[:2] == (2 * len(rates), len(rates))  # (hits, misses)
 
 
 def _peak_beyond_result_bytes(fn):

@@ -12,7 +12,7 @@ import pytest
 from helpers import click_track
 
 from vem import audiofeat, cli
-from vem.audiofeat import (MAX_DURATION_S, MAX_RESAMPLE_WINDOW, SAMPLE_RATE, Waveform, load_wav,
+from vem.audiofeat import (MAX_DURATION_S, MAX_PLAN_BYTES, SAMPLE_RATE, Waveform, load_wav,
                            resample, save_wav)
 from vem.container import load_tensors, save_tensors
 from vem.curation import MIN_SYNTH_S, CurationRule
@@ -193,6 +193,29 @@ def test_train_run_config_is_the_config_the_stage_ran(tmp_path, corpus_dir, trai
     assert doc["steps"] == getattr(TrainConfig, f"{stage}_steps")
 
 
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "exit-3"])
+@pytest.mark.parametrize("cmd,steps", [("sample", 50), ("sweep-steps", [1, 50])])
+def test_sampler_run_config_names_the_steps_it_ran(tmp_path, corpus_dir, trained_dir,
+                                                   monkeypatch, cmd, steps, fails):
+    """A default `sample` or `sweep-steps` on a T = 50 checkpoint echoes the
+    step counts its sampler receives, also when the sampler then fails."""
+    sample, received = cli.sample_mel, []
+
+    def recorder(unet, temb, meta, ann, n, *rest, **kw):
+        received.append(n)
+        if fails:
+            raise DataError("stubbed sampler")
+        return sample(unet, temb, meta, ann, n, *rest, **kw)
+
+    monkeypatch.setattr(cli, "sample_mel", recorder)
+    rc = run([cmd, str(trained_dir / "diffusion.vemt"), str(corpus_dir / "item_000.json")],
+             tmp_path)
+    assert rc == (3 if fails else 0)
+    doc = json.load(open(tmp_path / "run_config.json", encoding="utf-8"))
+    assert doc["steps"] == steps
+    assert received == (steps if isinstance(steps, list) else [steps])[:1 if fails else None]
+
+
 @pytest.mark.parametrize("argv", [
     lambda d: ["curate", d],
     lambda d: ["eval", d],
@@ -247,14 +270,15 @@ def test_features_writes_container(tmp_path):
 
 
 def test_features_huge_header_rate_exits_3(tmp_path, capsys):
-    """A prime 4,294,967,291 Hz header would need a 2.5 TiB filter."""
+    """A prime 4,294,967,291 Hz header would need a 3 TiB resampler plan."""
     path = tmp_path / "clip.wav"
     save_wav(path, Waveform(np.zeros(2048, dtype=np.float32), SAMPLE_RATE))
     raw = bytearray(path.read_bytes())
     raw[24:28] = (4_294_967_291).to_bytes(4, "little")  # fmt chunk sample rate
     path.write_bytes(bytes(raw))
     assert run(["features", str(path)], tmp_path) == 3
-    assert "2^17" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "16000/4294967291, whose resampler plan would hold" in err and err.count("\n") == 1
 
 
 # (offset, width in bytes) of each fmt and data chunk header field save_wav writes
@@ -276,8 +300,8 @@ def clip_wav_bytes(tmp_path_factory):
 @pytest.mark.parametrize("field,value", [
     (field, v) for field, (_, width) in _WAV_HEADER_FIELDS.items()
     for v in _WAV_HEADER_VALUES if v < 2 ** (8 * width)]
-    # 16000 * 2^17 reduces to 1/131072: its resampler blocks would each read
-    # 12,451,841 inputs (1.5 GiB of plan arrays); 1,024,000 Hz reads 6,081
+    # 16000 * 2^17 reduces to 1/131072, a 1.5 GiB resampler plan; 1,024,000 Hz
+    # reduces to 1/64, a 0.7 MiB one
     + [("rate", 2_097_152_000), ("rate", 1_024_000)])
 def test_features_wav_header_boundary_values(tmp_path, monkeypatch, capsys, clip_wav_bytes,
                                              field, value):
@@ -285,8 +309,8 @@ def test_features_wav_header_boundary_values(tmp_path, monkeypatch, capsys, clip
     `vem features` writes a mel or exits 3 with one error line. A rate of
     32 Hz or less makes the clip last past MAX_DURATION_S, which is refused
     before the resampler would build it (gigabytes at a few Hz); a rate whose
-    resampler blocks would read more than MAX_RESAMPLE_WINDOW inputs is
-    refused before its plan is designed."""
+    resampler plan would hold more than MAX_PLAN_BYTES is refused before the
+    plan is designed."""
     path = tmp_path / "clip.wav"
     offset, width = _WAV_HEADER_FIELDS[field]
     raw = bytearray(clip_wav_bytes)
@@ -300,10 +324,12 @@ def test_features_wav_header_boundary_values(tmp_path, monkeypatch, capsys, clip
     design_plan = audiofeat._design_plan
 
     def bounded_plan(up, down):
-        # the taps one phase uses, plus the inputs 15 more outputs step over
-        window = -(-(80 * max(up, down) + 1) // up) + -(-15 * down // up)
-        assert window <= MAX_RESAMPLE_WINDOW, f"designing a plan whose blocks read {window} inputs"
-        return design_plan(up, down)
+        bound = audiofeat._plan_bytes(up, down)
+        assert bound <= MAX_PLAN_BYTES, f"designing a plan of up to {bound} bytes"
+        plan = design_plan(up, down)
+        held = sum(taps.nbytes for taps in {id(t): t for _, _, t in plan.blocks}.values())
+        assert held <= bound, f"a plan of {held} bytes, over its bound {bound}"
+        return plan
 
     monkeypatch.setattr(cli, "resample", bounded_resample)
     monkeypatch.setattr(audiofeat, "_design_plan", bounded_plan)
