@@ -11,6 +11,11 @@ grid by several hundred ms. `estimate_tempo` therefore refines the period
 with parabolic interpolation at the peak and re-estimates it from the
 highest usable lag multiple. The onset envelope is a float32 array, one value
 per spectrogram window: ENVELOPE_RATE_HZ values a second from ENVELOPE_T0_S.
+
+`detect_beats` refuses a spectrogram it cannot fit a grid to with
+`DataError`; `beats_within` is the one rule for the beats a clip has, which
+every metric and label reads: no beat grid means no beats, and a beat past
+the clip's end does not count.
 """
 
 import numpy as np
@@ -160,6 +165,11 @@ def detect_beats(m):
 
 
 def beats_within(m, duration_s):
-    """Beats detected in a spectrogram that fall inside [0, duration_s]."""
-    beats, _ = detect_beats(m)
+    """The beats a clip has: those detected in [0, duration_s], or none when
+    `detect_beats` refuses the spectrogram (a flat or zero-power envelope, no
+    positive autocorrelation peak, under MIN_ENVELOPE_S of envelope)."""
+    try:
+        beats, _ = detect_beats(m)
+    except DataError:
+        beats = []
     return TimestampSet([b for b in beats if b <= duration_s], duration_s)

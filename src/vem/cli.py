@@ -14,14 +14,21 @@ for --stage diffusion only: stage C reads both off the checkpoint it tunes.
 Every `<stem>.json` in it is a manifest, except `*.beats.json` event files
 and `run_config.json`. Each manifest needs its `<stem>.wav`, and the
 manifest's `duration_s` must agree with the WAV's length to within one
-16 fps frame; otherwise the command exits 3. A generated `<stem>.gen.wav`
-beside them is not a corpus file: `eval` reads it when present, unchecked.
+16 fps frame; otherwise the command exits 3, and an error met reading a
+manifest or WAV names that file. A generated `<stem>.gen.wav` beside them is
+not a corpus file: `eval` reads it when present, unchecked.
+
+`eval` scores the beats `beatdet.beats_within` gives a clip's reference and
+generated audio, both counted up to the manifest's `duration_s`. Audio with
+no beat grid (silence, say) has no beats, so it scores 0 against a non-empty
+set and 1 when both sets are empty.
 
 Exit codes: 0 ok, 2 usage (argparse, or a train flag its stage ignores),
 3 data error, 4 stage-order error.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -179,6 +186,15 @@ def _stem(path):
     return os.path.splitext(os.path.basename(path))[0]
 
 
+@contextlib.contextmanager
+def _reading(filename):
+    """Prefix a DataError raised while reading `filename` with its name."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{filename}: {exc}") from exc
+
+
 def _corpus_pairs(corpus_dir):
     """Yield (annotation, 16 kHz waveform, stem) per manifest of a corpus
     directory, in name order, by the rules the module docstring states."""
@@ -191,8 +207,10 @@ def _corpus_pairs(corpus_dir):
         wav_path = os.path.join(corpus_dir, stem + ".wav")
         if not os.path.exists(wav_path):
             raise DataError(f"manifest {name} has no paired {stem}.wav")
-        ann = load_manifest(os.path.join(corpus_dir, name))
-        wav = _load_wav_16k(wav_path)
+        with _reading(name):
+            ann = load_manifest(os.path.join(corpus_dir, name))
+        with _reading(stem + ".wav"):
+            wav = _load_wav_16k(wav_path)
         if abs(ann.duration_s - wav.duration_s) > 1.0 / DEFAULT_FPS:
             raise DataError(f"manifest {name} gives duration_s {ann.duration_s:g} s, but "
                             f"{stem}.wav lasts {wav.duration_s:g} s")
@@ -326,8 +344,9 @@ def _cmd_eval(args):
     rows = []
     for ann, wav, stem in _corpus_pairs(args.dir) if per_clip else ():
         gen_path = os.path.join(args.dir, stem + ".gen.wav")
-        ref = _beats_of(wav)
-        gen = _beats_of(_load_wav_16k(gen_path)) if os.path.exists(gen_path) else ref
+        ref = _beats_of(wav, ann)
+        with _reading(stem + ".gen.wav"):
+            gen = _beats_of(_load_wav_16k(gen_path), ann) if os.path.exists(gen_path) else ref
         rows += [[ann.video_id, m, f"{_CLIP_METRICS[m](ann, ref, gen, args.tol_s):.4f}"]
                  for m in per_clip]
 
@@ -350,8 +369,8 @@ def _cmd_eval(args):
     print(f"{len(rows)} metric rows -> {out}")
 
 
-def _beats_of(wav):
-    return beats_within(logmel(wav), wav.duration_s)
+def _beats_of(wav, ann):
+    return beats_within(logmel(wav), ann.duration_s)
 
 
 def _cmd_sweep(args):

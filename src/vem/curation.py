@@ -22,7 +22,8 @@ from .timeline import TimestampSet, from_timestamps
 
 
 # the onset envelope of an n-sample clip spans n - (N_FFT - HOP) samples, so
-# this is the shortest clip whose beats stage A can track
+# this is the shortest clip that carries a beat grid; `beats_within` gives a
+# shorter one no beats
 MIN_SYNTH_S = MIN_ENVELOPE_S + (N_FFT - HOP) / SAMPLE_RATE
 
 
@@ -40,8 +41,9 @@ class CurationRule:
 def gate(pair, rules=None):
     """Quality gate; returns (passed, reasons). All failing reasons listed.
 
-    A clip shorter than MIN_SYNTH_S fails on duration, since stage A cannot
-    track its beats, and gets no SNR estimate.
+    A clip shorter than MIN_SYNTH_S fails on duration, since it carries no
+    beat grid (stage A would train on all-zero labels for it), and gets no
+    SNR estimate.
     """
     rules = rules or CurationRule()
     ann, wav = pair

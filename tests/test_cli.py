@@ -21,7 +21,7 @@ from vem.errors import DataError
 from vem.parsing import build_frame_features, load_manifest
 from vem.rng import Rng
 from vem.tbalign import ALIGNER_HIDDEN
-from vem.training import TrainConfig
+from vem.training import TrainConfig, intersection_labels
 from vem.tunet import TEMB_DIM
 
 
@@ -269,13 +269,18 @@ def test_features_writes_container(tmp_path):
     assert meta["sample_rate_hz"] == SAMPLE_RATE
 
 
+def _huge_rate(path):
+    """Set the WAV header rate to a prime, 4,294,967,291 Hz."""
+    raw = bytearray(path.read_bytes())
+    raw[24:28] = (4_294_967_291).to_bytes(4, "little")  # fmt chunk sample rate
+    path.write_bytes(bytes(raw))
+
+
 def test_features_huge_header_rate_exits_3(tmp_path, capsys):
     """A prime 4,294,967,291 Hz header would need a 3 TiB resampler plan."""
     path = tmp_path / "clip.wav"
     save_wav(path, Waveform(np.zeros(2048, dtype=np.float32), SAMPLE_RATE))
-    raw = bytearray(path.read_bytes())
-    raw[24:28] = (4_294_967_291).to_bytes(4, "little")  # fmt chunk sample rate
-    path.write_bytes(bytes(raw))
+    _huge_rate(path)
     assert run(["features", str(path)], tmp_path) == 3
     err = capsys.readouterr().err
     assert "16000/4294967291, whose resampler plan would hold" in err and err.count("\n") == 1
@@ -456,6 +461,37 @@ def test_manifest_duration_agrees_with_wav_to_one_frame(tmp_path, corpus_dir, de
     assert run(["curate", str(corpus)], tmp_path) == rc
 
 
+def _negative_storyboard(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["storyboards"][0]["duration_s"] = -1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize("spoil,err", [
+    (lambda c: _negative_storyboard(c / "item_001.json"),
+     "item_001.json: storyboards[0].duration_s: must be positive, got -1"),
+    (lambda c: (c / "item_001.wav").write_bytes(b"garbage"),
+     "item_001.wav: not a RIFF/WAVE file"),
+    (lambda c: _huge_rate(c / "item_001.wav"),
+     "item_001.wav: 4294967291 Hz to 16000 Hz reduces to"),
+], ids=["manifest", "wav", "resample"])
+@pytest.mark.parametrize("argv,output", [
+    (["curate"], "curation.csv"),
+    (["train", "--stage", "aligner", "--steps", "1", "--corpus"], "train_aligner_loss.csv"),
+    (["eval", "--metrics", "b_iou,tb_iou,tw"], "metrics.csv"),
+], ids=["curate", "train", "eval"])
+def test_corpus_error_names_its_file(tmp_path, corpus_dir, capsys, spoil, err, argv, output):
+    """An error met reading one clip of a corpus names the file it came
+    from; it used to print the manifest field or WAV fault alone."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    spoil(corpus)
+    assert run(argv + [str(corpus)], tmp_path / "out") == 3
+    out = capsys.readouterr().err
+    assert out.startswith(f"error: data: {err}") and out.count("\n") == 1, out
+    assert not (tmp_path / "out" / output).exists()
+
+
 @pytest.mark.parametrize("argv", [
     lambda d: ["curate", d, "--min-snr-db", "nan"],
     lambda d: ["eval", d, "--tol-s", "nan"],
@@ -512,8 +548,23 @@ def test_train_on_sidecars_cut_short_exits_3(tmp_path, capsys):
                tmp_path / "out") == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert re.fullmatch(rf"error: data: frame_features: 40 frames, .* has {need}\n", err)
+    assert err.startswith("error: data: ")
+    assert re.search(rf"frame_features: 40 frames, .* has {need}\n", err)
     assert not (tmp_path / "out" / "aligner.vemt").exists()
+
+
+def test_train_aligner_on_a_silent_clip(tmp_path, corpus_dir):
+    """A clip with no beat grid has no beats, so stage A trains on all-zero
+    labels for it; a silent WAV used to stop the stage with exit 3."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    n = load_wav(corpus / "item_000.wav").samples.size
+    save_wav(corpus / "item_000.wav", Waveform(np.zeros(n, dtype=np.float32), SAMPLE_RATE))
+    assert run(["train", "--stage", "aligner", "--corpus", str(corpus), "--steps", "2"],
+               tmp_path / "out") == 0
+    labels = intersection_labels(load_manifest(corpus / "item_000.json"),
+                                 load_wav(corpus / "item_000.wav"))
+    assert labels.size and not labels.any()
 
 
 def test_train_artifacts(trained_dir):
@@ -912,6 +963,20 @@ def test_eval_groundtruth_vs_itself(tmp_path, corpus_dir):
     assert all(v == 1.0 for v in by_metric["b_iou"])
     assert all(v >= 0.8 for v in by_metric["tb_iou"])
     assert all(0.0 <= v <= 1.0 for v in by_metric["tw"])
+
+
+def test_eval_scores_a_silent_generated_clip(tmp_path, corpus_dir):
+    """10 s of silence as `item_000.gen.wav` has no beats, so it scores 0
+    against the clip's reference beats and its transitions; it used to stop
+    `eval` with exit 3 ("no periodicity: flat onset envelope")."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    save_wav(corpus / "item_000.gen.wav",
+             Waveform(np.zeros(10 * SAMPLE_RATE, dtype=np.float32), SAMPLE_RATE))
+    assert run(["eval", str(corpus), "--metrics", "b_iou,tb_iou,tw"], tmp_path / "out") == 0
+    vid = load_manifest(corpus / "item_000.json").video_id
+    rows = [r[1:] for r in read_csv(tmp_path / "out" / "metrics.csv")[1:] if r[0] == vid]
+    assert rows == [["b_iou", "0.0000"], ["tb_iou", "0.0000"], ["tw", "0.0000"]]
 
 
 def test_eval_unknown_metric_exits_3(tmp_path, corpus_dir):

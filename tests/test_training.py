@@ -643,3 +643,21 @@ def test_generation_tb_iou_bounds(stage_b, corpus):
 def test_generation_tb_iou_detector_failure_scores_zero(corpus):
     silent = logmel(Waveform(np.zeros(5 * SAMPLE_RATE, dtype=np.float32), SAMPLE_RATE))
     assert tr.generation_tb_iou(silent, corpus[0][0]) == 0.0
+
+
+def test_generation_tb_iou_beatless_mel_without_transitions_scores_one():
+    """A mel with no beat grid has no beats: against a manifest with no
+    transitions both sets are empty, which beats_iou scores 1."""
+    silent = logmel(Waveform(np.zeros(5 * SAMPLE_RATE, dtype=np.float32), SAMPLE_RATE))
+    assert tr.generation_tb_iou(silent, make_annotation(5.0, (0.0, 5.0), ())) == 1.0
+
+
+def test_generation_tb_iou_counts_beats_up_to_the_manifest_end():
+    """A generated beat past `ann.duration_s` does not count: transitions on
+    every detected beat up to the manifest's end score 1, though the
+    spectrogram runs one beat further."""
+    mel = logmel(click_track(100.0, duration_s=10.0)[0])
+    beats, _ = detect_beats(mel)
+    end = beats[-1] - 0.3
+    ann = make_annotation(end, (0.0, end), [b for b in beats if b <= end])
+    assert tr.generation_tb_iou(mel, ann) == 1.0
