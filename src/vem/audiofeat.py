@@ -418,6 +418,11 @@ def griffin_lim(m, iters):
     filterbank pseudo-inverse (clipped at zero), then classic Griffin-Lim
     alternates between enforcing that magnitude and STFT consistency. Phase
     starts at zero so output is deterministic. It runs in float64.
+
+    A reconstruction with a NaN or inf sample is refused with DataError.
+    Otherwise samples are clipped at ±1, which keeps the level of the mel it
+    was given; dividing by the peak would lower the whole clip for a few
+    isolated spikes.
     """
     if iters < 1:
         raise DataError("iters must be >= 1")
@@ -434,10 +439,9 @@ def griffin_lim(m, iters):
         x = _overlap_add(np.fft.irfft(spec, n=N_FFT, axis=1) * w) / norm
         re = np.fft.rfft(_frames(x) * w, axis=1)
         spec = re * (mag / np.maximum(np.abs(re), 1e-12))  # mag * unit phase, one complex pass
-    peak = np.max(np.abs(x)) if len(x) else 0.0
-    if peak > 1.0:
-        x = x / peak
-    return Waveform(x.astype(np.float32), SAMPLE_RATE)
+    if not np.isfinite(x).all():
+        raise DataError("Griffin-Lim reconstruction has non-finite samples")
+    return Waveform(np.clip(x, -1.0, 1.0).astype(np.float32), SAMPLE_RATE)
 
 
 # -- curation signal quality ----------------------------------------------

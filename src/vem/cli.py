@@ -12,16 +12,22 @@ for --stage diffusion only: stage C reads both off the checkpoint it tunes.
 
 `curate`, `train` and `eval` read a corpus directory through one reader.
 Every `<stem>.json` in it is a manifest, except `*.beats.json` event files
-and `run_config.json`. Each manifest needs its `<stem>.wav`, and the
-manifest's `duration_s` must agree with the WAV's length to within one
-16 fps frame; otherwise the command exits 3, and an error met reading a
-manifest or WAV names that file. A generated `<stem>.gen.wav` beside them is
-not a corpus file: `eval` reads it when present, unchecked.
+and `run_config.json`. Each manifest needs its `<stem>.wav`, which must
+hold at least one 1024-sample STFT window at 16 kHz, and the manifest's
+`duration_s` must agree with the WAV's length to within one 16 fps frame;
+otherwise the command exits 3, and an error met reading a manifest or WAV
+names that file. A generated `<stem>.gen.wav` beside them is not a corpus
+file: `eval` reads it when present, unchecked.
 
-`eval` scores the beats `beatdet.beats_within` gives a clip's reference and
-generated audio, both counted up to the manifest's `duration_s`. Audio with
-no beat grid (silence, say) has no beats, so it scores 0 against a non-empty
-set and 1 when both sets are empty.
+`eval` takes each clip's log-mel once, from the reference WAV and from its
+`.gen.wav`; a clip with no `.gen.wav` uses its reference in its place, so a
+corpus with no generated audio scores as perfect. The per-clip metrics
+score the beats `beatdet.beats_within` finds in the two, both counted up to
+the manifest's `duration_s`. Audio with no beat grid (silence, say) has no
+beats, so it scores 0 against a non-empty set and 1 when both sets are
+empty. `fad` is one corpus row: the Fréchet distance between the pooled
+60-bin log-mel frames of the references and those of the generated clips
+(0 with no generated audio).
 
 Exit codes: 0 ok, 2 usage (argparse, or a train flag its stage ignores),
 3 data error, 4 stage-order error.
@@ -36,12 +42,12 @@ import sys
 
 import numpy as np
 
-from .audiofeat import SAMPLE_RATE, griffin_lim, load_wav, logmel, resample, save_wav
+from .audiofeat import SAMPLE_RATE, frame_count, griffin_lim, load_wav, logmel, resample, save_wav
 from .beatdet import beats_within, detect_beats
-from .container import load_tensors, save_tensors
+from .container import save_tensors
 from .curation import CurationRule, SynthConfig, gate, synth_corpus
 from .errors import DataError, StageOrderError
-from .evalsuite import StoryboardScores, frechet_distance, inception_score, mean_kld, tw_score
+from .evalsuite import StoryboardScores, frechet_distance, tw_score
 from .parsing import load_manifest, save_manifest
 from .timeline import (DEFAULT_FPS, DEFAULT_TOL_S, TimestampSet, beats_iou, save_events_json,
                        transitions_beats_iou)
@@ -84,13 +90,7 @@ _CLIP_METRICS = {
     "tb_iou": lambda ann, ref, gen, tol_s: transitions_beats_iou(ann.transitions, gen, tol_s),
     "tw": lambda ann, ref, gen, tol_s: _storyboard_tw(ann, gen, tol_s),
 }
-# corpus metrics: (container entry, function, whether it compares set A with set B)
-_CORPUS_METRICS = {
-    "fad": ("embeddings", frechet_distance, True),
-    "is": ("probs", inception_score, False),
-    "kld": ("probs", mean_kld, True),
-}
-_METRIC_NAMES = [*_CLIP_METRICS, *_CORPUS_METRICS]
+_METRIC_NAMES = [*_CLIP_METRICS, "fad"]
 
 
 def build_parser():
@@ -153,8 +153,6 @@ def build_parser():
     q.add_argument("dir")
     q.add_argument("--metrics", default="b_iou,tb_iou",
                    help=f"comma list from {','.join(_METRIC_NAMES)}")
-    q.add_argument("--emb-a", help="tensor container with 'embeddings'/'probs' (set A)")
-    q.add_argument("--emb-b", help="tensor container with 'embeddings'/'probs' (set B)")
     q.add_argument("--tol-s", type=float, default=DEFAULT_TOL_S,
                    help="matching tolerance (default %(default)s s)")
 
@@ -211,6 +209,7 @@ def _corpus_pairs(corpus_dir):
             ann = load_manifest(os.path.join(corpus_dir, name))
         with _reading(stem + ".wav"):
             wav = _load_wav_16k(wav_path)
+            frame_count(len(wav.samples))  # refuses a clip shorter than one STFT window
         if abs(ann.duration_s - wav.duration_s) > 1.0 / DEFAULT_FPS:
             raise DataError(f"manifest {name} gives duration_s {ann.duration_s:g} s, but "
                             f"{stem}.wav lasts {wav.duration_s:g} s")
@@ -341,36 +340,27 @@ def _cmd_eval(args):
     if bad:
         raise DataError(f"unknown metrics {bad}; choose from {sorted(_METRIC_NAMES)}")
     per_clip = [m for m in metrics if m in _CLIP_METRICS]
-    rows = []
-    for ann, wav, stem in _corpus_pairs(args.dir) if per_clip else ():
+    rows, ref_frames, gen_frames = [], [], []
+    for ann, wav, stem in _corpus_pairs(args.dir) if metrics else ():
         gen_path = os.path.join(args.dir, stem + ".gen.wav")
-        ref = _beats_of(wav, ann)
-        with _reading(stem + ".gen.wav"):
-            gen = _beats_of(_load_wav_16k(gen_path), ann) if os.path.exists(gen_path) else ref
-        rows += [[ann.video_id, m, f"{_CLIP_METRICS[m](ann, ref, gen, args.tol_s):.4f}"]
-                 for m in per_clip]
-
-    per_corpus = [m for m in metrics if m in _CORPUS_METRICS]
-    if per_corpus:
-        needs_b = any(_CORPUS_METRICS[m][2] for m in per_corpus)
-        if not (args.emb_a and (args.emb_b or not needs_b)):
-            raise DataError("fad/is/kld need an --emb-a tensor container, fad/kld an --emb-b too")
-        containers = [(path, load_tensors(path)[0])
-                      for path in ([args.emb_a, args.emb_b] if needs_b else [args.emb_a])]
-        for m in per_corpus:
-            key, fn, two_sets = _CORPUS_METRICS[m]
-            sets = containers if two_sets else containers[:1]
-            for path, tensors in sets:
-                if key not in tensors:
-                    raise DataError(f"{path} has no {key!r} entry")
-            rows.append(["(corpus)", m, f"{fn(*(tensors[key] for _, tensors in sets)):.4f}"])
+        ref_mel = gen_mel = logmel(wav)
+        if os.path.exists(gen_path):
+            with _reading(stem + ".gen.wav"):
+                gen_mel = logmel(_load_wav_16k(gen_path))
+        if "fad" in metrics:
+            ref_frames.append(ref_mel.values)
+            gen_frames.append(gen_mel.values)
+        if per_clip:
+            ref = beats_within(ref_mel, ann.duration_s)
+            gen = ref if gen_mel is ref_mel else beats_within(gen_mel, ann.duration_s)
+            rows += [[ann.video_id, m, f"{_CLIP_METRICS[m](ann, ref, gen, args.tol_s):.4f}"]
+                     for m in per_clip]
+    if "fad" in metrics:
+        fad = frechet_distance(np.concatenate(ref_frames), np.concatenate(gen_frames))
+        rows.append(["(corpus)", "fad", f"{fad:.4f}"])
 
     out = _write_csv(args.out_dir, "metrics.csv", ["video_id", "metric", "value"], rows)
     print(f"{len(rows)} metric rows -> {out}")
-
-
-def _beats_of(wav, ann):
-    return beats_within(logmel(wav), ann.duration_s)
 
 
 def _cmd_sweep(args):

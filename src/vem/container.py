@@ -15,7 +15,8 @@ Version 1 files have no metadata block; readers return {} for them.
 Writers emit v1 when `meta` is falsy so old readers stay compatible.
 Tensors are stored float32; save() casts, load() returns float32 arrays.
 Every length read from a file is checked against the bytes left in it before
-anything is read or allocated.
+anything is read or allocated, and an entry whose name an earlier entry
+already has is refused.
 """
 
 import contextlib
@@ -108,11 +109,13 @@ def load_tensors(path):
                 name = _read_exact(fh, nlen, "entry name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DataError(f"entry name is not UTF-8: {exc}") from exc
+            if name in tensors:
+                raise DataError(f"duplicate entry name {name!r}")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"rank of {name!r}"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"dims of {name!r}"))
             count = 1
-            for d in dims:
-                count *= d
+            for d in dims:  # capped past any file's size, so wide dims stay cheap to multiply
+                count = min(count * d, 2**63)
             payload = _read_exact(fh, 4 * count, f"payload of {name!r}")
             try:
                 tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()

@@ -1,10 +1,10 @@
 """Corpus-level metrics beyond the timeline IoUs.
 
-Distributional metrics take externally supplied per-sample embeddings or
-class-probability rows; no perceptual model runs here, so real extractor
-outputs can be evaluated by writing them into a tensor container and
-pointing the CLI at it. Statistics accumulate in float64 (the Fréchet
-cross-term is sensitive to covariance round-off).
+No perceptual model and no external embeddings are used: `vem eval` takes
+its `fad` as `frechet_distance` between the pooled 60-bin log-mel frames of
+the reference and the generated audio. That is a log-mel Fréchet distance,
+not comparable with VGGish-based FAD figures. Statistics accumulate in
+float64 (the Fréchet cross-term is sensitive to covariance round-off).
 """
 
 import dataclasses
@@ -107,30 +107,3 @@ def frechet_distance(a, b):
     cov_b = np.cov(b, rowvar=False).reshape(b.shape[1], b.shape[1])
     return frechet_gaussian(mu_a, cov_a, mu_b, cov_b)
 
-
-def _check_prob_rows(p, name):
-    p = _as_matrix(p, name)
-    if np.any(p < 0):
-        raise DataError(f"{name} has negative entries")
-    sums = p.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        raise DataError(f"{name} rows must sum to 1 (worst deviation {np.abs(sums - 1).max():g})")
-    return p
-
-
-def inception_score(p):
-    """exp(mean KL(p_m || mean_p)) over probability rows."""
-    p = _check_prob_rows(p, "probabilities")
-    return float(np.exp(mean_kld(p, np.broadcast_to(p.mean(axis=0), p.shape))))
-
-
-def mean_kld(p, q):
-    """Mean KL(p_m || q_m) over paired probability rows; q clamped >= 1e-10."""
-    p = _check_prob_rows(p, "p")
-    q = _check_prob_rows(q, "q")
-    if p.shape[0] != q.shape[0]:
-        raise DataError(f"row counts differ: {p.shape[0]} vs {q.shape[0]}")
-    qc = np.clip(q, 1e-10, None)
-    pc = np.clip(p, 1e-10, None)
-    kl = (p * (np.log(pc) - np.log(qc))).sum(axis=1)
-    return float(kl.mean())

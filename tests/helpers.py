@@ -226,8 +226,7 @@ def griffin_lim_loop(m, iters):
         x = istft_loop(spec)
         re = np.fft.rfft(af._frames(x) * af._hann(np.float64), axis=1)
         spec = mag * (re / np.maximum(np.abs(re), 1e-12))
-    peak = np.max(np.abs(x))
-    return (x / peak if peak > 1.0 else x).astype(np.float32)
+    return np.clip(x, -1.0, 1.0).astype(np.float32)
 
 
 # -- tape walks -------------------------------------------------------------

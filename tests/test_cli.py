@@ -18,6 +18,7 @@ from vem.container import load_tensors, save_tensors
 from vem.curation import MIN_SYNTH_S, CurationRule
 from vem.diffusion import MAX_T
 from vem.errors import DataError
+from vem.evalsuite import frechet_distance
 from vem.parsing import build_frame_features, load_manifest
 from vem.rng import Rng
 from vem.tbalign import ALIGNER_HIDDEN
@@ -72,13 +73,13 @@ def test_top_level_help_matches_golden(capsys, monkeypatch):
 
 def test_eval_metrics_help_lists_the_metric_tables(tmp_path, capsys):
     """The --metrics help and the unknown-metric message name exactly the
-    per-clip and corpus tables' metrics."""
+    per-clip table's metrics and the corpus metric `fad`."""
     parser = cli.build_parser()
     subs = next(a for a in parser._actions
                 if isinstance(a, type(parser._subparsers._group_actions[0])))
     metrics = next(a for a in subs.choices["eval"]._actions if "--metrics" in a.option_strings)
-    names = [*cli._CLIP_METRICS, *cli._CORPUS_METRICS]
-    assert names == ["b_iou", "tb_iou", "tw", "fad", "is", "kld"]
+    names = [*cli._CLIP_METRICS, "fad"]
+    assert names == cli._METRIC_NAMES == ["b_iou", "tb_iou", "tw", "fad"]
     assert metrics.help == "comma list from " + ",".join(names)
     os.makedirs(tmp_path / "empty")
     assert run(["eval", str(tmp_path / "empty"), "--metrics", "bogus"], tmp_path) == 3
@@ -461,6 +462,13 @@ def test_manifest_duration_agrees_with_wav_to_one_frame(tmp_path, corpus_dir, de
     assert run(["curate", str(corpus)], tmp_path) == rc
 
 
+def _sub_window_clip(corpus, stem):
+    """Replace clip `stem` of `corpus` with 480 samples (0.03 s) and a
+    manifest that declares as much."""
+    save_wav(corpus / f"{stem}.wav", Waveform(np.zeros(480, dtype=np.float32), SAMPLE_RATE))
+    _with_duration(corpus, stem, 0.03)
+
+
 def _negative_storyboard(path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["storyboards"][0]["duration_s"] = -1
@@ -474,7 +482,9 @@ def _negative_storyboard(path):
      "item_001.wav: not a RIFF/WAVE file"),
     (lambda c: _huge_rate(c / "item_001.wav"),
      "item_001.wav: 4294967291 Hz to 16000 Hz reduces to"),
-], ids=["manifest", "wav", "resample"])
+    (lambda c: _sub_window_clip(c, "item_001"),
+     "item_001.wav: waveform of 480 samples is shorter than one 1024-sample window"),
+], ids=["manifest", "wav", "resample", "sub-window"])
 @pytest.mark.parametrize("argv,output", [
     (["curate"], "curation.csv"),
     (["train", "--stage", "aligner", "--steps", "1", "--corpus"], "train_aligner_loss.csv"),
@@ -482,7 +492,10 @@ def _negative_storyboard(path):
 ], ids=["curate", "train", "eval"])
 def test_corpus_error_names_its_file(tmp_path, corpus_dir, capsys, spoil, err, argv, output):
     """An error met reading one clip of a corpus names the file it came
-    from; it used to print the manifest field or WAV fault alone."""
+    from; it used to print the manifest field or WAV fault alone. A clip
+    shorter than one STFT window is refused by the reader too: `curate`
+    used to fail it on duration, and `train` and `eval` to stop on it
+    naming no file."""
     corpus = tmp_path / "corpus"
     shutil.copytree(corpus_dir, corpus)
     spoil(corpus)
@@ -777,6 +790,56 @@ def test_sample_deeply_nested_json_exits_3(tmp_path, corpus_dir, trained_dir, ca
     assert capsys.readouterr().err.startswith("error: data: ")
 
 
+def _framing_edit(raw, field, value):
+    """A version-2 container's bytes `raw` with one framing field edited: the
+    header's, or the first entry's. `value` maps the field's old value to its
+    new one; a "duplicate name" repeats the first entry at the end."""
+    u32 = lambda at: int.from_bytes(raw[at:at + 4], "little")
+    entry = 9 + u32(5)
+    rank_at = entry + 4 + u32(entry)
+    if field == "magic":
+        return value + raw[4:]
+    if field == "version":
+        return raw[:4] + bytes([value]) + raw[5:]
+    if field == "wide dims":  # rank 10,000, every dim 2**32 - 1
+        return raw[:rank_at] + (10_000).to_bytes(4, "little") + b"\xff" * 40_000 + raw[rank_at + 4:]
+    if field == "duplicate name":
+        dims = [u32(rank_at + 4 * k) for k in range(1, u32(rank_at) + 1)]
+        return raw + raw[entry:rank_at + 4 * (1 + len(dims) + int(np.prod(dims)))]
+    at = {"json_len": 5, "name_len": entry, "rank": rank_at, "dims": rank_at + 4}[field]
+    return raw[:at] + value(u32(at)).to_bytes(4, "little") + raw[at + 4:]
+
+
+_FRAMING_CASES = {
+    "magic-other": ("magic", b"VEMX"), "magic-cut": ("magic", b""),
+    "version-0": ("version", 0), "version-1": ("version", 1), "version-3": ("version", 3),
+    **{f"{field}-{name}": (field, edit) for field in ("json_len", "name_len", "rank", "dims")
+       for name, edit in (("0", lambda n: 0), ("short", lambda n: n - 1),
+                          ("long", lambda n: n + 1), ("max", lambda n: 2**32 - 1))},
+    "dims-wide": ("wide dims", None), "duplicate-name": ("duplicate name", None),
+}
+
+
+@pytest.mark.parametrize("case", _FRAMING_CASES)
+def test_sample_container_framing_boundary_values(tmp_path, corpus_dir, trained_dir, capsys,
+                                                  case):
+    """Each framing field of a checkpoint, off by one either way, zero or at
+    its largest value, 10,000 dims of 2**32 - 1, and the first entry
+    repeated under its own name: `vem sample` exits 3 with one error line
+    and writes nothing but its run config. A repeated name used to load the
+    later entry without a word, and the wide dims to stop on a ValueError
+    from formatting their 96,000-digit byte count."""
+    field, value = _FRAMING_CASES[case]
+    raw = (trained_dir / "diffusion.vemt").read_bytes()
+    (tmp_path / "ckpt.vemt").write_bytes(_framing_edit(raw, field, value))
+    out = tmp_path / "out"
+    rc = run(["sample", str(tmp_path / "ckpt.vemt"), str(corpus_dir / "item_000.json"),
+              "--steps", "1"], out)
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("error: data: ") and err.count("\n") == 1, err
+    assert os.listdir(out) == ["run_config.json"]
+
+
 @pytest.fixture(scope="module")
 def short_clip(tmp_path_factory):
     """One clip just long enough for beat tracking and its manifest, shared
@@ -983,70 +1046,29 @@ def test_eval_unknown_metric_exits_3(tmp_path, corpus_dir):
     assert run(["eval", str(corpus_dir), "--metrics", "bogus"], tmp_path) == 3
 
 
-def test_eval_distributional_metrics(tmp_path):
-    r = Rng(6)
-    raw = r.uniform(40).reshape(10, 4) + 1e-3
-    probs = raw / raw.sum(axis=1, keepdims=True)
-    save_tensors(tmp_path / "a.vemt",
-                 {"embeddings": r.gaussian((30, 5)), "probs": probs})
-    save_tensors(tmp_path / "b.vemt",
-                 {"embeddings": r.gaussian((30, 5)) + 1.0, "probs": probs})
-    os.makedirs(tmp_path / "empty")
-    rc = run(["eval", str(tmp_path / "empty"), "--metrics", "fad,is,kld",
-              "--emb-a", str(tmp_path / "a.vemt"), "--emb-b", str(tmp_path / "b.vemt")],
-             tmp_path)
-    assert rc == 0
-    rows = read_csv(tmp_path / "metrics.csv")
-    vals = {r[1]: float(r[2]) for r in rows[1:]}
-    assert set(vals) == {"fad", "is", "kld"}
-    assert vals["fad"] > 1.0           # unit mean shift in 5-D
-    assert vals["kld"] == 0.0          # identical prob rows
-    assert vals["is"] >= 1.0
+def test_eval_fad_without_generated_audio_is_zero(tmp_path, corpus_dir):
+    """With no `.gen.wav`, each reference stands in for its generated clip,
+    so the corpus scores exactly 0; `fad` needs no other flag."""
+    assert run(["eval", str(corpus_dir), "--metrics", "fad"], tmp_path) == 0
+    assert read_csv(tmp_path / "metrics.csv")[1:] == [["(corpus)", "fad", "0.0000"]]
 
 
-def test_eval_distributional_requires_containers(tmp_path):
-    os.makedirs(tmp_path / "empty")
-    assert run(["eval", str(tmp_path / "empty"), "--metrics", "fad"], tmp_path) == 3
-
-
-def test_eval_needs_set_b_only_for_fad_and_kld(tmp_path):
-    """`is` scores set A alone; fad and kld compare two sets."""
-    save_tensors(tmp_path / "a.vemt", {"embeddings": Rng(6).gaussian((30, 5)), "probs": _probs(10)})
-    os.makedirs(tmp_path / "empty")
-    argv = ["eval", str(tmp_path / "empty"), "--emb-a", str(tmp_path / "a.vemt"), "--metrics"]
-    assert run(argv + ["is"], tmp_path) == 0
-    assert [r[1] for r in read_csv(tmp_path / "metrics.csv")[1:]] == ["is"]
-    for metrics in ("fad", "kld", "is,kld"):
-        assert run(argv + [metrics], tmp_path) == 3
-    assert run(["eval", str(tmp_path / "empty"), "--metrics", "is"], tmp_path) == 3
-
-
-def _probs(rows):
-    raw = Rng(6).uniform(4 * rows).reshape(rows, 4) + 1e-3
-    return raw / raw.sum(axis=1, keepdims=True)
-
-
-def _with_nan(a):
-    a[1, 2] = np.nan
-    return a
-
-
-@pytest.mark.parametrize("metric,entry,value", [
-    ("fad", "embeddings", _with_nan(Rng(7).gaussian((30, 5)))),
-    ("is", "probs", _with_nan(_probs(10))),
-    ("kld", "probs", _with_nan(_probs(10))),
-    ("is", "probs", _probs(0)),
-    ("kld", "probs", _probs(0)),
-], ids=["fad-nan", "is-nan", "kld-nan", "is-no-rows", "kld-no-rows"])
-def test_eval_refuses_non_finite_or_empty_rows(tmp_path, metric, entry, value):
-    """A NaN entry or a matrix of zero rows is a DataError (exit 3), not a
-    scipy traceback or a `nan` in metrics.csv."""
-    for side in "ab":
-        save_tensors(tmp_path / f"{side}.vemt", {entry: value})
-    os.makedirs(tmp_path / "empty")
-    rc = run(["eval", str(tmp_path / "empty"), "--metrics", metric,
-              "--emb-a", str(tmp_path / "a.vemt"), "--emb-b", str(tmp_path / "b.vemt")],
-             tmp_path)
-    assert rc == 3
-    out = tmp_path / "metrics.csv"
-    assert not out.exists() or "nan" not in out.read_text(encoding="utf-8")
+def test_eval_fad_pools_the_log_mel_frames(tmp_path, corpus_dir):
+    """`fad` is the Fréchet distance between the log-mel frames of the
+    references, pooled over the corpus, and those of their `.gen.wav`s
+    (here the references at half amplitude), after the per-clip rows."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    ref, gen = [], []
+    for stem in ("item_000", "item_001"):
+        wav = load_wav(corpus / f"{stem}.wav")
+        assert wav.sample_rate_hz == SAMPLE_RATE
+        save_wav(corpus / f"{stem}.gen.wav", Waveform(0.5 * wav.samples, SAMPLE_RATE))
+        ref.append(audiofeat.logmel(wav).values)
+        gen.append(audiofeat.logmel(load_wav(corpus / f"{stem}.gen.wav")).values)
+    want = frechet_distance(np.concatenate(ref), np.concatenate(gen))
+    assert want > 1.0
+    assert run(["eval", str(corpus), "--metrics", "b_iou,fad"], tmp_path / "out") == 0
+    rows = read_csv(tmp_path / "out" / "metrics.csv")[1:]
+    assert [r[1] for r in rows] == ["b_iou", "b_iou", "fad"]
+    assert rows[-1] == ["(corpus)", "fad", f"{want:.4f}"]

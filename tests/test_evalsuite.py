@@ -106,81 +106,17 @@ def test_frechet_errors():
         ev.frechet_distance(r.gaussian((4, 2, 2)), r.gaussian((10, 2)))
 
 
-# -- inception_score -------------------------------------------------------
+def _with_nan(a):
+    a[1, 2] = np.nan
+    return a
 
 
-def test_is_uniform_rows():
-    p = np.full((12, 5), 0.2)
-    assert ev.inception_score(p) == pytest.approx(1.0)
-
-
-def test_is_one_hot_covering_k_classes():
-    for k in (2, 4, 7):
-        p = np.eye(k)[np.arange(3 * k) % k]
-        assert ev.inception_score(p) == pytest.approx(k, rel=1e-9)
-
-
-def test_is_identical_one_hot_rows():
-    p = np.zeros((9, 6))
-    p[:, 2] = 1.0
-    assert ev.inception_score(p) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_is_range_on_random_rows():
-    r = Rng(10)
-    for _ in range(50):
-        k = int(r.integers(2, 8)[0])
-        raw = r.uniform(6 * k).reshape(6, k) + 1e-3
-        p = raw / raw.sum(axis=1, keepdims=True)
-        v = ev.inception_score(p)
-        assert 1.0 - 1e-9 <= v <= k + 1e-9
-
-
-def test_is_rejects_unnormalized():
-    with pytest.raises(DataError):
-        ev.inception_score(np.full((3, 4), 0.3))
-    p = np.full((3, 4), 0.25)
-    p[0, 0], p[0, 1] = -0.25, 0.75
-    with pytest.raises(DataError):
-        ev.inception_score(p)
-
-
-# -- mean_kld --------------------------------------------------------------
-
-
-def test_kld_identical_is_zero():
-    r = Rng(11)
-    raw = r.uniform(40).reshape(10, 4) + 1e-3
-    p = raw / raw.sum(axis=1, keepdims=True)
-    assert ev.mean_kld(p, p.copy()) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_kld_one_hot_vs_uniform():
-    p = np.array([[1.0, 0.0]])
-    q = np.array([[0.5, 0.5]])
-    assert ev.mean_kld(p, q) == pytest.approx(np.log(2.0))
-
-
-def test_kld_nonnegative_random_pairs():
-    r = Rng(12)
-    raw_p = r.uniform(1000 * 5).reshape(1000, 5) + 1e-3
-    raw_q = r.uniform(1000 * 5).reshape(1000, 5) + 1e-3
-    p = raw_p / raw_p.sum(axis=1, keepdims=True)
-    q = raw_q / raw_q.sum(axis=1, keepdims=True)
-    per_row = [ev.mean_kld(p[i:i + 1], q[i:i + 1]) for i in range(0, 1000, 10)]
-    assert all(v >= 0.0 for v in per_row)
-    assert ev.mean_kld(p, q) >= 0.0
-
-
-def test_kld_count_mismatch():
-    p = np.full((3, 2), 0.5)
-    q = np.full((4, 2), 0.5)
-    with pytest.raises(DataError):
-        ev.mean_kld(p, q)
-
-
-def test_kld_handles_zero_in_q():
-    p = np.array([[0.5, 0.5]])
-    q = np.array([[1.0, 0.0]])
-    v = ev.mean_kld(p, q)
-    assert np.isfinite(v) and v > 1.0   # clamp keeps it finite but large
+@pytest.mark.parametrize("rows", [_with_nan(Rng(7).gaussian((30, 5))), np.zeros((0, 5))],
+                         ids=["nan", "no-rows"])
+def test_frechet_refuses_non_finite_or_empty_rows(rows):
+    """A NaN entry or a matrix of zero rows is a DataError, not a scipy
+    traceback or a NaN distance."""
+    with pytest.raises(DataError, match="at least one row and only finite entries"):
+        ev.frechet_distance(rows, Rng(8).gaussian((30, 5)))
+    with pytest.raises(DataError, match="at least one row and only finite entries"):
+        ev.frechet_distance(Rng(8).gaussian((30, 5)), rows)
