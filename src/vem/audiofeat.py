@@ -95,67 +95,76 @@ def load_wav(path):
     WAVE_FORMAT_EXTENSIBLE files carry the codec in their sub-format GUID.
 
     PCM16 scaling divides by 32768, so -32768 lands exactly on -1.0. A
-    trailing partial sample in the data chunk is dropped. Audio longer than
-    MAX_DURATION_S is refused here, before a header rate of a few Hz could
-    make the resampler build gigabytes from a small file.
+    trailing partial sample in the data chunk is dropped. The chunks are
+    walked by their headers, and audio longer than MAX_DURATION_S is refused
+    on the data chunk's size before its body is read: a long file costs no
+    memory, and a header rate of a few Hz cannot make the resampler build
+    gigabytes from a small file.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise DataError(f"not a RIFF/WAVE file (offset 0: {raw[:4]!r})")
-    pos = 12
-    fmt = None
-    data = None
-    while pos + 8 <= len(raw):
-        cid = raw[pos:pos + 4]
-        (size,) = struct.unpack("<I", raw[pos + 4:pos + 8])
-        body = raw[pos + 8:pos + 8 + size]
-        if len(body) != size:
-            raise DataError(f"truncated chunk {cid!r} at offset {pos}")
-        if cid == b"fmt ":
-            if size < 16:
-                raise DataError(f"fmt chunk at offset {pos} has {size} bytes, needs 16")
-            fmt = body
-        elif cid == b"data":
-            data = body
-        pos += 8 + size + (size & 1)
-    if fmt is None:
-        raise DataError("missing fmt chunk")
-    if data is None:
-        raise DataError("missing data chunk")
-    codec, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
-    if codec == 0xFFFE and len(fmt) >= 40:
-        (codec,) = struct.unpack("<H", fmt[24:26])  # leading code of the sub-format GUID
-    if codec == 1 and bits == 16:
-        pcm = np.frombuffer(data, dtype="<i2", count=len(data) // 2)
-        x = pcm.astype(np.float32) / 32768.0
-    elif codec == 3 and bits == 32:
-        x = np.frombuffer(data, dtype="<f4", count=len(data) // 4).astype(np.float32)
+        head = fh.read(12)
+        if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise DataError(f"not a RIFF/WAVE file (offset 0: {head[:4]!r})")
+        end = fh.seek(0, 2)
+        pos = 12
+        fmt = None
+        data = None  # (offset, size) of the body
+        while pos + 8 <= end:
+            fh.seek(pos)
+            cid, size = struct.unpack("<4sI", fh.read(8))
+            if pos + 8 + size > end:
+                raise DataError(f"truncated chunk {cid!r} at offset {pos}")
+            if cid == b"fmt ":
+                if size < 16:
+                    raise DataError(f"fmt chunk at offset {pos} has {size} bytes, needs 16")
+                fmt = fh.read(min(size, 40))
+            elif cid == b"data":
+                data = (pos + 8, size)
+            pos += 8 + size + (size & 1)
+        if fmt is None:
+            raise DataError("missing fmt chunk")
+        if data is None:
+            raise DataError("missing data chunk")
+        codec, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
+        if codec == 0xFFFE and len(fmt) >= 40:
+            (codec,) = struct.unpack("<H", fmt[24:26])  # leading code of the sub-format GUID
+        if (codec, bits) not in ((1, 16), (3, 32)):
+            raise DataError(f"unsupported codec (format={codec}, bits={bits}) at offset 20")
+        if channels < 1:
+            raise DataError("zero channels")
+        if rate < 1:
+            raise DataError(f"sample rate must be positive, got {rate}")
+        block = channels * bits // 8
+        frames = data[1] // block
+        if frames > rate * MAX_DURATION_S:
+            raise DataError(f"{frames} samples at {rate} Hz last {frames / rate:.0f} s, "
+                            f"longer than {MAX_DURATION_S:.0f} s")
+        fh.seek(data[0])
+        body = bytearray(frames * block)
+        fh.readinto(body)
+    if codec == 1:
+        x = np.frombuffer(body, dtype="<i2").astype(np.float32)
+        x /= 32768.0
     else:
-        raise DataError(f"unsupported codec (format={codec}, bits={bits}) at offset 20")
-    if channels < 1:
-        raise DataError("zero channels")
+        x = np.frombuffer(body, dtype="<f4")
     if channels > 1:
-        x = x[: (len(x) // channels) * channels].reshape(-1, channels).mean(axis=1)
-    w = Waveform(x, rate)
-    if len(x) > rate * MAX_DURATION_S:
-        raise DataError(f"{len(x)} samples at {rate} Hz last {w.duration_s:.0f} s, "
-                        f"longer than {MAX_DURATION_S:.0f} s")
-    return w
+        x = x.reshape(-1, channels).mean(axis=1)
+    return Waveform(x, rate)
 
 
 def save_wav(path, w):
     """Write mono PCM16 little-endian, through `container.open_replacing`."""
     x = np.clip(w.samples, -1.0, 1.0)
-    pcm = np.round(x * 32767.0).astype("<i2").tobytes()
+    x *= 32767.0
+    pcm = np.round(x, out=x).astype("<i2")
     with open_replacing(path) as fh:
         fh.write(b"RIFF")
-        fh.write(struct.pack("<I", 36 + len(pcm)))
+        fh.write(struct.pack("<I", 36 + pcm.nbytes))
         fh.write(b"WAVEfmt ")
         fh.write(struct.pack("<IHHIIHH", 16, 1, 1, w.sample_rate_hz,
                              w.sample_rate_hz * 2, 2, 16))
         fh.write(b"data")
-        fh.write(struct.pack("<I", len(pcm)))
+        fh.write(struct.pack("<I", pcm.nbytes))
         fh.write(pcm)
 
 

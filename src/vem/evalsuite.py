@@ -4,7 +4,8 @@ No perceptual model and no external embeddings are used: `vem eval` takes
 its `fad` as `frechet_distance` between the pooled 60-bin log-mel frames of
 the reference and the generated audio. That is a log-mel Fréchet distance,
 not comparable with VGGish-based FAD figures. Statistics accumulate in
-float64 (the Fréchet cross-term is sensitive to covariance round-off).
+float64 (the Fréchet cross-term is sensitive to covariance round-off), and
+the cross-term takes one Cholesky factor and one symmetric eigenvalue solve.
 """
 
 import dataclasses
@@ -49,61 +50,33 @@ def _as_matrix(x, name):
     return m
 
 
-def sqrtm_psd(a):
-    """Symmetric PSD matrix square root via eigendecomposition.
-
-    Input must be symmetric up to round-off. Slightly negative eigenvalues
-    (>= -1e-6 * max_eig) are clamped to zero; anything more negative
-    raises, since that means the matrix was not PSD to begin with.
-    Always computed and returned in float64.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-8 * max(1.0, float(np.abs(a).max(initial=0.0)))):
-        raise ValueError("matrix is not symmetric")
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
-    floor = -1e-6 * max(1.0, float(w.max(initial=0.0)))
-    if w.min(initial=0.0) < floor:
-        raise ValueError(f"matrix has negative eigenvalue {w.min():g}, not PSD")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
-
-
-def frechet_gaussian(mu_a, cov_a, mu_b, cov_b):
-    """Squared Fréchet distance between two Gaussians.
-
-    ||mu_a - mu_b||^2 + tr(cov_a + cov_b - 2 sqrtm(cov_a cov_b)). The cross
-    term is evaluated as tr sqrtm(S cov_b S) with S = sqrtm(cov_a), which is
-    symmetric PSD by construction, so `sqrtm_psd` applies. Covariances get
-    a 1e-6 * I ridge first. Identical inputs give exactly 0.0 by short-cut.
-    """
-    mu_a = np.asarray(mu_a, dtype=np.float64)
-    mu_b = np.asarray(mu_b, dtype=np.float64)
-    cov_a = np.asarray(cov_a, dtype=np.float64)
-    cov_b = np.asarray(cov_b, dtype=np.float64)
-    if np.array_equal(mu_a, mu_b) and np.array_equal(cov_a, cov_b):
-        return 0.0
-    d = mu_a.shape[0]
-    ridge = 1e-6 * np.eye(d)
-    cov_a = cov_a + ridge
-    cov_b = cov_b + ridge
-    s = sqrtm_psd(cov_a)
-    cross = sqrtm_psd(s @ cov_b @ s)
-    val = float(np.sum((mu_a - mu_b) ** 2) + np.trace(cov_a) + np.trace(cov_b) - 2.0 * np.trace(cross))
-    return max(val, 0.0)
-
-
 def frechet_distance(a, b):
-    """Fréchet distance between Gaussian fits of two embedding sets."""
+    """Squared Fréchet distance between Gaussian fits of two embedding sets.
+
+    ||mu_a - mu_b||^2 + tr(C_a + C_b - 2 sqrtm(C_a C_b)), with a 1e-6 * I
+    ridge on both covariances. With C_a = L L^T, C_a C_b is similar to the
+    symmetric PSD L^T C_b L, so tr sqrtm(C_a C_b) is the sum of the square
+    roots of that matrix's eigenvalues, round-off negatives read as 0: one
+    Cholesky and one `eigvalsh`. Identical fits give exactly 0.0.
+    """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
     if a.shape[1] != b.shape[1]:
         raise DataError(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise DataError("need at least 2 samples per set for a covariance")
+    d = a.shape[1]
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    cov_a = np.cov(a, rowvar=False).reshape(a.shape[1], a.shape[1])
-    cov_b = np.cov(b, rowvar=False).reshape(b.shape[1], b.shape[1])
-    return frechet_gaussian(mu_a, cov_a, mu_b, cov_b)
-
+    cov_a = np.cov(a, rowvar=False).reshape(d, d)
+    cov_b = np.cov(b, rowvar=False).reshape(d, d)
+    if np.array_equal(mu_a, mu_b) and np.array_equal(cov_a, cov_b):
+        return 0.0
+    cov_a += 1e-6 * np.eye(d)
+    cov_b += 1e-6 * np.eye(d)
+    try:
+        low = np.linalg.cholesky(cov_a)
+    except np.linalg.LinAlgError:
+        raise DataError("covariance of a is not positive definite, even with the ridge") from None
+    cross = np.sqrt(np.clip(np.linalg.eigvalsh(low.T @ cov_b @ low), 0.0, None)).sum()
+    val = float(np.sum((mu_a - mu_b) ** 2) + np.trace(cov_a) + np.trace(cov_b) - 2.0 * cross)
+    return max(val, 0.0)

@@ -140,6 +140,48 @@ def test_load_wav_refuses_audio_past_longest_clip(tmp_path, rate):
     assert af.load_wav(p).duration_s == af.MAX_DURATION_S
 
 
+def test_load_wav_refuses_long_audio_before_reading_it(tmp_path):
+    """A 57.6 MB mono PCM16 file at 8 kHz, one second past MAX_DURATION_S,
+    is refused on its data chunk's size: the body is never read (the file
+    is sparse, so it costs no disk either)."""
+    import struct
+    rate = 8000
+    size = 2 * rate * (int(af.MAX_DURATION_S) + 1)
+    p = tmp_path / "long.wav"
+    with open(p, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 36 + size) + b"WAVEfmt " +
+                 struct.pack("<IHHIIHH", 16, 1, 1, rate, 2 * rate, 2, 16) +
+                 b"data" + struct.pack("<I", size))
+        fh.truncate(44 + size)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=f"{size // 2} samples at {rate} Hz last 3601 s"):
+            af.load_wav(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_save_wav_bytes(tmp_path):
+    """Samples are clipped to [-1, 1], scaled by 32767 and rounded half to
+    even; the bytes are pinned to that formula on out-of-range, half-LSB and
+    exact full-scale samples."""
+    import struct
+    lsb = np.float32(1 / 32767)
+    x = np.concatenate([np.array([1.0, -1.0, 1.5, -7.0, 0.5 * lsb, -0.5 * lsb, 1.5 * lsb,
+                                  -2.5 * lsb, 0.0], np.float32),
+                        (0.7 * Rng(3).gaussian(1000)).astype(np.float32)])
+    p = tmp_path / "pin.wav"
+    af.save_wav(p, af.Waveform(x, 22050))
+    pcm = np.round(np.clip(x, -1.0, 1.0) * 32767.0).astype("<i2").tobytes()
+    assert p.read_bytes() == (b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVEfmt " +
+                              struct.pack("<IHHIIHH", 16, 1, 1, 22050, 44100, 2, 16) +
+                              b"data" + struct.pack("<I", len(pcm)) + pcm)
+    assert np.frombuffer(pcm, "<i2")[:9].tolist() == [32767, -32767, 32767, -32767, 0, 0, 2,
+                                                       -2, 0]
+
+
 def test_load_wav_extensible_matches_plain_pcm(tmp_path):
     import struct
     pcm = (np.arange(-40, 40, dtype="<i2") * 409).tobytes()

@@ -1072,3 +1072,17 @@ def test_eval_fad_pools_the_log_mel_frames(tmp_path, corpus_dir):
     rows = read_csv(tmp_path / "out" / "metrics.csv")[1:]
     assert [r[1] for r in rows] == ["b_iou", "b_iou", "fad"]
     assert rows[-1] == ["(corpus)", "fad", f"{want:.4f}"]
+
+
+def test_eval_fad_with_silent_generated_audio(tmp_path, corpus_dir):
+    """Every `.gen.wav` digital silence: the generated frames are one
+    constant log-mel floor, whose covariance is zero before the ridge, and
+    the row is still a finite, positive distance."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    for stem in ("item_000", "item_001"):
+        n = load_wav(corpus / f"{stem}.wav").samples.size
+        save_wav(corpus / f"{stem}.gen.wav", Waveform(np.zeros(n, np.float32), SAMPLE_RATE))
+    assert run(["eval", str(corpus), "--metrics", "fad"], tmp_path / "out") == 0
+    [row] = read_csv(tmp_path / "out" / "metrics.csv")[1:]
+    assert row[:2] == ["(corpus)", "fad"] and np.isfinite(float(row[2])) and float(row[2]) > 0

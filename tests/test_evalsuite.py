@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from vem import audiofeat as af
 from vem import evalsuite as ev
 from vem.errors import DataError
 from vem.rng import Rng
@@ -120,3 +122,43 @@ def test_frechet_refuses_non_finite_or_empty_rows(rows):
         ev.frechet_distance(rows, Rng(8).gaussian((30, 5)))
     with pytest.raises(DataError, match="at least one row and only finite entries"):
         ev.frechet_distance(Rng(8).gaussian((30, 5)), rows)
+
+
+def _frechet_oracle(a, b):
+    """The same ridged Gaussian fits, with tr sqrtm(C_a C_b) from scipy's
+    general matrix square root of the product."""
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    d = a.shape[1]
+    cov_a = np.cov(a, rowvar=False).reshape(d, d) + 1e-6 * np.eye(d)
+    cov_b = np.cov(b, rowvar=False).reshape(d, d) + 1e-6 * np.eye(d)
+    cross = np.trace(scipy.linalg.sqrtm(cov_a @ cov_b)).real
+    return float(np.sum((a.mean(axis=0) - b.mean(axis=0)) ** 2)
+                 + np.trace(cov_a) + np.trace(cov_b) - 2.0 * cross)
+
+
+def test_frechet_matches_sqrtm_oracle_on_log_mel_frames(small_corpus):
+    """Pooled 60-bin log-mel frames of synthetic clips against those of
+    their Griffin-Lim reconstructions, the spectral gap `vem eval` scores."""
+    mels = [af.logmel(w) for _, w in small_corpus]
+    real = np.concatenate([m.values for m in mels])
+    recon = np.concatenate([af.logmel(af.griffin_lim(m, 8)).values for m in mels])
+    want = _frechet_oracle(real, recon)
+    assert want > 1.0
+    assert ev.frechet_distance(real, recon) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_frechet_matches_sqrtm_oracle_on_random_fits(dim):
+    r = Rng(100 + dim)
+    a = r.gaussian((3 * dim + 5, dim)) * (0.1 + r.uniform(dim))
+    b = r.gaussian((2 * dim + 7, dim)) @ r.gaussian((dim, dim)) + r.uniform(dim)
+    assert ev.frechet_distance(a, b) == pytest.approx(_frechet_oracle(a, b), rel=1e-9)
+
+
+def test_frechet_refuses_a_covariance_the_ridge_leaves_indefinite():
+    """Rows of ±1e8 on every axis fit a singular covariance of 2e16 in each
+    entry, whose round-off dwarfs the 1e-6 ridge: its Cholesky factor fails,
+    and that is a DataError, not a LinAlgError traceback."""
+    a = np.array([[1e8] * 3, [-1e8] * 3])
+    with pytest.raises(DataError, match="not positive definite"):
+        ev.frechet_distance(a, Rng(10).gaussian((50, 3)))

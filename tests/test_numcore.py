@@ -1,5 +1,5 @@
 """The small numeric kernels, each against hand-evaluated values: softmax
-and layer norm (`autograd`), `sqrtm_psd` and `frechet_gaussian`
+and layer norm (`autograd`), the closed forms of `frechet_distance`
 (`evalsuite`), and `linear_interp` (`tbalign`)."""
 
 import numpy as np
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vem.autograd import Var
-from vem.evalsuite import frechet_gaussian, sqrtm_psd
+from vem.evalsuite import frechet_distance
 from vem.rng import Rng
 from vem.tbalign import linear_interp
 
@@ -61,29 +61,6 @@ class TestLayerNorm:
         np.testing.assert_allclose(y, 0.0, atol=1e-6)
 
 
-class TestSqrtmPsd:
-    def test_identity(self):
-        np.testing.assert_allclose(sqrtm_psd(np.eye(3)), np.eye(3), atol=1e-8)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(sqrtm_psd(np.diag([4.0, 9.0])),
-                                   np.diag([2.0, 3.0]), atol=1e-8)
-
-    def test_reconstruction_random_psd(self):
-        rng = Rng(3)
-        for _ in range(100):
-            n = int(rng.integers(2, 17, 1)[0])
-            b = rng.gaussian((n, n)).astype(np.float64)
-            a = b @ b.T
-            s = sqrtm_psd(a)
-            err = np.linalg.norm(s @ s - a) / max(np.linalg.norm(a), 1e-12)
-            assert err < 1e-5
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            sqrtm_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 class TestLinearInterp:
     def test_midpoint(self):
         np.testing.assert_allclose(linear_interp(np.array([0.0, 1.0]), 3),
@@ -118,18 +95,21 @@ class TestLinearInterp:
 
 
 class TestFrechetGaussian:
+    """`frechet_distance` on sample sets whose mean and `np.cov` are exact,
+    so its Gaussian fits are the closed-form ones."""
+
+    # mean (0, 0) and covariance 0.5 * I, exactly (np.cov divides by 4)
+    PLUS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
+
     def test_identical_inputs_zero(self):
-        mu = np.array([1.0, 2.0])
-        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-        assert frechet_gaussian(mu, cov, mu, cov) == pytest.approx(0.0, abs=1e-6)
+        assert frechet_distance(self.PLUS, self.PLUS.copy()) == 0.0
 
     def test_mean_shift_only(self):
-        cov = np.eye(2)
-        d = frechet_gaussian(np.zeros(2), cov, np.array([3.0, 4.0]), cov)
-        assert d == pytest.approx(25.0, abs=1e-4)
+        d = frechet_distance(self.PLUS, self.PLUS + np.array([3.0, 4.0]))
+        assert d == pytest.approx(25.0, rel=1e-12)
 
     def test_univariate_closed_form(self):
-        # (mu diff)^2 + (sigma diff)^2 in one dimension
-        d = frechet_gaussian(np.array([0.0]), np.array([[1.0]]),
-                             np.array([0.0]), np.array([[4.0]]))
-        assert d == pytest.approx(1.0, abs=1e-4)
+        # variances 2 and 8, equal means: (sqrt(2) - sqrt(8))^2 = 2, less
+        # about 5e-7 for the 1e-6 ridge
+        d = frechet_distance(np.array([[-1.0], [1.0]]), np.array([[-2.0], [2.0]]))
+        assert d == pytest.approx(2.0, abs=1e-6)
