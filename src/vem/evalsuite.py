@@ -57,7 +57,9 @@ def frechet_distance(a, b):
     ridge on both covariances. With C_a = L L^T, C_a C_b is similar to the
     symmetric PSD L^T C_b L, so tr sqrtm(C_a C_b) is the sum of the square
     roots of that matrix's eigenvalues, round-off negatives read as 0: one
-    Cholesky and one `eigvalsh`. Identical fits give exactly 0.0.
+    Cholesky and one `eigvalsh`. C_b is factored too, so that a set the
+    ridge leaves indefinite is refused on either side. Identical fits give
+    exactly 0.0.
     """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
@@ -65,18 +67,17 @@ def frechet_distance(a, b):
         raise DataError(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise DataError("need at least 2 samples per set for a covariance")
-    d = a.shape[1]
-    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    cov_a = np.cov(a, rowvar=False).reshape(d, d)
-    cov_b = np.cov(b, rowvar=False).reshape(d, d)
+    d, fits = a.shape[1], []
+    for m, name in ((a, "a"), (b, "b")):
+        cov = np.cov(m, rowvar=False).reshape(d, d) + 1e-6 * np.eye(d)
+        try:
+            fits.append((m.mean(axis=0), cov, np.linalg.cholesky(cov)))
+        except np.linalg.LinAlgError:
+            raise DataError(f"covariance of {name} is not positive definite, "
+                            "even with the ridge") from None
+    (mu_a, cov_a, low), (mu_b, cov_b, _) = fits
     if np.array_equal(mu_a, mu_b) and np.array_equal(cov_a, cov_b):
         return 0.0
-    cov_a += 1e-6 * np.eye(d)
-    cov_b += 1e-6 * np.eye(d)
-    try:
-        low = np.linalg.cholesky(cov_a)
-    except np.linalg.LinAlgError:
-        raise DataError("covariance of a is not positive definite, even with the ridge") from None
     cross = np.sqrt(np.clip(np.linalg.eigvalsh(low.T @ cov_b @ low), 0.0, None)).sum()
     val = float(np.sum((mu_a - mu_b) ** 2) + np.trace(cov_a) + np.trace(cov_b) - 2.0 * cross)
     return max(val, 0.0)

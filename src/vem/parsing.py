@@ -12,7 +12,7 @@ Manifest schema (exact keys):
 
     {video_id, duration_s,
      global: {caption, tags: [...]},
-     storyboards: [{start_s, duration_s, text}],
+     storyboards: [{start_s, duration_s, text}],   # 1 to MAX_STORYBOARDS
      transitions_s: [...],
      features?: path-to-sidecar}
 
@@ -33,10 +33,16 @@ from . import autograd as ag
 from .audiofeat import MAX_DURATION_S
 from .container import load_tensors, save_tensors
 from .errors import DataError
+from .sgcatt import TOKENS_PER_STORYBOARD
 from .timeline import DEFAULT_FPS, TimestampSet, from_timestamps
+from .tunet import MAX_LATENT_LEN
 
 FEATURE_DIM = 64  # width of the toy text and visual embeddings
 TIME_HIDDEN = 32  # hidden width of the TimeEmbedder MLP
+# most storyboards a manifest may hold: SG-CAtt's bias is a dense float32
+# (latent frames, 6 x storyboards) map, 4096 x 4092 x 4 B = 64 MiB at 682
+# storyboards and MAX_LATENT_LEN frames, no more than one self-attention map
+MAX_STORYBOARDS = MAX_LATENT_LEN // TOKENS_PER_STORYBOARD
 
 
 @dataclasses.dataclass
@@ -119,8 +125,6 @@ class TimeEmbedder(ag.Module):
     def embed(self, times):
         """times: scalar or sequence of seconds -> (n, dim) Var."""
         arr = np.atleast_1d(np.asarray(times, dtype=self.lin1.w.data.dtype))
-        if np.any(arr < 0):
-            raise ValueError(f"time must be non-negative, got {arr.min()}")
         x = ag.Var(arr[:, None] * self.INPUT_SCALE)
         return self.lin2(self.lin1(x).tanh())
 
@@ -197,6 +201,8 @@ def load_manifest(path):
     raw_sbs = _require(doc, "storyboards", "")
     if not isinstance(raw_sbs, list) or not raw_sbs:
         raise DataError("storyboards: must be a non-empty list")
+    if len(raw_sbs) > MAX_STORYBOARDS:
+        raise DataError(f"storyboards: {len(raw_sbs)} is more than the {MAX_STORYBOARDS} allowed")
     sbs = []
     prev_end = -np.inf
     for i, sb in enumerate(raw_sbs):

@@ -12,6 +12,10 @@ zero-initialized linear layers to per-frame scale and shift, applied as
 z + gamma*z + beta. Zero init makes a freshly attached adapter an exact
 no-op, so bolting it onto a trained diffusion model cannot disturb it until
 fine-tuning moves the weights.
+
+`train_aligner` matches each clip's labels to its frames once, before its
+loop; `AlignerNet` refuses features of another width, and `apply_adapter`
+features of another length, which would otherwise broadcast.
 """
 
 import functools
@@ -53,8 +57,6 @@ def aligner_loss(net, frame_features, label_frames):
     """Mean BCE over frames, computed from logits in the stable form."""
     _, logits = net(frame_features)
     labels = np.asarray(label_frames, dtype=logits.data.dtype)
-    if labels.shape != logits.shape:
-        raise DataError(f"label length {labels.shape} != logit length {logits.shape}")
     return ag.bce_with_logits(logits, labels).mean()
 
 

@@ -101,8 +101,6 @@ def intersection_labels(ann, wav):
 
 def train_stage_aligner(corpus, cfg):
     """corpus: list of (VideoAnnotation, Waveform). Returns (net, losses)."""
-    if not corpus:
-        raise DataError("empty corpus")
     dataset = [(ann.frame_features, intersection_labels(ann, wav)) for ann, wav in corpus]
     return train_aligner(dataset, cfg.aligner_steps, cfg.seed)
 

@@ -37,9 +37,10 @@ from .sgcatt import attention_logits, level_masks, sg_cross_attention
 from .tbalign import AdapterParams, apply_adapter, linear_interp
 
 TEMB_DIM = 128  # width of the diffusion-step embedding and its MLP
-# longest latent a forward takes: self-attention holds an L x L matrix per
-# level, 64 MiB in float32 at 4096 frames (262 s), while CurationRule's
-# longest clip (120 s) is 1,875 frames
+# longest padded latent a forward takes: self-attention holds an L x L
+# matrix per level, 64 MiB in float32 at 4096 frames (262 s), while
+# CurationRule's longest clip (120 s) is 1,875 frames. Padding grows as
+# 2^(levels-1), so the bound also caps the depth: at most 13 levels can run
 MAX_LATENT_LEN = 4096
 
 
@@ -175,18 +176,15 @@ class TUNet(ag.Module):
 
     def __call__(self, z, step, tokens, base_mask, aligner_feats=None):
         z = ag.as_var(z)
-        if z.ndim != 2 or z.shape[0] != LATENT_CHANNELS:
-            raise DataError(f"latent shape {z.shape} != ({LATENT_CHANNELS}, L)")
         length = z.shape[1]
-        if length > MAX_LATENT_LEN:
-            raise DataError(f"latent length {length} exceeds {MAX_LATENT_LEN} frames")
-        if base_mask.grid.shape[0] != length:
-            raise DataError(f"mask rows {base_mask.grid.shape[0]} != latent length {length}")
-        if tokens.shape[1] != self.cond_dim:
-            raise DataError(f"condition dim {tokens.shape[1]} != {self.cond_dim}")
-
         mult = 2 ** (self.levels - 1)
         padded = ((length + mult - 1) // mult) * mult
+        if padded > MAX_LATENT_LEN:
+            raise DataError(f"latent length {length} exceeds {MAX_LATENT_LEN} frames "
+                            f"once padded to {padded}")
+        if base_mask.grid.shape[0] != length:
+            raise DataError(f"mask rows {base_mask.grid.shape[0]} != latent length {length}")
+
         x = z.transpose()
         if padded != length:
             pad = ag.Var(np.zeros((padded - length, LATENT_CHANNELS), dtype=z.data.dtype))

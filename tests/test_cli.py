@@ -19,11 +19,11 @@ from vem.curation import MIN_SYNTH_S, CurationRule
 from vem.diffusion import MAX_T
 from vem.errors import DataError
 from vem.evalsuite import frechet_distance
-from vem.parsing import build_frame_features, load_manifest
+from vem.parsing import FEATURE_DIM, TimeEmbedder, build_frame_features, load_manifest
 from vem.rng import Rng
 from vem.tbalign import ALIGNER_HIDDEN
-from vem.training import TrainConfig, intersection_labels
-from vem.tunet import TEMB_DIM
+from vem.training import TrainConfig, intersection_labels, save_diffusion
+from vem.tunet import TEMB_DIM, TUNet
 
 
 def run(argv, out_dir):
@@ -911,10 +911,8 @@ def _one_shot_manifest(path, duration_s, video_id="long"):
     return str(path)
 
 
-def test_sample_overlong_latent_exits_3_under_memory_limit(tmp_path, trained_dir):
-    """A valid 3000 s manifest needs a 46,875-frame latent, whose attention
-    matrix alone is 8.2 GiB: under a 2.5 GB address-space limit `vem sample`
-    exits 3 with one error line, not with a MemoryError traceback."""
+def _run_under_memory_limit(argv):
+    """`vem` run in a child process under a 2.5 GB address-space limit."""
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))\n"
             "from vem import cli\n"
@@ -922,12 +920,64 @@ def test_sample_overlong_latent_exits_3_under_memory_limit(tmp_path, trained_dir
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["--out-dir", str(tmp_path), "sample", str(trained_dir / "diffusion.vemt"),
-            _one_shot_manifest(tmp_path / "long.json", 3000.0), "--steps", "1"]
-    proc = subprocess.run([sys.executable, "-c", code] + argv, env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code] + argv, env=env, capture_output=True,
                           text=True, timeout=300)
+
+
+def test_sample_overlong_latent_exits_3_under_memory_limit(tmp_path, trained_dir):
+    """A valid 3000 s manifest needs a 46,875-frame latent, whose attention
+    matrix alone is 8.2 GiB: under a 2.5 GB address-space limit `vem sample`
+    exits 3 with one error line, not with a MemoryError traceback."""
+    proc = _run_under_memory_limit(
+        ["--out-dir", str(tmp_path), "sample", str(trained_dir / "diffusion.vemt"),
+         _one_shot_manifest(tmp_path / "long.json", 3000.0), "--steps", "1"])
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: data: latent length 46875 exceeds")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def _deep_checkpoint(path, levels):
+    """A diffusion checkpoint of `levels` width-1 levels: 618 KB at 20."""
+    unet, temb = TUNet(FEATURE_DIM, (1,) * levels), TimeEmbedder(FEATURE_DIM)
+    save_diffusion(path, unet, temb, {"stage": "diffusion", "T": 50, "latent_mean": 0.0,
+                                      "latent_std": 1.0})
+    return str(path)
+
+
+def _many_storyboards(path, count, duration_s=200.0):
+    step = duration_s / count
+    path.write_text(json.dumps({
+        "video_id": "cuts", "duration_s": duration_s,
+        "global": {"caption": "rapid cuts", "tags": ["tense"]},
+        "storyboards": [{"start_s": i * step, "duration_s": step, "text": "cut"}
+                        for i in range(count)],
+        "transitions_s": []}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["deep-checkpoint", "train-20-levels", "many-storyboards"])
+def test_input_past_a_size_bound_exits_3_under_memory_limit(tmp_path, corpus_dir, trained_dir,
+                                                             case):
+    """Inputs of a few hundred KB that once asked for a TiB or more: a
+    20-level checkpoint (or a `--widths` run of 20 levels) pads a 79-frame
+    latent to 2^19 frames, and 20,000 storyboards make a 1.5 GB attention
+    bias. Under a 2.5 GB limit each exits 3 with one error line, where a
+    MemoryError traceback used to stop the run."""
+    if case == "train-20-levels":
+        argv = ["train", "--stage", "diffusion", "--corpus", str(corpus_dir), "--steps", "1",
+                "--widths", ",".join(["1"] * 20), "--t-steps", "50"]
+        want = "latent length "
+    elif case == "deep-checkpoint":
+        argv = ["sample", _deep_checkpoint(tmp_path / "deep.vemt", 20),
+                _one_shot_manifest(tmp_path / "short.json", 5.0), "--steps", "1"]
+        want = "latent length 79 exceeds 4096 frames once padded to 524288"
+    else:
+        argv = ["sample", str(trained_dir / "diffusion.vemt"),
+                _many_storyboards(tmp_path / "cuts.json", 20_000), "--steps", "1"]
+        want = "storyboards: 20000 is more than"
+    proc = _run_under_memory_limit(["--out-dir", str(tmp_path / "out")] + argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: data: {want}"), proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 

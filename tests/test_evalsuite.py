@@ -158,7 +158,9 @@ def test_frechet_matches_sqrtm_oracle_on_random_fits(dim):
 def test_frechet_refuses_a_covariance_the_ridge_leaves_indefinite():
     """Rows of ±1e8 on every axis fit a singular covariance of 2e16 in each
     entry, whose round-off dwarfs the 1e-6 ridge: its Cholesky factor fails,
-    and that is a DataError, not a LinAlgError traceback."""
-    a = np.array([[1e8] * 3, [-1e8] * 3])
-    with pytest.raises(DataError, match="not positive definite"):
-        ev.frechet_distance(a, Rng(10).gaussian((50, 3)))
+    and that is a DataError naming the set, on either side of the distance,
+    not a LinAlgError traceback or a number."""
+    bad, good = np.array([[1e8] * 3, [-1e8] * 3]), Rng(10).gaussian((50, 3))
+    for name, args in (("a", (bad, good)), ("b", (good, bad))):
+        with pytest.raises(DataError, match=f"covariance of {name} is not positive definite"):
+            ev.frechet_distance(*args)

@@ -90,12 +90,6 @@ def test_time_embedder_matches_hand_rolled_oracle(seed):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_time_embedder_rejects_negative():
-    emb = ps.TimeEmbedder(dim=16, rng=Rng(0))
-    with pytest.raises(ValueError):
-        emb.embed([-1.0])
-
-
 def test_time_embedder_gradients():
     emb = with_dtype(ps.TimeEmbedder(dim=6, rng=Rng(3)), np.float64)
     target = Rng(4).gaussian((2, 6))
@@ -293,6 +287,20 @@ def test_inconsistent_sidecar_dims_rejected(tmp_path):
     with pytest.raises(DataError) as err:
         ps.load_manifest(write_doc(tmp_path, doc))
     assert "dims" in str(err.value)
+
+
+@pytest.mark.parametrize("count", [ps.MAX_STORYBOARDS, ps.MAX_STORYBOARDS + 1])
+def test_storyboard_count_bound(tmp_path, count):
+    """SG-CAtt's mask and bias grow with the storyboard count, so a manifest
+    may hold MAX_STORYBOARDS of them and no more."""
+    doc = manifest_doc(duration_s=count * 0.125, storyboards=[
+        {"start_s": i * 0.125, "duration_s": 0.125, "text": f"shot {i}"} for i in range(count)])
+    path = write_doc(tmp_path, doc)
+    if count > ps.MAX_STORYBOARDS:
+        with pytest.raises(DataError, match=r"^storyboards: 683 is more than the 682 allowed"):
+            ps.load_manifest(path)
+    else:
+        assert len(ps.load_manifest(path).storyboards) == count
 
 
 @pytest.mark.parametrize("key,value", [

@@ -54,26 +54,36 @@ def test_fresh_net_predicts_zero():
 
 
 def test_input_validation():
+    """A mask with too few rows would be zero-padded without an error."""
     z, cond, mask = make_inputs()
-    net = make_net()
-    with pytest.raises(DataError):
-        net(z[:4], 1, cond, mask)
-    with pytest.raises(DataError):
-        net(z[:, :10], 1, cond, mask)  # mask rows disagree
-    with pytest.raises(DataError):
-        net(z, 1, ag.Var(np.zeros((6, 5), dtype=np.float32)), mask)
+    with pytest.raises(DataError, match="mask rows"):
+        make_net()(z[:, :10], 1, cond, mask)
 
 
 def test_latent_past_bound_refused():
     """Self-attention holds an L x L matrix per level, so a latent longer
-    than MAX_LATENT_LEN is refused before any padding; the longest clip
-    CurationRule admits still fits."""
+    than MAX_LATENT_LEN is refused before anything is allocated; the longest
+    clip CurationRule admits still fits."""
     assert latent_len_for_duration(CurationRule().max_duration_s) <= tn.MAX_LATENT_LEN
     _, cond, _ = make_inputs()
     n = tn.MAX_LATENT_LEN + 1
     mask = StoryboardMask(np.ones((n, 6), dtype=np.uint8))
     with pytest.raises(DataError, match="latent length"):
         make_net()(np.zeros((LATENT_CHANNELS, n), dtype=np.float32), 1, cond, mask)
+
+
+@pytest.mark.parametrize("levels,refused", [(13, False), (14, True)])
+def test_padded_latent_bounds_the_depth(levels, refused):
+    """Padding grows as 2^(levels-1), and the bound is on the padded length:
+    a 13-level net still takes one frame, a 14-level net pads it to 8,192
+    frames and refuses it before allocating anything."""
+    z, cond, mask = make_inputs(length=1)
+    net = make_net(widths=(1,) * levels)
+    if refused:
+        with pytest.raises(DataError, match="latent length 1 exceeds 4096 frames once padded"):
+            net(z, 1, cond, mask)
+    else:
+        assert net(z, 1, cond, mask).shape == (LATENT_CHANNELS, 1)
 
 
 # -- level masks -----------------------------------------------------------
