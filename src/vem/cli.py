@@ -5,10 +5,12 @@ corpus work (synth, curate), the three training stages (train --stage),
 generation (sample), metric reports (eval), and the inference-step sweep
 (sweep-steps). Every run echoes its configuration to
 <out-dir>/run_config.json (sample and sweep-steps again, with the step
-counts the checkpoint's T sets); a command computes every output before it
-writes any, and figures-grade outputs are CSV files. Option defaults are
-read from the code that owns them, and `train` takes --widths and --t-steps
-for --stage diffusion only: stage C reads both off the checkpoint it tunes.
+counts the checkpoint's T sets). A command computes every output before it
+writes any, except `synth`: it makes and writes one pair at a time, each
+WAV before its manifest, so its memory does not grow with --n.
+Figures-grade outputs are CSV files. Option defaults are read from the code
+that owns them, and `train` takes --widths and --t-steps for --stage
+diffusion only: stage C reads both off the checkpoint it tunes.
 
 `curate`, `train` and `eval` read a corpus directory through one reader.
 Every `<stem>.json` in it is a manifest, except `*.beats.json` event files
@@ -259,15 +261,17 @@ def _cmd_curate(args):
 
 
 def _cmd_synth(args):
+    """Write each pair as it is made, its WAV before its manifest: a run
+    stopped part-way leaves whole pairs and at most a stray WAV, which the
+    corpus reader ignores."""
     cfg = SynthConfig(duration_range_s=(args.dur_min, args.dur_max))
-    corpus = synth_corpus(args.n, args.seed, cfg)
     corpus_dir = os.path.join(args.out_dir, "corpus")
     os.makedirs(corpus_dir, exist_ok=True)
-    for i, (ann, wav) in enumerate(corpus):
+    for i, (ann, wav) in enumerate(synth_corpus(args.n, args.seed, cfg)):
         stem = os.path.join(corpus_dir, f"item_{i:03d}")
-        save_manifest(stem + ".json", ann)
         save_wav(stem + ".wav", wav)
-    print(f"{len(corpus)} pairs -> {corpus_dir}")
+        save_manifest(stem + ".json", ann)
+    print(f"{args.n} pairs -> {corpus_dir}")
 
 
 def _cmd_train(args):

@@ -159,11 +159,11 @@ def synth_item(item_rng, cfg):
 
 
 def synth_corpus(n, seed, cfg=None):
-    """n deterministic (annotation, waveform) pairs; transitions sit exactly
-    on the generated beats, so ground-truth transition-beat agreement is
-    high by construction."""
-    if n < 1:
-        raise DataError(f"need n >= 1, got {n}")
+    """A generator of n deterministic (annotation, waveform) pairs, each made
+    when it is asked for, so a caller that keeps none holds no corpus in
+    memory; transitions sit exactly on the generated beats, so ground-truth
+    transition-beat agreement is high by construction."""
     cfg = cfg or SynthConfig()
     master = Rng(seed)
-    return [synth_item(master.fork(i + 1), cfg) for i in range(n)]
+    for i in range(n):
+        yield synth_item(master.fork(i + 1), cfg)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autograd as ag
 from .audiofeat import MAX_DURATION_S
-from .container import load_tensors, save_tensors
+from .container import load_tensors, open_replacing, save_tensors
 from .errors import DataError
 from .sgcatt import TOKENS_PER_STORYBOARD
 from .timeline import DEFAULT_FPS, TimestampSet, from_timestamps
@@ -253,7 +253,10 @@ def load_manifest(path):
 
 def save_manifest(path, ann):
     """Write the manifest JSON; feature vectors go to a sidecar next to it so
-    a round-trip restores them exactly.
+    a round-trip restores them exactly. The JSON is serialized and written
+    to its temporary file before the sidecar replaces its old file, and it
+    replaces its own last, so a save that cannot serialize or write the JSON
+    leaves an existing pair as it was.
     """
     sidecar = os.path.splitext(path)[0] + ".feat.vemt"
     doc = {
@@ -272,9 +275,10 @@ def save_manifest(path, ann):
     for i, s in enumerate(ann.storyboards):
         tensors[f"storyboard.{i}.text_feat"] = s.text_feat
         tensors[f"storyboard.{i}.visual_feat"] = s.visual_feat
-    save_tensors(sidecar, tensors)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+    with open_replacing(path) as fh:
+        fh.write(json.dumps(doc, indent=1).encode("utf-8"))
+        fh.flush()  # a full disk fails here, before the sidecar is replaced
+        save_tensors(sidecar, tensors)
 
 
 def build_frame_features(ann):

@@ -13,4 +13,4 @@ def synth_pair():
 @pytest.fixture(scope="session")
 def small_corpus():
     """Four synthetic pairs shared by the slower integration tests."""
-    return cu.synth_corpus(4, seed=11)
+    return list(cu.synth_corpus(4, seed=11))

@@ -511,7 +511,7 @@ def test_griffin_lim_keeps_the_level():
     come back within 0.3 log units of the input on average: the few samples
     past ±1 are clipped. Dividing by their peak put the clip 3.0 log units
     under its input."""
-    _, wav = synth_corpus(1, 6)[0]
+    _, wav = list(synth_corpus(1, 6))[0]
     m = af.logmel(af.Waveform(wav.samples[:3 * SR], SR))
     back = af.logmel(af.griffin_lim(m, iters=40))
     n = min(len(back.values), len(m.values))

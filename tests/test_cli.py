@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +370,51 @@ def test_synth_layout_and_determinism(tmp_path, corpus_dir):
         a = open(corpus_dir / name, "rb").read()
         b = open(tmp_path / "corpus" / name, "rb").read()
         assert a == b, name
+
+
+def test_synth_corpus_bytes_are_pinned(tmp_path):
+    """The SHA-256 over the sorted names and bytes of a small corpus's files."""
+    assert run(["--seed", "3", "synth", "--n", "2", "--dur-min", "6", "--dur-max", "7"],
+               tmp_path) == 0
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "corpus").iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == "9016edd91887edefe3dbf55b37ed223dee8a93ca2ab48cf99b5fac8d48642462"
+
+
+def test_synth_holds_one_pair_at_a_time(tmp_path):
+    """Pairs are written and dropped as they are made, so the traced peak
+    barely grows from 2 to 20 pairs of 6 s (about 0.4 MB a pair if held)."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (2, 20):
+            tracemalloc.reset_peak()
+            assert run(["synth", "--n", str(n), "--dur-min", "6", "--dur-max", "6"],
+                       tmp_path / str(n)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2_000_000, peaks
+
+
+def test_interrupted_synth_leaves_a_corpus_curate_reads(tmp_path, monkeypatch):
+    """A WAV write that fails stops `synth` before that pair's manifest, so
+    the pairs written before it still make a corpus."""
+    calls = []
+
+    def full_disk_on_third(path, wav):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        save_wav(path, wav)
+
+    monkeypatch.setattr(cli, "save_wav", full_disk_on_third)
+    assert run(["synth", "--n", "4", "--dur-min", "6", "--dur-max", "6"], tmp_path) == 3
+    monkeypatch.undo()
+    assert run(["curate", str(tmp_path / "corpus")], tmp_path) == 0
+    assert len(read_csv(tmp_path / "curation.csv")) == 3
 
 
 def test_curate_report(tmp_path, corpus_dir):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -266,6 +267,32 @@ def test_round_trip_structural_equality(tmp_path):
         np.testing.assert_array_equal(a.text_feat, b.text_feat)
         np.testing.assert_array_equal(a.visual_feat, b.visual_feat)
     np.testing.assert_array_equal(ann.frame_features, back.frame_features)
+
+
+@contextlib.contextmanager
+def _full_disk(path):
+    raise OSError(28, "No space left on device")
+    yield
+
+
+@pytest.mark.parametrize("fault", ["unserializable", "json-unwritable"])
+def test_failed_save_leaves_the_pair_it_overwrites(tmp_path, monkeypatch, fault):
+    """An annotation `json` cannot serialize, or a JSON that cannot be
+    written, fails before the sidecar is replaced; the old manifest and
+    sidecar stay byte for byte."""
+    path = tmp_path / "m.json"
+    ps.save_manifest(path, make_annotation(video_id="old"))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    new = make_annotation(duration_s=12.0, bounds=(0.0, 3.0, 12.0), transitions=(3.0,),
+                          video_id="new")
+    if fault == "unserializable":
+        new.emotion_tags = ["ok", object()]
+    else:
+        monkeypatch.setattr(ps, "open_replacing", _full_disk)
+    with pytest.raises((TypeError, OSError)):
+        ps.save_manifest(path, new)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert ps.load_manifest(path).video_id == "old"
 
 
 def test_sidecar_features_override_toy(tmp_path):

@@ -29,7 +29,7 @@ def tiny_cfg(**kw):
 
 @pytest.fixture(scope="module")
 def corpus():
-    return cu.synth_corpus(2, seed=21)
+    return list(cu.synth_corpus(2, seed=21))
 
 
 @pytest.fixture(scope="module")
@@ -482,7 +482,8 @@ def test_stage_b_loss_tape_size():
     Linear, ChannelNorm and SiLU, SiLU(temb) once per forward, and four nodes
     for the condition tokens whatever the storyboard count."""
     cfg = tr.TrainConfig()
-    ann, wav = cu.synth_corpus(1, seed=9, cfg=cu.SynthConfig(duration_range_s=(12.0, 12.0)))[0]
+    ann, wav = list(cu.synth_corpus(1, seed=9,
+                                    cfg=cu.SynthConfig(duration_range_s=(12.0, 12.0))))[0]
     z0 = latent_encode(logmel(wav)).values.astype(np.float32)
     mask = build_mask(ann, z0.shape[1])
     unet = TUNet(len(ann.caption_feat), cfg.widths, rng=Rng(1))
