@@ -152,20 +152,21 @@ def load_wav(path):
     return Waveform(x, rate)
 
 
-def save_wav(path, w):
-    """Write mono PCM16 little-endian, through `container.open_replacing`."""
+def write_wav(fh, w):
+    """Write mono PCM16 little-endian into the open binary file `fh`: the
+    header, then the samples, with no joined copy of the two."""
     x = np.clip(w.samples, -1.0, 1.0)
     x *= 32767.0
     pcm = np.round(x, out=x).astype("<i2")
+    fh.write(struct.pack("<4sI8sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes, b"WAVEfmt ", 16, 1, 1,
+                         w.sample_rate_hz, w.sample_rate_hz * 2, 2, 16, b"data", pcm.nbytes))
+    fh.write(pcm)
+
+
+def save_wav(path, w):
+    """`write_wav` through `container.open_replacing`."""
     with open_replacing(path) as fh:
-        fh.write(b"RIFF")
-        fh.write(struct.pack("<I", 36 + pcm.nbytes))
-        fh.write(b"WAVEfmt ")
-        fh.write(struct.pack("<IHHIIHH", 16, 1, 1, w.sample_rate_hz,
-                             w.sample_rate_hz * 2, 2, 16))
-        fh.write(b"data")
-        fh.write(struct.pack("<I", pcm.nbytes))
-        fh.write(pcm)
+        write_wav(fh, w)
 
 
 def _frozen(a):

@@ -5,9 +5,13 @@ corpus work (synth, curate), the three training stages (train --stage),
 generation (sample), metric reports (eval), and the inference-step sweep
 (sweep-steps). Every run echoes its configuration to
 <out-dir>/run_config.json (sample and sweep-steps again, with the step
-counts the checkpoint's T sets). A command computes every output before it
-writes any, except `synth`: it makes and writes one pair at a time, each
-WAV before its manifest, so its memory does not grow with --n.
+counts the checkpoint's T sets). Every file a command writes goes through
+`container.open_replacing`, so it replaces its target whole or leaves it as
+it was. A command computes every output before it writes any, except
+`synth`: it makes and writes one pair at a time, each WAV before its
+manifest, so its memory does not grow with --n. `sample --wav-out` saves
+the mel inside the WAV's block: a failure in either write leaves both
+targets as they were.
 Figures-grade outputs are CSV files. Option defaults are read from the code
 that owns them, and `train` takes --widths and --t-steps for --stage
 diffusion only: stage C reads both off the checkpoint it tunes.
@@ -38,21 +42,22 @@ Exit codes: 0 ok, 2 usage (argparse, or a train flag its stage ignores),
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import sys
 
 import numpy as np
 
-from .audiofeat import SAMPLE_RATE, frame_count, griffin_lim, load_wav, logmel, resample, save_wav
+from .audiofeat import (SAMPLE_RATE, frame_count, griffin_lim, load_wav, logmel, resample,
+                        save_wav, write_wav)
 from .beatdet import beats_within, detect_beats
-from .container import save_tensors
+from .container import open_replacing, save_tensors
 from .curation import CurationRule, SynthConfig, gate, synth_corpus
 from .errors import DataError, StageOrderError
 from .evalsuite import StoryboardScores, frechet_distance, tw_score
 from .parsing import load_manifest, save_manifest
-from .timeline import (DEFAULT_FPS, DEFAULT_TOL_S, TimestampSet, beats_iou, save_events_json,
-                       transitions_beats_iou)
+from .timeline import DEFAULT_FPS, DEFAULT_TOL_S, TimestampSet, beats_iou, transitions_beats_iou
 from .training import (TrainConfig, generation_tb_iou, load_aligner, load_diffusion,
                        sample_mel, save_aligner, save_diffusion, train_stage_adapter,
                        train_stage_aligner, train_stage_diffusion)
@@ -171,10 +176,14 @@ def build_parser():
 _RUN_CONFIG = "run_config.json"
 
 
+def _write_text(path, text):
+    with open_replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def _echo_config(args):
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, _RUN_CONFIG), "w", encoding="utf-8") as fh:
-        json.dump(vars(args), fh, indent=1, default=str)
+    _write_text(os.path.join(args.out_dir, _RUN_CONFIG), json.dumps(vars(args), indent=1, default=str))
 
 
 def _load_wav_16k(path):
@@ -220,8 +229,9 @@ def _corpus_pairs(corpus_dir):
 
 def _write_csv(out_dir, name, header, rows):
     path = os.path.join(out_dir, name)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([header, *rows])
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    _write_text(path, buf.getvalue())
     return path
 
 
@@ -244,7 +254,9 @@ def _cmd_beats(args):
     w = _load_wav_16k(args.wav)
     beats, bpm = detect_beats(logmel(w))
     out = args.json_out or os.path.join(args.out_dir, _stem(args.wav) + ".beats.json")
-    save_events_json(out, TimestampSet(beats, w.duration_s))
+    ts = TimestampSet(beats, w.duration_s)
+    _write_text(out, json.dumps({"fps": DEFAULT_FPS, "duration_s": ts.duration_s,
+                                 "events": ts.times_s}))
     print(f"{len(beats)} beats at {bpm:.1f} BPM -> {out}")
 
 
@@ -326,14 +338,10 @@ def _cmd_sample(args):
                      conditioned=not args.unconditional)
     wav = griffin_lim(mel, iters=40) if args.wav_out else None  # may refuse: before any write
     out = os.path.join(args.out_dir, f"{_stem(args.manifest)}.gen.mel.vemt")
-    if args.wav_out:
-        save_wav(args.wav_out, wav)  # first: a path it cannot write leaves no mel behind
-    try:
-        _save_mel(out, mel, steps=steps, seed=args.seed)
-    except BaseException:
+    with open_replacing(args.wav_out) if args.wav_out else contextlib.nullcontext() as fh:
         if args.wav_out:
-            os.unlink(args.wav_out)
-        raise
+            write_wav(fh, wav)
+        _save_mel(out, mel, steps=steps, seed=args.seed)  # replaced before the WAV is
     print(f"sampled {mel.values.shape[0]} windows ({steps} steps) -> {out}"
           + (f" + {args.wav_out}" if args.wav_out else ""))
 

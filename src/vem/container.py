@@ -17,9 +17,20 @@ Tensors are stored float32; save() casts, load() returns float32 arrays.
 Every length read from a file is checked against the bytes left in it before
 anything is read or allocated, and an entry whose name an earlier entry
 already has is refused.
+
+`open_replacing` is the one way `vem` writes a file: every output, this
+container's and the WAV, manifest, JSON and CSV writers' alike, goes to a
+temporary file beside its target and replaces the target whole when its
+block ends. Nesting is the one way two files change together: the outer
+file's bytes are written first, the inner file's whole block runs inside
+the outer one, and the outer target is replaced last, so a failure before
+that rename leaves the outer target as it was. A target that is a
+directory is refused before any temporary file is made, so the outer
+rename cannot meet a directory after the inner file was replaced.
 """
 
 import contextlib
+import errno
 import json
 import os
 import struct
@@ -35,7 +46,16 @@ _MAGIC = b"VEMT"
 def open_replacing(path):
     """A binary file whose bytes replace `path` when the block ends. They go
     to a temporary file beside `path` first, so a write that fails part-way
-    leaves an existing file as it was and no new one behind."""
+    leaves an existing file as it was and no new one behind.
+
+    A `path` that is a directory raises `IsADirectoryError` before the
+    temporary file exists. A block nested inside this one writes its file
+    first and replaces it first; what is left between the two is a rename
+    of `path` refused for another reason (a sticky directory owned by
+    someone else, say), which comes after the inner file's rename.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "wb")
     try:

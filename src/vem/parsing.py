@@ -256,7 +256,8 @@ def save_manifest(path, ann):
     a round-trip restores them exactly. The JSON is serialized and written
     to its temporary file before the sidecar replaces its old file, and it
     replaces its own last, so a save that cannot serialize or write the JSON
-    leaves an existing pair as it was.
+    leaves an existing pair as it was. A manifest path that is a directory
+    is refused before anything is written, so the sidecar stays as it was.
     """
     sidecar = os.path.splitext(path)[0] + ".feat.vemt"
     doc = {

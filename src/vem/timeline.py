@@ -11,7 +11,6 @@ cross-checks against a brute-force bipartite oracle.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 
@@ -101,11 +100,3 @@ def f_measure(reference, estimate):
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
-
-
-# -- JSON form -------------------------------------------------------------
-
-
-def save_events_json(path, ts):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"fps": DEFAULT_FPS, "duration_s": ts.duration_s, "events": ts.times_s}, fh)

@@ -90,39 +90,36 @@ class FeedForward(ag.Module):
         return x + self.lin2(self.lin1(self.norm(x)).silu())
 
 
-class SelfAttnBlock(ag.Module):
-    """Pre-norm single-head self-attention over time, plus a feed-forward."""
-
-    def __init__(self, c, rng):
-        self.norm = ChannelNorm(c)
-        self.wq = ag.Linear(c, c, rng)
-        self.wk = ag.Linear(c, c, rng)
-        self.wv = ag.Linear(c, c, rng)
-        self.wo = ag.Linear(c, c, rng)
-        self.ffn = FeedForward(c, rng)
-
-    def __call__(self, x):
-        t = self.norm(x)
-        q, k, v = self.wq(t), self.wk(t), self.wv(t)
-        return self.ffn(x + self.wo(attention_logits(q, k).softmax() @ v))
-
-
 class SGCAttBlock(ag.Module):
     """Cross-attention from latent positions to condition tokens, restricted
     by the storyboard mask; the final transformer block of each level.
+    Keys and values are read from `kv_dim`-wide inputs.
     """
 
-    def __init__(self, c, cond_dim, rng):
+    def __init__(self, c, kv_dim, rng):
         self.norm = ChannelNorm(c)
         self.wq = ag.Linear(c, c, rng)
-        self.wk = ag.Linear(cond_dim, c, rng)
-        self.wv = ag.Linear(cond_dim, c, rng)
+        self.wk = ag.Linear(kv_dim, c, rng)
+        self.wv = ag.Linear(kv_dim, c, rng)
         self.wo = ag.Linear(c, c, rng)
         self.ffn = FeedForward(c, rng)
 
     def __call__(self, x, tokens, mask):
         out = sg_cross_attention(self.wq(self.norm(x)), self.wk(tokens), self.wv(tokens), mask)
         return self.ffn(x + self.wo(out))
+
+
+class SelfAttnBlock(SGCAttBlock):
+    """Pre-norm single-head self-attention over time, plus a feed-forward:
+    the same sub-modules, with keys and values read from the latent."""
+
+    def __init__(self, c, rng):
+        super().__init__(c, c, rng)
+
+    def __call__(self, x):
+        t = self.norm(x)
+        q, k, v = self.wq(t), self.wk(t), self.wv(t)
+        return self.ffn(x + self.wo(attention_logits(q, k).softmax() @ v))
 
 
 class Level(ag.Module):

@@ -529,6 +529,15 @@ def test_griffin_lim_matches_frame_loop():
                                rtol=1e-9, atol=0)
 
 
+def test_griffin_lim_refuses_a_non_finite_reconstruction():
+    """A log-mel of 800 overflows the amplitude to inf; the vocoder refuses
+    it instead of clipping NaN samples."""
+    m = af.MelSpectrogram(np.full((40, af.N_MELS), 800.0), af.HOP, af.SAMPLE_RATE, af.N_MELS)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DataError, match="non-finite samples"):
+        af.griffin_lim(m, iters=40)
+
+
 def test_griffin_lim_rejects_zero_iters():
     m = af.logmel(af.Waveform(np.zeros(SR), SR))
     with pytest.raises(DataError):

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ from helpers import click_track
 from vem import audiofeat, cli
 from vem.audiofeat import (MAX_DURATION_S, MAX_PLAN_BYTES, SAMPLE_RATE, Waveform, load_wav,
                            resample, save_wav)
+from vem.beatdet import detect_beats
 from vem.container import load_tensors, save_tensors
 from vem.curation import MIN_SYNTH_S, CurationRule
 from vem.diffusion import MAX_T
@@ -349,12 +351,15 @@ def test_features_wav_header_boundary_values(tmp_path, monkeypatch, capsys, clip
 
 
 def test_beats_writes_events_json(tmp_path):
+    """The events document is the 16 fps grid rate, the clip's length and
+    the beat times `detect_beats` finds, in the bytes `json.dumps` gives."""
     wav, beats = click_track(120.0, duration_s=10.0)
     save_wav(tmp_path / "clk.wav", wav)
     assert run(["beats", str(tmp_path / "clk.wav")], tmp_path) == 0
-    doc = json.load(open(tmp_path / "clk.beats.json", encoding="utf-8"))
+    found, _ = detect_beats(audiofeat.logmel(load_wav(tmp_path / "clk.wav")))
+    doc = {"fps": 16.0, "duration_s": 10.0, "events": [float(t) for t in found]}
+    assert (tmp_path / "clk.beats.json").read_text(encoding="utf-8") == json.dumps(doc)
     assert abs(len(doc["events"]) - len(beats)) <= 1
-    assert doc["duration_s"] == pytest.approx(10.0)
 
 
 # -- synth / curate --------------------------------------------------------
@@ -732,14 +737,16 @@ def test_sample_oversized_checkpoint_meta_exits_3(tmp_path, corpus_dir, trained_
 
 def test_sample_wav_out_refused_leaves_no_partial_write(tmp_path, corpus_dir, trained_dir,
                                                          capsys, monkeypatch):
-    """A finite spectrogram too large for the vocoder to invert (meta
-    latent_std 2**63) exits 3 before either output is written; so does a
+    """A vocoder refusal exits 3 before either output is written; so does a
     --wav-out in a directory that does not exist, and a mel that cannot be
-    written takes the written WAV with it."""
-    ckpt = _edited(trained_dir / "diffusion.vemt", tmp_path / "d.vemt", latent_std=2**63)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = run(["sample", ckpt, str(corpus_dir / "item_000.json"), "--steps", "2",
-                  "--wav-out", str(tmp_path / "gen.wav")], tmp_path)
+    written leaves no WAV behind either."""
+    def vocoder_refuses(mel, iters):
+        raise DataError("Griffin-Lim reconstruction has non-finite samples")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "griffin_lim", vocoder_refuses)
+        rc = run(["sample", str(trained_dir / "diffusion.vemt"), str(corpus_dir / "item_000.json"),
+                  "--steps", "2", "--wav-out", str(tmp_path / "gen.wav")], tmp_path)
     assert rc == 3
     assert "non-finite samples" in capsys.readouterr().err
     assert not (tmp_path / "item_000.gen.mel.vemt").exists()
@@ -761,6 +768,36 @@ def test_sample_wav_out_refused_leaves_no_partial_write(tmp_path, corpus_dir, tr
     assert rc == 3
     assert "No space left" in capsys.readouterr().err
     assert sorted(os.listdir(out)) == ["run_config.json"]
+
+
+def test_sample_failed_mel_leaves_the_old_wav(tmp_path, corpus_dir, trained_dir, capsys):
+    """The mel is saved inside the WAV's block: a mel path that is a
+    directory exits 3, and an existing --wav-out stays byte for byte."""
+    out = tmp_path / "out"
+    (out / "item_000.gen.mel.vemt").mkdir(parents=True)
+    wav_out = tmp_path / "gen.wav"
+    wav_out.write_bytes(b"the previous take")
+    rc = run(["sample", str(trained_dir / "diffusion.vemt"), str(corpus_dir / "item_000.json"),
+              "--steps", "2", "--wav-out", str(wav_out)], out)
+    assert rc == 3
+    assert "Is a directory" in capsys.readouterr().err
+    assert wav_out.read_bytes() == b"the previous take"
+    assert sorted(os.listdir(tmp_path)) == ["gen.wav", "out"]
+    assert sorted(os.listdir(out)) == ["item_000.gen.mel.vemt", "run_config.json"]
+
+
+def test_sample_wav_out_directory_writes_nothing(tmp_path, corpus_dir, trained_dir, capsys):
+    """A --wav-out that is a directory is refused before its block runs, so
+    the mel saved inside it is never written."""
+    out = tmp_path / "out"
+    wav_out = tmp_path / "gen.wav"
+    wav_out.mkdir()
+    rc = run(["sample", str(trained_dir / "diffusion.vemt"), str(corpus_dir / "item_000.json"),
+              "--steps", "2", "--wav-out", str(wav_out)], out)
+    assert rc == 3
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["run_config.json"]
+    assert list(wav_out.iterdir()) == []
 
 
 def test_sample_aligner_without_conv1_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
@@ -1141,6 +1178,28 @@ def test_eval_scores_a_silent_generated_clip(tmp_path, corpus_dir):
 
 def test_eval_unknown_metric_exits_3(tmp_path, corpus_dir):
     assert run(["eval", str(corpus_dir), "--metrics", "bogus"], tmp_path) == 3
+
+
+def test_eval_failed_csv_write_leaves_the_old_table(tmp_path, corpus_dir, capsys, monkeypatch):
+    """A CSV write that fails after its header (a full disk) exits 3, and
+    the previous metrics.csv stays byte for byte."""
+    assert run(["eval", str(corpus_dir)], tmp_path) == 0
+    before = (tmp_path / "metrics.csv").read_bytes()
+    real_writer = csv.writer
+
+    class HeaderThenFullDisk:
+        def __init__(self, fh):
+            self.inner = real_writer(fh)
+
+        def writerows(self, rows):
+            self.inner.writerow(next(iter(rows)))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(csv, "writer", HeaderThenFullDisk)
+    assert run(["eval", str(corpus_dir)], tmp_path) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert (tmp_path / "metrics.csv").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["metrics.csv", "run_config.json"]
 
 
 def test_eval_fad_without_generated_audio_is_zero(tmp_path, corpus_dir):

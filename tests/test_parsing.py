@@ -295,6 +295,20 @@ def test_failed_save_leaves_the_pair_it_overwrites(tmp_path, monkeypatch, fault)
     assert ps.load_manifest(path).video_id == "old"
 
 
+def test_save_onto_a_directory_leaves_the_sidecar(tmp_path):
+    """A manifest path that is a directory is refused before the sidecar,
+    written inside the manifest's block, is replaced."""
+    path = tmp_path / "m.json"
+    ps.save_manifest(path, make_annotation(video_id="old"))
+    before = (tmp_path / "m.feat.vemt").read_bytes()
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(IsADirectoryError):
+        ps.save_manifest(path, make_annotation(video_id="new"))
+    assert (tmp_path / "m.feat.vemt").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.feat.vemt", "m.json"]
+
+
 def test_sidecar_features_override_toy(tmp_path):
     doc = manifest_doc(features="side.vemt")
     custom = np.full(32, 0.25, dtype=np.float32)

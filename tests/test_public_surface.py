@@ -312,3 +312,40 @@ def test_timeline_rules_have_one_owner():
                 isinstance(n, ast.Attribute) and n.attr == "end_s" for n in nodes):
             restated.append(f"{path.stem}: reads .end_s")
     assert not restated, f"timeline rules restated outside their owner: {restated}"
+
+
+def _writing_opens(tree):
+    """Line numbers of the calls in `tree` that open a file for writing: an
+    `open`/`io.open` call whose mode writes, appends, creates or updates (or
+    is not a literal), an `os.open`, or a `Path.write_text`/`write_bytes`."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        if func in ("open", "io.open"):
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+                    or set(mode.value) & set("wax+"):
+                lines.append(node.lineno)
+        elif func == "os.open" or func.endswith((".write_text", ".write_bytes")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_files_are_written_only_through_open_replacing():
+    """`container.open_replacing` is the one place `vem` opens a file for
+    writing: every output replaces its target whole or leaves it as it was,
+    and two files change together only by nesting one block in the other."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "container.py":
+            func = next(n for n in tree.body
+                        if isinstance(n, ast.FunctionDef) and n.name == "open_replacing")
+            allowed = set(_writing_opens(func))
+            assert allowed, "open_replacing opens no file for writing"
+        found += [f"{path.stem}.py:{line}" for line in _writing_opens(tree) if line not in allowed]
+    assert not found, f"files opened for writing outside open_replacing: {found}"

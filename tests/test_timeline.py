@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -152,15 +151,3 @@ def test_f_measure_half_precision():
     ref = ts([1.0, 2.0])
     est = ts([1.0, 1.2, 2.0, 2.2])
     assert tl.f_measure(ref, est) == pytest.approx(2 / 3)
-
-
-# -- json ------------------------------------------------------------------
-
-
-def test_events_json_round_trip(tmp_path):
-    p = tmp_path / "ev.json"
-    orig = ts([0.5, 3.25], 10.0)
-    tl.save_events_json(p, orig)
-    with open(p, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc == {"fps": tl.DEFAULT_FPS, "duration_s": 10.0, "events": [0.5, 3.25]}
