@@ -27,13 +27,9 @@ file: `eval` reads it when present, unchecked.
 
 `eval` takes each clip's log-mel once, from the reference WAV and from its
 `.gen.wav`; a clip with no `.gen.wav` uses its reference in its place, so a
-corpus with no generated audio scores as perfect. The per-clip metrics
-score the beats `beatdet.beats_within` finds in the two, both counted up to
-the manifest's `duration_s`. Audio with no beat grid (silence, say) has no
-beats, so it scores 0 against a non-empty set and 1 when both sets are
-empty. `fad` is one corpus row: the Fréchet distance between the pooled
-60-bin log-mel frames of the references and those of the generated clips
-(0 with no generated audio).
+corpus with no generated audio scores as perfect (`fad` 0). `evalsuite`
+defines every score it reports: one row per clip and asked-for metric, then
+one `(corpus)` row for `fad`.
 
 Exit codes: 0 ok, 2 usage (argparse, or a train flag its stage ignores),
 3 data error, 4 stage-order error.
@@ -51,13 +47,13 @@ import numpy as np
 
 from .audiofeat import (SAMPLE_RATE, frame_count, griffin_lim, load_wav, logmel, resample,
                         save_wav, write_wav)
-from .beatdet import beats_within, detect_beats
+from .beatdet import detect_beats
 from .container import open_replacing, save_tensors
 from .curation import CurationRule, SynthConfig, gate, synth_corpus
 from .errors import DataError, StageOrderError
-from .evalsuite import StoryboardScores, frechet_distance, tw_score
+from .evalsuite import CLIP_METRICS, clip_scores, frechet_distance
 from .parsing import load_manifest, save_manifest
-from .timeline import DEFAULT_FPS, DEFAULT_TOL_S, TimestampSet, beats_iou, transitions_beats_iou
+from .timeline import DEFAULT_FPS, DEFAULT_TOL_S, TimestampSet
 from .training import (TrainConfig, generation_tb_iou, load_aligner, load_diffusion,
                        sample_mel, save_aligner, save_diffusion, train_stage_adapter,
                        train_stage_aligner, train_stage_diffusion)
@@ -78,26 +74,7 @@ def _positive_ints(text):
     return tuple(_positive_int(x) for x in text.split(","))
 
 
-def _storyboard_tw(ann, gen_beats, tol_s):
-    """TW: the TB-IoU of the transitions and generated beats inside each
-    storyboard, weighted by the storyboards' durations."""
-    def inside(ts, sb):
-        times = np.asarray(ts.times_s)
-        return TimestampSet(times[sb.covers(times)], ann.duration_s)
-
-    scores = [transitions_beats_iou(inside(ann.transitions, sb), inside(gen_beats, sb), tol_s)
-              for sb in ann.storyboards]
-    return tw_score(StoryboardScores(scores, [sb.duration_s for sb in ann.storyboards],
-                                     ann.duration_s))
-
-
-# per-clip metrics: (annotation, reference beats, generated beats, tol_s) -> score
-_CLIP_METRICS = {
-    "b_iou": lambda ann, ref, gen, tol_s: beats_iou(ref, gen, tol_s),
-    "tb_iou": lambda ann, ref, gen, tol_s: transitions_beats_iou(ann.transitions, gen, tol_s),
-    "tw": lambda ann, ref, gen, tol_s: _storyboard_tw(ann, gen, tol_s),
-}
-_METRIC_NAMES = [*_CLIP_METRICS, "fad"]
+_METRIC_NAMES = [*CLIP_METRICS, "fad"]
 
 
 def build_parser():
@@ -351,7 +328,7 @@ def _cmd_eval(args):
     bad = [m for m in metrics if m not in _METRIC_NAMES]
     if bad:
         raise DataError(f"unknown metrics {bad}; choose from {sorted(_METRIC_NAMES)}")
-    per_clip = [m for m in metrics if m in _CLIP_METRICS]
+    per_clip = [m for m in metrics if m in CLIP_METRICS]
     rows, ref_frames, gen_frames = [], [], []
     for ann, wav, stem in _corpus_pairs(args.dir) if metrics else ():
         gen_path = os.path.join(args.dir, stem + ".gen.wav")
@@ -363,10 +340,8 @@ def _cmd_eval(args):
             ref_frames.append(ref_mel.values)
             gen_frames.append(gen_mel.values)
         if per_clip:
-            ref = beats_within(ref_mel, ann.duration_s)
-            gen = ref if gen_mel is ref_mel else beats_within(gen_mel, ann.duration_s)
-            rows += [[ann.video_id, m, f"{_CLIP_METRICS[m](ann, ref, gen, args.tol_s):.4f}"]
-                     for m in per_clip]
+            scores = clip_scores(ann, ref_mel, gen_mel, args.tol_s)
+            rows += [[ann.video_id, m, f"{scores[m]:.4f}"] for m in per_clip]
     if "fad" in metrics:
         fad = frechet_distance(np.concatenate(ref_frames), np.concatenate(gen_frames))
         rows.append(["(corpus)", "fad", f"{fad:.4f}"])

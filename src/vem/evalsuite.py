@@ -1,4 +1,13 @@
-"""Corpus-level metrics beyond the timeline IoUs.
+"""Every score `vem eval` reports: the per-clip rhythm metrics and FAD.
+
+`clip_scores` is the one place a clip is scored. Its metrics, CLIP_METRICS,
+score the beats `beatdet.beats_within` finds in a reference and a generated
+log-mel, both counted up to the manifest's `duration_s`: `b_iou` matches
+the generated beats against the reference's, `tb_iou` against the
+manifest's transitions, and `tw` weights the TB-IoU inside each storyboard
+by its duration over the whole clip's. Audio with no beat grid (silence,
+say) has no beats, so it scores 0 against a non-empty set and 1 when both
+sets are empty.
 
 No perceptual model and no external embeddings are used: `vem eval` takes
 its `fad` as `frechet_distance` between the pooled 60-bin log-mel frames of
@@ -12,7 +21,11 @@ import dataclasses
 
 import numpy as np
 
+from .beatdet import beats_within
 from .errors import DataError
+from .timeline import DEFAULT_TOL_S, TimestampSet, beats_iou, transitions_beats_iou
+
+CLIP_METRICS = ("b_iou", "tb_iou", "tw")
 
 
 @dataclasses.dataclass
@@ -26,7 +39,9 @@ class StoryboardScores:
             raise DataError("scores and durations must pair up")
         if any(d <= 0 for d in self.durations):
             raise DataError("storyboard durations must be positive")
-        if sum(self.durations) > self.total_s + 1e-9:
+        # `load_manifest` lets each storyboard overlap the previous one, or
+        # run past the clip's end, by 1e-9 s
+        if sum(self.durations) > self.total_s + len(self.durations) * 1e-9:
             raise DataError("storyboard durations exceed the video duration")
 
 
@@ -39,6 +54,24 @@ def tw_score(s):
     if s.total_s <= 0:
         raise DataError("zero total duration")
     return float(sum((d / s.total_s) * v for v, d in zip(s.scores, s.durations)))
+
+
+def clip_scores(ann, ref_mel, gen_mel, tol_s=DEFAULT_TOL_S):
+    """{metric: score} over CLIP_METRICS for one clip, as the module
+    docstring states; the beats are found once when `gen_mel is ref_mel`."""
+    ref = beats_within(ref_mel, ann.duration_s)
+    gen = ref if gen_mel is ref_mel else beats_within(gen_mel, ann.duration_s)
+
+    def inside(ts, sb):
+        times = np.asarray(ts.times_s)
+        return TimestampSet(times[sb.covers(times)], ann.duration_s)
+
+    per_storyboard = [transitions_beats_iou(inside(ann.transitions, sb), inside(gen, sb), tol_s)
+                      for sb in ann.storyboards]
+    tw = tw_score(StoryboardScores(per_storyboard, [sb.duration_s for sb in ann.storyboards],
+                                   ann.duration_s))
+    return {"b_iou": beats_iou(ref, gen, tol_s),
+            "tb_iou": transitions_beats_iou(ann.transitions, gen, tol_s), "tw": tw}
 
 
 def _as_matrix(x, name):

@@ -55,6 +55,7 @@ import numpy as np
 from . import autograd as ag
 from .audiofeat import logmel
 from .beatdet import beats_within
+from .evalsuite import clip_scores
 from .container import load_tensors, save_tensors
 from .diffusion import (LATENT_CHANNELS, MAX_T, Latent, latent_decode, latent_encode,
                         latent_len_for_duration, sample, training_loss)
@@ -63,7 +64,7 @@ from .parsing import TimeEmbedder, finite_number
 from .rng import Rng
 from .sgcatt import TOKENS_PER_STORYBOARD, StoryboardMask, assemble_conditions, build_mask
 from .tbalign import AlignerNet, aligner_features, train_aligner
-from .timeline import from_timestamps, transitions_beats_iou
+from .timeline import from_timestamps
 from .tunet import TUNet
 
 DIFFUSION_LR = 1e-3
@@ -289,8 +290,7 @@ def sample_mel(unet, temb, meta, ann, steps, seed, aligner=None, conditioned=Tru
 
 
 def generation_tb_iou(mel, ann):
-    """TB_IoU of the annotation's transitions against the beats
-    `beats_within` gives a generated spectrogram up to `ann.duration_s`: a
-    mel with no beat grid has no beats, so it scores 0 against transitions
-    and 1 without any."""
-    return transitions_beats_iou(ann.transitions, beats_within(mel, ann.duration_s))
+    """`evalsuite.clip_scores`' TB-IoU of a generated spectrogram against the
+    annotation's transitions: a mel with no beat grid has no beats, so it
+    scores 0 against transitions and 1 without any."""
+    return clip_scores(ann, mel, mel)["tb_iou"]

@@ -82,7 +82,7 @@ def test_eval_metrics_help_lists_the_metric_tables(tmp_path, capsys):
     subs = next(a for a in parser._actions
                 if isinstance(a, type(parser._subparsers._group_actions[0])))
     metrics = next(a for a in subs.choices["eval"]._actions if "--metrics" in a.option_strings)
-    names = [*cli._CLIP_METRICS, "fad"]
+    names = [*cli.CLIP_METRICS, "fad"]
     assert names == cli._METRIC_NAMES == ["b_iou", "tb_iou", "tw", "fad"]
     assert metrics.help == "comma list from " + ",".join(names)
     os.makedirs(tmp_path / "empty")
@@ -1174,6 +1174,48 @@ def test_eval_scores_a_silent_generated_clip(tmp_path, corpus_dir):
     vid = load_manifest(corpus / "item_000.json").video_id
     rows = [r[1:] for r in read_csv(tmp_path / "out" / "metrics.csv")[1:] if r[0] == vid]
     assert rows == [["b_iou", "0.0000"], ["tb_iou", "0.0000"], ["tw", "0.0000"]]
+
+
+def test_eval_table_with_each_clip_scored_against_the_other(tmp_path, corpus_dir):
+    """Each clip's `.gen.wav` is the other clip's audio; the whole table,
+    every metric at the default tolerance, is pinned byte for byte."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    shutil.copyfile(corpus / "item_001.wav", corpus / "item_000.gen.wav")
+    shutil.copyfile(corpus / "item_000.wav", corpus / "item_001.gen.wav")
+    assert run(["eval", str(corpus), "--metrics", "b_iou,tb_iou,tw,fad"], tmp_path / "out") == 0
+    assert (tmp_path / "out" / "metrics.csv").read_bytes() == (
+        b"video_id,metric,value\r\n"
+        b"synth_4e1e4811,b_iou,0.8065\r\n"
+        b"synth_4e1e4811,tb_iou,0.8065\r\n"
+        b"synth_4e1e4811,tw,0.7613\r\n"
+        b"synth_3c153ca0,b_iou,1.0000\r\n"
+        b"synth_3c153ca0,tb_iou,1.0000\r\n"
+        b"synth_3c153ca0,tw,0.9293\r\n"
+        b"(corpus),fad,0.0000\r\n")
+
+
+def test_eval_tw_takes_storyboards_the_manifest_reader_takes(tmp_path, corpus_dir):
+    """Two storyboards of d/2 + 9e-10 s: the second overlaps the first, and
+    ends past the clip, by under the reader's 1e-9 s, so the manifest loads
+    though its durations sum to d + 1.8e-9. `tw` scores it like every other
+    metric; it used to exit 3 ("storyboard durations exceed the video
+    duration")."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    path = corpus / "item_000.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["features"]  # its sidecar holds the old storyboards' features
+    half = doc["duration_s"] / 2
+    doc["storyboards"] = [{"start_s": start, "duration_s": half + 9e-10, "text": f"scene {i}"}
+                          for i, start in enumerate((0.0, half))]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    ann = load_manifest(path)
+    assert sum(sb.duration_s for sb in ann.storyboards) > ann.duration_s + 1e-9
+    assert run(["eval", str(corpus), "--metrics", "tw"], tmp_path / "out") == 0
+    rows = read_csv(tmp_path / "out" / "metrics.csv")[1:]
+    assert [r[1] for r in rows] == ["tw", "tw"] and rows[0][0] == ann.video_id
+    assert 0.0 <= float(rows[0][2]) <= 1.0
 
 
 def test_eval_unknown_metric_exits_3(tmp_path, corpus_dir):

@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
+from helpers import click_track, make_annotation
 
 from vem import audiofeat as af
 from vem import evalsuite as ev
+from vem.beatdet import beats_within
 from vem.errors import DataError
+from vem.parsing import MAX_STORYBOARDS, load_manifest
 from vem.rng import Rng
+from vem.timeline import TimestampSet, beats_iou, transitions_beats_iou
 
 
 # -- tw_score --------------------------------------------------------------
@@ -62,6 +68,75 @@ def test_tw_invalid_fixtures():
         ev.StoryboardScores([1.0, 1.0], [3.0, 3.0], 5.0)
     with pytest.raises(DataError):
         ev.tw_score(ev.StoryboardScores([], [], 0.0))
+
+
+def test_tw_takes_a_manifest_at_the_readers_limit(tmp_path):
+    """MAX_STORYBOARDS storyboards over an hour, each overlapping the
+    previous one by 0.999e-9 s, which `load_manifest` allows: their
+    durations sum to 6.8e-7 s past the clip, inside the 1e-9 s per
+    storyboard the reader lets through."""
+    n, total, overlap = MAX_STORYBOARDS, 3600.0, 0.999e-9
+    step = total / n
+    doc = {"video_id": "limit", "duration_s": total,
+           "global": {"caption": "limit", "tags": []}, "transitions_s": [],
+           "storyboards": [{"start_s": i * step, "text": f"scene {i}",
+                            "duration_s": step + (overlap if i < n - 1 else 0.0)}
+                           for i in range(n)]}
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    ann = load_manifest(path)
+    durations = [sb.duration_s for sb in ann.storyboards]
+    assert sum(durations) - total > 6e-7
+    assert ev.tw_score(ev.StoryboardScores([1.0] * n, durations, total)) == pytest.approx(1.0)
+
+
+# -- clip_scores -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def scored_clip():
+    """A 10 s annotation with two storyboards, transitions on a 100 BPM
+    grid, and log-mels of click tracks at 100 and 120 BPM."""
+    ref_wav, beats = click_track(100.0, duration_s=10.0)
+    ann = make_annotation(10.0, (0.0, 4.0, 10.0), beats)
+    return ann, af.logmel(ref_wav), af.logmel(click_track(120.0, duration_s=10.0, seed=1)[0])
+
+
+def test_clip_scores_finds_the_beats_once_per_distinct_mel(scored_clip, monkeypatch):
+    ann, ref_mel, gen_mel = scored_clip
+    calls = []
+
+    def counting(m, duration_s):
+        calls.append(m)
+        return beats_within(m, duration_s)
+
+    monkeypatch.setattr(ev, "beats_within", counting)
+    ev.clip_scores(ann, ref_mel, ref_mel)
+    assert calls == [ref_mel]
+    calls.clear()
+    ev.clip_scores(ann, ref_mel, gen_mel)
+    assert calls == [ref_mel, gen_mel]
+
+
+def test_clip_scores_match_the_metric_definitions(scored_clip):
+    """B-IoU and TB-IoU of the two beat sets, and TW as the TB-IoU inside
+    each storyboard weighted by its duration over the clip's."""
+    ann, ref_mel, gen_mel = scored_clip
+    ref, gen = beats_within(ref_mel, 10.0), beats_within(gen_mel, 10.0)
+    assert len(ref) and len(gen) and ref.times_s != gen.times_s
+    got = ev.clip_scores(ann, ref_mel, gen_mel, 0.1)
+    assert list(got) == list(ev.CLIP_METRICS)
+    assert got["b_iou"] == beats_iou(ref, gen, 0.1)
+    assert got["tb_iou"] == transitions_beats_iou(ann.transitions, gen, 0.1)
+
+    def inside(ts, start, end):
+        return TimestampSet([t for t in ts.times_s if start <= t < end], 10.0)
+
+    tw = sum((end - start) / 10.0 * transitions_beats_iou(
+        inside(ann.transitions, start, end), inside(gen, start, end), 0.1)
+        for start, end in ((0.0, 4.0), (4.0, 10.0)))
+    assert 0.0 < got["tw"] < 1.0
+    assert got["tw"] == pytest.approx(tw, abs=1e-12)
 
 
 # -- frechet_distance ------------------------------------------------------

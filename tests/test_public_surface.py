@@ -314,6 +314,21 @@ def test_timeline_rules_have_one_owner():
     assert not restated, f"timeline rules restated outside their owner: {restated}"
 
 
+def test_clip_metrics_have_one_owner():
+    """Only `evalsuite.clip_scores` scores a clip: outside `timeline`, which
+    defines the IoUs, and `evalsuite`, no module calls `beats_iou`,
+    `transitions_beats_iou` or `tw_score`, so `vem eval` and the sampler's
+    TB-IoU cannot drift apart."""
+    metrics = {"beats_iou", "transitions_beats_iou", "tw_score"}
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("timeline.py", "evalsuite.py"):
+            continue
+        callers += [f"{path.stem}: {name}" for name, _, _ in
+                    _calls(ast.parse(path.read_text(encoding="utf-8"))) if name in metrics]
+    assert not callers, f"clip metrics called outside evalsuite: {callers}"
+
+
 def _writing_opens(tree):
     """Line numbers of the calls in `tree` that open a file for writing: an
     `open`/`io.open` call whose mode writes, appends, creates or updates (or
