@@ -14,7 +14,9 @@ the mel inside the WAV's block: a failure in either write leaves both
 targets as they were.
 Figures-grade outputs are CSV files. Option defaults are read from the code
 that owns them, and `train` takes --widths and --t-steps for --stage
-diffusion only: stage C reads both off the checkpoint it tunes.
+diffusion only: stage C reads both off the checkpoint it tunes. `curate`
+takes no options: it applies `curation.gate`'s fixed policy to each pair.
+`sweep-steps` leaves its recon_error column empty without --ref-wav.
 
 `curate`, `train` and `eval` read a corpus directory through one reader.
 Every `<stem>.json` in it is a manifest, except `*.beats.json` event files
@@ -49,7 +51,7 @@ from .audiofeat import (SAMPLE_RATE, frame_count, griffin_lim, load_wav, logmel,
                         save_wav, write_wav)
 from .beatdet import detect_beats
 from .container import open_replacing, save_tensors
-from .curation import CurationRule, SynthConfig, gate, synth_corpus
+from .curation import SynthConfig, gate, synth_corpus
 from .errors import DataError, StageOrderError
 from .evalsuite import CLIP_METRICS, clip_scores, frechet_distance
 from .parsing import load_manifest, save_manifest
@@ -97,12 +99,6 @@ def build_parser():
 
     q = sub.add_parser("curate", help="quality-gate a corpus directory of manifest+wav pairs")
     q.add_argument("corpus")
-    q.add_argument("--min-snr-db", type=float, default=CurationRule.min_snr_db,
-                   help="lowest SNR that passes (default %(default)s dB)")
-    q.add_argument("--max-duration-s", type=float, default=CurationRule.max_duration_s,
-                   help="longest clip that passes (default %(default)s s)")
-    q.add_argument("--max-shots", type=_positive_int, default=CurationRule.max_shots,
-                   help="most shots that pass (default %(default)s)")
 
     q = sub.add_parser("synth", help="generate a synthetic paired corpus")
     q.add_argument("--n", type=_positive_int, required=True, help="number of pairs")
@@ -145,7 +141,8 @@ def build_parser():
     q.add_argument("manifest")
     q.add_argument("--steps", type=_positive_ints,
                    help="comma list of step counts (default 1,50,200, capped at T)")
-    q.add_argument("--ref-wav", help="reference audio for reconstruction error")
+    q.add_argument("--ref-wav", help="reference audio: recon_error is the log-mel MSE "
+                                     "against it (without it, recon_error is empty)")
     q.add_argument("--aligner")
     return p
 
@@ -238,11 +235,9 @@ def _cmd_beats(args):
 
 
 def _cmd_curate(args):
-    rules = CurationRule(min_snr_db=args.min_snr_db, max_duration_s=args.max_duration_s,
-                         max_shots=args.max_shots)
     rows = []
     for ann, wav, _ in _corpus_pairs(args.corpus):
-        passed, reasons = gate((ann, wav), rules)
+        passed, reasons = gate((ann, wav))
         rows.append([ann.video_id, "pass" if passed else "fail", "; ".join(reasons)])
     out = _write_csv(args.out_dir, "curation.csv", ["video_id", "status", "reasons"], rows)
     kept = sum(1 for r in rows if r[1] == "pass")
@@ -358,13 +353,11 @@ def _cmd_sweep(args):
     rows = []
     for steps in args.steps:
         mel = sample_mel(unet, temb, meta, ann, steps, args.seed, aligner=aligner)
+        err = ""
         if ref_mel is not None:
             n = min(mel.values.shape[0], ref_mel.values.shape[0])
-            err = float(np.mean((mel.values[:n] - ref_mel.values[:n]) ** 2))
-        else:
-            err = float(np.mean(np.abs(mel.values)))
-        tb = generation_tb_iou(mel, ann)
-        rows.append([steps, f"{err:.6f}", f"{tb:.4f}"])
+            err = f"{np.mean((mel.values[:n] - ref_mel.values[:n]) ** 2):.6f}"
+        rows.append([steps, err, f"{generation_tb_iou(mel, ann):.4f}"])
     out = _write_csv(args.out_dir, "sweep_steps.csv", ["steps", "recon_error", "tb_iou"], rows)
     print(f"{len(rows)} sweep rows -> {out}")
 

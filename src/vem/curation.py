@@ -1,6 +1,10 @@
 """Corpus curation: the quality gate that admits a (video, music) pair, and
 the synthetic paired corpus used for end-to-end experiments.
 
+The gate is one fixed policy, not a setting: a pair passes when its audio's
+SNR is at least MIN_SNR_DB (20 dB), its clip lasts at most MAX_CLIP_S
+(120 s) and it has at most MAX_SHOTS (20) storyboards.
+
 The synthetic generator builds miniature "edited videos": a click track at a
 fixed tempo with a slowly breathing tonal bed per storyboard, transitions
 placed exactly on the beats, storyboard boundaries on transition beats, and
@@ -15,8 +19,8 @@ import numpy as np
 from .audiofeat import HOP, MAX_DURATION_S, N_FFT, SAMPLE_RATE, Waveform, estimate_snr
 from .beatdet import MIN_ENVELOPE_S
 from .errors import DataError
-from .parsing import (Storyboard, VideoAnnotation, toy_text_embed, toy_visual_embed,
-                      write_storyboard_channels)
+from .parsing import (FEATURE_CHANNELS, Storyboard, VideoAnnotation, toy_text_embed,
+                      toy_visual_embed, write_storyboard_channels)
 from .rng import Rng
 from .timeline import TimestampSet, from_timestamps
 
@@ -26,38 +30,32 @@ from .timeline import TimestampSet, from_timestamps
 # shorter one no beats
 MIN_SYNTH_S = MIN_ENVELOPE_S + (N_FFT - HOP) / SAMPLE_RATE
 
-
-@dataclasses.dataclass
-class CurationRule:
-    min_snr_db: float = 20.0
-    max_duration_s: float = 120.0
-    max_shots: int = 20
-
-    def __post_init__(self):
-        if not (self.min_snr_db > 0 and self.max_duration_s > 0 and self.max_shots > 0):
-            raise DataError("curation thresholds must be positive")
+MIN_SNR_DB = 20.0
+MAX_CLIP_S = 120.0
+MAX_SHOTS = 20
 
 
-def gate(pair, rules=None):
+def gate(pair):
     """Quality gate; returns (passed, reasons). All failing reasons listed.
 
-    A clip shorter than MIN_SYNTH_S fails on duration, since it carries no
-    beat grid (stage A would train on all-zero labels for it), and gets no
-    SNR estimate.
+    A pair fails when its SNR is under MIN_SNR_DB, its annotation lasts
+    longer than MAX_CLIP_S or has more than MAX_SHOTS storyboards. A clip
+    shorter than MIN_SYNTH_S fails on duration, since it carries no beat
+    grid (stage A would train on all-zero labels for it), and gets no SNR
+    estimate.
     """
-    rules = rules or CurationRule()
     ann, wav = pair
     reasons = []
     if wav.duration_s < MIN_SYNTH_S:
         reasons.append(f"duration: {wav.duration_s:.1f} s under {MIN_SYNTH_S:g} s")
     else:
         snr = estimate_snr(wav)
-        if snr < rules.min_snr_db:
-            reasons.append(f"snr: {snr:.1f} dB below {rules.min_snr_db:.0f} dB")
-    if ann.duration_s > rules.max_duration_s:
-        reasons.append(f"duration: {ann.duration_s:.1f} s exceeds {rules.max_duration_s:.0f} s")
-    if len(ann.storyboards) > rules.max_shots:
-        reasons.append(f"shots: {len(ann.storyboards)} exceeds {rules.max_shots}")
+        if snr < MIN_SNR_DB:
+            reasons.append(f"snr: {snr:.1f} dB below {MIN_SNR_DB:.0f} dB")
+    if ann.duration_s > MAX_CLIP_S:
+        reasons.append(f"duration: {ann.duration_s:.1f} s exceeds {MAX_CLIP_S:.0f} s")
+    if len(ann.storyboards) > MAX_SHOTS:
+        reasons.append(f"shots: {len(ann.storyboards)} exceeds {MAX_SHOTS}")
     return (not reasons), reasons
 
 
@@ -80,7 +78,6 @@ class SynthConfig:
 
 TEMPO_RANGE_BPM = (90.0, 140.0)
 STORYBOARD_RANGE = (2, 4)
-FEATURE_CHANNELS = 8
 CLICK_AMP = 0.6
 BED_AMP = 0.12
 NOISE_AMP = 5e-4

@@ -23,6 +23,7 @@ import numpy as np
 
 from .beatdet import beats_within
 from .errors import DataError
+from .parsing import SPAN_SLACK_S
 from .timeline import DEFAULT_TOL_S, TimestampSet, beats_iou, transitions_beats_iou
 
 CLIP_METRICS = ("b_iou", "tb_iou", "tw")
@@ -40,8 +41,8 @@ class StoryboardScores:
         if any(d <= 0 for d in self.durations):
             raise DataError("storyboard durations must be positive")
         # `load_manifest` lets each storyboard overlap the previous one, or
-        # run past the clip's end, by 1e-9 s
-        if sum(self.durations) > self.total_s + len(self.durations) * 1e-9:
+        # run past the clip's end, by SPAN_SLACK_S
+        if sum(self.durations) > self.total_s + len(self.durations) * SPAN_SLACK_S:
             raise DataError("storyboard durations exceed the video duration")
 
 

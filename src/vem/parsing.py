@@ -39,6 +39,9 @@ from .tunet import MAX_LATENT_LEN
 
 FEATURE_DIM = 64  # width of the toy text and visual embeddings
 TIME_HIDDEN = 32  # hidden width of the TimeEmbedder MLP
+FEATURE_CHANNELS = 8  # rows of a frame-feature matrix, laid out by `build_frame_features`
+# how far a storyboard may run past the clip's end, or overlap the previous one
+SPAN_SLACK_S = 1e-9
 # most storyboards a manifest may hold: SG-CAtt's bias is a dense float32
 # (latent frames, 6 x storyboards) map, 4096 x 4092 x 4 B = 64 MiB at 682
 # storyboards and MAX_LATENT_LEN frames, no more than one self-attention map
@@ -212,10 +215,10 @@ def load_manifest(path):
         text = str(_require(sb, "text", where))
         if dur <= 0:
             raise DataError(f"{where}duration_s: must be positive, got {dur}")
-        if start < 0 or start + dur > duration + 1e-9:
+        if start < 0 or start + dur > duration + SPAN_SLACK_S:
             raise DataError(f"{where}start_s: span [{start}, {start + dur}] "
                             f"outside [0, {duration}]")
-        if start < prev_end - 1e-9:
+        if start < prev_end - SPAN_SLACK_S:
             raise DataError(f"{where}start_s: overlaps previous storyboard ending at {prev_end}")
         prev_end = start + dur
         sbs.append(Storyboard(
@@ -283,15 +286,16 @@ def save_manifest(path, ann):
 
 
 def build_frame_features(ann):
-    """Derive an (8, frames) feature matrix at DEFAULT_FPS from the annotation
-    alone; `load_manifest` fills it in when the sidecar has no frame_features.
+    """Derive a (FEATURE_CHANNELS, frames) feature matrix at DEFAULT_FPS
+    from the annotation alone; `load_manifest` fills it in when the sidecar
+    has no frame_features.
 
     Channel 0 carries a transition impulse smeared over one frame each side;
     channels 1-3 are `write_storyboard_channels`' so the matrix is not
     degenerate; the rest stay zero.
     """
     hits = from_timestamps(ann.transitions)
-    out = np.zeros((8, len(hits)), dtype=np.float32)
+    out = np.zeros((FEATURE_CHANNELS, len(hits)), dtype=np.float32)
     out[0] = hits
     np.maximum(out[0, 1:], 0.5 * hits[:-1], out=out[0, 1:])
     np.maximum(out[0, :-1], 0.5 * hits[1:], out=out[0, :-1])

@@ -39,7 +39,7 @@ from .tbalign import AdapterParams, apply_adapter, linear_interp
 TEMB_DIM = 128  # width of the diffusion-step embedding and its MLP
 # longest padded latent a forward takes: self-attention holds an L x L
 # matrix per level, 64 MiB in float32 at 4096 frames (262 s), while
-# CurationRule's longest clip (120 s) is 1,875 frames. Padding grows as
+# curation.MAX_CLIP_S (120 s) is 1,875 frames. Padding grows as
 # 2^(levels-1), so the bound also caps the depth: at most 13 levels can run
 MAX_LATENT_LEN = 4096
 

@@ -19,7 +19,7 @@ from vem.audiofeat import (MAX_DURATION_S, MAX_PLAN_BYTES, SAMPLE_RATE, Waveform
                            resample, save_wav)
 from vem.beatdet import detect_beats
 from vem.container import load_tensors, save_tensors
-from vem.curation import MIN_SYNTH_S, CurationRule
+from vem.curation import MAX_CLIP_S, MIN_SYNTH_S
 from vem.diffusion import MAX_T
 from vem.errors import DataError
 from vem.evalsuite import frechet_distance
@@ -156,10 +156,8 @@ def test_train_refuses_size_flags_a_stage_would_ignore(tmp_path, capsys, stage, 
     ["train", "--stage", "aligner", "--corpus", "c", "--t-steps", "-3"],
     ["sample", "ckpt.vemt", "m.json", "--steps", "0"],
     ["synth", "--n", "0"],
-    ["curate", "c", "--max-shots", "0"],
 ], ids=["steps-negative", "steps-zero", "widths-word", "widths-zero", "sweep-word",
-        "sweep-empty-item", "t-steps-negative", "sample-steps-zero", "synth-n-zero",
-        "curate-max-shots-zero"])
+        "sweep-empty-item", "t-steps-negative", "sample-steps-zero", "synth-n-zero"])
 def test_bad_numbers_exit_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv, tmp_path)
@@ -430,6 +428,15 @@ def test_curate_report(tmp_path, corpus_dir):
     assert all(r[1] in ("pass", "fail") for r in rows[1:])
 
 
+def test_curate_takes_no_thresholds(tmp_path, corpus_dir):
+    """The gate is a fixed policy: a threshold flag is a usage error, and
+    nothing is written."""
+    with pytest.raises(SystemExit) as exc:
+        run(["curate", str(corpus_dir), "--max-shots", "3"], tmp_path)
+    assert exc.value.code == 2
+    assert not (tmp_path / "curation.csv").exists()
+
+
 @pytest.mark.parametrize("duration", [1e9, 1e300])
 def test_curate_huge_manifest_duration_exits_3(tmp_path, corpus_dir, capsys, duration):
     """A declared duration past MAX_DURATION_S is refused before frame
@@ -558,9 +565,8 @@ def test_corpus_error_names_its_file(tmp_path, corpus_dir, capsys, spoil, err, a
 
 
 @pytest.mark.parametrize("argv", [
-    lambda d: ["curate", d, "--min-snr-db", "nan"],
     lambda d: ["eval", d, "--tol-s", "nan"],
-], ids=["curate-min-snr", "eval-tol"])
+], ids=["eval-tol"])
 def test_nan_thresholds_exit_3(tmp_path, corpus_dir, capsys, argv):
     assert run(argv(str(corpus_dir)), tmp_path) == 3
     assert capsys.readouterr().err.startswith("error: data: ")
@@ -1066,7 +1072,7 @@ def test_input_past_a_size_bound_exits_3_under_memory_limit(tmp_path, corpus_dir
 
 
 def test_sample_longest_curated_clip(tmp_path, trained_dir):
-    manifest = _one_shot_manifest(tmp_path / "long.json", CurationRule().max_duration_s)
+    manifest = _one_shot_manifest(tmp_path / "long.json", MAX_CLIP_S)
     rc = run(["sample", str(trained_dir / "diffusion.vemt"), manifest, "--steps", "1"], tmp_path)
     assert rc == 0
     # 1,875 latent frames of 4 mel windows each
@@ -1143,6 +1149,26 @@ def test_sweep_steps_default_capped_at_schedule(tmp_path, corpus_dir, trained_di
               str(corpus_dir / "item_000.json")], tmp_path)
     assert rc == 0
     assert [r[0] for r in read_csv(tmp_path / "sweep_steps.csv")[1:]] == ["1", "50"]
+
+
+def test_sweep_steps_recon_error_needs_a_reference(tmp_path, corpus_dir, trained_dir):
+    """Without --ref-wav there is no error to report, so recon_error is
+    empty; with one it is the log-mel MSE of the sample `sample` draws at
+    the same seed and step count against the reference."""
+    ckpt, manifest = str(trained_dir / "diffusion.vemt"), str(corpus_dir / "item_000.json")
+    assert run(["sweep-steps", ckpt, manifest, "--steps", "2"], tmp_path / "bare") == 0
+    assert read_csv(tmp_path / "bare" / "sweep_steps.csv")[1][:2] == ["2", ""]
+
+    ref = corpus_dir / "item_000.wav"
+    assert run(["sweep-steps", ckpt, manifest, "--steps", "2", "--ref-wav", str(ref)],
+               tmp_path / "ref") == 0
+    assert run(["sample", ckpt, manifest, "--steps", "2"], tmp_path / "ref") == 0
+    gen = load_tensors(tmp_path / "ref" / "item_000.gen.mel.vemt")[0]["mel"]
+    want = audiofeat.logmel(load_wav(ref)).values
+    n = min(len(gen), len(want))
+    err = float(read_csv(tmp_path / "ref" / "sweep_steps.csv")[1][1])
+    assert err >= 0
+    assert err == pytest.approx(np.mean((gen[:n] - want[:n]) ** 2), abs=1e-6)
 
 
 # -- eval ------------------------------------------------------------------

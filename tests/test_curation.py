@@ -92,19 +92,23 @@ def test_gate_estimates_snr_from_min_synth_s():
     assert cu.gate((ann, Waveform(noisy_wave().samples[:n], SAMPLE_RATE)))[1][0].startswith("snr")
 
 
-def test_gate_monotone_in_thresholds():
-    ann = make_annotation(30.0, (0.0, 10.0, 20.0, 30.0), (10.0, 20.0))
-    wav = quiet_wave()
-    tight = cu.CurationRule(min_snr_db=30.0, max_duration_s=25.0, max_shots=2)
-    loose = cu.CurationRule(min_snr_db=10.0, max_duration_s=200.0, max_shots=50)
-    passed_tight, _ = cu.gate((ann, wav), tight)
-    passed_loose, _ = cu.gate((ann, wav), loose)
-    assert not passed_tight and passed_loose
+_JUST_UNDER_SNR = float(np.nextafter(cu.MIN_SNR_DB, -np.inf))
+_JUST_PAST_CLIP = float(np.nextafter(cu.MAX_CLIP_S, np.inf))
 
 
-def test_rule_validation():
-    with pytest.raises(DataError):
-        cu.CurationRule(min_snr_db=0.0)
+@pytest.mark.parametrize("snr, duration_s, shots, reasons", [
+    (cu.MIN_SNR_DB, cu.MAX_CLIP_S, cu.MAX_SHOTS, []),
+    (_JUST_UNDER_SNR, cu.MAX_CLIP_S, cu.MAX_SHOTS, ["snr: 20.0 dB below 20 dB"]),
+    (cu.MIN_SNR_DB, _JUST_PAST_CLIP, cu.MAX_SHOTS, ["duration: 120.0 s exceeds 120 s"]),
+    (cu.MIN_SNR_DB, cu.MAX_CLIP_S, cu.MAX_SHOTS + 1, ["shots: 21 exceeds 20"]),
+], ids=["at-every-limit", "snr-just-under", "clip-just-past", "one-shot-more"])
+def test_gate_boundaries(monkeypatch, snr, duration_s, shots, reasons):
+    """The fixed policy: a pair at each limit passes, and one step past any
+    limit fails with that limit's reason alone."""
+    monkeypatch.setattr(cu, "estimate_snr", lambda w: snr)
+    ann = make_annotation(duration_s, tuple(np.linspace(0.0, duration_s, shots + 1)), ())
+    assert len(ann.storyboards) == shots
+    assert cu.gate((ann, quiet_wave(10.0))) == (not reasons, reasons)
 
 
 # -- synthetic corpus ------------------------------------------------------

@@ -364,3 +364,31 @@ def test_files_are_written_only_through_open_replacing():
             assert allowed, "open_replacing opens no file for writing"
         found += [f"{path.stem}.py:{line}" for line in _writing_opens(tree) if line not in allowed]
     assert not found, f"files opened for writing outside open_replacing: {found}"
+
+
+def _option_dest(call):
+    """The `args` attribute an `add_argument` call fills: its `dest=`, else
+    its first long flag (`--ref-wav` -> `ref_wav`), else its positional name."""
+    dest = next((kw.value.value for kw in call.keywords if kw.arg == "dest"), None)
+    if dest:
+        return dest
+    names = [a.value for a in call.args if isinstance(a, ast.Constant)]
+    name = next((n for n in names if n.startswith("--")), names[0])
+    return name.lstrip("-").replace("-", "_")
+
+
+def test_every_cli_option_is_read():
+    """Every option `cli.build_parser` declares is read as `args.<dest>`
+    somewhere in `cli`: a flag whose value nothing reads is a knob with no
+    effect. The CLI counterpart of the dataclass-field and defaulted-parameter
+    lints, which cannot see argparse."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    parser = next(n for n in tree.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "build_parser")
+    dests = [_option_dest(n) for n in ast.walk(parser) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Attribute) and n.func.attr == "add_argument"]
+    assert dests, "build_parser declares no options"
+    reads = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and isinstance(n.ctx, ast.Load) and getattr(n.value, "id", None) == "args"}
+    unread = sorted(set(dests) - reads)
+    assert not unread, f"CLI options nothing reads: {unread}"

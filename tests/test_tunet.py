@@ -4,7 +4,7 @@ import pytest
 from helpers import with_dtype
 from vem import autograd as ag
 from vem import tunet as tn
-from vem.curation import CurationRule
+from vem.curation import MAX_CLIP_S
 from vem.diffusion import LATENT_CHANNELS, latent_len_for_duration
 from vem.errors import DataError
 from vem.rng import Rng
@@ -63,8 +63,8 @@ def test_input_validation():
 def test_latent_past_bound_refused():
     """Self-attention holds an L x L matrix per level, so a latent longer
     than MAX_LATENT_LEN is refused before anything is allocated; the longest
-    clip CurationRule admits still fits."""
-    assert latent_len_for_duration(CurationRule().max_duration_s) <= tn.MAX_LATENT_LEN
+    clip the curation gate admits still fits."""
+    assert latent_len_for_duration(MAX_CLIP_S) <= tn.MAX_LATENT_LEN
     _, cond, _ = make_inputs()
     n = tn.MAX_LATENT_LEN + 1
     mask = StoryboardMask(np.ones((n, 6), dtype=np.uint8))
