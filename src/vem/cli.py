@@ -16,6 +16,7 @@ Figures-grade outputs are CSV files. Option defaults are read from the code
 that owns them, and `train` takes --widths and --t-steps for --stage
 diffusion only: stage C reads both off the checkpoint it tunes. `curate`
 takes no options: it applies `curation.gate`'s fixed policy to each pair.
+`synth` takes only --n: it writes `curation.synth_corpus`'s default corpus.
 `sweep-steps` leaves its recon_error column empty without --ref-wav.
 
 `curate`, `train` and `eval` read a corpus directory through one reader.
@@ -51,7 +52,7 @@ from .audiofeat import (SAMPLE_RATE, frame_count, griffin_lim, load_wav, logmel,
                         save_wav, write_wav)
 from .beatdet import detect_beats
 from .container import open_replacing, save_tensors
-from .curation import SynthConfig, gate, synth_corpus
+from .curation import gate, synth_corpus
 from .errors import DataError, StageOrderError
 from .evalsuite import CLIP_METRICS, clip_scores, frechet_distance
 from .parsing import load_manifest, save_manifest
@@ -102,11 +103,6 @@ def build_parser():
 
     q = sub.add_parser("synth", help="generate a synthetic paired corpus")
     q.add_argument("--n", type=_positive_int, required=True, help="number of pairs")
-    dur_min, dur_max = SynthConfig.duration_range_s
-    q.add_argument("--dur-min", type=float, default=dur_min,
-                   help="shortest clip (default %(default)s s)")
-    q.add_argument("--dur-max", type=float, default=dur_max,
-                   help="longest clip (default %(default)s s)")
 
     q = sub.add_parser("train", help="run one training stage on a corpus directory")
     q.add_argument("--stage", choices=("aligner", "diffusion", "adapter"), required=True)
@@ -248,10 +244,9 @@ def _cmd_synth(args):
     """Write each pair as it is made, its WAV before its manifest: a run
     stopped part-way leaves whole pairs and at most a stray WAV, which the
     corpus reader ignores."""
-    cfg = SynthConfig(duration_range_s=(args.dur_min, args.dur_max))
     corpus_dir = os.path.join(args.out_dir, "corpus")
     os.makedirs(corpus_dir, exist_ok=True)
-    for i, (ann, wav) in enumerate(synth_corpus(args.n, args.seed, cfg)):
+    for i, (ann, wav) in enumerate(synth_corpus(args.n, args.seed)):
         stem = os.path.join(corpus_dir, f"item_{i:03d}")
         save_wav(stem + ".wav", wav)
         save_manifest(stem + ".json", ann)

@@ -35,6 +35,13 @@ MAX_CLIP_S = 120.0
 MAX_SHOTS = 20
 
 
+def _shown(value, limit):
+    """`value` to one decimal when that text lies on `value`'s side of
+    `limit`, else in full: an SNR of 19.99 dB reads 19.99, not 20.0."""
+    text = f"{value:.1f}"
+    return text if (float(text) - limit) * (value - limit) > 0 else repr(float(value))
+
+
 def gate(pair):
     """Quality gate; returns (passed, reasons). All failing reasons listed.
 
@@ -42,7 +49,8 @@ def gate(pair):
     longer than MAX_CLIP_S or has more than MAX_SHOTS storyboards. A clip
     shorter than MIN_SYNTH_S fails on duration, since it carries no beat
     grid (stage A would train on all-zero labels for it), and gets no SNR
-    estimate.
+    estimate. A reason gives the measured value to one decimal, or in full
+    where one decimal would round it onto its limit.
     """
     ann, wav = pair
     reasons = []
@@ -51,9 +59,10 @@ def gate(pair):
     else:
         snr = estimate_snr(wav)
         if snr < MIN_SNR_DB:
-            reasons.append(f"snr: {snr:.1f} dB below {MIN_SNR_DB:.0f} dB")
+            reasons.append(f"snr: {_shown(snr, MIN_SNR_DB)} dB below {MIN_SNR_DB:.0f} dB")
     if ann.duration_s > MAX_CLIP_S:
-        reasons.append(f"duration: {ann.duration_s:.1f} s exceeds {MAX_CLIP_S:.0f} s")
+        reasons.append(f"duration: {_shown(ann.duration_s, MAX_CLIP_S)} s exceeds "
+                       f"{MAX_CLIP_S:.0f} s")
     if len(ann.storyboards) > MAX_SHOTS:
         reasons.append(f"shots: {len(ann.storyboards)} exceeds {MAX_SHOTS}")
     return (not reasons), reasons
@@ -64,6 +73,10 @@ def gate(pair):
 
 @dataclasses.dataclass
 class SynthConfig:
+    """The range a synthetic clip's duration is drawn from. `synth_corpus`
+    uses the default; only `synth_item`'s own callers set another, the
+    benchmark's fixed-duration clips among them."""
+
     duration_range_s: tuple = (10.0, 16.0)
 
     def __post_init__(self):
@@ -155,12 +168,14 @@ def synth_item(item_rng, cfg):
     return ann, Waveform(audio.astype(np.float32), SAMPLE_RATE)
 
 
-def synth_corpus(n, seed, cfg=None):
-    """A generator of n deterministic (annotation, waveform) pairs, each made
-    when it is asked for, so a caller that keeps none holds no corpus in
+def synth_corpus(n, seed):
+    """A generator of n deterministic (annotation, waveform) pairs at the
+    default `SynthConfig` range, pair i from `Rng(seed).fork(i + 1)`, each
+    made when it is asked for, so a caller that keeps none holds no corpus in
     memory; transitions sit exactly on the generated beats, so ground-truth
-    transition-beat agreement is high by construction."""
-    cfg = cfg or SynthConfig()
+    transition-beat agreement is high by construction. A caller that needs
+    another range calls `synth_item` itself."""
+    cfg = SynthConfig()
     master = Rng(seed)
     for i in range(n):
         yield synth_item(master.fork(i + 1), cfg)

@@ -42,6 +42,13 @@ TEMB_DIM = 128  # width of the diffusion-step embedding and its MLP
 # curation.MAX_CLIP_S (120 s) is 1,875 frames. Padding grows as
 # 2^(levels-1), so the bound also caps the depth: at most 13 levels can run
 MAX_LATENT_LEN = 4096
+# largest sum of squared channel widths stage B builds a denoiser at
+# (`training.TrainConfig` refuses more): 24x the default's 86,016, and it
+# admits (256, 512, 1024). A level's maps are w x w blocks, so a wide net
+# holds 20 to 51 weights per unit of the sum: at the bound, a net of at most
+# 13 levels (the deepest that runs, above) holds under 512 MiB of float32
+# weights, adapters included
+MAX_WIDTH_SQUARES = 1 << 21
 
 
 def sinusoidal_step_embedding(t, dim):

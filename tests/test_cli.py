@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from helpers import click_track
 
-from vem import audiofeat, cli
+from vem import audiofeat, cli, curation
 from vem.audiofeat import (MAX_DURATION_S, MAX_PLAN_BYTES, SAMPLE_RATE, Waveform, load_wav,
                            resample, save_wav)
 from vem.beatdet import detect_beats
@@ -27,7 +27,7 @@ from vem.parsing import FEATURE_DIM, TimeEmbedder, build_frame_features, load_ma
 from vem.rng import Rng
 from vem.tbalign import ALIGNER_HIDDEN
 from vem.training import TrainConfig, intersection_labels, save_diffusion
-from vem.tunet import TEMB_DIM, TUNet
+from vem.tunet import MAX_WIDTH_SQUARES, TEMB_DIM, TUNet
 
 
 def run(argv, out_dir):
@@ -375,27 +375,58 @@ def test_synth_layout_and_determinism(tmp_path, corpus_dir):
         assert a == b, name
 
 
-def test_synth_corpus_bytes_are_pinned(tmp_path):
-    """The SHA-256 over the sorted names and bytes of a small corpus's files."""
-    assert run(["--seed", "3", "synth", "--n", "2", "--dur-min", "6", "--dur-max", "7"],
-               tmp_path) == 0
+def _corpus_digest(corpus):
+    """The SHA-256 over the sorted names and bytes of a corpus's files."""
     digest = hashlib.sha256()
-    for path in sorted((tmp_path / "corpus").iterdir()):
+    for path in sorted(corpus.iterdir()):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
-    assert digest.hexdigest() == "9016edd91887edefe3dbf55b37ed223dee8a93ca2ab48cf99b5fac8d48642462"
+    return digest.hexdigest()
 
 
-def test_synth_holds_one_pair_at_a_time(tmp_path):
+def _synth_range(monkeypatch, duration_range_s):
+    """Make `synth_corpus` draw its clips from `duration_range_s`."""
+    config = curation.SynthConfig
+    monkeypatch.setattr(curation, "SynthConfig", lambda: config(duration_range_s))
+
+
+def test_synth_corpus_bytes_are_pinned(tmp_path, monkeypatch):
+    """A small corpus of 6-7 s clips."""
+    _synth_range(monkeypatch, (6.0, 7.0))
+    assert run(["--seed", "3", "synth", "--n", "2"], tmp_path) == 0
+    assert _corpus_digest(tmp_path / "corpus") == (
+        "9016edd91887edefe3dbf55b37ed223dee8a93ca2ab48cf99b5fac8d48642462")
+
+
+def test_default_synth_corpus_bytes_are_pinned(tmp_path):
+    """The corpus `synth` writes at the default durations."""
+    assert run(["--seed", "3", "synth", "--n", "2"], tmp_path) == 0
+    assert _corpus_digest(tmp_path / "corpus") == (
+        "ff3f4aefdbde9fc3b3b725e4eeda464aca6c94ebee74984dd671b827011aa76c")
+    config = json.loads((tmp_path / "run_config.json").read_text(encoding="utf-8"))
+    assert sorted(config) == ["cmd", "n", "out_dir", "seed"]
+
+
+def test_synth_takes_no_duration_flag(tmp_path):
+    """`synth` writes the one corpus the pipeline takes: a duration flag is
+    a usage error, and nothing is written."""
+    with pytest.raises(SystemExit) as exc:
+        run(["synth", "--n", "1", "--dur-min", "6"], tmp_path)
+    assert exc.value.code == 2
+    assert not (tmp_path / "corpus").exists()
+    assert not (tmp_path / "run_config.json").exists()
+
+
+def test_synth_holds_one_pair_at_a_time(tmp_path, monkeypatch):
     """Pairs are written and dropped as they are made, so the traced peak
     barely grows from 2 to 20 pairs of 6 s (about 0.4 MB a pair if held)."""
+    _synth_range(monkeypatch, (6.0, 6.0))
     peaks = []
     tracemalloc.start()
     try:
         for n in (2, 20):
             tracemalloc.reset_peak()
-            assert run(["synth", "--n", str(n), "--dur-min", "6", "--dur-max", "6"],
-                       tmp_path / str(n)) == 0
+            assert run(["synth", "--n", str(n)], tmp_path / str(n)) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
@@ -414,7 +445,7 @@ def test_interrupted_synth_leaves_a_corpus_curate_reads(tmp_path, monkeypatch):
         save_wav(path, wav)
 
     monkeypatch.setattr(cli, "save_wav", full_disk_on_third)
-    assert run(["synth", "--n", "4", "--dur-min", "6", "--dur-max", "6"], tmp_path) == 3
+    assert run(["synth", "--n", "4"], tmp_path) == 3
     monkeypatch.undo()
     assert run(["curate", str(tmp_path / "corpus")], tmp_path) == 0
     assert len(read_csv(tmp_path / "curation.csv")) == 3
@@ -479,10 +510,9 @@ def _with_duration(corpus, stem, duration_s):
 
 @pytest.fixture(scope="module")
 def short_manifest_corpus(tmp_path_factory):
-    """Two 10-12 s clips, the first declaring 5 s in its manifest."""
+    """Two 10-16 s clips, the first declaring 5 s in its manifest."""
     out = tmp_path_factory.mktemp("short_manifest")
-    assert cli.main(["--out-dir", str(out), "--seed", "3", "synth", "--n", "2",
-                     "--dur-min", "10", "--dur-max", "12"]) == 0
+    assert cli.main(["--out-dir", str(out), "--seed", "3", "synth", "--n", "2"]) == 0
     _with_duration(out / "corpus", "item_000", 5.0)
     return out / "corpus"
 
@@ -498,7 +528,7 @@ def short_manifest_corpus(tmp_path_factory):
 def test_manifest_duration_disagreeing_with_wav_exits_3(tmp_path, trained_dir,
                                                         short_manifest_corpus, capsys, argv,
                                                         output):
-    """A manifest that declares 5 s beside a 10-12 s WAV is refused by the
+    """A manifest that declares 5 s beside a 10-16 s WAV is refused by the
     corpus reader, which names both durations, before any output is
     written. It used to be curated, trained on (stage C spread 80 aligner
     frames over 167 latent frames) and scored without a word."""
@@ -572,17 +602,6 @@ def test_nan_thresholds_exit_3(tmp_path, corpus_dir, capsys, argv):
     assert capsys.readouterr().err.startswith("error: data: ")
 
 
-@pytest.mark.parametrize("dur", [("0.01", "0.02"), ("16", "10"), ("4.0", "16"),
-                                 (str(MIN_SYNTH_S - 1e-3), "10"), ("nan", "nan"),
-                                 ("5", "nan"), ("5", "inf")],
-                         ids=["too-short", "reversed", "4-s", "just-under-bound", "nan",
-                              "nan-max", "inf-max"])
-def test_synth_bad_durations_exit_3(tmp_path, dur):
-    rc = run(["synth", "--n", "1", "--dur-min", dur[0], "--dur-max", dur[1]], tmp_path)
-    assert rc == 3
-    assert not (tmp_path / "corpus").exists()
-
-
 # -- train / sample / sweep ------------------------------------------------
 
 
@@ -604,10 +623,9 @@ def test_train_without_frame_features(tmp_path, corpus_dir):
 
 def test_train_on_sidecars_cut_short_exits_3(tmp_path, capsys):
     """A sidecar whose frame_features cover the first 40 frames (2.5 s) of a
-    10-12 s clip is refused when it is read, before stage A could train on
+    10-16 s clip is refused when it is read, before stage A could train on
     the cut or stage C stretch it over the whole clip."""
-    assert cli.main(["--out-dir", str(tmp_path), "--seed", "3", "synth", "--n", "2",
-                     "--dur-min", "10", "--dur-max", "12"]) == 0
+    assert cli.main(["--out-dir", str(tmp_path), "--seed", "3", "synth", "--n", "2"]) == 0
     corpus = tmp_path / "corpus"
     need = load_manifest(corpus / "item_000.json").frame_features.shape[1]
     for side in corpus.glob("*.feat.vemt"):
@@ -1110,6 +1128,18 @@ def test_train_refuses_t_before_reading_the_corpus(tmp_path, capsys):
               "--t-steps", str(MAX_T + 1)], tmp_path)
     assert rc == 3
     assert capsys.readouterr().err == f"error: data: need 1 <= T <= {MAX_T}, got {MAX_T + 1}\n"
+
+
+def test_train_refuses_widths_before_reading_the_corpus(tmp_path, capsys):
+    """Widths past MAX_WIDTH_SQUARES are refused where the config is built,
+    before the corpus is read: 100000 asked for 112 GiB of weights, and
+    drawing them ended in a MemoryError traceback."""
+    rc = run(["train", "--stage", "diffusion", "--corpus", str(tmp_path / "no-such-dir"),
+              "--widths", "100000"], tmp_path)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: ") and err.count("\n") == 1, err
+    assert f"sum of squares {100000 ** 2} exceeds {MAX_WIDTH_SQUARES}" in err
 
 
 def test_train_adapter_zero_latent_std_exits_3(tmp_path, corpus_dir, trained_dir, capsys):

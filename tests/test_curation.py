@@ -98,13 +98,20 @@ _JUST_PAST_CLIP = float(np.nextafter(cu.MAX_CLIP_S, np.inf))
 
 @pytest.mark.parametrize("snr, duration_s, shots, reasons", [
     (cu.MIN_SNR_DB, cu.MAX_CLIP_S, cu.MAX_SHOTS, []),
-    (_JUST_UNDER_SNR, cu.MAX_CLIP_S, cu.MAX_SHOTS, ["snr: 20.0 dB below 20 dB"]),
-    (cu.MIN_SNR_DB, _JUST_PAST_CLIP, cu.MAX_SHOTS, ["duration: 120.0 s exceeds 120 s"]),
+    (_JUST_UNDER_SNR, cu.MAX_CLIP_S, cu.MAX_SHOTS, ["snr: 19.999999999999996 dB below 20 dB"]),
+    (19.99, cu.MAX_CLIP_S, cu.MAX_SHOTS, ["snr: 19.99 dB below 20 dB"]),
+    (18.4, cu.MAX_CLIP_S, cu.MAX_SHOTS, ["snr: 18.4 dB below 20 dB"]),
+    (cu.MIN_SNR_DB, _JUST_PAST_CLIP, cu.MAX_SHOTS,
+     ["duration: 120.00000000000001 s exceeds 120 s"]),
+    (cu.MIN_SNR_DB, 120.04, cu.MAX_SHOTS, ["duration: 120.04 s exceeds 120 s"]),
     (cu.MIN_SNR_DB, cu.MAX_CLIP_S, cu.MAX_SHOTS + 1, ["shots: 21 exceeds 20"]),
-], ids=["at-every-limit", "snr-just-under", "clip-just-past", "one-shot-more"])
+], ids=["at-every-limit", "snr-just-under", "snr-19.99", "snr-18.4", "clip-just-past",
+        "clip-120.04", "one-shot-more"])
 def test_gate_boundaries(monkeypatch, snr, duration_s, shots, reasons):
     """The fixed policy: a pair at each limit passes, and one step past any
-    limit fails with that limit's reason alone."""
+    limit fails with that limit's reason alone. A reason never reads as a
+    pass: where one decimal would round the value onto its limit, it is
+    given in full."""
     monkeypatch.setattr(cu, "estimate_snr", lambda w: snr)
     ann = make_annotation(duration_s, tuple(np.linspace(0.0, duration_s, shots + 1)), ())
     assert len(ann.storyboards) == shots
@@ -134,6 +141,19 @@ def test_synth_config_refuses_clips_no_reader_takes(hi):
     with pytest.raises(DataError, match="must be ordered and end by"):
         cu.SynthConfig(duration_range_s=(10.0, hi))
     cu.SynthConfig(duration_range_s=(10.0, MAX_DURATION_S))
+
+
+@pytest.mark.parametrize("lo, hi, refusal", [
+    (0.01, 0.02, "must last at least"), (16.0, 10.0, "must be ordered"),
+    (4.0, 16.0, "must last at least"), (cu.MIN_SYNTH_S - 1e-3, 10.0, "must last at least"),
+    (np.nan, np.nan, "must be ordered"), (5.0, np.nan, "must be ordered"),
+    (5.0, np.inf, "must be ordered"),
+], ids=["too-short", "reversed", "4-s", "just-under-bound", "nan", "nan-max", "inf-max"])
+def test_synth_config_refuses_bad_ranges(lo, hi, refusal):
+    """A range that is out of order, not finite or starts below MIN_SYNTH_S
+    is refused before a sample is drawn."""
+    with pytest.raises(DataError, match=refusal):
+        cu.SynthConfig(duration_range_s=(lo, hi))
 
 
 def test_shortest_synth_clip_keeps_beat_tracking():

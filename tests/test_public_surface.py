@@ -3,9 +3,12 @@ method and property of its public classes, has a caller outside the test
 suite: another `vem` module, its own module, or the benchmark. A name only
 tests reach is dead weight in the package."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from vem import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vem"
@@ -392,3 +395,34 @@ def test_every_cli_option_is_read():
              and isinstance(n.ctx, ast.Load) and getattr(n.value, "id", None) == "args"}
     unread = sorted(set(dests) - reads)
     assert not unread, f"CLI options nothing reads: {unread}"
+
+
+_CLI_OPTIONS = {
+    "vem": ["-h", "--help", "--seed", "--out-dir"],
+    "features": ["-h", "--help", "wav", "--mel-out"],
+    "beats": ["-h", "--help", "wav", "--json-out"],
+    "curate": ["-h", "--help", "corpus"],
+    "synth": ["-h", "--help", "--n"],
+    "train": ["-h", "--help", "--stage", "--corpus", "--steps", "--widths", "--t-steps"],
+    "sample": ["-h", "--help", "ckpt", "manifest", "--steps", "--aligner", "--unconditional",
+               "--wav-out"],
+    "eval": ["-h", "--help", "dir", "--metrics", "--tol-s"],
+    "sweep-steps": ["-h", "--help", "ckpt", "manifest", "--steps", "--ref-wav", "--aligner"],
+}
+
+
+def test_cli_options_are_pinned():
+    """The top-level parser and each subcommand declare exactly the options
+    (positionals by name) listed above, in order: a knob added or dropped
+    shows up as a diff of this table. `tests/data/cli_help.txt` pins only
+    the top level."""
+    def declared(parser):
+        return [name for action in parser._actions
+                if not isinstance(action, argparse._SubParsersAction)
+                for name in action.option_strings or [action.dest]]
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {"vem": declared(parser),
+           **{name: declared(sub) for name, sub in commands.choices.items()}}
+    assert got == _CLI_OPTIONS

@@ -477,13 +477,22 @@ def test_fused_ops_match_unfused_oracle_in_float64(corpus, monkeypatch):
         assert np.abs(p.grad - q.grad).max() <= 1e-12 * scale, name
 
 
+def test_train_config_refuses_widths_past_the_bound():
+    """Widths whose squares sum past MAX_WIDTH_SQUARES are refused where the
+    config is built; the bound itself is admitted."""
+    with pytest.raises(DataError, match="widths 1024,1025: their sum of squares 2099201 "
+                                        "exceeds 2097152"):
+        tr.TrainConfig(widths=(1024, 1025))
+    tr.TrainConfig(widths=(1024, 1024))
+    tr.TrainConfig(widths=(256, 512, 1024))
+
+
 def test_stage_b_loss_tape_size():
     """One stage-B loss of the default net on a 12 s clip tapes one node per
     Linear, ChannelNorm and SiLU, SiLU(temb) once per forward, and four nodes
     for the condition tokens whatever the storyboard count."""
     cfg = tr.TrainConfig()
-    ann, wav = list(cu.synth_corpus(1, seed=9,
-                                    cfg=cu.SynthConfig(duration_range_s=(12.0, 12.0))))[0]
+    ann, wav = cu.synth_item(Rng(9).fork(1), cu.SynthConfig((12.0, 12.0)))
     z0 = latent_encode(logmel(wav)).values.astype(np.float32)
     mask = build_mask(ann, z0.shape[1])
     unet = TUNet(len(ann.caption_feat), cfg.widths, rng=Rng(1))

@@ -7,6 +7,7 @@ from vem import tunet as tn
 from vem.curation import MAX_CLIP_S
 from vem.diffusion import LATENT_CHANNELS, latent_len_for_duration
 from vem.errors import DataError
+from vem.parsing import FEATURE_DIM
 from vem.rng import Rng
 from vem.sgcatt import StoryboardMask, sg_cross_attention
 from vem.tbalign import ALIGNER_HIDDEN
@@ -84,6 +85,16 @@ def test_padded_latent_bounds_the_depth(levels, refused):
             net(z, 1, cond, mask)
     else:
         assert net(z, 1, cond, mask).shape == (LATENT_CHANNELS, 1)
+
+
+def test_width_bound_caps_the_weight_bytes():
+    """A net at MAX_WIDTH_SQUARES holds under the 512 MiB of float32 weights
+    its comment states, adapters included; without an rng it draws none."""
+    widths = (1024, 1024)
+    assert sum(w * w for w in widths) == tn.MAX_WIDTH_SQUARES
+    net = tn.TUNet(FEATURE_DIM, widths, rng=None)
+    net.attach_adapters()
+    assert sum(p.data.nbytes for _, p in net.named_params()) < 512 * 2 ** 20
 
 
 # -- level masks -----------------------------------------------------------
