@@ -5,7 +5,12 @@ corpus work (synth, curate), the three training stages (train --stage),
 generation (sample), metric reports (eval), and the inference-step sweep
 (sweep-steps). Every run echoes its configuration to
 <out-dir>/run_config.json (sample and sweep-steps again, with the step
-counts the checkpoint's T sets). Every file a command writes goes through
+counts the checkpoint's T sets). A command writes only under --out-dir, by
+names it derives from its inputs; `sample --wav-out` names the one file
+outside it. An adapter checkpoint's aligner is the aligner.vemt beside it:
+`train --stage adapter` reads that file from --out-dir and writes
+adapter.vemt there, and `sample` and `sweep-steps` read it beside the
+checkpoint they are given. Every file a command writes goes through
 `container.open_replacing`, so it replaces its target whole or leaves it as
 it was. A command computes every output before it writes any, except
 `synth`: it makes and writes one pair at a time, each WAV before its
@@ -92,11 +97,9 @@ def build_parser():
 
     q = sub.add_parser("features", help="log-mel spectrogram of a WAV file")
     q.add_argument("wav")
-    q.add_argument("--mel-out", help="tensor-container output path (default <out-dir>/<stem>.mel.vemt)")
 
     q = sub.add_parser("beats", help="detect beats in a WAV file")
     q.add_argument("wav")
-    q.add_argument("--json-out", help="events JSON output path (default <out-dir>/<stem>.beats.json)")
 
     q = sub.add_parser("curate", help="quality-gate a corpus directory of manifest+wav pairs")
     q.add_argument("corpus")
@@ -120,7 +123,6 @@ def build_parser():
     q.add_argument("manifest")
     q.add_argument("--steps", type=_positive_int,
                    help="inference steps (default 200, capped at the checkpoint's T)")
-    q.add_argument("--aligner", help="aligner checkpoint (default: aligner.vemt beside ckpt)")
     q.add_argument("--unconditional", action="store_true",
                    help="ablation: zero conditions, no storyboard mask, no aligner")
     q.add_argument("--wav-out", help="also reconstruct audio to this path")
@@ -139,7 +141,6 @@ def build_parser():
                    help="comma list of step counts (default 1,50,200, capped at T)")
     q.add_argument("--ref-wav", help="reference audio: recon_error is the log-mel MSE "
                                      "against it (without it, recon_error is empty)")
-    q.add_argument("--aligner")
     return p
 
 
@@ -215,7 +216,7 @@ def _save_mel(path, mel, **meta):
 
 def _cmd_features(args):
     mel = logmel(_load_wav_16k(args.wav))
-    out = args.mel_out or os.path.join(args.out_dir, _stem(args.wav) + ".mel.vemt")
+    out = os.path.join(args.out_dir, _stem(args.wav) + ".mel.vemt")
     _save_mel(out, mel)
     print(f"mel {mel.values.shape[0]}x{mel.values.shape[1]} -> {out}")
 
@@ -223,7 +224,7 @@ def _cmd_features(args):
 def _cmd_beats(args):
     w = _load_wav_16k(args.wav)
     beats, bpm = detect_beats(logmel(w))
-    out = args.json_out or os.path.join(args.out_dir, _stem(args.wav) + ".beats.json")
+    out = os.path.join(args.out_dir, _stem(args.wav) + ".beats.json")
     ts = TimestampSet(beats, w.duration_s)
     _write_text(out, json.dumps({"fps": DEFAULT_FPS, "duration_s": ts.duration_s,
                                  "events": ts.times_s}))
@@ -285,14 +286,17 @@ def _cmd_train(args):
 
 def _load_sampler(args, conditioned):
     """What `sample` and `sweep-steps` read: the checkpoint, the aligner its
-    adapters need when conditioned, and the manifest."""
+    adapters need when conditioned, and the manifest. That aligner is the
+    aligner.vemt beside the checkpoint, the one stage C tuned the adapters
+    against."""
     unet, temb, meta = load_diffusion(args.ckpt)
     aligner = None
     if unet.adapters is not None and conditioned:
-        path = args.aligner or os.path.join(os.path.dirname(os.path.abspath(args.ckpt)),
-                                            "aligner.vemt")
+        path = os.path.join(os.path.dirname(os.path.abspath(args.ckpt)), "aligner.vemt")
         if not os.path.exists(path):
-            raise StageOrderError(f"checkpoint carries adapters but no aligner found at {path}")
+            raise StageOrderError(f"checkpoint carries adapters but no aligner found at {path}; "
+                                  "`vem train --stage adapter` reads the aligner from, and "
+                                  "writes adapter.vemt into, that directory")
         aligner, _ = load_aligner(path)
     return unet, temb, meta, aligner, load_manifest(args.manifest)
 
@@ -316,11 +320,12 @@ def _cmd_sample(args):
 def _cmd_eval(args):
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     bad = [m for m in metrics if m not in _METRIC_NAMES]
-    if bad:
-        raise DataError(f"unknown metrics {bad}; choose from {sorted(_METRIC_NAMES)}")
+    if bad or not metrics:
+        what = f"unknown metrics {bad}" if bad else "no metrics named"
+        raise DataError(f"{what}; choose from {sorted(_METRIC_NAMES)}")
     per_clip = [m for m in metrics if m in CLIP_METRICS]
     rows, ref_frames, gen_frames = [], [], []
-    for ann, wav, stem in _corpus_pairs(args.dir) if metrics else ():
+    for ann, wav, stem in _corpus_pairs(args.dir):
         gen_path = os.path.join(args.dir, stem + ".gen.wav")
         ref_mel = gen_mel = logmel(wav)
         if os.path.exists(gen_path):

@@ -65,7 +65,7 @@ from .rng import Rng
 from .sgcatt import TOKENS_PER_STORYBOARD, StoryboardMask, assemble_conditions, build_mask
 from .tbalign import AlignerNet, aligner_features, train_aligner
 from .timeline import from_timestamps
-from .tunet import MAX_WIDTH_SQUARES, TUNet
+from .tunet import MAX_LEVELS, MAX_WIDTH_SQUARES, TUNet
 
 DIFFUSION_LR = 1e-3
 ADAPTER_LR = 5e-4
@@ -88,6 +88,9 @@ class TrainConfig:
         # refused here, before a stage reads and encodes its corpus
         if not 1 <= self.T <= MAX_T:
             raise DataError(f"need 1 <= T <= {MAX_T}, got {self.T}")
+        if len(self.widths) > MAX_LEVELS:
+            raise DataError(f"widths give {len(self.widths)} levels, more than the "
+                            f"{MAX_LEVELS} a denoiser can run")
         squares = sum(w * w for w in self.widths)
         if squares > MAX_WIDTH_SQUARES:
             raise DataError(f"widths {','.join(map(str, self.widths))}: their sum of squares "

@@ -42,6 +42,9 @@ TEMB_DIM = 128  # width of the diffusion-step embedding and its MLP
 # curation.MAX_CLIP_S (120 s) is 1,875 frames. Padding grows as
 # 2^(levels-1), so the bound also caps the depth: at most 13 levels can run
 MAX_LATENT_LEN = 4096
+# deepest net a forward can run, as the bound above states: 2^(levels-1)
+# frames of padding must fit MAX_LATENT_LEN (`training.TrainConfig` refuses more)
+MAX_LEVELS = MAX_LATENT_LEN.bit_length()
 # largest sum of squared channel widths stage B builds a denoiser at
 # (`training.TrainConfig` refuses more): 24x the default's 86,016, and it
 # admits (256, 512, 1024). A level's maps are w x w blocks, so a wide net

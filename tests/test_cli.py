@@ -15,8 +15,8 @@ import pytest
 from helpers import click_track
 
 from vem import audiofeat, cli, curation
-from vem.audiofeat import (MAX_DURATION_S, MAX_PLAN_BYTES, SAMPLE_RATE, Waveform, load_wav,
-                           resample, save_wav)
+from vem.audiofeat import (MAX_DURATION_S, MAX_PLAN_BYTES, SAMPLE_RATE, MelSpectrogram,
+                           Waveform, load_wav, resample, save_wav)
 from vem.beatdet import detect_beats
 from vem.container import load_tensors, save_tensors
 from vem.curation import MAX_CLIP_S, MIN_SYNTH_S
@@ -26,8 +26,8 @@ from vem.evalsuite import frechet_distance
 from vem.parsing import FEATURE_DIM, TimeEmbedder, build_frame_features, load_manifest
 from vem.rng import Rng
 from vem.tbalign import ALIGNER_HIDDEN
-from vem.training import TrainConfig, intersection_labels, save_diffusion
-from vem.tunet import MAX_WIDTH_SQUARES, TEMB_DIM, TUNet
+from vem.training import TrainConfig, generation_tb_iou, intersection_labels, save_diffusion
+from vem.tunet import MAX_LEVELS, MAX_WIDTH_SQUARES, TEMB_DIM, TUNet
 
 
 def run(argv, out_dir):
@@ -684,13 +684,19 @@ def test_sample_default_steps_capped_at_schedule(tmp_path, corpus_dir, trained_d
     assert run(["sample", ckpt, manifest, "--steps", "51"], tmp_path) == 3
 
 
+def _adapter_in(directory, trained_dir):
+    """The trained adapter.vemt copied into `directory`, where `vem sample`
+    then reads its aligner as aligner.vemt."""
+    return str(shutil.copy(trained_dir / "adapter.vemt", directory / "adapter.vemt"))
+
+
 def test_sample_adapter_checkpoint_needs_aligner(tmp_path, corpus_dir, trained_dir):
     manifest = str(corpus_dir / "item_000.json")
-    rc = run(["sample", str(trained_dir / "adapter.vemt"), manifest,
-              "--steps", "3", "--aligner", str(tmp_path / "missing.vemt")], tmp_path)
+    ckpt = _adapter_in(tmp_path, trained_dir)
+    rc = run(["sample", ckpt, manifest, "--steps", "3"], tmp_path)
     assert rc == 4
-    rc = run(["sample", str(trained_dir / "adapter.vemt"), manifest,
-              "--steps", "3", "--aligner", str(trained_dir / "aligner.vemt")], tmp_path)
+    shutil.copy(trained_dir / "aligner.vemt", tmp_path / "aligner.vemt")
+    rc = run(["sample", ckpt, manifest, "--steps", "3"], tmp_path)
     assert rc == 0
 
 
@@ -825,10 +831,10 @@ def test_sample_wav_out_directory_writes_nothing(tmp_path, corpus_dir, trained_d
 
 
 def test_sample_aligner_without_conv1_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
-    aligner = _edited(trained_dir / "aligner.vemt", tmp_path / "a.vemt",
-                      lambda t: t.pop("conv1.w"), feat_dim=10**9)
-    rc = run(["sample", str(trained_dir / "adapter.vemt"), str(corpus_dir / "item_000.json"),
-              "--steps", "2", "--aligner", aligner], tmp_path)
+    _edited(trained_dir / "aligner.vemt", tmp_path / "aligner.vemt",
+            lambda t: t.pop("conv1.w"), feat_dim=10**9)
+    rc = run(["sample", _adapter_in(tmp_path, trained_dir), str(corpus_dir / "item_000.json"),
+              "--steps", "2"], tmp_path)
     assert rc == 3
     assert "tensor 'conv1.w' is missing" in capsys.readouterr().err
 
@@ -862,18 +868,15 @@ def test_sample_checkpoint_meta_boundary_values(tmp_path, corpus_dir, trained_di
                                                 key, value):
     """Each meta key a checkpoint keeps, missing or set to a boundary value of
     each JSON kind: `vem sample` samples a finite spectrogram, or exits 3
-    (4 for a stage tag) with one error line and no traceback. The aligner
-    goes in through --aligner beside an adapter checkpoint."""
+    (4 for a stage tag) with one error line and no traceback. The aligner is
+    read as aligner.vemt beside an adapter checkpoint."""
     value = _BOUNDARY_VALUES[value]
     tensors, meta = load_tensors(trained_dir / f"{ckpt}.vemt")
     meta.pop(key) if value is _MISSING else meta.update({key: value})
-    save_tensors(tmp_path / "ckpt.vemt", tensors, meta)
-    argv = ["sample", str(tmp_path / "ckpt.vemt"), str(corpus_dir / "item_000.json"),
-            "--steps", "1"]
-    if ckpt == "aligner":
-        argv[1:2] = [str(trained_dir / "adapter.vemt")]
-        argv += ["--aligner", str(tmp_path / "ckpt.vemt")]
-    rc = run(argv, tmp_path)
+    save_tensors(tmp_path / f"{ckpt}.vemt", tensors, meta)
+    sampled = (_adapter_in(tmp_path, trained_dir) if ckpt == "aligner"
+               else str(tmp_path / "diffusion.vemt"))
+    rc = run(["sample", sampled, str(corpus_dir / "item_000.json"), "--steps", "1"], tmp_path)
     err = capsys.readouterr().err
     assert rc in ((0, 3, 4) if key == "stage" else (0, 3)), err
     if rc == 0:
@@ -1070,11 +1073,12 @@ def test_input_past_a_size_bound_exits_3_under_memory_limit(tmp_path, corpus_dir
     20-level checkpoint (or a `--widths` run of 20 levels) pads a 79-frame
     latent to 2^19 frames, and 20,000 storyboards make a 1.5 GB attention
     bias. Under a 2.5 GB limit each exits 3 with one error line, where a
-    MemoryError traceback used to stop the run."""
+    MemoryError traceback used to stop the run; `train` now refuses the
+    depth before it builds the net."""
     if case == "train-20-levels":
         argv = ["train", "--stage", "diffusion", "--corpus", str(corpus_dir), "--steps", "1",
                 "--widths", ",".join(["1"] * 20), "--t-steps", "50"]
-        want = "latent length "
+        want = "widths give 20 levels, more than the 13 a denoiser can run"
     elif case == "deep-checkpoint":
         argv = ["sample", _deep_checkpoint(tmp_path / "deep.vemt", 20),
                 _one_shot_manifest(tmp_path / "short.json", 5.0), "--steps", "1"]
@@ -1106,9 +1110,9 @@ def _narrowed(src, dst, width, to):
 
 
 def test_sample_other_width_aligner_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
-    _narrowed(trained_dir / "aligner.vemt", tmp_path / "a4.vemt", ALIGNER_HIDDEN, 4)
-    rc = run(["sample", str(trained_dir / "adapter.vemt"), str(corpus_dir / "item_000.json"),
-              "--steps", "2", "--aligner", str(tmp_path / "a4.vemt")], tmp_path)
+    _narrowed(trained_dir / "aligner.vemt", tmp_path / "aligner.vemt", ALIGNER_HIDDEN, 4)
+    rc = run(["sample", _adapter_in(tmp_path, trained_dir), str(corpus_dir / "item_000.json"),
+              "--steps", "2"], tmp_path)
     assert rc == 3
     assert "shape mismatch for conv1.w" in capsys.readouterr().err
 
@@ -1140,6 +1144,18 @@ def test_train_refuses_widths_before_reading_the_corpus(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: data: ") and err.count("\n") == 1, err
     assert f"sum of squares {100000 ** 2} exceeds {MAX_WIDTH_SQUARES}" in err
+
+
+@pytest.mark.parametrize("levels", [14, 65_536])
+def test_train_refuses_depth_before_reading_the_corpus(tmp_path, capsys, levels):
+    """A net deeper than MAX_LEVELS is refused by its level count where the
+    config is built, before the corpus is read; 65,536 ones, one argument's
+    worth, used to build every level first."""
+    rc = run(["train", "--stage", "diffusion", "--corpus", str(tmp_path / "no-such-dir"),
+              "--widths", ",".join(["1"] * levels)], tmp_path)
+    assert rc == 3
+    assert capsys.readouterr().err == (f"error: data: widths give {levels} levels, more than "
+                                       f"the {MAX_LEVELS} a denoiser can run\n")
 
 
 def test_train_adapter_zero_latent_std_exits_3(tmp_path, corpus_dir, trained_dir, capsys):
@@ -1199,6 +1215,29 @@ def test_sweep_steps_recon_error_needs_a_reference(tmp_path, corpus_dir, trained
     err = float(read_csv(tmp_path / "ref" / "sweep_steps.csv")[1][1])
     assert err >= 0
     assert err == pytest.approx(np.mean((gen[:n] - want[:n]) ** 2), abs=1e-6)
+
+
+def test_sweep_steps_adapter_checkpoint_reads_the_aligner_beside_it(tmp_path, corpus_dir,
+                                                                    trained_dir):
+    """`sweep-steps` finds an adapter checkpoint's aligner as `sample` does:
+    with no aligner.vemt beside the copied adapter.vemt it exits 4, and with
+    the trained one there it scores the mel `sample` draws at the same seed
+    and step count: its tb_iou is that mel's TB-IoU, and its recon_error
+    that mel's log-mel MSE against the reference."""
+    ckpt, manifest = _adapter_in(tmp_path, trained_dir), str(corpus_dir / "item_000.json")
+    ref, out = corpus_dir / "item_000.wav", tmp_path / "out"
+    argv = ["sweep-steps", ckpt, manifest, "--steps", "2", "--ref-wav", str(ref)]
+    assert run(argv, out) == 4
+    shutil.copy(trained_dir / "aligner.vemt", tmp_path / "aligner.vemt")
+    assert run(argv, out) == 0
+    assert run(["sample", ckpt, manifest, "--steps", "2"], out) == 0
+    tensors, meta = load_tensors(out / "item_000.gen.mel.vemt")
+    mel = MelSpectrogram(tensors["mel"], meta["hop"], meta["sample_rate_hz"], meta["n_mels"])
+    want = audiofeat.logmel(load_wav(ref)).values
+    n = min(len(mel.values), len(want))
+    steps, err, tb_iou = read_csv(out / "sweep_steps.csv")[1]
+    assert steps == "2" and tb_iou == f"{generation_tb_iou(mel, load_manifest(manifest)):.4f}"
+    assert err == f"{np.mean((mel.values[:n] - want[:n]) ** 2):.6f}"
 
 
 # -- eval ------------------------------------------------------------------
@@ -1274,8 +1313,15 @@ def test_eval_tw_takes_storyboards_the_manifest_reader_takes(tmp_path, corpus_di
     assert 0.0 <= float(rows[0][2]) <= 1.0
 
 
-def test_eval_unknown_metric_exits_3(tmp_path, corpus_dir):
-    assert run(["eval", str(corpus_dir), "--metrics", "bogus"], tmp_path) == 3
+def test_eval_unknown_metric_exits_3(tmp_path, corpus_dir, capsys):
+    """A name outside the tables, or no name at all, is refused with one
+    error line that lists the choices, and no metrics.csv is written."""
+    for i, metrics in enumerate(["bogus", "", ","]):
+        assert run(["eval", str(corpus_dir), "--metrics", metrics], tmp_path / str(i)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1, (metrics, err)
+        assert str(sorted(cli._METRIC_NAMES)) in err
+        assert not (tmp_path / str(i) / "metrics.csv").exists()
 
 
 def test_eval_failed_csv_write_leaves_the_old_table(tmp_path, corpus_dir, capsys, monkeypatch):
@@ -1340,3 +1386,47 @@ def test_eval_fad_with_silent_generated_audio(tmp_path, corpus_dir):
     assert run(["eval", str(corpus), "--metrics", "fad"], tmp_path / "out") == 0
     [row] = read_csv(tmp_path / "out" / "metrics.csv")[1:]
     assert row[:2] == ["(corpus)", "fad"] and np.isfinite(float(row[2])) and float(row[2]) > 0
+
+
+# -- where files land ------------------------------------------------------
+
+
+def _files(root):
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def test_every_output_lands_under_out_dir(tmp_path, monkeypatch):
+    """Each command of a toy pipeline, run from an empty working directory
+    with its own --out-dir, adds files only under that directory, and
+    `sample --wav-out` its target besides: the working directory stays
+    empty, and no file outside the --out-dir appears or goes, so the corpus
+    and checkpoint directories a command reads keep their names."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    corpus, adapter = tmp_path / "synth" / "corpus", str(tmp_path / "ckpt" / "adapter.vemt")
+    wav, manifest = str(corpus / "item_000.wav"), str(corpus / "item_000.json")
+    gen_wav = corpus / "item_000.gen.wav"
+    train = ["train", "--corpus", str(corpus), "--steps", "2", "--stage"]
+    commands = [
+        ("synth", ["synth", "--n", "2"], None),
+        ("features", ["features", wav], None),
+        ("beats", ["beats", wav], None),
+        ("curate", ["curate", str(corpus)], None),
+        ("ckpt", train + ["aligner"], None),
+        ("ckpt", train + ["diffusion", "--widths", "8", "--t-steps", "50"], None),
+        ("ckpt", train + ["adapter"], None),
+        ("sample", ["sample", adapter, manifest, "--steps", "2"], None),
+        ("sample-wav", ["sample", adapter, manifest, "--steps", "2", "--wav-out", str(gen_wav)],
+         gen_wav),
+        ("eval", ["eval", str(corpus), "--metrics", "b_iou,tb_iou,tw,fad"], None),
+        ("sweep", ["sweep-steps", adapter, manifest, "--steps", "1,2", "--ref-wav", wav], None),
+    ]
+    for out, argv, wav_out in commands:
+        before = _files(tmp_path)
+        assert cli.main(["--seed", "3", "--out-dir", str(tmp_path / out)] + argv) == 0, argv
+        after = _files(tmp_path)
+        assert before <= after, argv
+        outside = {f for f in after - before if not f.startswith(out + os.sep)}
+        assert outside == ({str(wav_out.relative_to(tmp_path))} if wav_out else set()), argv
+        assert os.listdir(cwd) == [], argv

@@ -399,15 +399,14 @@ def test_every_cli_option_is_read():
 
 _CLI_OPTIONS = {
     "vem": ["-h", "--help", "--seed", "--out-dir"],
-    "features": ["-h", "--help", "wav", "--mel-out"],
-    "beats": ["-h", "--help", "wav", "--json-out"],
+    "features": ["-h", "--help", "wav"],
+    "beats": ["-h", "--help", "wav"],
     "curate": ["-h", "--help", "corpus"],
     "synth": ["-h", "--help", "--n"],
     "train": ["-h", "--help", "--stage", "--corpus", "--steps", "--widths", "--t-steps"],
-    "sample": ["-h", "--help", "ckpt", "manifest", "--steps", "--aligner", "--unconditional",
-               "--wav-out"],
+    "sample": ["-h", "--help", "ckpt", "manifest", "--steps", "--unconditional", "--wav-out"],
     "eval": ["-h", "--help", "dir", "--metrics", "--tol-s"],
-    "sweep-steps": ["-h", "--help", "ckpt", "manifest", "--steps", "--ref-wav", "--aligner"],
+    "sweep-steps": ["-h", "--help", "ckpt", "manifest", "--steps", "--ref-wav"],
 }
 
 

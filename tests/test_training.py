@@ -478,13 +478,18 @@ def test_fused_ops_match_unfused_oracle_in_float64(corpus, monkeypatch):
 
 
 def test_train_config_refuses_widths_past_the_bound():
-    """Widths whose squares sum past MAX_WIDTH_SQUARES are refused where the
-    config is built; the bound itself is admitted."""
+    """Widths whose squares sum past MAX_WIDTH_SQUARES, or more levels than
+    MAX_LEVELS, whose padding no forward can run, are refused where the
+    config is built, the depth by its count alone; each bound is admitted."""
     with pytest.raises(DataError, match="widths 1024,1025: their sum of squares 2099201 "
                                         "exceeds 2097152"):
         tr.TrainConfig(widths=(1024, 1025))
     tr.TrainConfig(widths=(1024, 1024))
     tr.TrainConfig(widths=(256, 512, 1024))
+    with pytest.raises(DataError, match="^widths give 14 levels, more than the 13 a denoiser "
+                                        "can run$"):
+        tr.TrainConfig(widths=(1,) * 14)
+    tr.TrainConfig(widths=(1,) * 13)
 
 
 def test_stage_b_loss_tape_size():
